@@ -8,6 +8,11 @@
 //! The implementation is single-threaded and visits nodes in id order, so
 //! the output is deterministic — a requirement for the reproducible
 //! experiment tables downstream.
+//!
+//! The hot loops touch flat arrays only: the weighted graph is CSR-shaped,
+//! and neighbour-community weights accumulate in a dense per-community
+//! scratch array with a touched-list that is scanned in ascending
+//! community id, so no lookup hashes.
 
 use crate::csr::{Csr, NodeId};
 
@@ -46,10 +51,15 @@ pub struct LouvainResult {
     pub levels: usize,
 }
 
-/// Weighted graph used internally for aggregated levels.
+/// Weighted graph used internally for aggregated levels, stored CSR-shaped.
 struct WeightedGraph {
-    /// Adjacency as (neighbor, weight) lists.
-    adj: Vec<Vec<(u32, f64)>>,
+    /// Row offsets into `nbr` and `w` (length `num_nodes + 1`).
+    offsets: Vec<usize>,
+    /// Neighbour ids per row; self loops live in `self_loop` instead.
+    nbr: Vec<u32>,
+    /// Weight per `nbr` entry. Every weight counts unit edges, so it is
+    /// strictly positive.
+    w: Vec<f64>,
     /// Self-loop weight per node (intra-community weight after aggregation).
     self_loop: Vec<f64>,
     /// Total edge weight counting both directions plus 2x self loops
@@ -60,36 +70,94 @@ struct WeightedGraph {
 impl WeightedGraph {
     fn from_csr(graph: &Csr) -> Self {
         let n = graph.num_nodes();
-        let mut adj = Vec::with_capacity(n);
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let mut nbr = Vec::with_capacity(graph.num_edges());
         let mut self_loop = vec![0.0; n];
-        let mut total = 0.0;
         for v in 0..n as NodeId {
-            let mut list = Vec::with_capacity(graph.degree(v));
             for &u in graph.neighbors(v) {
                 if u == v {
                     self_loop[v as usize] += 1.0;
                 } else {
-                    list.push((u, 1.0));
+                    nbr.push(u);
                 }
-                total += 1.0;
             }
-            adj.push(list);
+            offsets.push(nbr.len());
         }
+        let w = vec![1.0; nbr.len()];
         Self {
-            adj,
+            offsets,
+            nbr,
+            w,
             self_loop,
-            total_weight: total,
+            total_weight: graph.num_edges() as f64,
         }
     }
 
     fn num_nodes(&self) -> usize {
-        self.adj.len()
+        self.self_loop.len()
     }
 
-    /// Weighted degree (including self-loop both ways, matching `2m`
-    /// bookkeeping).
-    fn weighted_degree(&self, v: usize) -> f64 {
-        self.adj[v].iter().map(|&(_, w)| w).sum::<f64>() + 2.0 * self.self_loop[v]
+    /// `(neighbour, weight)` pairs of `v` in row order.
+    fn edges(&self, v: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
+        let row = self.offsets[v]..self.offsets[v + 1];
+        self.nbr[row.clone()]
+            .iter()
+            .copied()
+            .zip(self.w[row].iter().copied())
+    }
+
+    /// Weighted degree per node (including self-loop both ways, matching
+    /// `2m` bookkeeping).
+    fn weighted_degrees(&self) -> Vec<f64> {
+        (0..self.num_nodes())
+            .map(|v| {
+                self.w[self.offsets[v]..self.offsets[v + 1]]
+                    .iter()
+                    .sum::<f64>()
+                    + 2.0 * self.self_loop[v]
+            })
+            .collect()
+    }
+}
+
+/// Dense per-community weight accumulator plus the list of communities
+/// touched since the last drain. Sized once for the finest level and
+/// reused by every node and level. Edge weights are strictly positive, so
+/// a zero slot means "untouched".
+struct CommunityWeights {
+    weight: Vec<f64>,
+    touched: Vec<u32>,
+}
+
+impl CommunityWeights {
+    fn new(num_communities: usize) -> Self {
+        Self {
+            weight: vec![0.0; num_communities],
+            touched: Vec::new(),
+        }
+    }
+
+    fn add(&mut self, c: u32, w: f64) {
+        let slot = &mut self.weight[c as usize];
+        if *slot == 0.0 {
+            self.touched.push(c);
+        }
+        *slot += w;
+    }
+
+    fn get(&self, c: u32) -> f64 {
+        self.weight[c as usize]
+    }
+
+    /// Visits the touched communities in ascending id with their summed
+    /// weight, and resets them.
+    fn drain_sorted(&mut self, mut visit: impl FnMut(u32, f64)) {
+        self.touched.sort_unstable();
+        for &c in &self.touched {
+            visit(c, std::mem::take(&mut self.weight[c as usize]));
+        }
+        self.touched.clear();
     }
 }
 
@@ -105,12 +173,13 @@ pub fn louvain(graph: &Csr, config: &LouvainConfig) -> LouvainResult {
         };
     }
     let mut wg = WeightedGraph::from_csr(graph);
+    let mut scratch = CommunityWeights::new(n);
     // community_of maps original nodes to current-level communities.
     let mut community_of: Vec<u32> = (0..n as u32).collect();
     let mut levels = 0usize;
 
     for _level in 0..config.max_levels {
-        let (level_assign, improved) = local_moving(&wg, config);
+        let (level_assign, improved) = local_moving(&wg, config, &mut scratch);
         if !improved {
             break;
         }
@@ -121,7 +190,7 @@ pub fn louvain(graph: &Csr, config: &LouvainConfig) -> LouvainResult {
         for c in community_of.iter_mut() {
             *c = dense_assign[*c as usize];
         }
-        wg = aggregate(&wg, &dense_assign, num_comm);
+        wg = aggregate(&wg, &dense_assign, num_comm, &mut scratch);
         if wg.num_nodes() <= 1 {
             break;
         }
@@ -140,46 +209,47 @@ pub fn louvain(graph: &Csr, config: &LouvainConfig) -> LouvainResult {
 
 /// Phase 1: greedy local moving. Returns (assignment over current-level
 /// nodes, whether any move happened).
-fn local_moving(wg: &WeightedGraph, config: &LouvainConfig) -> (Vec<u32>, bool) {
+fn local_moving(
+    wg: &WeightedGraph,
+    config: &LouvainConfig,
+    scratch: &mut CommunityWeights,
+) -> (Vec<u32>, bool) {
     let n = wg.num_nodes();
     let two_m = wg.total_weight.max(1.0);
     let mut assign: Vec<u32> = (0..n as u32).collect();
+    let node_degree = wg.weighted_degrees();
     // Sum of weighted degrees per community.
-    let mut sigma_tot: Vec<f64> = (0..n).map(|v| wg.weighted_degree(v)).collect();
-    let node_degree: Vec<f64> = (0..n).map(|v| wg.weighted_degree(v)).collect();
+    let mut sigma_tot = node_degree.clone();
 
     let mut improved_any = false;
-    let mut neighbor_weight: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
     for _sweep in 0..config.max_sweeps {
         let mut moved = false;
         for v in 0..n {
             let current = assign[v];
-            neighbor_weight.clear();
-            for &(u, w) in &wg.adj[v] {
-                *neighbor_weight.entry(assign[u as usize]).or_insert(0.0) += w;
+            let k_v = node_degree[v];
+            for (u, w) in wg.edges(v) {
+                scratch.add(assign[u as usize], w);
             }
             // Remove v from its community.
-            sigma_tot[current as usize] -= node_degree[v];
-            let w_current = neighbor_weight.get(&current).copied().unwrap_or(0.0);
+            sigma_tot[current as usize] -= k_v;
 
             // Gain of joining community c: k_{v,c} - k_v * sigma_c / 2m
             // (constant factors dropped; comparisons are unaffected).
             let mut best = current;
-            let mut best_gain = w_current - node_degree[v] * sigma_tot[current as usize] / two_m;
-            // Iterate candidate communities in sorted order for determinism.
-            let mut candidates: Vec<_> = neighbor_weight.iter().map(|(&c, &w)| (c, w)).collect();
-            candidates.sort_unstable_by_key(|a| a.0);
-            for (c, w) in candidates {
+            let mut best_gain = scratch.get(current) - k_v * sigma_tot[current as usize] / two_m;
+            // Candidates in ascending community id, so ties resolve the
+            // same way on every run.
+            scratch.drain_sorted(|c, w| {
                 if c == current {
-                    continue;
+                    return;
                 }
-                let gain = w - node_degree[v] * sigma_tot[c as usize] / two_m;
+                let gain = w - k_v * sigma_tot[c as usize] / two_m;
                 if gain > best_gain + config.min_gain {
                     best_gain = gain;
                     best = c;
                 }
-            }
-            sigma_tot[best as usize] += node_degree[v];
+            });
+            sigma_tot[best as usize] += k_v;
             if best != current {
                 assign[v] = best;
                 moved = true;
@@ -195,55 +265,90 @@ fn local_moving(wg: &WeightedGraph, config: &LouvainConfig) -> (Vec<u32>, bool) 
 
 /// Phase 2: collapse communities into super-nodes. `assign` must already be
 /// dense over `0..num_comm`.
-fn aggregate(wg: &WeightedGraph, assign: &[u32], num_comm: usize) -> WeightedGraph {
-    let mut adj_maps: Vec<std::collections::HashMap<u32, f64>> =
-        vec![std::collections::HashMap::new(); num_comm];
+fn aggregate(
+    wg: &WeightedGraph,
+    assign: &[u32],
+    num_comm: usize,
+    scratch: &mut CommunityWeights,
+) -> WeightedGraph {
+    let (start, members) = bucket_by_community(assign, num_comm);
+    let mut offsets = Vec::with_capacity(num_comm + 1);
+    offsets.push(0);
+    let mut nbr = Vec::new();
+    let mut w = Vec::new();
     let mut self_loop = vec![0.0; num_comm];
-    let mut total = 0.0;
-    for v in 0..wg.num_nodes() {
-        let cv = assign[v];
-        self_loop[cv as usize] += wg.self_loop[v];
-        total += 2.0 * wg.self_loop[v];
-        for &(u, w) in &wg.adj[v] {
-            let cu = assign[u as usize];
-            total += w;
-            if cu == cv {
-                // Each intra edge appears twice (symmetric adj); self-loop
-                // weight counts each undirected edge once.
-                self_loop[cv as usize] += w / 2.0;
-            } else {
-                *adj_maps[cv as usize].entry(cu).or_insert(0.0) += w;
+    for (c, own) in self_loop.iter_mut().enumerate() {
+        for &v in &members[start[c]..start[c + 1]] {
+            let v = v as usize;
+            *own += wg.self_loop[v];
+            for (u, wu) in wg.edges(v) {
+                let cu = assign[u as usize];
+                if cu as usize == c {
+                    // Each intra edge appears twice (symmetric adj); self-loop
+                    // weight counts each undirected edge once.
+                    *own += wu / 2.0;
+                } else {
+                    scratch.add(cu, wu);
+                }
             }
         }
+        scratch.drain_sorted(|cu, wu| {
+            nbr.push(cu);
+            w.push(wu);
+        });
+        offsets.push(nbr.len());
     }
-    let adj = adj_maps
-        .into_iter()
-        .map(|m| {
-            let mut list: Vec<_> = m.into_iter().collect();
-            list.sort_unstable_by_key(|a| a.0);
-            list
-        })
-        .collect();
+    // Summed in node order, one term at a time, so `2m` is the same
+    // floating-point value whatever order the rows were built in.
+    let total_weight = (0..wg.num_nodes()).fold(0.0, |total, v| {
+        wg.edges(v)
+            .fold(total + 2.0 * wg.self_loop[v], |total, (_, wu)| total + wu)
+    });
     WeightedGraph {
-        adj,
+        offsets,
+        nbr,
+        w,
         self_loop,
-        total_weight: total,
+        total_weight,
     }
 }
 
-/// Renumbers arbitrary ids to dense `0..k`, preserving first-appearance
-/// order. Returns the dense assignment and `k`.
+/// Counting sort of the nodes `0..assign.len()` by community: returns
+/// `(start, members)` where `members[start[c]..start[c + 1]]` lists the
+/// nodes of community `c` in ascending id. `assign` must be dense over
+/// `0..num_comm`.
+pub(crate) fn bucket_by_community(assign: &[u32], num_comm: usize) -> (Vec<usize>, Vec<NodeId>) {
+    let mut start = vec![0usize; num_comm + 1];
+    for &c in assign {
+        start[c as usize + 1] += 1;
+    }
+    for c in 0..num_comm {
+        start[c + 1] += start[c];
+    }
+    let mut next = start.clone();
+    let mut members = vec![0; assign.len()];
+    for (v, &c) in assign.iter().enumerate() {
+        members[next[c as usize]] = v as NodeId;
+        next[c as usize] += 1;
+    }
+    (start, members)
+}
+
+/// Renumbers ids to dense `0..k`, preserving first-appearance order.
+/// Returns the dense assignment and `k`.
 fn densify(assign: &[u32]) -> (Vec<u32>, usize) {
-    let mut map = std::collections::HashMap::new();
+    let len = assign.iter().max().map_or(0, |&m| m as usize + 1);
+    let mut map = vec![u32::MAX; len];
     let mut next = 0u32;
     let dense = assign
         .iter()
         .map(|&c| {
-            *map.entry(c).or_insert_with(|| {
-                let id = next;
+            let id = &mut map[c as usize];
+            if *id == u32::MAX {
+                *id = next;
                 next += 1;
-                id
-            })
+            }
+            *id
         })
         .collect();
     (dense, next as usize)
@@ -318,6 +423,32 @@ mod tests {
         let a = louvain(&g, &LouvainConfig::default());
         let b = louvain(&g, &LouvainConfig::default());
         assert_eq!(a.community_of, b.community_of);
+    }
+
+    /// Candidate communities whose gains tie (within `min_gain`) resolve
+    /// to the lowest community id, not to neighbour order. On this graph
+    /// the two orders give different partitions.
+    #[test]
+    fn gain_ties_resolve_to_the_lowest_community_id() {
+        let edges = [
+            (7, 9),
+            (1, 9),
+            (5, 8),
+            (9, 5),
+            (7, 2),
+            (4, 0),
+            (8, 4),
+            (0, 2),
+            (1, 7),
+            (0, 8),
+        ];
+        let g = edges
+            .iter()
+            .fold(GraphBuilder::new(10), |b, &(u, v)| b.undirected_edge(u, v))
+            .build()
+            .expect("valid");
+        let r = louvain(&g, &LouvainConfig::default());
+        assert_eq!(r.community_of, vec![0, 1, 1, 2, 0, 0, 3, 1, 0, 1]);
     }
 
     #[test]

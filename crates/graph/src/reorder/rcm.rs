@@ -14,52 +14,63 @@ use crate::csr::{Csr, NodeId};
 /// nodes outside the subset are ignored. The returned vector is a
 /// permutation of `subset`: position `i` holds the node that should receive
 /// the `i`-th id. Disconnected parts of the subset are ordered one
-/// component at a time, each started from its minimum-degree node.
+/// component at a time, each started from its minimum-degree node. The
+/// result depends on `subset` only as a set: listing order and repeated
+/// entries do not change it, and each node is emitted once.
 pub fn rcm_order(graph: &Csr, subset: &[NodeId]) -> Vec<NodeId> {
-    if subset.is_empty() {
-        return Vec::new();
-    }
-    // Membership and local degree (within-subset) computation.
-    let in_subset: std::collections::HashSet<NodeId> = subset.iter().copied().collect();
-    let local_degree = |v: NodeId| -> usize {
-        graph
-            .neighbors(v)
-            .iter()
-            .filter(|u| in_subset.contains(u))
-            .count()
-    };
-
-    let mut visited: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
-    let mut order: Vec<NodeId> = Vec::with_capacity(subset.len());
-
-    // Candidate start nodes sorted by (degree, id) for determinism.
-    let mut starts: Vec<NodeId> = subset.to_vec();
-    starts.sort_unstable_by_key(|&v| (local_degree(v), v));
-
-    let mut queue = std::collections::VecDeque::new();
-    for &start in &starts {
-        if visited.contains(&start) {
-            continue;
-        }
-        visited.insert(start);
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            let mut next: Vec<NodeId> = graph
+    // Sorted, deduplicated copy of the subset: membership is a binary
+    // search, and a node's position here is its subset-local index. Local
+    // indices ascend with node ids, so `(degree, index)` keys sort exactly
+    // like `(degree, id)` keys.
+    let mut members = subset.to_vec();
+    members.sort_unstable();
+    members.dedup();
+    // Subset-local adjacency, CSR-shaped: one membership test per edge,
+    // and a row's length is the node's within-subset degree.
+    let mut offsets = Vec::with_capacity(members.len() + 1);
+    offsets.push(0);
+    let mut adj: Vec<usize> = Vec::new();
+    for &v in &members {
+        adj.extend(
+            graph
                 .neighbors(v)
                 .iter()
-                .copied()
-                .filter(|u| in_subset.contains(u) && !visited.contains(u))
-                .collect();
-            next.sort_unstable_by_key(|&u| (local_degree(u), u));
-            for u in next {
-                visited.insert(u);
-                queue.push_back(u);
+                .filter_map(|u| members.binary_search(u).ok()),
+        );
+        offsets.push(adj.len());
+    }
+    let key = |i: usize| (offsets[i + 1] - offsets[i], i);
+
+    // Candidate start nodes sorted by (degree, id) for determinism.
+    let mut starts: Vec<(usize, usize)> = (0..members.len()).map(key).collect();
+    starts.sort_unstable();
+
+    let mut visited = vec![false; members.len()];
+    // Local indices in BFS visit order; doubles as the queue, since nodes
+    // leave a FIFO queue in the order they enter it.
+    let mut order: Vec<usize> = Vec::with_capacity(members.len());
+    let mut head = 0;
+    let mut next: Vec<(usize, usize)> = Vec::new();
+    for &(_, start) in &starts {
+        if visited[start] {
+            continue;
+        }
+        visited[start] = true;
+        order.push(start);
+        while let Some(&i) = order.get(head) {
+            head += 1;
+            next.clear();
+            for &j in &adj[offsets[i]..offsets[i + 1]] {
+                if !visited[j] {
+                    visited[j] = true;
+                    next.push(key(j));
+                }
             }
+            next.sort_unstable();
+            order.extend(next.iter().map(|&(_, j)| j));
         }
     }
-    order.reverse();
-    order
+    order.iter().rev().map(|&i| members[i]).collect()
 }
 
 #[cfg(test)]

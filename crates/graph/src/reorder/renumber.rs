@@ -12,8 +12,9 @@
 //! to the node-feature matrix before building workloads, improving the
 //! temporal and spatial locality of aggregation (evaluated in Figure 12).
 
+use crate::community::louvain::bucket_by_community;
 use crate::community::{louvain, LouvainConfig};
-use crate::csr::{Csr, NodeId};
+use crate::csr::Csr;
 use crate::reorder::rcm::rcm_order;
 use crate::{Permutation, Result};
 
@@ -42,26 +43,19 @@ pub struct RenumberResult {
 
 /// Runs the Section 6.1 pipeline on a symmetric graph.
 pub fn renumber(graph: &Csr, config: &RenumberConfig) -> Result<RenumberResult> {
-    let n = graph.num_nodes();
     let detected = louvain(graph, &config.louvain);
 
-    // Bucket nodes per community, communities ordered by their minimum
-    // original id so the output is stable.
-    let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); detected.num_communities.max(1)];
-    for v in 0..n as NodeId {
-        members[detected.community_of[v as usize] as usize].push(v);
-    }
-    members.retain(|m| !m.is_empty());
-    members.sort_unstable_by_key(|m| m[0]);
-
-    let mut order: Vec<NodeId> = Vec::with_capacity(n);
-    for community in &members {
-        if config.skip_rcm {
-            order.extend_from_slice(community);
-        } else {
-            order.extend(rcm_order(graph, community));
-        }
-    }
+    // Louvain's dense ids follow first appearance, so bucketing by id lists
+    // communities by their minimum original id, each in ascending id order.
+    let (start, members) = bucket_by_community(&detected.community_of, detected.num_communities);
+    let order = if config.skip_rcm {
+        members
+    } else {
+        start
+            .windows(2)
+            .flat_map(|bounds| rcm_order(graph, &members[bounds[0]..bounds[1]]))
+            .collect()
+    };
     let permutation = Permutation::from_order(order)?;
     Ok(RenumberResult {
         permutation,
@@ -76,6 +70,7 @@ mod tests {
     use super::*;
     use crate::generators::{community_graph, CommunityParams};
     use crate::stats::locality_score;
+    use crate::NodeId;
 
     fn latent_community_graph(seed: u64) -> Csr {
         let params = CommunityParams {

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use gnnadvisor_graph::community::{louvain, modularity, LouvainConfig};
-use gnnadvisor_graph::reorder::rcm_order;
+use gnnadvisor_graph::reorder::{rcm_order, renumber, RenumberConfig};
 use gnnadvisor_graph::{Csr, EdgeList, Permutation};
 
 fn arb_graph() -> impl Strategy<Value = Csr> {
@@ -22,6 +22,17 @@ fn arb_graph() -> impl Strategy<Value = Csr> {
             el.dedup();
             el.into_csr().expect("bounded ids")
         })
+}
+
+/// A graph plus a duplicate-free node subset of it, in ascending order.
+fn arb_graph_and_subset() -> impl Strategy<Value = (Csr, Vec<u32>)> {
+    (arb_graph(), proptest::collection::vec(0u32..50, 0..60)).prop_map(|(g, raw)| {
+        let n = g.num_nodes() as u32;
+        let mut subset: Vec<u32> = raw.into_iter().map(|v| v % n).collect();
+        subset.sort_unstable();
+        subset.dedup();
+        (g, subset)
+    })
 }
 
 proptest! {
@@ -68,6 +79,56 @@ proptest! {
         prop_assert_eq!(order.len(), g.num_nodes());
         order.sort_unstable();
         prop_assert_eq!(order, all);
+    }
+
+    /// RCM depends on the subset as a set, not on the order it is listed in.
+    #[test]
+    fn rcm_ignores_subset_order(case in arb_graph_and_subset(), seed in 0u64..100) {
+        let (g, subset) = case;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let mut shuffled = subset.clone();
+        shuffled.shuffle(&mut rand::rngs::SmallRng::seed_from_u64(seed));
+        prop_assert_eq!(rcm_order(&g, &shuffled), rcm_order(&g, &subset));
+    }
+
+    /// Repeated subset entries change nothing, and every subset node is
+    /// emitted exactly once.
+    #[test]
+    fn rcm_ignores_duplicates(
+        case in arb_graph_and_subset(),
+        picks in proptest::collection::vec(0usize..60, 0..20),
+    ) {
+        let (g, subset) = case;
+        let order = rcm_order(&g, &subset);
+        let mut with_dups = subset.clone();
+        if !subset.is_empty() {
+            with_dups.extend(picks.iter().map(|&i| subset[i % subset.len()]));
+        }
+        prop_assert_eq!(rcm_order(&g, &with_dups), order.clone());
+        let mut sorted = order;
+        sorted.sort_unstable();
+        prop_assert_eq!(sorted, subset);
+    }
+
+    /// `renumber` reports Louvain's partition and gives every community one
+    /// contiguous block of new ids.
+    #[test]
+    fn renumber_gives_each_community_one_id_block(g in arb_graph()) {
+        let r = renumber(&g, &RenumberConfig::default()).expect("renumber");
+        prop_assert_eq!(&r.community_of, &louvain(&g, &LouvainConfig::default()).community_of);
+        let k = r.num_communities;
+        let (mut lo, mut hi, mut size) = (vec![u32::MAX; k], vec![0u32; k], vec![0u32; k]);
+        for old in 0..g.num_nodes() as u32 {
+            let c = r.community_of[old as usize] as usize;
+            let new = r.permutation.new_of(old);
+            lo[c] = lo[c].min(new);
+            hi[c] = hi[c].max(new);
+            size[c] += 1;
+        }
+        for c in 0..k {
+            prop_assert_eq!(hi[c] - lo[c] + 1, size[c], "community {} is split", c);
+        }
     }
 
     /// Louvain output is a dense partition whose modularity is at least
