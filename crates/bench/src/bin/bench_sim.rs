@@ -2,27 +2,17 @@
 //!
 //! Runs a fixed synthetic kernel workload — many blocks with cross-block
 //! cache locality, scattered reads, and atomic hotspots, i.e. the traffic
-//! mix real GNN kernels emit — through two simulators:
-//!
-//! 1. **Baseline**: a faithful replay of the seed engine's hot path — one
-//!    full-geometry cache rebuilt from `Vec<Vec<u64>>` on every launch,
-//!    true-LRU via `position` + `remove` + `insert(0)`, hardware `div`/`mod`
-//!    per access, a fresh hotspot `HashMap` per launch, and per-warp
-//!    heap-allocated offset vectors (what the kernels in
-//!    `crates/core/src/kernels/` did before they moved to stack arrays).
-//!    It omits the seed's per-warp cost arithmetic, which is cheap next to
-//!    the cache work, so the reported speedup *understates* the real one.
-//! 2. **The current engine** at 1, 2, 4, and 8 simulation workers, with
-//!    every configuration checked for bit-identical metrics.
+//! mix real GNN kernels emit — through the engine at 1, 2, 4, and 8
+//! simulation workers, with every configuration checked for bit-identical
+//! metrics.
 //!
 //! Timings land in `BENCH_sim.json` together with `host_cpus`, because the
 //! thread-scaling rows only show parallel speedup when the host actually
-//! has cores to scale onto; the before/after speedup is algorithmic and
-//! shows up everywhere.
+//! has cores to scale onto. End-to-end host cost per workload is measured
+//! by the repository benchmark (`benchmark/`), not here.
 //!
 //! Usage: `cargo run --release -p gnnadvisor-bench --bin bench_sim`.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use gnnadvisor_core::cluster::{
@@ -64,9 +54,7 @@ struct SimWorkload {
 }
 
 impl SimWorkload {
-    /// The warp's scattered lane offsets for one read round, shared by the
-    /// engine kernel and the baseline replay so both simulate the same
-    /// traffic. The footprint (4 MB of 4-byte words) is deliberately much
+    /// The warp's scattered lane offset for one read round. The footprint (4 MB of 4-byte words) is deliberately much
     /// larger than the 3 MB L2, like a node-feature table: sets run at
     /// full occupancy, so replacement policy work is on the hot path.
     fn lane_offset(block_id: u64, warp: u64, round: u64, lane: u64) -> u64 {
@@ -107,93 +95,6 @@ impl Kernel for SimWorkload {
     }
 }
 
-/// Seed-style simulation of the same workload: the pre-PR hot path, kept
-/// verbatim in idiom (per-launch allocation, `Vec` LRU, `/` and `%`
-/// addressing) so the before/after comparison is honest.
-mod baseline {
-    use super::*;
-
-    /// The seed's set-associative cache: `sets[s]` holds up to `ways` tags
-    /// in LRU order (front = MRU), rebuilt from heap vectors per launch.
-    struct SeedCache {
-        sets: Vec<Vec<u64>>,
-        ways: usize,
-        line_bytes: u64,
-        hits: u64,
-        misses: u64,
-    }
-
-    impl SeedCache {
-        fn new(num_sets: usize, ways: usize, line_bytes: u64) -> Self {
-            Self {
-                sets: vec![Vec::with_capacity(ways); num_sets],
-                ways,
-                line_bytes,
-                hits: 0,
-                misses: 0,
-            }
-        }
-
-        fn access(&mut self, addr: u64) -> bool {
-            let line = addr / self.line_bytes;
-            let set_idx = (line % self.sets.len() as u64) as usize;
-            let set = &mut self.sets[set_idx];
-            if let Some(pos) = set.iter().position(|&t| t == line) {
-                let tag = set.remove(pos);
-                set.insert(0, tag);
-                self.hits += 1;
-                true
-            } else {
-                if set.len() == self.ways {
-                    set.pop();
-                }
-                set.insert(0, line);
-                self.misses += 1;
-                false
-            }
-        }
-
-        fn access_range(&mut self, addr: u64, bytes: u64) {
-            let first = addr / self.line_bytes;
-            let last = (addr + bytes - 1) / self.line_bytes;
-            for line in first..=last {
-                self.access(line * self.line_bytes);
-            }
-        }
-    }
-
-    /// One launch of the workload through the seed hot path. Everything the
-    /// seed engine allocated per launch is allocated here per launch.
-    pub fn launch(workload: &SimWorkload, spec: &GpuSpec) -> (u64, u64, u64) {
-        // Arrays live in disjoint 44-bit address windows, mirroring the
-        // engine's `ArrayId` address-space split.
-        let base = |id: u64| id << 44;
-        let num_sets = spec.l2_bytes / (spec.l2_ways * spec.line_bytes);
-        let mut cache = SeedCache::new(num_sets, spec.l2_ways, spec.line_bytes as u64);
-        let mut hotspots: HashMap<u64, u64> = HashMap::new();
-        let base2 = base(2);
-        for block_id in 0..workload.blocks as u64 {
-            for w in 0..8u64 {
-                cache.access_range(base(1) + block_id * 2048 + w * 1024, 16384);
-                for round in 0..8u64 {
-                    // The seed kernels built each warp's offset list on the
-                    // heap; keep that allocation in the measured path.
-                    let offsets: Vec<u64> = (0..WARP_SIZE as u64)
-                        .map(|lane| SimWorkload::lane_offset(block_id, w, round, lane))
-                        .collect();
-                    for &off in &offsets {
-                        cache.access(base2 + off);
-                    }
-                }
-                let line = (base(3) + ((block_id + w) % 13) * 4) / spec.line_bytes as u64;
-                *hotspots.entry(line).or_insert(0) += 64;
-            }
-        }
-        let contended = hotspots.values().copied().max().unwrap_or(0);
-        (cache.hits, cache.misses, contended)
-    }
-}
-
 /// One worker-count measurement of the current engine.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct ThreadRow {
@@ -204,8 +105,6 @@ struct ThreadRow {
     /// Speedup over the current engine's own 1-worker run (thread scaling;
     /// only exceeds ~1.0 when `host_cpus` > 1).
     speedup_vs_serial: f64,
-    /// Speedup over the seed-style baseline (the before/after number).
-    speedup_vs_baseline: f64,
 }
 
 /// The hot-loop before/after: the same engine, same worker count, with
@@ -863,16 +762,10 @@ struct BenchSim {
     /// Worker counts not timed because the host has too few CPUs to let
     /// them win (counts above `host_cpus`, except the serial row).
     skipped_worker_counts: Vec<usize>,
-    /// Seed-style hot path (per-launch allocation + `Vec` LRU + div/mod),
-    /// milliseconds. Understates the seed cost: warp accounting is omitted.
-    baseline_wall_ms: f64,
     /// Current engine, 1 worker, milliseconds.
     serial_wall_ms: f64,
     /// Current engine at each measured worker count.
     threaded: Vec<ThreadRow>,
-    /// Best baseline speedup observed at >= 4 workers (`null` when every
-    /// such count was skipped on this host).
-    best_speedup_4_plus: Option<f64>,
     /// Whether every worker count produced bit-identical metrics.
     deterministic: bool,
     /// Arena-reuse before/after at 1 worker, on small tuner-shaped
@@ -1052,17 +945,6 @@ fn time_engine(engine: &Engine, kernel: &SimWorkload, expect: &KernelMetrics) ->
     start.elapsed().as_secs_f64() * 1e3
 }
 
-/// Times the seed-style baseline over the same launch count.
-fn time_baseline(kernel: &SimWorkload, spec: &GpuSpec, warm: (u64, u64, u64)) -> f64 {
-    let start = Instant::now();
-    for _ in 0..LAUNCHES_PER_RUN {
-        let totals = baseline::launch(kernel, spec);
-        assert_eq!(totals, warm, "baseline replay must be deterministic");
-        std::hint::black_box(totals);
-    }
-    start.elapsed().as_secs_f64() * 1e3
-}
-
 fn main() {
     let kernel = SimWorkload { blocks: 512 };
     // Detect host parallelism once: worker counts beyond it cannot beat
@@ -1094,7 +976,6 @@ fn main() {
         .collect();
     // Warm-ups: size each run context so steady state is allocation-free,
     // and record the metrics every timed launch must reproduce.
-    let warm_baseline = baseline::launch(&kernel, &spec);
     let serial_metrics = launch(&check_engines[0], &kernel);
     let mut deterministic = true;
     for engine in &check_engines[1..] {
@@ -1111,16 +992,13 @@ fn main() {
     // Interleave configurations round-robin so clock-speed drift over the
     // benchmark's lifetime (noisy shared hosts) biases no configuration;
     // report per-configuration best-of-rounds.
-    let mut best_baseline = f64::INFINITY;
     let mut best_engine = vec![f64::INFINITY; timed_counts.len()];
     for _ in 0..RUNS {
-        best_baseline = best_baseline.min(time_baseline(&kernel, &spec, warm_baseline));
         for (slot, engine) in best_engine.iter_mut().zip(&engines) {
             *slot = slot.min(time_engine(engine, &kernel, &serial_metrics));
         }
     }
 
-    let baseline_wall_ms = best_baseline;
     let serial_wall_ms = best_engine[0];
     let threaded: Vec<ThreadRow> = timed_counts
         .iter()
@@ -1130,17 +1008,8 @@ fn main() {
             threads,
             wall_ms,
             speedup_vs_serial: serial_wall_ms / wall_ms.max(1e-9),
-            speedup_vs_baseline: baseline_wall_ms / wall_ms.max(1e-9),
         })
         .collect();
-    let best_speedup_4_plus = threaded
-        .iter()
-        .filter(|r| r.threads >= 4)
-        .map(|r| r.speedup_vs_baseline)
-        .fold(None, |best: Option<f64>, s| {
-            Some(best.map_or(s, |b| b.max(s)))
-        });
-
     let hot_loop = bench_hot_loop(&check_engines[0]);
     let tuning = bench_tuning(&spec);
     let occupancy = bench_occupancy(&spec);
@@ -1154,8 +1023,7 @@ fn main() {
         format!(
             " Worker counts {skipped_worker_counts:?} were skipped: this host has \
              only {host_cpus} CPU(s), so they cannot win and their timings \
-             would be noise (best_speedup_4_plus is null when every >= 4 \
-             count is skipped)."
+             would be noise."
         )
     };
     let result = BenchSim {
@@ -1168,10 +1036,8 @@ fn main() {
         runs: RUNS,
         host_cpus,
         skipped_worker_counts,
-        baseline_wall_ms,
         serial_wall_ms,
         threaded,
-        best_speedup_4_plus,
         deterministic,
         hot_loop,
         tuning,
@@ -1180,12 +1046,9 @@ fn main() {
         dynamic,
         sampling,
         note: format!(
-            "speedup_vs_baseline is the algorithmic before/after (seed hot \
-             path vs current engine, single thread); speedup_vs_serial is \
-             thread scaling and is bounded by host_cpus (= {host_cpus} \
-             here, so worker counts above it cannot beat 1.0x). The \
-             baseline omits the seed's warp-cost arithmetic, so it \
-             understates the full seed launch cost.{skip_note}"
+            "speedup_vs_serial is thread scaling and is bounded by host_cpus \
+             (= {host_cpus} here, so worker counts above it cannot beat \
+             1.0x).{skip_note}"
         ),
     };
 
@@ -1283,12 +1146,17 @@ fn main() {
     std::fs::write("BENCH_sim.json", &json).expect("BENCH_sim.json written");
     println!("{json}");
     println!(
-        "\nbaseline {:.2} ms, serial {:.2} ms; best baseline speedup at >= 4 workers: {}",
-        result.baseline_wall_ms,
+        "\nserial {:.2} ms; {}",
         result.serial_wall_ms,
         result
-            .best_speedup_4_plus
-            .map_or("n/a (skipped on this host)".into(), |s| format!("{s:.2}x")),
+            .threaded
+            .iter()
+            .map(|r| format!(
+                "{} workers {:.2} ms ({:.2}x)",
+                r.threads, r.wall_ms, r.speedup_vs_serial
+            ))
+            .collect::<Vec<_>>()
+            .join(", "),
     );
     println!(
         "hot loop: reused {:.2} ms vs fresh {:.2} ms ({:.2}x); tuner: two-tier {:.0} ms \

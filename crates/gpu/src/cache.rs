@@ -7,20 +7,20 @@
 //! renumbering creates — turns into hits, and the hit-rate / DRAM-byte
 //! metrics respond to renumbering the way the paper's Figure 12 shows.
 //!
-//! Replacement is true LRU implemented with a flat age/clock scheme: every
-//! entry carries the clock tick of its last use and the eviction victim
-//! is the minimum-stamp way. That keeps an access at a single O(ways) scan
-//! over two flat arrays with no `Vec::remove`/`insert` shifting, and lets a
-//! cache be re-geometried in place so run contexts can recycle the
-//! allocation across kernel launches.
+//! Replacement is true LRU kept as a move-to-front list per set: the set's
+//! live tags sit most-recent-first in one flat `tags` array, so a probe is
+//! an early-exit scan from the MRU end, and a hit or fill shifts at most
+//! `ways - 1` tags down one slot to put the line in front. Any exact LRU
+//! yields the same hit/miss sequence, so this layout is purely a speed
+//! choice. A cache can be re-geometried in place so run contexts recycle
+//! the allocation across kernel launches.
 //!
-//! Invalidation is epoch-batched: an entry is valid only if its stamp is
-//! at least the current `epoch`, so wiping the cache between launches is a
-//! single epoch bump instead of an O(sets × ways) refill of both arrays.
-//! Stale entries keep their (pre-epoch) stamps, which are older than any
-//! live stamp, so the min-stamp victim scan still evicts them first —
-//! observable hit/miss behaviour is identical to a physically cleared
-//! cache.
+//! Invalidation is epoch-batched: each set records the cache-wide epoch at
+//! which its live count was last written, and a set whose epoch is behind
+//! the cache's is empty. Wiping the cache between launches is therefore a
+//! single epoch bump instead of an O(sets × ways) refill. The epoch is a
+//! `u16`; when it would wrap, every set's epoch is reset explicitly so a
+//! stale set can never alias the current epoch.
 
 /// Result of one cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,28 +31,26 @@ pub enum Access {
     Miss,
 }
 
-/// Tag value of an invalid way. Unreachable as a real line address: line
-/// tags are byte addresses divided by the line size (≥ 32 B), so they stay
-/// far below `u64::MAX`.
-const EMPTY: u64 = u64::MAX;
+/// Occupancy of one set: its first `live` tags are valid when `epoch`
+/// equals the cache's epoch, and the set is empty otherwise.
+#[derive(Debug, Clone, Copy, Default)]
+struct SetState {
+    epoch: u16,
+    live: u16,
+}
 
 /// A set-associative cache with true-LRU replacement over 64-bit line
 /// addresses.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    /// `tags[set * ways + way]` is the resident line, or [`EMPTY`].
+    /// `tags[set * ways..][..live]` are the set's resident lines, most
+    /// recently used first. Slots past `live` hold garbage.
     tags: Vec<u64>,
-    /// Per-entry last-use tick; the minimum over a set is the LRU victim.
-    /// Invalid ways hold 0, older than any real stamp (ticks start at 1).
-    stamps: Vec<u64>,
-    /// Cache-wide logical clock, bumped once per access. Stamps are only
-    /// ever compared within one set, where they are strictly increasing in
-    /// access order, so a single clock yields exactly per-set LRU.
-    tick: u64,
-    /// Entries with `stamp < epoch` are stale (invalid): bumping the epoch
-    /// past the clock invalidates every line in O(1). Ticks start at 1 and
-    /// the epoch at 1, so freshly built arrays (stamp 0) start invalid.
-    epoch: u64,
+    /// Per-set live count and the epoch it was written at.
+    sets: Vec<SetState>,
+    /// Sets whose epoch differs are empty. Starts at 1 so freshly built
+    /// sets (epoch 0) start empty.
+    epoch: u16,
     num_sets: usize,
     ways: usize,
     line_bytes: u64,
@@ -71,70 +69,70 @@ pub struct SetAssocCache {
 
 impl SetAssocCache {
     /// Builds a cache with the given geometry. `num_sets` and `ways` must
-    /// be non-zero; `line_bytes` must be a power of two.
+    /// be non-zero, `ways` at most `u16::MAX`; `line_bytes` must be a
+    /// power of two.
     ///
     /// # Panics
     ///
     /// Panics if the geometry is degenerate.
     pub fn new(num_sets: usize, ways: usize, line_bytes: usize) -> Self {
-        assert!(num_sets > 0 && ways > 0, "cache geometry must be non-zero");
-        assert!(
-            line_bytes.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        Self {
-            tags: vec![EMPTY; num_sets * ways],
-            stamps: vec![0; num_sets * ways],
-            tick: 0,
+        let mut cache = Self {
+            tags: Vec::new(),
+            sets: Vec::new(),
             epoch: 1,
-            num_sets,
-            ways,
-            line_bytes: line_bytes as u64,
-            line_shift: line_bytes.trailing_zeros(),
-            fastmod_m: (u64::MAX / num_sets as u64).wrapping_add(1),
-            fastmod_max: u64::MAX / num_sets as u64,
+            num_sets: 0,
+            ways: 0,
+            line_bytes: 0,
+            line_shift: 0,
+            fastmod_m: 0,
+            fastmod_max: 0,
             hits: 0,
             misses: 0,
-        }
+        };
+        cache.reset_geometry(num_sets, ways, line_bytes);
+        cache
     }
 
     /// Reshapes the cache in place, invalidating all lines and zeroing the
-    /// counters, while recycling the existing allocations where possible.
-    /// When the geometry is unchanged — the common case for a run context
-    /// recycled across same-shaped launches — this is an O(1) epoch bump
-    /// rather than an O(sets × ways) array refill.
-    /// Same geometry validation as [`SetAssocCache::new`].
+    /// counters, while recycling the existing allocations. Only growth
+    /// touches memory: a shrink or a same-shaped reset is an O(1) epoch
+    /// bump, since every set written under the old geometry is stale
+    /// after it. Same geometry validation as [`SetAssocCache::new`].
     pub fn reset_geometry(&mut self, num_sets: usize, ways: usize, line_bytes: usize) {
         assert!(num_sets > 0 && ways > 0, "cache geometry must be non-zero");
+        assert!(
+            ways <= u16::MAX as usize,
+            "associativity must fit the u16 per-set live count"
+        );
         assert!(
             line_bytes.is_power_of_two(),
             "line size must be a power of two"
         );
-        if num_sets == self.num_sets && ways == self.ways && line_bytes as u64 == self.line_bytes {
-            self.clear();
-            return;
-        }
         self.num_sets = num_sets;
         self.ways = ways;
         self.line_bytes = line_bytes as u64;
         self.line_shift = line_bytes.trailing_zeros();
         self.fastmod_m = (u64::MAX / num_sets as u64).wrapping_add(1);
         self.fastmod_max = u64::MAX / num_sets as u64;
-        self.tags.clear();
-        self.tags.resize(num_sets * ways, EMPTY);
-        self.stamps.clear();
-        self.stamps.resize(num_sets * ways, 0);
-        self.tick = 0;
-        self.epoch = 1;
-        self.hits = 0;
-        self.misses = 0;
+        if self.tags.len() < num_sets * ways {
+            self.tags.resize(num_sets * ways, 0);
+        }
+        if self.sets.len() < num_sets {
+            self.sets.resize(num_sets, SetState::default());
+        }
+        self.clear();
     }
 
     /// Invalidates every line and zeroes the counters, keeping geometry.
-    /// O(1): stale entries are left in place and filtered by the epoch
-    /// check on probe (see the module docs).
+    /// O(1) except once every `u16::MAX` calls, when the epoch wraps and
+    /// every set's epoch is reset (see the module docs).
     pub fn clear(&mut self) {
-        self.epoch = self.tick + 1;
+        if self.epoch == u16::MAX {
+            self.sets.fill(SetState::default());
+            self.epoch = 1;
+        } else {
+            self.epoch += 1;
+        }
         self.hits = 0;
         self.misses = 0;
     }
@@ -167,38 +165,40 @@ impl SetAssocCache {
     #[inline]
     fn access_line(&mut self, line: u64) -> Access {
         let set = self.set_of(line);
-        self.tick += 1;
-        let tick = self.tick;
-        let base = set * self.ways;
-        let mut victim = base;
-        let mut victim_key = u64::MAX;
-        for i in base..base + self.ways {
-            let stamp = self.stamps[i];
-            // A matching tag only hits if its stamp is current-epoch;
-            // stale matches keep scanning.
-            if self.tags[i] == line && stamp >= self.epoch {
-                self.stamps[i] = tick;
-                return Access::Hit;
-            }
-            // Victim preference: the FIRST stale way (key 0), else the
-            // min-stamp live way. Filling stale ways in index order makes
-            // an epoch-cleared set refill exactly like a physically wiped
-            // one — hot lines land at early way indices, so the hit scan
-            // early-exits just as fast (stale ways are interchangeable, so
-            // hit/miss behaviour is unaffected by which one is filled).
-            let key = if stamp < self.epoch {
-                0
-            } else {
-                stamp - self.epoch + 1
+        let ways = self.ways;
+        let state = &mut self.sets[set];
+        if state.epoch != self.epoch {
+            *state = SetState {
+                epoch: self.epoch,
+                live: 0,
             };
-            if key < victim_key {
-                victim_key = key;
-                victim = i;
+        }
+        let live = state.live as usize;
+        let tags = &mut self.tags[set * ways..(set + 1) * ways];
+        // Most hits are on the MRU slot, which needs no reordering.
+        if live > 0 && tags[0] == line {
+            return Access::Hit;
+        }
+        match tags[..live].iter().position(|&t| t == line) {
+            // Hit: move the line to the front. Hits sit near the front,
+            // so a short element-wise shift beats a memmove call.
+            Some(pos) => {
+                for i in (0..pos).rev() {
+                    tags[i + 1] = tags[i];
+                }
+                tags[0] = line;
+                Access::Hit
+            }
+            // Miss: push the line on the front, dropping the LRU tag when
+            // the set is full.
+            None => {
+                let keep = live.min(ways - 1);
+                state.live = (keep + 1) as u16;
+                tags.copy_within(..keep, 1);
+                tags[0] = line;
+                Access::Miss
             }
         }
-        self.tags[victim] = line;
-        self.stamps[victim] = tick;
-        Access::Miss
     }
 
     /// Accesses every line overlapping `[addr, addr + bytes)`, returning the
@@ -384,32 +384,155 @@ mod tests {
         }
     }
 
+    /// Straightforward recency-list LRU: `sets[s]` holds the set's lines,
+    /// most recently used first.
+    struct Reference {
+        sets: Vec<Vec<u64>>,
+        ways: usize,
+        line_bytes: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl Reference {
+        fn new(num_sets: usize, ways: usize, line_bytes: u64) -> Self {
+            Self {
+                sets: vec![Vec::new(); num_sets],
+                ways,
+                line_bytes,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn clear(&mut self) {
+            self.sets.iter_mut().for_each(Vec::clear);
+            self.hits = 0;
+            self.misses = 0;
+        }
+
+        fn access_line(&mut self, line: u64) -> Access {
+            let num_sets = self.sets.len() as u64;
+            let set = &mut self.sets[(line % num_sets) as usize];
+            let result = if let Some(pos) = set.iter().position(|&t| t == line) {
+                set.remove(pos);
+                self.hits += 1;
+                Access::Hit
+            } else {
+                if set.len() == self.ways {
+                    set.pop();
+                }
+                self.misses += 1;
+                Access::Miss
+            };
+            set.insert(0, line);
+            result
+        }
+
+        fn access_range(&mut self, addr: u64, bytes: u64) -> (u64, u64) {
+            let (h0, m0) = (self.hits, self.misses);
+            if bytes > 0 {
+                for line in addr / self.line_bytes..=(addr + bytes - 1) / self.line_bytes {
+                    self.access_line(line);
+                }
+            }
+            (self.hits - h0, self.misses - m0)
+        }
+    }
+
     #[test]
     fn age_scheme_matches_reference_lru() {
-        // Cross-check the clock scheme against a straightforward
-        // recency-list model on a pseudo-random access stream.
-        let mut c = SetAssocCache::new(4, 3, 64);
-        let mut reference: Vec<Vec<u64>> = vec![Vec::new(); 4]; // front = MRU
+        // Cross-check the move-to-front sets against the recency-list
+        // model on pseudo-random streams that mix single-line accesses,
+        // multi-line ranges, clears and same-shape resets, across
+        // geometries that one recycled cache is reshaped into (growing
+        // and shrinking). Each stream's footprint is 1.5x the capacity,
+        // so every set both hits and evicts.
+        let geometries = [
+            (4, 3, 64),
+            (1, 1, 64),
+            (1, 2, 128),
+            (3, 16, 64),
+            (96, 2, 64),
+            (1536, 16, 128),
+            (3, 1, 64),
+            (96, 16, 64),
+            (1, 16, 64),
+            (1536, 1, 128),
+            (3, 2, 64),
+        ];
         let mut state = 0x1234_5678_u64;
-        for _ in 0..10_000 {
+        let mut next = move || {
             state = state
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1);
-            let addr = (state >> 33) % (64 * 64); // 64 distinct lines
-            let line = addr / 64;
-            let set = (line % 4) as usize;
-            let expected = if let Some(pos) = reference[set].iter().position(|&t| t == line) {
-                reference[set].remove(pos);
-                reference[set].insert(0, line);
-                Access::Hit
-            } else {
-                if reference[set].len() == 3 {
-                    reference[set].pop();
+            state >> 33
+        };
+        let mut c = SetAssocCache::new(8, 4, 64);
+        for (sets, ways, line_bytes) in geometries {
+            c.reset_geometry(sets, ways, line_bytes);
+            assert_eq!(c.hits() + c.misses(), 0, "reshape zeroes counters");
+            let mut reference = Reference::new(sets, ways, line_bytes as u64);
+            let footprint = (sets * ways * 3 / 2 + 1) as u64;
+            let steps = (footprint as usize * 4).max(4_000);
+            for step in 0..steps {
+                let addr = (next() % footprint) * line_bytes as u64 + next() % line_bytes as u64;
+                match next() % 256 {
+                    0 => {
+                        c.clear();
+                        reference.clear();
+                    }
+                    1 => {
+                        c.reset_geometry(sets, ways, line_bytes);
+                        reference.clear();
+                    }
+                    2..=40 => {
+                        let bytes = next() % (5 * line_bytes as u64);
+                        assert_eq!(
+                            c.access_range(addr, bytes),
+                            reference.access_range(addr, bytes),
+                            "range {addr}+{bytes} at step {step}, geometry {sets}x{ways}"
+                        );
+                    }
+                    _ => assert_eq!(
+                        c.access(addr),
+                        reference.access_line(addr / line_bytes as u64),
+                        "address {addr} at step {step}, geometry {sets}x{ways}"
+                    ),
                 }
-                reference[set].insert(0, line);
-                Access::Miss
-            };
-            assert_eq!(c.access(addr), expected);
+                assert_eq!((c.hits(), c.misses()), (reference.hits, reference.misses));
+            }
+            assert!(reference.hits > 0 && reference.misses > 0);
+        }
+    }
+
+    #[test]
+    fn epoch_wrap_still_invalidates() {
+        // A set stamped at one epoch and left alone for a whole epoch
+        // cycle must not come back to life when the u16 epoch wraps.
+        for clears in [65_534, 65_535, 65_536, 131_070, 131_071, 131_072] {
+            let mut c = SetAssocCache::new(2, 2, 64);
+            assert_eq!(c.access(0), Access::Miss);
+            assert_eq!(c.access(0), Access::Hit);
+            for _ in 0..clears {
+                c.clear();
+            }
+            assert_eq!(c.access(0), Access::Miss, "after {clears} clears");
+            assert_eq!(c.access(64), Access::Miss, "untouched set after {clears}");
+            assert_eq!(c.access(0), Access::Hit, "refilled after {clears} clears");
+        }
+        // Lines stamped just before and at the wrap are invalidated by it.
+        for pre in [65_533, 65_534] {
+            let mut c = SetAssocCache::new(2, 2, 64);
+            for _ in 0..pre {
+                c.clear();
+            }
+            for _ in 0..2 {
+                assert_eq!(c.access(0), Access::Miss, "{pre} clears");
+                assert_eq!(c.access(0), Access::Hit, "{pre} clears");
+                c.clear();
+            }
+            assert_eq!(c.access(0), Access::Miss, "{pre} clears, past the wrap");
         }
     }
 }

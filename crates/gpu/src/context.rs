@@ -19,6 +19,7 @@
 //! model").
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::Mutex;
 
@@ -34,6 +35,37 @@ const MIN_BLOCKS_PER_SHARD: usize = 32;
 /// Upper bound on shards; more buys no parallelism on realistic hosts and
 /// shrinks each cache partition toward degeneracy.
 const MAX_SHARDS: usize = 16;
+
+/// A multiplicative hasher for line-address keys. Line addresses are
+/// trusted simulator values, so SipHash's flooding resistance buys
+/// nothing on the atomic-hotspot path; one multiply per key does. Only
+/// the maximum over a map's values ever reaches an output, so the
+/// iteration order this hasher induces is never observable.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The product's high bits mix every key bit; rotate them into the
+        // low bits the table indexes buckets with.
+        self.0.rotate_left(26)
+    }
+}
+
+/// Per-line atomic flush rounds, keyed by line address.
+pub(crate) type HotspotMap = HashMap<u64, u64, BuildHasherDefault<LineHasher>>;
 
 /// How one launch's block loop is split into shards. Depends only on the
 /// launch shape and device geometry, never on the worker-thread count.
@@ -105,7 +137,7 @@ pub(crate) struct ShardSlot {
     /// This shard's partition of the L2 (`sets_per_shard` sets).
     pub cache: SetAssocCache,
     /// Per-line atomic flush rounds observed within this chunk.
-    pub hotspots: HashMap<u64, u64>,
+    pub hotspots: HotspotMap,
     /// Recycled per-block accumulator.
     pub acc: BlockAcc,
     /// Cycle cost of each block in the chunk, in dispatch order.
@@ -119,7 +151,7 @@ impl ShardSlot {
         ShardSlot {
             // Placeholder geometry; `RunContext::prepare` reshapes it.
             cache: SetAssocCache::new(1, 1, 128),
-            hotspots: HashMap::new(),
+            hotspots: HotspotMap::default(),
             acc: BlockAcc::default(),
             block_cycles: Vec::new(),
             totals: ShardTotals::default(),
@@ -135,7 +167,7 @@ pub struct RunContext {
     /// the context itself is shared immutably across the scope.
     pub(crate) shards: Vec<Mutex<ShardSlot>>,
     /// Scratch map the merge phase sums per-shard hotspot rounds into.
-    pub(crate) merged_hotspots: HashMap<u64, u64>,
+    pub(crate) merged_hotspots: HotspotMap,
     /// Per-SM busy cycles for the greedy placement pass.
     pub(crate) sm_busy: Vec<u64>,
     /// Arena for the per-shard trace rows assembled during the merge;

@@ -26,8 +26,9 @@
 //!
 //! The block loop runs sharded: [`crate::context::plan_shards`] splits the
 //! launch into contiguous chunks in dispatch order, each simulated against
-//! a private partition of the L2's sets. Worker threads claim whole shards,
-//! so cross-block temporal locality (the paper's Figure 12 signal) is
+//! a private partition of the L2's sets. Worker threads — the calling
+//! thread plus `workers - 1` scoped threads — claim whole shards, so
+//! cross-block temporal locality (the paper's Figure 12 signal) is
 //! preserved within each chunk, and the decomposition depends only on the
 //! launch shape — results are bit-identical for any worker count, including
 //! one. Per-chunk metrics merge with order-independent sums; SM placement
@@ -45,11 +46,8 @@
 //! typed entry point: [`Engine::submit`] takes a [`Workload`] — a kernel
 //! launch, a roofline-priced GEMM, or a host↔device transfer — and returns
 //! [`WorkloadMetrics`]. This uniform surface is what
-//! [`crate::stream::StreamSim`] enqueues onto simulated streams. The
-//! pre-existing `run`/`run_in`/`run_gemm`/`run_transfer` entry points are
-//! deprecated one-line wrappers over `submit` (each doc states its exact
-//! `submit` equivalent), and the old `with_tracer`/`with_sim_threads`
-//! setters are gone — [`Engine::builder`] is the configuration surface.
+//! [`crate::stream::StreamSim`] enqueues onto simulated streams, and
+//! [`Engine::builder`] is the configuration surface.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -538,22 +536,6 @@ impl Engine {
         }
     }
 
-    /// Launches a kernel against the engine's own (shared) context.
-    /// Exactly `submit(&mut self.lock_context(), Workload::Kernel(kernel))`.
-    #[deprecated(since = "0.4.0", note = "use Engine::submit with Workload::Kernel")]
-    pub fn run(&self, kernel: &dyn Kernel) -> Result<KernelMetrics> {
-        self.submit(&mut self.lock_context(), Workload::Kernel(kernel))
-            .map(WorkloadMetrics::into_kernel)
-    }
-
-    /// Launches a kernel against an explicit context. Exactly
-    /// `submit(ctx, Workload::Kernel(kernel))`.
-    #[deprecated(since = "0.4.0", note = "use Engine::submit with Workload::Kernel")]
-    pub fn run_in(&self, ctx: &mut RunContext, kernel: &dyn Kernel) -> Result<KernelMetrics> {
-        self.submit(ctx, Workload::Kernel(kernel))
-            .map(WorkloadMetrics::into_kernel)
-    }
-
     /// Simulates one kernel launch. The context is fully re-prepared
     /// first, so any context yields identical results; passing the same
     /// one across launches just recycles its allocations. `slow_factor`
@@ -604,29 +586,33 @@ impl Engine {
                 );
             }
         } else {
-            // Workers claim whole shards from a shared counter. Claim order
-            // is racy but irrelevant: each shard's result depends only on
-            // its own chunk, and the merge below is order-independent.
+            // Workers claim whole shards from a shared counter; the
+            // calling thread is one of them, so a launch spawns
+            // `workers - 1` threads. Claim order is racy but irrelevant:
+            // each shard's result depends only on its own chunk, and the
+            // merge below is order-independent.
             let next = AtomicUsize::new(0);
             let shards = &ctx.shards[..plan.num_shards];
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let shard = next.fetch_add(1, Ordering::Relaxed);
-                        if shard >= shards.len() {
-                            break;
-                        }
-                        let mut slot = shards[shard].lock().unwrap_or_else(|p| p.into_inner());
-                        self.simulate_chunk(
-                            kernel,
-                            &grid,
-                            plan.range(shard, grid.num_blocks),
-                            hiding,
-                            sm_bw_cycles_per_byte,
-                            &mut slot,
-                        );
-                    });
+            let work = || loop {
+                let shard = next.fetch_add(1, Ordering::Relaxed);
+                if shard >= shards.len() {
+                    break;
                 }
+                let mut slot = shards[shard].lock().unwrap_or_else(|p| p.into_inner());
+                self.simulate_chunk(
+                    kernel,
+                    &grid,
+                    plan.range(shard, grid.num_blocks),
+                    hiding,
+                    sm_bw_cycles_per_byte,
+                    &mut slot,
+                );
+            };
+            std::thread::scope(|scope| {
+                for _ in 1..workers {
+                    scope.spawn(work);
+                }
+                work();
             });
         }
 
@@ -847,21 +833,6 @@ impl Engine {
         configured.min(num_shards)
     }
 
-    /// Prices a dense `m x k · k x n` GEMM (the update-phase DGEMM/MLP).
-    /// Exactly `submit(&mut self.lock_context(), Workload::Gemm { m, n, k })`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an attached [`EngineBuilder::fault_plan`] kills the
-    /// submission — the legacy signature has no error channel. Use
-    /// [`Engine::submit`] under fault injection.
-    #[deprecated(since = "0.4.0", note = "use Engine::submit with Workload::Gemm")]
-    pub fn run_gemm(&self, m: usize, n: usize, k: usize) -> KernelMetrics {
-        self.submit(&mut self.lock_context(), Workload::Gemm { m, n, k })
-            .expect("GEMM pricing only fails under an injected fault plan")
-            .into_kernel()
-    }
-
     /// Prices a dense `m x k · k x n` GEMM (the update-phase DGEMM/MLP) with
     /// a cuBLAS-like roofline: compute at `gemm_efficiency` of peak FLOPs,
     /// memory as one pass over the three operand matrices. `slow_factor`
@@ -921,21 +892,6 @@ impl Engine {
             }
         }
         metrics
-    }
-
-    /// Prices a host→device or device→host copy. Exactly
-    /// `submit(&mut self.lock_context(), Workload::Transfer { bytes })`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an attached [`EngineBuilder::fault_plan`] kills the
-    /// submission — the legacy signature has no error channel. Use
-    /// [`Engine::submit`] under fault injection.
-    #[deprecated(since = "0.4.0", note = "use Engine::submit with Workload::Transfer")]
-    pub fn run_transfer(&self, bytes: u64) -> TransferMetrics {
-        self.submit(&mut self.lock_context(), Workload::Transfer { bytes })
-            .expect("transfer pricing only fails under an injected fault plan")
-            .into_transfer()
     }
 
     /// Prices a host→device or device→host copy over the PCIe model.

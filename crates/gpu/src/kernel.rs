@@ -169,7 +169,7 @@ pub struct BlockSink<'a> {
     cache: &'a mut crate::cache::SetAssocCache,
     /// Global per-address atomic contention counters (line granularity),
     /// shared across the whole kernel.
-    atomic_hotspots: &'a mut std::collections::HashMap<u64, u64>,
+    atomic_hotspots: &'a mut crate::context::HotspotMap,
     /// Intra-block contention factor: shared-memory banks and atomic units
     /// congest as more warps share one block ("the inter-thread contention
     /// in each block will become severer", Section 7.1) — the right-hand
@@ -185,7 +185,7 @@ impl<'a> BlockSink<'a> {
     pub(crate) fn new(
         spec: &'a crate::GpuSpec,
         cache: &'a mut crate::cache::SetAssocCache,
-        atomic_hotspots: &'a mut std::collections::HashMap<u64, u64>,
+        atomic_hotspots: &'a mut crate::context::HotspotMap,
         acc: &'a mut BlockAcc,
         threads_per_block: u32,
     ) -> Self {
@@ -487,23 +487,13 @@ impl<'a> BlockSink<'a> {
 mod tests {
     use super::*;
     use crate::cache::SetAssocCache;
+    use crate::context::HotspotMap;
     use crate::GpuSpec;
 
-    #[allow(clippy::type_complexity)]
-    fn harness() -> (
-        GpuSpec,
-        SetAssocCache,
-        std::collections::HashMap<u64, u64>,
-        BlockAcc,
-    ) {
+    fn harness() -> (GpuSpec, SetAssocCache, HotspotMap, BlockAcc) {
         let spec = GpuSpec::quadro_p6000();
         let cache = SetAssocCache::new(spec.l2_sets(), spec.l2_ways, spec.line_bytes);
-        (
-            spec,
-            cache,
-            std::collections::HashMap::new(),
-            BlockAcc::default(),
-        )
+        (spec, cache, HotspotMap::default(), BlockAcc::default())
     }
 
     #[test]

@@ -8,9 +8,9 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace -- -D warnings -D deprecated"
-# -D deprecated: the Engine compatibility shims (run/run_in/run_gemm/
-# run_transfer) may only be called from their dedicated compat test, so
-# a deprecation warning anywhere else in the workspace fails the build.
+# -D deprecated: the workspace keeps no deprecated API alive, so a
+# deprecation warning anywhere (a new shim, or a call into a deprecated
+# dependency item) fails the build instead of lingering.
 cargo clippy --offline --workspace --all-targets -- -D warnings -D deprecated
 
 echo "==> cargo build --examples"
@@ -18,6 +18,12 @@ cargo build --offline --workspace --examples
 
 echo "==> cargo test -q"
 cargo test --offline --workspace -q
+
+echo "==> benchmark smoke test"
+# The benchmark is a package of its own; its smoke test runs every
+# workload at tiny size, so an engine change that breaks the harness
+# fails here.
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
 out_dir="$(mktemp -d)"
 trap 'rm -rf "$out_dir"' EXIT

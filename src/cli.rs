@@ -647,6 +647,14 @@ impl CliOptions {
     }
 }
 
+/// An engine for `spec` honouring `GNNADVISOR_SIM_THREADS`; a malformed
+/// value is an error naming the variable, not a panic.
+fn build_engine(spec: &GpuSpec) -> Result<Engine, String> {
+    Engine::builder(spec.clone())
+        .build()
+        .map_err(|e| e.to_string())
+}
+
 /// `analyze`: the input extractor's report plus suggested parameters.
 pub fn analyze(opts: &CliOptions) -> CliResult {
     let ds = opts.load()?;
@@ -716,6 +724,7 @@ pub fn analyze(opts: &CliOptions) -> CliResult {
 pub fn run(opts: &CliOptions) -> CliResult {
     let ds = opts.load()?;
     let spec = opts.spec()?;
+    let engine = build_engine(&spec)?;
     let advisor = Advisor::new(
         &ds.graph,
         ds.feat_dim,
@@ -723,12 +732,12 @@ pub fn run(opts: &CliOptions) -> CliResult {
         ds.num_classes,
         model_order(&opts.model)?,
         AdvisorConfig {
-            spec: spec.clone(),
+            spec,
+            engine: Some(engine.clone()),
             ..Default::default()
         },
     )
     .map_err(|e| e.to_string())?;
-    let engine = Engine::new(spec);
     let features = random_features(ds.graph.num_nodes(), ds.feat_dim, 7);
     let exec = ModelExec::new(&engine, &ds.graph, Framework::GnnAdvisor, Some(&advisor));
     let result = forward(&opts.model, &exec, &ds, &features)?;
@@ -815,6 +824,7 @@ pub fn profile(opts: &CliOptions) -> CliResult {
 pub fn compare(opts: &CliOptions) -> CliResult {
     let ds = opts.load()?;
     let spec = opts.spec()?;
+    let engine = build_engine(&spec)?;
     let advisor = Advisor::new(
         &ds.graph,
         ds.feat_dim,
@@ -822,12 +832,12 @@ pub fn compare(opts: &CliOptions) -> CliResult {
         ds.num_classes,
         model_order(&opts.model)?,
         AdvisorConfig {
-            spec: spec.clone(),
+            spec,
+            engine: Some(engine.clone()),
             ..Default::default()
         },
     )
     .map_err(|e| e.to_string())?;
-    let engine = Engine::new(spec);
     let dim = 16;
     let mut out = format!(
         "one aggregation pass at dim {dim} on {} ({} nodes, {} edges):\n",
@@ -870,6 +880,9 @@ pub fn compare(opts: &CliOptions) -> CliResult {
 pub fn tune(opts: &CliOptions) -> CliResult {
     let ds = opts.load()?;
     let spec = opts.spec()?;
+    // Built before any tuning so a malformed GNNADVISOR_SIM_THREADS is a
+    // typed error here rather than a panic inside the tuners' engines.
+    let engine = build_engine(&spec)?;
     let info = extract(
         &ds.graph,
         ds.feat_dim,
@@ -899,7 +912,6 @@ pub fn tune(opts: &CliOptions) -> CliResult {
         let (best, stats) = est.tune_profiled_stats(|p, e| {
             aggregation_metrics(&ds.graph, dim, p, e).map_or(f64::INFINITY, |m| m.time_ms)
         });
-        let engine = Engine::new(spec.clone());
         let best_ms = aggregation_metrics(&ds.graph, dim, &best, &engine)
             .map_or(f64::INFINITY, |m| m.time_ms);
         out.push_str(&format!(
@@ -975,7 +987,7 @@ pub fn tune(opts: &CliOptions) -> CliResult {
     }
 
     if let Some(required) = opts.speed_check {
-        speed_check(opts, &ds, dim, &spec, &outcome, required)?;
+        speed_check(opts, &ds, dim, &engine, &outcome, required)?;
     }
     Ok(out)
 }
@@ -988,7 +1000,7 @@ fn speed_check(
     opts: &CliOptions,
     ds: &Dataset,
     dim: usize,
-    spec: &GpuSpec,
+    engine: &Engine,
     outcome: &gnnadvisor_core::tuning::TwoTierOutcome,
     required: f64,
 ) -> Result<(), String> {
@@ -996,7 +1008,6 @@ fn speed_check(
     if sample.is_empty() {
         sample.push(outcome.fast_best);
     }
-    let engine = Engine::new(spec.clone());
     const REPS: usize = 256;
     let t0 = std::time::Instant::now();
     let mut sink = 0.0f64;
@@ -1009,7 +1020,7 @@ fn speed_check(
     let fast_per = t0.elapsed().as_secs_f64() / (REPS * sample.len()) as f64;
     let t1 = std::time::Instant::now();
     for p in &sample {
-        std::hint::black_box(aggregation_metrics(&ds.graph, dim, p, &engine));
+        std::hint::black_box(aggregation_metrics(&ds.graph, dim, p, engine));
     }
     let full_per = t1.elapsed().as_secs_f64() / sample.len() as f64;
     let ratio = full_per / fast_per.max(1e-12);
@@ -1542,7 +1553,7 @@ pub fn train_minibatch(opts: &CliOptions) -> CliResult {
         host: HostCostModel::default(),
         seed: opts.seed,
     };
-    let engine = Engine::new(opts.spec()?);
+    let engine = build_engine(&opts.spec()?)?;
     let report = gnnadvisor_models::train_minibatch(&engine, &graph, &features, &labels, &cfg)
         .map_err(|e| e.to_string())?;
 
