@@ -375,12 +375,15 @@ pub fn simulate_cluster(
             match fault {
                 None => {
                     // Feed the latency estimator (sorted insert) so the
-                    // autoscaler's p99 signal tracks estimated service.
-                    let est_end_ms = clock.cycles_to_ms(est_end);
-                    for request in &cb.batch.requests {
-                        let est = (est_end_ms - request.arrival_ms).max(0.0);
-                        let at = est_latencies.partition_point(|&x| x < est);
-                        est_latencies.insert(at, est);
+                    // autoscaler's p99 signal tracks estimated service;
+                    // nothing else reads it.
+                    if scaler.is_some() {
+                        let est_end_ms = clock.cycles_to_ms(est_end);
+                        for request in &cb.batch.requests {
+                            let est = (est_end_ms - request.arrival_ms).max(0.0);
+                            let at = est_latencies.partition_point(|&x| x < est);
+                            est_latencies.insert(at, est);
+                        }
                     }
                     outcome = Outcome::Done { replica, tail };
                     break;

@@ -45,7 +45,9 @@ pub use fault::{FaultConfig, FaultKind, FaultPlan};
 pub use kernel::{ArrayId, BlockSink, GridConfig, Kernel};
 pub use metrics::{HitRateWindow, KernelMetrics, Limiter, PhaseBreakdown, RunMetrics};
 pub use spec::{BlockResources, BlocksPerSm, GpuSpec, DEFAULT_REGS_PER_THREAD};
-pub use stream::{Enqueued, EventId, OpClass, OpHandle, OpSpan, StreamId, StreamReport, StreamSim};
+pub use stream::{
+    Enqueued, EventId, OpClass, OpHandle, OpSpan, PricedOp, StreamId, StreamReport, StreamSim,
+};
 pub use trace::{ArgValue, SpanKind, TraceEvent, TraceRecorder};
 pub use transfer::TransferMetrics;
 

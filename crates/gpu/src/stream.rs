@@ -27,6 +27,11 @@
 //!   stream's FIFO; [`StreamSim::wait_event`] gates another stream on it
 //!   (cross-stream dependencies without coupling whole streams).
 //!
+//! Pricing and placement are separable: [`StreamSim::price`] turns a
+//! workload into a [`PricedOp`] and [`StreamSim::enqueue_priced`] places
+//! it, so a caller that schedules the same work on several timelines
+//! prices it once and enqueues clones.
+//!
 //! The event loop advances the clock from instant to instant; at each
 //! instant it retires due blocks, admits waiting blocks in kernel
 //! activation order, and commits every schedulable stream head, scanning
@@ -229,6 +234,23 @@ struct ActiveKernel {
     first_admit: Option<u64>,
 }
 
+/// One workload priced by [`StreamSim::price`] and not yet placed on a
+/// stream: its schedulable shape, its standalone metrics and its fault
+/// verdict. [`StreamSim::enqueue_priced`] places it; cloning it places the
+/// same priced work on several schedules without pricing it again.
+///
+/// A `PricedOp` carries the fault verdict drawn when it was priced: with
+/// a fault plan on the engine, the verdict is consumed from the plan's
+/// sequence at [`StreamSim::price`], and every schedule the op (or a
+/// clone of it) is enqueued on sees that same verdict.
+#[derive(Debug, Clone)]
+pub struct PricedOp {
+    kind: OpKind,
+    name: String,
+    metrics: WorkloadMetrics,
+    fault: Option<FaultKind>,
+}
+
 /// What [`StreamSim::try_enqueue_at`] committed: the op's handle, its
 /// standalone metrics, and — with a fault plan attached to the engine —
 /// whether the op is doomed to fail on the schedule. The fault is known
@@ -306,14 +328,24 @@ impl<'e> StreamSim<'e> {
     }
 
     /// [`StreamSim::enqueue_at`] exposing the op's enqueue-time fault
-    /// verdict (always `None` without a fault plan on the engine).
+    /// verdict (always `None` without a fault plan on the engine):
+    /// [`StreamSim::price`] followed by [`StreamSim::enqueue_priced`].
     pub fn try_enqueue_at(
         &mut self,
         stream: StreamId,
         workload: Workload<'_>,
         not_before_cycles: u64,
     ) -> Result<Enqueued> {
+        // An unknown stream fails before pricing draws a fault verdict.
         self.check_stream(stream)?;
+        let op = self.price(workload)?;
+        self.enqueue_priced(stream, op, not_before_cycles)
+    }
+
+    /// Prices a workload through the engine as if alone on the device,
+    /// drawing its fault verdict from the engine's fault plan (if any),
+    /// without placing it on a stream.
+    pub fn price(&mut self, workload: Workload<'_>) -> Result<PricedOp> {
         let (metrics, fault) = self.engine.submit_untraced(&mut self.ctx, workload)?;
         let spec = self.engine.spec();
         let (kind, name) = match &metrics {
@@ -350,6 +382,30 @@ impl<'e> StreamSim<'e> {
                 format!("copy {} B", m.bytes),
             ),
         };
+        Ok(PricedOp {
+            kind,
+            name,
+            metrics,
+            fault,
+        })
+    }
+
+    /// Places an op priced by [`StreamSim::price`] on `stream`, released
+    /// at `not_before_cycles`. The op must have been priced by a
+    /// simulator over the same engine.
+    pub fn enqueue_priced(
+        &mut self,
+        stream: StreamId,
+        op: PricedOp,
+        not_before_cycles: u64,
+    ) -> Result<Enqueued> {
+        self.check_stream(stream)?;
+        let PricedOp {
+            kind,
+            name,
+            metrics,
+            fault,
+        } = op;
         let handle = self.push_op(
             stream,
             Op {

@@ -72,27 +72,30 @@ impl Gcn {
     /// at the full input dimensionality.
     pub fn forward(&self, exec: &ModelExec<'_>, features: &Matrix) -> Result<ForwardResult> {
         let mut metrics = RunMetrics::default();
-        let mut h = features.clone();
-        let n = h.rows();
+        let n = features.rows();
         let reduce_first = exec.framework().reduces_before_aggregation();
+        // Layer 0 reads the input in place; later layers own their input.
+        let mut h: Option<Matrix> = None;
         for (l, layer) in self.layers.iter().enumerate() {
+            let input = h.as_ref().unwrap_or(features);
             let mut agg = if reduce_first {
                 // Update first: dimension reduction before aggregation.
                 exec.update_cost(n, layer.in_dim(), layer.out_dim(), &mut metrics);
-                let reduced = layer.forward(&h)?;
+                let reduced = layer.forward(input)?;
                 exec.aggregate(&reduced, Aggregation::GcnNorm, &mut metrics)?
             } else {
                 // Aggregate at the full input dimensionality, then update.
-                let gathered = exec.aggregate(&h, Aggregation::GcnNorm, &mut metrics)?;
+                let gathered = exec.aggregate(input, Aggregation::GcnNorm, &mut metrics)?;
                 exec.update_cost(n, layer.in_dim(), layer.out_dim(), &mut metrics);
                 layer.forward(&gathered)?
             };
             if l + 1 < self.layers.len() {
                 relu_inplace(&mut agg);
             }
-            h = agg;
+            h = Some(agg);
         }
-        Ok(ForwardResult { output: h, metrics })
+        let output = h.expect("a GCN has at least one layer");
+        Ok(ForwardResult { output, metrics })
     }
 }
 

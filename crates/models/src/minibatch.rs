@@ -18,11 +18,25 @@
 //! - **serialized** — the classic loop: sample, *then* copy and train,
 //!   nothing overlaps. Its epoch time is `Σ (host_k + device_solo_k)`.
 //!
+//! Each batch's device work is priced **once**: one op list (H2D, then
+//! per layer the forward GEMM, stacking and SpMM, then the backward
+//! mirror over the block's transpose) is built with
+//! [`StreamSim::price`], enqueued on the pipelined timeline, and a clone
+//! of it on the batch's solo timeline. That list prices the same kernels
+//! as [`GcnTrainer::step_block`] with one difference: no DGL launch
+//! surcharge. `step_block` charges each aggregation through the DGL
+//! framework model, which adds `DGL_OPS_PER_LAYER - 2` (three) extra
+//! kernel-launch overheads to the SpMM for DGL's unfused framework ops;
+//! the stream timeline schedules the stacking and SpMM kernels at their
+//! standalone price, without those launches.
+//!
 //! Real numerics ride along: every batch is trained for real through
-//! [`GcnTrainer::step_block`] (per-block normalization, transpose
-//! backward), so the report carries true losses next to the simulated
-//! timelines. Host time is priced by [`HostCostModel`] from the sampler's
-//! own counters (scanned edges, block edges, gathered bytes).
+//! [`GcnTrainer::train_block`] — `step_block`'s numerics (per-block
+//! normalization, transpose backward) without its charge — on the block
+//! transpose the op list also uses, so the report carries true losses
+//! next to the simulated timelines. Feature rows are gathered with one
+//! slice copy per row. Host time is priced by [`HostCostModel`] from the
+//! sampler's own counters (scanned edges, block edges, gathered bytes).
 //!
 //! Everything is deterministic: sampling is seeded, pricing is
 //! worker-count-invariant, and the stream scheduler is serial, so
@@ -32,9 +46,9 @@
 use gnnadvisor_core::kernels::spmm_dgl::{SpmmKernel, StackingKernel};
 use gnnadvisor_core::minibatch::HostCostModel;
 use gnnadvisor_core::{CoreError, Result};
-use gnnadvisor_gpu::stream::{StreamId, StreamSim};
-use gnnadvisor_gpu::{Engine, Workload};
+use gnnadvisor_gpu::{Engine, PricedOp, StreamSim, Workload};
 use gnnadvisor_graph::sample::{sample_epoch, SampleConfig, SampledBlock};
+use gnnadvisor_graph::Csr;
 use gnnadvisor_tensor::Matrix;
 
 use crate::train::GcnTrainer;
@@ -185,76 +199,59 @@ impl MiniBatchReport {
     }
 }
 
-/// Enqueues one batch's device work on `stream`: the H2D copy (features +
-/// block topology) released at `not_before_cycles`, then per-layer
-/// forward GEMM + DGL-style aggregation (stacking + fused SpMM) and the
-/// backward mirror (transpose aggregation + two GEMMs), matching what
-/// [`GcnTrainer::step_block`] charges. Pricing happens at enqueue time,
-/// so the kernels may be temporaries.
-fn enqueue_batch(
+/// Prices one batch's device work once, in issue order: the H2D copy
+/// (features + block topology), then per layer the forward GEMM and the
+/// DGL-style aggregation (stacking + fused SpMM over the block), then the
+/// backward mirror, last layer first (stacking + SpMM over `transposed`,
+/// the `dW` GEMM, and the `dH` GEMM below the first layer). Both arms of
+/// [`train_minibatch`] schedule this one list, so each op is priced once
+/// per batch.
+///
+/// The list prices the same kernels as [`GcnTrainer::step_block`] but
+/// without the DGL launch surcharge (see the module docs).
+fn price_batch(
     sim: &mut StreamSim<'_>,
-    stream: StreamId,
     block: &SampledBlock,
+    transposed: &Csr,
     dims: &[usize],
-    not_before_cycles: u64,
-) -> Result<()> {
+) -> Result<Vec<PricedOp>> {
     let g = &block.block;
     let n = g.num_nodes();
-    let feat_dim = dims[0];
-    let h2d = (n * feat_dim * WORD + (n + 1 + g.num_edges()) * WORD) as u64;
-    sim.enqueue_at(stream, Workload::Transfer { bytes: h2d }, not_before_cycles)
-        .map_err(CoreError::from)?;
-    let transposed = g.transpose();
+    let h2d = (n * dims[0] * WORD + (n + 1 + g.num_edges()) * WORD) as u64;
+    // One H2D, three ops per forward layer, four per backward layer but
+    // the first (it has no dH GEMM).
+    let mut ops = Vec::with_capacity(7 * (dims.len() - 1));
+    ops.push(sim.price(Workload::Transfer { bytes: h2d })?);
     // Forward: update-then-aggregate per layer.
     for w in dims.windows(2) {
         let (in_dim, out_dim) = (w[0], w[1]);
-        sim.enqueue(
-            stream,
-            Workload::Gemm {
-                m: n,
-                n: out_dim,
-                k: in_dim,
-            },
-        )
-        .map_err(CoreError::from)?;
-        let stacking = StackingKernel::new(n, out_dim);
-        sim.enqueue(stream, Workload::Kernel(&stacking))
-            .map_err(CoreError::from)?;
-        let spmm = SpmmKernel::new(g, out_dim);
-        sim.enqueue(stream, Workload::Kernel(&spmm))
-            .map_err(CoreError::from)?;
+        ops.push(sim.price(Workload::Gemm {
+            m: n,
+            n: out_dim,
+            k: in_dim,
+        })?);
+        ops.push(sim.price(Workload::Kernel(&StackingKernel::new(n, out_dim)))?);
+        ops.push(sim.price(Workload::Kernel(&SpmmKernel::new(g, out_dim)))?);
     }
     // Backward: transpose aggregation plus dW / dH GEMMs per layer.
     for (l, w) in dims.windows(2).enumerate().rev() {
         let (in_dim, out_dim) = (w[0], w[1]);
-        let stacking = StackingKernel::new(n, out_dim);
-        sim.enqueue(stream, Workload::Kernel(&stacking))
-            .map_err(CoreError::from)?;
-        let spmm = SpmmKernel::new(&transposed, out_dim);
-        sim.enqueue(stream, Workload::Kernel(&spmm))
-            .map_err(CoreError::from)?;
-        sim.enqueue(
-            stream,
-            Workload::Gemm {
-                m: in_dim,
-                n: out_dim,
-                k: n,
-            },
-        )
-        .map_err(CoreError::from)?;
+        ops.push(sim.price(Workload::Kernel(&StackingKernel::new(n, out_dim)))?);
+        ops.push(sim.price(Workload::Kernel(&SpmmKernel::new(transposed, out_dim)))?);
+        ops.push(sim.price(Workload::Gemm {
+            m: in_dim,
+            n: out_dim,
+            k: n,
+        })?);
         if l > 0 {
-            sim.enqueue(
-                stream,
-                Workload::Gemm {
-                    m: n,
-                    n: in_dim,
-                    k: out_dim,
-                },
-            )
-            .map_err(CoreError::from)?;
+            ops.push(sim.price(Workload::Gemm {
+                m: n,
+                n: in_dim,
+                k: out_dim,
+            })?);
         }
     }
-    Ok(())
+    Ok(ops)
 }
 
 /// Length of the union of `spans` clipped to `[0, horizon_ms]` — how much
@@ -288,7 +285,7 @@ fn overlap_with_host(spans: &[(f64, f64)], horizon_ms: f64) -> f64 {
 /// feature dimension.
 pub fn train_minibatch(
     engine: &Engine,
-    graph: &gnnadvisor_graph::Csr,
+    graph: &Csr,
     features: &Matrix,
     labels: &[usize],
     cfg: &MiniBatchConfig,
@@ -342,30 +339,36 @@ pub fn train_minibatch(
             )?;
             host_end_ms += phases.total_ms();
 
-            // Real training numerics (and the serial device charge).
-            let bf = Matrix::from_fn(block.nodes.len(), feat_dim, |r, c| {
-                features.get(block.nodes[r] as usize, c)
-            });
+            // Real training numerics; the device work is priced below.
+            let bf = features.gather_rows(&block.nodes);
             let bl: Vec<usize> = block.nodes[..block.num_seeds]
                 .iter()
                 .map(|&v| labels[v as usize])
                 .collect();
-            let step = trainer.step_block(engine, block, &bf, &bl)?;
+            let transposed = block.block.transpose();
+            let step = trainer.train_block(block, &transposed, &bf, &bl)?;
             loss += step.loss;
             accuracy += step.accuracy;
 
-            // Pipelined arm: the batch's H2D is released the instant the
-            // host finishes preparing it; the device drains in FIFO order.
-            let release = engine.spec().ms_to_cycles(host_end_ms);
-            enqueue_batch(&mut pipelined, stream, block, &cfg.dims, release)?;
+            let ops = price_batch(&mut pipelined, block, &transposed, &cfg.dims)?;
 
             // Serialized arm: the same batch alone on an idle device.
             let mut solo = StreamSim::new(engine);
             let solo_stream = solo.stream();
-            enqueue_batch(&mut solo, solo_stream, block, &cfg.dims, 0)?;
-            device_ms += solo.run().map_err(CoreError::from)?.makespan_ms;
+            for op in &ops {
+                solo.enqueue_priced(solo_stream, op.clone(), 0)?;
+            }
+            device_ms += solo.run()?.makespan_ms;
+
+            // Pipelined arm: the batch's H2D is released the instant the
+            // host finishes preparing it; the device drains in FIFO order.
+            let release = engine.spec().ms_to_cycles(host_end_ms);
+            for (i, op) in ops.into_iter().enumerate() {
+                let not_before = if i == 0 { release } else { 0 };
+                pipelined.enqueue_priced(stream, op, not_before)?;
+            }
         }
-        let report = pipelined.run().map_err(CoreError::from)?;
+        let report = pipelined.run()?;
         let spec = engine.spec();
         let spans: Vec<(f64, f64)> = report
             .spans

@@ -30,9 +30,10 @@ use gnnadvisor_core::frameworks::{aggregate_with, Framework};
 use gnnadvisor_core::{CoreError, Result};
 use gnnadvisor_gpu::{Engine, RunMetrics, Workload};
 use gnnadvisor_graph::sample::SampledBlock;
+use gnnadvisor_graph::Csr;
 use gnnadvisor_tensor::init::xavier_uniform;
-use gnnadvisor_tensor::ops::softmax_rows_inplace;
-use gnnadvisor_tensor::{gemm, Matrix};
+use gnnadvisor_tensor::ops::{relu_inplace, softmax_rows_inplace};
+use gnnadvisor_tensor::{gemm, gemm_nt, gemm_tn, Matrix};
 
 use crate::exec::ModelExec;
 
@@ -59,6 +60,38 @@ fn charge_gemm(engine: &Engine, m: usize, n: usize, k: usize, metrics: &mut RunM
         .expect("gemm workloads are infallible")
         .into_kernel();
     metrics.push_kernel(kernel);
+}
+
+/// Softmax cross-entropy over the first `labels.len()` rows of `logits`,
+/// consuming them. Returns the mean loss, the accuracy over the labeled
+/// rows, and `dL/dlogits` — `(softmax - one_hot) / labels.len()` on
+/// labeled rows, zero on the rest (a block's non-seed nodes).
+fn softmax_cross_entropy(mut logits: Matrix, labels: &[usize]) -> (f64, f64, Matrix) {
+    softmax_rows_inplace(&mut logits);
+    let count = labels.len();
+    let inv = 1.0 / count as f32;
+    let mut loss = 0.0f64;
+    let mut correct = 0usize;
+    for (v, &y) in labels.iter().enumerate() {
+        let row = logits.row_mut(v);
+        loss -= (row[y].max(1e-12) as f64).ln();
+        let pred = row
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(i, _)| i)
+            .unwrap_or(0);
+        if pred == y {
+            correct += 1;
+        }
+        for (c, p) in row.iter_mut().enumerate() {
+            let indicator = if c == y { 1.0 } else { 0.0 };
+            *p = (*p - indicator) * inv;
+        }
+    }
+    let labeled = count * logits.cols();
+    logits.as_mut_slice()[labeled..].fill(0.0);
+    (loss / count as f64, correct as f64 / count as f64, logits)
 }
 
 /// One training step's outcome.
@@ -113,41 +146,98 @@ impl GcnTrainer {
         self.weights.len()
     }
 
+    fn num_classes(&self) -> usize {
+        self.weights.last().expect("non-empty").cols()
+    }
+
     /// Inference pass with the current weights (no metrics).
     pub fn predict(&self, exec: &ModelExec<'_>, features: &Matrix) -> Result<Matrix> {
         let mut metrics = RunMetrics::default();
-        Ok(self
-            .forward(exec, features, &mut metrics)?
-            .pop()
-            .expect("at least one layer")
-            .1)
+        Ok(self.forward(exec, features, &mut metrics)?.1)
     }
 
-    /// Forward pass caching `(pre_activation, post_activation)` per layer.
+    /// Full-batch forward pass, charging each layer's GEMM and
+    /// aggregation: returns the hidden layers' post-ReLU activations and
+    /// the logits.
     fn forward(
         &self,
         exec: &ModelExec<'_>,
         features: &Matrix,
         metrics: &mut RunMetrics,
-    ) -> Result<Vec<(Matrix, Matrix)>> {
+    ) -> Result<(Vec<Matrix>, Matrix)> {
         let n = features.rows();
-        let mut cache = Vec::with_capacity(self.weights.len());
-        let mut h = features.clone();
-        for (l, w) in self.weights.iter().enumerate() {
+        self.forward_with(features, |l, z| {
+            let w = &self.weights[l];
             exec.update_cost(n, w.rows(), w.cols(), metrics);
-            let z = gemm(&h, w)?;
-            let a = exec.aggregate(&z, Aggregation::GcnNorm, metrics)?;
-            let post = if l + 1 < self.weights.len() {
-                let mut p = a.clone();
-                gnnadvisor_tensor::ops::relu_inplace(&mut p);
-                p
-            } else {
-                a.clone()
-            };
-            h = post.clone();
-            cache.push((a, post));
+            exec.aggregate(z, Aggregation::GcnNorm, metrics)
+        })
+    }
+
+    /// The forward numerics shared by full-batch and block steps: per
+    /// layer `Z = H W`, then `aggregate(l, Z)`, then ReLU on hidden
+    /// layers. Layer 0 reads `features` in place. Returns the hidden
+    /// layers' post-ReLU activations (a ReLU's input is `<= 0` exactly
+    /// where its output is, so they also carry the backward mask) and the
+    /// logits.
+    fn forward_with(
+        &self,
+        features: &Matrix,
+        mut aggregate: impl FnMut(usize, &Matrix) -> Result<Matrix>,
+    ) -> Result<(Vec<Matrix>, Matrix)> {
+        let last = self.weights.len() - 1;
+        let mut hidden: Vec<Matrix> = Vec::with_capacity(last);
+        for l in 0..last {
+            let z = gemm(hidden.last().unwrap_or(features), &self.weights[l])?;
+            let mut a = aggregate(l, &z)?;
+            relu_inplace(&mut a);
+            hidden.push(a);
         }
-        Ok(cache)
+        let z = gemm(hidden.last().unwrap_or(features), &self.weights[last])?;
+        let logits = aggregate(last, &z)?;
+        Ok((hidden, logits))
+    }
+
+    /// The backward numerics shared by full-batch and block steps: from
+    /// `grad = dL/dlogits`, per layer (last first) mask through the ReLU,
+    /// `dZ = aggregate_t(l, dA)`, `dW = H_inᵀ dZ` and `dH_in = dZ Wᵀ` —
+    /// both GEMMs read their operands in place. Returns the weight
+    /// gradients in layer order.
+    fn backward_with(
+        &self,
+        features: &Matrix,
+        hidden: &[Matrix],
+        grad: Matrix,
+        mut aggregate_t: impl FnMut(usize, &Matrix) -> Result<Matrix>,
+    ) -> Result<Vec<Matrix>> {
+        let layers = self.weights.len();
+        let mut d_h = grad;
+        let mut weight_grads: Vec<Matrix> = Vec::with_capacity(layers);
+        for l in (0..layers).rev() {
+            if l + 1 < layers {
+                for (g, &a) in d_h.as_mut_slice().iter_mut().zip(hidden[l].as_slice()) {
+                    if a <= 0.0 {
+                        *g = 0.0;
+                    }
+                }
+            }
+            let d_z = aggregate_t(l, &d_h)?;
+            let h_in = if l == 0 { features } else { &hidden[l - 1] };
+            weight_grads.push(gemm_tn(h_in, &d_z)?);
+            if l > 0 {
+                d_h = gemm_nt(&d_z, &self.weights[l])?;
+            }
+        }
+        weight_grads.reverse();
+        Ok(weight_grads)
+    }
+
+    /// SGD update.
+    fn apply(&mut self, weight_grads: &[Matrix]) {
+        for (w, g) in self.weights.iter_mut().zip(weight_grads) {
+            for (wv, gv) in w.as_mut_slice().iter_mut().zip(g.as_slice()) {
+                *wv -= self.lr * gv;
+            }
+        }
     }
 
     /// Runs `epochs` full-batch SGD steps, returning every epoch's
@@ -177,93 +267,28 @@ impl GcnTrainer {
         labels: &[usize],
     ) -> Result<StepResult> {
         let n = features.rows();
-        let classes = self.weights.last().expect("non-empty").cols();
-        validate_labels(labels, n, classes)?;
+        validate_labels(labels, n, self.num_classes())?;
         let mut metrics = RunMetrics::default();
-        let cache = self.forward(exec, features, &mut metrics)?;
-
-        // Loss and output gradient: softmax cross-entropy.
-        let logits = &cache.last().expect("non-empty").0;
-        let mut probs = logits.clone();
-        softmax_rows_inplace(&mut probs);
-        let mut loss = 0.0f64;
-        let mut correct = 0usize;
-        let mut grad = probs.clone();
-        for (v, &y) in labels.iter().enumerate() {
-            let p = probs.get(v, y).max(1e-12);
-            loss -= (p as f64).ln();
-            let row = probs.row(v);
-            let pred = row
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            if pred == y {
-                correct += 1;
-            }
-            grad.set(v, y, grad.get(v, y) - 1.0);
-        }
-        loss /= n as f64;
-        let inv_n = 1.0 / n as f32;
-        for g in grad.as_mut_slice() {
-            *g *= inv_n;
-        }
-
-        // Backward through layers.
-        let mut d_h = grad; // dL/dA for the last layer (no ReLU on output)
-        let mut weight_grads: Vec<Matrix> = Vec::with_capacity(self.weights.len());
-        for l in (0..self.weights.len()).rev() {
-            // Through ReLU for hidden layers.
-            if l + 1 < self.weights.len() {
-                let pre = &cache[l].0;
-                for (g, &a) in d_h.as_mut_slice().iter_mut().zip(pre.as_slice()) {
-                    if a <= 0.0 {
-                        *g = 0.0;
-                    }
-                }
-            }
-            // Backward aggregation is A_hat^T; on this full-batch path the
-            // graph is undirected so A_hat is symmetric and the forward
-            // kernel (and its simulated cost) is exactly the adjoint.
-            // Sampled blocks are asymmetric — step_block handles those.
-            let d_z = exec.aggregate(&d_h, Aggregation::GcnNorm, &mut metrics)?;
+        let (hidden, logits) = self.forward(exec, features, &mut metrics)?;
+        let (loss, accuracy, grad) = softmax_cross_entropy(logits, labels);
+        // Backward aggregation is A_hat^T; on this full-batch path the
+        // graph is undirected so A_hat is symmetric and the forward
+        // kernel (and its simulated cost) is exactly the adjoint.
+        // Sampled blocks are asymmetric — step_block handles those.
+        let weight_grads = self.backward_with(features, &hidden, grad, |l, d_h| {
+            let (rows, cols) = self.weights[l].shape();
+            let d_z = exec.aggregate(d_h, Aggregation::GcnNorm, &mut metrics)?;
             // dW = H_in^T dZ and dH_in = dZ W^T (two GEMMs).
-            let h_in: Matrix = if l == 0 {
-                features.clone()
-            } else {
-                cache[l - 1].1.clone()
-            };
-            exec.update_cost(
-                self.weights[l].rows(),
-                n,
-                self.weights[l].cols(),
-                &mut metrics,
-            );
-            let d_w = gemm(&h_in.transpose(), &d_z)?;
+            exec.update_cost(rows, n, cols, &mut metrics);
             if l > 0 {
-                exec.update_cost(
-                    n,
-                    self.weights[l].cols(),
-                    self.weights[l].rows(),
-                    &mut metrics,
-                );
-                d_h = gemm(&d_z, &self.weights[l].transpose())?;
+                exec.update_cost(n, cols, rows, &mut metrics);
             }
-            weight_grads.push(d_w);
-        }
-        weight_grads.reverse();
-
-        // SGD update.
-        for (w, g) in self.weights.iter_mut().zip(&weight_grads) {
-            for (wv, gv) in w.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                *wv -= self.lr * gv;
-            }
-        }
-
+            Ok(d_z)
+        })?;
+        self.apply(&weight_grads);
         Ok(StepResult {
             loss,
-            accuracy: correct as f64 / n as f64,
+            accuracy,
             metrics,
         })
     }
@@ -282,7 +307,8 @@ impl GcnTrainer {
     ///
     /// Simulated cost is charged per phase: one GEMM per update, one
     /// DGL-style aggregation per forward layer on the block and per
-    /// backward layer on its transpose.
+    /// backward layer on its transpose. The step charges, then runs the
+    /// numerics of [`GcnTrainer::train_block`].
     pub fn step_block(
         &mut self,
         engine: &Engine,
@@ -290,9 +316,59 @@ impl GcnTrainer {
         features: &Matrix,
         labels: &[usize],
     ) -> Result<StepResult> {
+        self.check_block(block, features, labels)?;
+        let transposed = block.block.transpose();
+        let metrics = self.charge_block(engine, block, &transposed)?;
+        let step = self.train_block(block, &transposed, features, labels)?;
+        Ok(StepResult { metrics, ..step })
+    }
+
+    /// The numerics of [`GcnTrainer::step_block`] without its simulated
+    /// charge: the returned `metrics` are empty. `transposed` must be
+    /// `block.block.transpose()`; callers that price the block's device
+    /// work themselves (the mini-batch pipeline) transpose once and pass
+    /// it here. Features and activations are read in place, never copied.
+    pub fn train_block(
+        &mut self,
+        block: &SampledBlock,
+        transposed: &Csr,
+        features: &Matrix,
+        labels: &[usize],
+    ) -> Result<StepResult> {
+        self.check_block(block, features, labels)?;
         let g = &block.block;
-        let n = g.num_nodes();
-        let classes = self.weights.last().expect("non-empty").cols();
+        if transposed.num_nodes() != g.num_nodes() || transposed.num_edges() != g.num_edges() {
+            return Err(CoreError::InvalidParams {
+                reason: format!(
+                    "transpose has {} nodes and {} edges but the block has {} and {}",
+                    transposed.num_nodes(),
+                    transposed.num_edges(),
+                    g.num_nodes(),
+                    g.num_edges()
+                ),
+            });
+        }
+        let degrees = block.degrees();
+        let (hidden, logits) =
+            self.forward_with(features, |_, z| Ok(aggregate_gcn_block(g, &degrees, z)))?;
+        // Seed-masked softmax cross-entropy: gradient rows of non-seed
+        // nodes stay zero.
+        let (loss, accuracy, grad) = softmax_cross_entropy(logits, labels);
+        let weight_grads = self.backward_with(features, &hidden, grad, |_, d_h| {
+            Ok(aggregate_gcn_block(transposed, &degrees, d_h))
+        })?;
+        self.apply(&weight_grads);
+        Ok(StepResult {
+            loss,
+            accuracy,
+            metrics: RunMetrics::default(),
+        })
+    }
+
+    /// Rejects block features that are not one row per block node and
+    /// labels that are not one in-range class per seed.
+    fn check_block(&self, block: &SampledBlock, features: &Matrix, labels: &[usize]) -> Result<()> {
+        let n = block.block.num_nodes();
         if features.rows() != n {
             return Err(CoreError::InvalidParams {
                 reason: format!(
@@ -301,118 +377,41 @@ impl GcnTrainer {
                 ),
             });
         }
-        let seeds = block.num_seeds.min(n);
-        validate_labels(labels, seeds, classes)?;
-        let degrees = block.degrees();
-        let transposed = g.transpose();
+        validate_labels(labels, block.num_seeds.min(n), self.num_classes())
+    }
+
+    /// The simulated cost of one block step, in [`GcnTrainer::step_block`]'s
+    /// order: per forward layer the update GEMM and a DGL aggregation
+    /// over the block, then per backward layer (last first) a DGL
+    /// aggregation over the transpose and the `dW` / `dH` GEMMs.
+    fn charge_block(
+        &self,
+        engine: &Engine,
+        block: &SampledBlock,
+        transposed: &Csr,
+    ) -> Result<RunMetrics> {
+        let g = &block.block;
+        let n = g.num_nodes();
         let mut metrics = RunMetrics::default();
-
-        // Forward with per-block normalization.
-        let mut cache: Vec<(Matrix, Matrix)> = Vec::with_capacity(self.weights.len());
-        let mut h = features.clone();
-        for (l, w) in self.weights.iter().enumerate() {
+        for w in &self.weights {
             charge_gemm(engine, n, w.cols(), w.rows(), &mut metrics);
-            let z = gemm(&h, w)?;
             metrics.merge(aggregate_with(Framework::Dgl, engine, g, w.cols(), None)?);
-            let a = aggregate_gcn_block(g, &degrees, &z);
-            let post = if l + 1 < self.weights.len() {
-                let mut p = a.clone();
-                gnnadvisor_tensor::ops::relu_inplace(&mut p);
-                p
-            } else {
-                a.clone()
-            };
-            h = post.clone();
-            cache.push((a, post));
         }
-
-        // Seed-masked softmax cross-entropy: gradient rows of non-seed
-        // nodes stay zero.
-        let logits = &cache.last().expect("non-empty").0;
-        let mut probs = logits.clone();
-        softmax_rows_inplace(&mut probs);
-        let mut loss = 0.0f64;
-        let mut correct = 0usize;
-        let mut grad = Matrix::zeros(n, classes);
-        for (v, &y) in labels.iter().enumerate() {
-            let p = probs.get(v, y).max(1e-12);
-            loss -= (p as f64).ln();
-            let row = probs.row(v);
-            let pred = row
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            if pred == y {
-                correct += 1;
-            }
-            let inv = 1.0 / seeds as f32;
-            for (c, &p) in row.iter().enumerate() {
-                let indicator = if c == y { 1.0 } else { 0.0 };
-                grad.set(v, c, (p - indicator) * inv);
-            }
-        }
-        loss /= seeds as f64;
-
-        // Backward through layers: aggregation over the transpose.
-        let mut d_h = grad;
-        let mut weight_grads: Vec<Matrix> = Vec::with_capacity(self.weights.len());
-        for l in (0..self.weights.len()).rev() {
-            if l + 1 < self.weights.len() {
-                let pre = &cache[l].0;
-                for (gv, &a) in d_h.as_mut_slice().iter_mut().zip(pre.as_slice()) {
-                    if a <= 0.0 {
-                        *gv = 0.0;
-                    }
-                }
-            }
+        for (l, w) in self.weights.iter().enumerate().rev() {
+            let (rows, cols) = w.shape();
             metrics.merge(aggregate_with(
                 Framework::Dgl,
                 engine,
-                &transposed,
-                self.weights[l].cols(),
+                transposed,
+                cols,
                 None,
             )?);
-            let d_z = aggregate_gcn_block(&transposed, &degrees, &d_h);
-            let h_in: Matrix = if l == 0 {
-                features.clone()
-            } else {
-                cache[l - 1].1.clone()
-            };
-            charge_gemm(
-                engine,
-                self.weights[l].rows(),
-                self.weights[l].cols(),
-                n,
-                &mut metrics,
-            );
-            let d_w = gemm(&h_in.transpose(), &d_z)?;
+            charge_gemm(engine, rows, cols, n, &mut metrics);
             if l > 0 {
-                charge_gemm(
-                    engine,
-                    n,
-                    self.weights[l].rows(),
-                    self.weights[l].cols(),
-                    &mut metrics,
-                );
-                d_h = gemm(&d_z, &self.weights[l].transpose())?;
-            }
-            weight_grads.push(d_w);
-        }
-        weight_grads.reverse();
-
-        for (w, gv) in self.weights.iter_mut().zip(&weight_grads) {
-            for (wv, g) in w.as_mut_slice().iter_mut().zip(gv.as_slice()) {
-                *wv -= self.lr * g;
+                charge_gemm(engine, n, rows, cols, &mut metrics);
             }
         }
-
-        Ok(StepResult {
-            loss,
-            accuracy: correct as f64 / seeds as f64,
-            metrics,
-        })
+        Ok(metrics)
     }
 }
 
@@ -665,6 +664,42 @@ mod tests {
         let err = t
             .step_block(&engine, &blk, &short, &[0, 1])
             .expect_err("feature rows must match block nodes");
+        assert!(matches!(err, CoreError::InvalidParams { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn train_block_is_step_block_without_the_charge() {
+        let blk = asymmetric_block();
+        let features = Matrix::from_fn(4, 3, |v, d| ((v * 3 + d) % 5) as f32 / 5.0 - 0.3);
+        let labels = [0usize, 1];
+        let engine = Engine::new(GpuSpec::quadro_p6000());
+        let transposed = blk.block.transpose();
+        let mut priced = GcnTrainer::new(&[3, 4, 2], 0.5, 7);
+        let mut numerics = GcnTrainer::new(&[3, 4, 2], 0.5, 7);
+        for _ in 0..3 {
+            let a = priced
+                .step_block(&engine, &blk, &features, &labels)
+                .expect("step");
+            let b = numerics
+                .train_block(&blk, &transposed, &features, &labels)
+                .expect("step");
+            assert_eq!(a.loss.to_bits(), b.loss.to_bits());
+            assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
+            assert!(!a.metrics.kernels.is_empty());
+            assert_eq!(b.metrics, RunMetrics::default(), "numerics charge nothing");
+        }
+        assert_eq!(priced.weights, numerics.weights);
+    }
+
+    #[test]
+    fn train_block_rejects_a_foreign_transpose() {
+        let blk = asymmetric_block();
+        let features = Matrix::from_fn(4, 3, |v, d| (v + d) as f32);
+        let mut t = GcnTrainer::new(&[3, 3, 2], 0.1, 7);
+        let wrong = Csr::from_raw(4, vec![0, 1, 1, 1, 1], vec![2]).expect("valid");
+        let err = t
+            .train_block(&blk, &wrong, &features, &[0, 1])
+            .expect_err("transpose must match the block");
         assert!(matches!(err, CoreError::InvalidParams { .. }), "{err:?}");
     }
 

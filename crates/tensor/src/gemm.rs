@@ -66,6 +66,100 @@ pub fn gemm_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<()> {
     Ok(())
 }
 
+/// Computes `aᵀ · b` without materializing the transpose: `a` is `k x m`,
+/// `b` is `k x n`, the result `m x n`.
+///
+/// Every output element accumulates its `k` products in ascending `k`
+/// order and skips zero `a` entries exactly as [`gemm`] does, so the
+/// result is bitwise equal to `gemm(&a.transpose(), b)`.
+///
+/// # Examples
+///
+/// ```
+/// use gnnadvisor_tensor::{gemm, gemm_tn, Matrix};
+///
+/// let a = Matrix::from_vec(2, 1, vec![1.0, 2.0]).unwrap();
+/// let b = Matrix::from_vec(2, 1, vec![3.0, 4.0]).unwrap();
+/// assert_eq!(gemm_tn(&a, &b).unwrap(), gemm(&a.transpose(), &b).unwrap());
+/// ```
+pub fn gemm_tn(a: &Matrix, b: &Matrix) -> Result<Matrix> {
+    let (ka, m) = a.shape();
+    let (kb, n) = b.shape();
+    if ka != kb {
+        return Err(TensorError::ShapeMismatch {
+            context: format!("gemm_tn ({ka}x{m})ᵀ . {kb}x{n}"),
+        });
+    }
+    let mut out = Matrix::zeros(m, n);
+    let a_data = a.as_slice();
+    let b_data = b.as_slice();
+    let out_data = out.as_mut_slice();
+    // Row blocks of the output stay cache-resident while `k` streams
+    // through `a` and `b` row by row, in ascending order.
+    for i0 in (0..m).step_by(BLOCK) {
+        let i1 = (i0 + BLOCK).min(m);
+        for kk in 0..ka {
+            let a_row = &a_data[kk * m + i0..kk * m + i1];
+            let b_row = &b_data[kk * n..(kk + 1) * n];
+            for (i, &aki) in (i0..i1).zip(a_row) {
+                if aki == 0.0 {
+                    continue;
+                }
+                let out_row = &mut out_data[i * n..(i + 1) * n];
+                for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                    *o += aki * bv;
+                }
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Computes `a · bᵀ` without materializing the transpose: `a` is `m x k`,
+/// `b` is `n x k`, the result `m x n`.
+///
+/// Every output element accumulates its `k` products in ascending `k`
+/// order and skips zero `a` entries exactly as [`gemm`] does, so the
+/// result is bitwise equal to `gemm(a, &b.transpose())`.
+///
+/// # Examples
+///
+/// ```
+/// use gnnadvisor_tensor::{gemm, gemm_nt, Matrix};
+///
+/// let a = Matrix::from_vec(1, 2, vec![1.0, 2.0]).unwrap();
+/// let b = Matrix::from_vec(3, 2, vec![3.0, 4.0, 5.0, 6.0, 7.0, 8.0]).unwrap();
+/// assert_eq!(gemm_nt(&a, &b).unwrap(), gemm(&a, &b.transpose()).unwrap());
+/// ```
+pub fn gemm_nt(a: &Matrix, b: &Matrix) -> Result<Matrix> {
+    let (m, ka) = a.shape();
+    let (n, kb) = b.shape();
+    if ka != kb {
+        return Err(TensorError::ShapeMismatch {
+            context: format!("gemm_nt {m}x{ka} . ({n}x{kb})ᵀ"),
+        });
+    }
+    let k = ka;
+    let mut out = Matrix::zeros(m, n);
+    let a_data = a.as_slice();
+    let b_data = b.as_slice();
+    let out_data = out.as_mut_slice();
+    for i in 0..m {
+        let a_row = &a_data[i * k..(i + 1) * k];
+        let out_row = &mut out_data[i * n..(i + 1) * n];
+        for (kk, &aik) in a_row.iter().enumerate() {
+            if aik == 0.0 {
+                continue;
+            }
+            // Column `kk` of `b` is row `kk` of `bᵀ`: stride `k`.
+            for (o, &bv) in out_row.iter_mut().zip(b_data[kk..].iter().step_by(k)) {
+                *o += aik * bv;
+            }
+        }
+    }
+    Ok(out)
+}
+
 /// Reference triple-loop multiply used to validate [`gemm`] in tests.
 #[doc(hidden)]
 pub fn gemm_naive(a: &Matrix, b: &Matrix) -> Result<Matrix> {
@@ -124,6 +218,84 @@ mod tests {
             gemm_into(&a, &b_ok, &mut out).is_err(),
             "wrong output shape"
         );
+    }
+
+    /// Operands with exact `0.0` and `-0.0` entries (the skip path) and
+    /// values whose sums round differently in another order.
+    fn operand(rows: usize, cols: usize, salt: usize) -> Matrix {
+        Matrix::from_fn(rows, cols, |r, c| match (r * 7 + c * 3 + salt) % 9 {
+            0 => 0.0,
+            1 => -0.0,
+            v => (v as f32 - 4.5) * 0.1 + ((r * 31 + c * 17 + salt) % 23) as f32 * 1e-3,
+        })
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Shapes straddling `BLOCK` on every axis, plus degenerate edges.
+    const SHAPES: [(usize, usize, usize); 7] = [
+        (1, 1, 1),
+        (5, 7, 3),
+        (63, 65, 1),
+        (64, 64, 64),
+        (65, 130, 17),
+        (130, 3, 66),
+        (0, 4, 2),
+    ];
+
+    #[test]
+    fn gemm_tn_is_bitwise_gemm_on_the_transpose() {
+        for &(m, k, n) in &SHAPES {
+            let a = operand(k, m, 1);
+            let b = operand(k, n, 2);
+            let want = gemm(&a.transpose(), &b).unwrap();
+            let got = gemm_tn(&a, &b).unwrap();
+            assert_eq!(got.shape(), (m, n));
+            assert_eq!(bits(&got), bits(&want), "gemm_tn at {m}x{k}x{n}");
+        }
+    }
+
+    #[test]
+    fn gemm_nt_is_bitwise_gemm_on_the_transpose() {
+        for &(m, k, n) in &SHAPES {
+            let a = operand(m, k, 3);
+            let b = operand(n, k, 4);
+            let want = gemm(&a, &b.transpose()).unwrap();
+            let got = gemm_nt(&a, &b).unwrap();
+            assert_eq!(got.shape(), (m, n));
+            assert_eq!(bits(&got), bits(&want), "gemm_nt at {m}x{k}x{n}");
+        }
+    }
+
+    #[test]
+    fn transposed_variants_skip_zeros_like_gemm() {
+        // A zero in `a` skips its product even against an infinity, so
+        // no NaN appears; gemm on the materialized transpose agrees.
+        let a = Matrix::from_vec(2, 2, vec![0.0, 1.0, -0.0, 2.0]).unwrap();
+        let b = Matrix::from_vec(2, 2, vec![f32::INFINITY, 1.0, 3.0, 4.0]).unwrap();
+        let tn = gemm_tn(&a, &b).unwrap();
+        assert_eq!(bits(&tn), bits(&gemm(&a.transpose(), &b).unwrap()));
+        assert!(tn.get(0, 0).is_finite(), "{tn:?}");
+        let nt = gemm_nt(&a, &b).unwrap();
+        assert_eq!(bits(&nt), bits(&gemm(&a, &b.transpose()).unwrap()));
+        assert!(nt.get(0, 0).is_finite(), "{nt:?}");
+    }
+
+    #[test]
+    fn transposed_variants_reject_shape_mismatch() {
+        let a = Matrix::zeros(3, 2);
+        let b = Matrix::zeros(4, 2);
+        assert!(matches!(
+            gemm_tn(&a, &b),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
+        let b = Matrix::zeros(4, 3);
+        assert!(matches!(
+            gemm_nt(&a, &b),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! kernels in `gnnadvisor-core`) with dense NN operations — the paper calls
 //! these DGEMM / MLP updates and notes they are "well-suited for GPU-based
 //! acceleration" via cuBLAS. This crate supplies the numerical side:
-//! a row-major [`Matrix`], a blocked [`gemm`], element-wise [`ops`],
+//! a row-major [`Matrix`], a blocked [`gemm`] (plus [`gemm_tn`] /
+//! [`gemm_nt`] for transposed operands), element-wise [`ops`],
 //! [`linear::Linear`] layers and [`mlp::Mlp`] stacks with deterministic
 //! Xavier initialization.
 //!
@@ -19,7 +20,7 @@ pub mod matrix;
 pub mod mlp;
 pub mod ops;
 
-pub use gemm::{gemm, gemm_into};
+pub use gemm::{gemm, gemm_into, gemm_nt, gemm_tn};
 pub use linear::Linear;
 pub use matrix::Matrix;
 pub use mlp::Mlp;

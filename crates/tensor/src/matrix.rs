@@ -123,6 +123,26 @@ impl Matrix {
         self.data
     }
 
+    /// Copies the rows named by `rows`, in order, into a new
+    /// `rows.len() x cols` matrix — one slice copy per row. Indices may
+    /// repeat; an empty list gives a `0 x cols` matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of range.
+    pub fn gather_rows(&self, rows: &[u32]) -> Matrix {
+        let mut data = Vec::with_capacity(rows.len() * self.cols);
+        for &r in rows {
+            assert!((r as usize) < self.rows, "row {r} out of range");
+            data.extend_from_slice(self.row(r as usize));
+        }
+        Matrix {
+            rows: rows.len(),
+            cols: self.cols,
+            data,
+        }
+    }
+
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -191,6 +211,23 @@ mod tests {
         assert_eq!(t.shape(), (2, 3));
         assert_eq!(t.get(0, 2), m.get(2, 0));
         assert_eq!(t.transpose(), m);
+    }
+
+    #[test]
+    fn gather_rows_matches_element_gather() {
+        let m = Matrix::from_fn(5, 3, |r, c| (r * 10 + c) as f32 - 0.5);
+        for idx in [vec![4u32, 0, 2], vec![1, 1, 3, 1], vec![]] {
+            let want = Matrix::from_fn(idx.len(), m.cols(), |r, c| m.get(idx[r] as usize, c));
+            let got = m.gather_rows(&idx);
+            assert_eq!(got.shape(), (idx.len(), 3));
+            assert_eq!(got, want, "indices {idx:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn gather_rows_bounds_checked() {
+        Matrix::zeros(2, 2).gather_rows(&[2]);
     }
 
     #[test]

@@ -99,6 +99,13 @@ minibatch() {
 }
 check_stable train-minibatch minibatch "total: pipelined" "overlap"
 
+echo "==> train-minibatch layer-wise smoke: report stable across runs and worker counts"
+minibatch_layer() {
+  gnnadvisor train-minibatch --scale 0.02 --batch-size 96 --epochs 2 --fanout 6,3 \
+    --strategy layer --budget 64 > "$1"
+}
+check_stable train-minibatch-layer minibatch_layer "strategy layer (budget 64)" "total: pipelined"
+
 echo "==> analyze smoke: renumbering report stable across runs and worker counts"
 analyze() {
   gnnadvisor analyze --dataset artist --scale 0.1 > "$1"
