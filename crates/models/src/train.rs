@@ -146,6 +146,11 @@ impl GcnTrainer {
         self.weights.len()
     }
 
+    /// The layers' weight matrices, input layer first.
+    pub fn weights(&self) -> &[Matrix] {
+        &self.weights
+    }
+
     fn num_classes(&self) -> usize {
         self.weights.last().expect("non-empty").cols()
     }

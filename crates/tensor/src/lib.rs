@@ -19,6 +19,7 @@ pub mod linear;
 pub mod matrix;
 pub mod mlp;
 pub mod ops;
+pub mod par;
 
 pub use gemm::{gemm, gemm_into, gemm_nt, gemm_tn};
 pub use linear::Linear;
