@@ -2,12 +2,21 @@
 //!
 //! The kernels in [`crate::kernels`] are *cost emitters* for the simulated
 //! GPU; this module computes the actual aggregation values, both as a
-//! straightforward sequential reference and as a grouped execution that
-//! follows the group partition + leader-node order exactly. Property tests
-//! assert the two agree bit-for-bit modulo float associativity (we use the
-//! same accumulation order per node, so they agree exactly).
+//! row-parallel reference and as a grouped execution that follows the
+//! group partition + leader-node order exactly. Property tests assert the
+//! two agree bit-for-bit modulo float associativity (we use the same
+//! accumulation order per node, so they agree exactly).
+//!
+//! Like GNNAdvisor's workload partition, the reference treats each node's
+//! output row as an independent unit: [`aggregate_reference`],
+//! [`aggregate_weighted`] and [`aggregate_gcn_block`] split the output
+//! into contiguous row chunks on `workers` threads
+//! ([`gnnadvisor_tensor::par::for_each_row_chunk`]), and every row
+//! accumulates its neighbours in CSR order, so results are bitwise equal
+//! at any worker count.
 
 use gnnadvisor_graph::{Csr, NodeId};
+use gnnadvisor_tensor::par::for_each_row_chunk;
 use gnnadvisor_tensor::Matrix;
 
 use crate::workload::group::NeighborGroup;
@@ -27,45 +36,44 @@ pub enum Aggregation {
     Mean,
 }
 
-/// Sequential reference aggregation: `out[v] = op({ h_u : u in N(v) })`.
+/// Reference aggregation: `out[v] = op({ h_u : u in N(v) })`, over row
+/// chunks of the output on up to `workers` threads. Each row sums its
+/// neighbours in CSR order whatever chunk it lands in, so the result is
+/// bitwise equal at any worker count.
 ///
 /// # Panics
 ///
 /// Panics if `features.rows() != graph.num_nodes()`.
-pub fn aggregate_reference(graph: &Csr, features: &Matrix, op: Aggregation) -> Matrix {
+pub fn aggregate_reference(
+    graph: &Csr,
+    features: &Matrix,
+    op: Aggregation,
+    workers: usize,
+) -> Matrix {
     assert_eq!(
         features.rows(),
         graph.num_nodes(),
         "feature rows must match node count"
     );
-    let d = features.cols();
-    let mut out = Matrix::zeros(graph.num_nodes(), d);
-    for v in 0..graph.num_nodes() as NodeId {
-        let row_out = out.row_mut(v as usize);
+    let mean = match op {
+        Aggregation::GcnNorm => return gcn_rows(graph, features, workers, |v| graph.degree(v)),
+        Aggregation::Sum => false,
+        Aggregation::Mean => true,
+    };
+    per_row(graph, features.cols(), workers, |v, row_out| {
         for &u in graph.neighbors(v) {
-            let w = edge_weight(graph, v, u, op);
             for (o, &x) in row_out.iter_mut().zip(features.row(u as usize)) {
-                *o += w * x;
+                *o += x;
             }
         }
-        if let Aggregation::GcnNorm = op {
-            // Self-loop term of the renormalized adjacency.
-            let w = 1.0 / (graph.degree(v) as f32 + 1.0);
-            for (o, &x) in row_out.iter_mut().zip(features.row(v as usize)) {
-                *o += w * x;
+        let deg = graph.degree(v);
+        if mean && deg > 0 {
+            let inv = 1.0 / deg as f32;
+            for o in row_out.iter_mut() {
+                *o *= inv;
             }
         }
-        if let Aggregation::Mean = op {
-            let deg = graph.degree(v);
-            if deg > 0 {
-                let inv = 1.0 / deg as f32;
-                for o in row_out.iter_mut() {
-                    *o *= inv;
-                }
-            }
-        }
-    }
-    out
+    })
 }
 
 /// Grouped aggregation: every group accumulates privately (one thread's
@@ -135,28 +143,29 @@ pub fn aggregate_grouped(
 ///
 /// Panics if `weights.len() != graph.num_edges()` or the feature shape
 /// mismatches.
-pub fn aggregate_weighted(graph: &Csr, features: &Matrix, weights: &[f32]) -> Matrix {
+pub fn aggregate_weighted(
+    graph: &Csr,
+    features: &Matrix,
+    weights: &[f32],
+    workers: usize,
+) -> Matrix {
     assert_eq!(
         features.rows(),
         graph.num_nodes(),
         "feature rows must match node count"
     );
     assert_eq!(weights.len(), graph.num_edges(), "one weight per CSR edge");
-    let d = features.cols();
     let row_ptr = graph.row_ptr();
     let col_idx = graph.col_idx();
-    let mut out = Matrix::zeros(graph.num_nodes(), d);
-    for v in 0..graph.num_nodes() {
-        let row_out = out.row_mut(v);
+    per_row(graph, features.cols(), workers, |v, row_out| {
+        let v = v as usize;
         for e in row_ptr[v]..row_ptr[v + 1] {
-            let u = col_idx[e] as usize;
             let w = weights[e];
-            for (o, &x) in row_out.iter_mut().zip(features.row(u)) {
+            for (o, &x) in row_out.iter_mut().zip(features.row(col_idx[e] as usize)) {
                 *o += w * x;
             }
         }
-    }
-    out
+    })
 }
 
 /// GCN-normalized aggregation over a sampled sub-block, with the
@@ -182,7 +191,12 @@ pub fn aggregate_weighted(graph: &Csr, features: &Matrix, weights: &[f32]) -> Ma
 ///
 /// Panics if `features.rows()` or `degrees.len()` mismatch the node
 /// count.
-pub fn aggregate_gcn_block(graph: &Csr, degrees: &[usize], features: &Matrix) -> Matrix {
+pub fn aggregate_gcn_block(
+    graph: &Csr,
+    degrees: &[usize],
+    features: &Matrix,
+    workers: usize,
+) -> Matrix {
     assert_eq!(
         features.rows(),
         graph.num_nodes(),
@@ -193,13 +207,46 @@ pub fn aggregate_gcn_block(graph: &Csr, degrees: &[usize], features: &Matrix) ->
         graph.num_nodes(),
         "one normalization degree per node"
     );
-    let d = features.cols();
-    let mut out = Matrix::zeros(graph.num_nodes(), d);
-    for v in 0..graph.num_nodes() as NodeId {
-        let dv = degrees[v as usize] as f32 + 1.0;
-        let row_out = out.row_mut(v as usize);
+    gcn_rows(graph, features, workers, |v| degrees[v as usize])
+}
+
+/// Runs `row(v, out_v)` for every node over row chunks of a zeroed
+/// `num_nodes x d` output on up to `workers` threads; a call's work is
+/// `(edges + rows) · d` multiply-adds.
+fn per_row(
+    graph: &Csr,
+    d: usize,
+    workers: usize,
+    row: impl Fn(NodeId, &mut [f32]) + Sync,
+) -> Matrix {
+    let n = graph.num_nodes();
+    let mut out = Matrix::zeros(n, d);
+    for_each_row_chunk(
+        &mut out,
+        workers,
+        (graph.num_edges() + n) * d,
+        |rows, chunk| {
+            for (i, v) in rows.enumerate() {
+                row(v as NodeId, &mut chunk[i * d..(i + 1) * d]);
+            }
+        },
+    );
+    out
+}
+
+/// GCN-normalized rows under the normalization degrees `degree(v)`: the
+/// per-row terms (`dv`, the self weight) are computed once per row, the
+/// neighbour weight `1 / sqrt(dv · du)` once per edge.
+fn gcn_rows(
+    graph: &Csr,
+    features: &Matrix,
+    workers: usize,
+    degree: impl Fn(NodeId) -> usize + Sync,
+) -> Matrix {
+    per_row(graph, features.cols(), workers, |v, row_out| {
+        let dv = degree(v) as f32 + 1.0;
         for &u in graph.neighbors(v) {
-            let du = degrees[u as usize] as f32 + 1.0;
+            let du = degree(u) as f32 + 1.0;
             let w = 1.0 / (dv * du).sqrt();
             for (o, &x) in row_out.iter_mut().zip(features.row(u as usize)) {
                 *o += w * x;
@@ -211,8 +258,7 @@ pub fn aggregate_gcn_block(graph: &Csr, degrees: &[usize], features: &Matrix) ->
         for (o, &x) in row_out.iter_mut().zip(features.row(v as usize)) {
             *o += w * x;
         }
-    }
-    out
+    })
 }
 
 #[inline]
@@ -234,6 +280,7 @@ mod tests {
     use gnnadvisor_graph::generators::barabasi_albert;
     use gnnadvisor_graph::GraphBuilder;
     use gnnadvisor_tensor::init::random_features;
+    use gnnadvisor_tensor::par::MIN_WORK_PER_WORKER;
 
     #[test]
     fn sum_on_path() {
@@ -242,7 +289,7 @@ mod tests {
             .build()
             .expect("valid");
         let f = Matrix::from_fn(3, 2, |r, _| r as f32 + 1.0);
-        let out = aggregate_reference(&g, &f, Aggregation::Sum);
+        let out = aggregate_reference(&g, &f, Aggregation::Sum, 1);
         assert_eq!(out.row(0), &[2.0, 2.0], "node 0 sums node 1");
         assert_eq!(out.row(1), &[4.0, 4.0], "node 1 sums nodes 0 and 2");
     }
@@ -254,7 +301,7 @@ mod tests {
             .build()
             .expect("valid");
         let f = Matrix::from_fn(3, 1, |r, _| r as f32);
-        let out = aggregate_reference(&g, &f, Aggregation::Mean);
+        let out = aggregate_reference(&g, &f, Aggregation::Mean, 1);
         assert_eq!(out.get(0, 0), 1.5, "(1 + 2) / 2");
         assert_eq!(out.get(1, 0), 0.0, "only neighbor is node 0 with value 0");
     }
@@ -266,7 +313,7 @@ mod tests {
             .build()
             .expect("valid");
         let f = Matrix::from_fn(2, 1, |r, _| (r + 1) as f32);
-        let out = aggregate_reference(&g, &f, Aggregation::GcnNorm);
+        let out = aggregate_reference(&g, &f, Aggregation::GcnNorm, 1);
         // deg+1 = 2 for both: neighbor weight 1/2, self weight 1/2.
         assert!((out.get(0, 0) - (0.5 * 2.0 + 0.5 * 1.0)).abs() < 1e-6);
     }
@@ -278,7 +325,7 @@ mod tests {
         for gs in [1, 3, 8, 64] {
             let groups = partition_groups(&g, gs).expect("valid");
             for op in [Aggregation::Sum, Aggregation::GcnNorm, Aggregation::Mean] {
-                let a = aggregate_reference(&g, &f, op);
+                let a = aggregate_reference(&g, &f, op, 1);
                 let b = aggregate_grouped(&g, &f, &groups, op);
                 assert!(
                     a.max_abs_diff(&b) < 1e-4,
@@ -293,8 +340,8 @@ mod tests {
         let g = barabasi_albert(120, 3, 21).expect("valid");
         let f = random_features(120, 8, 2);
         let degrees: Vec<usize> = (0..120u32).map(|v| g.degree(v)).collect();
-        let a = aggregate_reference(&g, &f, Aggregation::GcnNorm);
-        let b = aggregate_gcn_block(&g, &degrees, &f);
+        let a = aggregate_reference(&g, &f, Aggregation::GcnNorm, 1);
+        let b = aggregate_gcn_block(&g, &degrees, &f, 1);
         assert_eq!(a, b, "undirected full graph: block norm == GcnNorm");
     }
 
@@ -308,8 +355,8 @@ mod tests {
         let bt = block.transpose();
         let x = random_features(4, 3, 7);
         let y = random_features(4, 3, 8);
-        let ax = aggregate_gcn_block(&block, &degrees, &x);
-        let aty = aggregate_gcn_block(&bt, &degrees, &y);
+        let ax = aggregate_gcn_block(&block, &degrees, &x, 1);
+        let aty = aggregate_gcn_block(&bt, &degrees, &y, 1);
         let dot = |a: &Matrix, b: &Matrix| -> f64 {
             a.as_slice()
                 .iter()
@@ -322,8 +369,51 @@ mod tests {
             "adjoint identity violated"
         );
         // And the naive symmetric shortcut is genuinely wrong here.
-        let forward_again = aggregate_gcn_block(&block, &degrees, &y);
+        let forward_again = aggregate_gcn_block(&block, &degrees, &y, 1);
         assert!(forward_again != aty, "block is asymmetric, Â != Âᵀ");
+    }
+
+    #[test]
+    fn every_worker_count_is_bitwise_one_worker() {
+        // Big enough that five workers each get the per-worker minimum.
+        let g = barabasi_albert(3_000, 10, 31).expect("valid");
+        let d = 24;
+        assert!((g.num_edges() + g.num_nodes()) * d >= 5 * MIN_WORK_PER_WORKER);
+        // Exact zeros of both signs among values whose sums round
+        // differently in another order.
+        let f = Matrix::from_fn(g.num_nodes(), d, |r, c| match (r * 7 + c * 3) % 9 {
+            0 => 0.0,
+            1 => -0.0,
+            v => (v as f32 - 4.5) * 0.1 + ((r * 31 + c * 17) % 23) as f32 * 1e-3,
+        });
+        let weights: Vec<f32> = (0..g.num_edges())
+            .map(|e| match e % 7 {
+                0 => -0.0,
+                v => v as f32 * 0.13 - 0.4,
+            })
+            .collect();
+        // Block-style degrees that differ from the graph's own.
+        let degrees: Vec<usize> = (0..g.num_nodes() as NodeId)
+            .map(|v| g.degree(v) + v as usize % 3)
+            .collect();
+        let run = |workers: usize| -> Vec<Matrix> {
+            vec![
+                aggregate_reference(&g, &f, Aggregation::Sum, workers),
+                aggregate_reference(&g, &f, Aggregation::Mean, workers),
+                aggregate_reference(&g, &f, Aggregation::GcnNorm, workers),
+                aggregate_weighted(&g, &f, &weights, workers),
+                aggregate_gcn_block(&g, &degrees, &f, workers),
+            ]
+        };
+        let bits = |ms: &[Matrix]| -> Vec<Vec<u32>> {
+            ms.iter()
+                .map(|m| m.as_slice().iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        let serial = bits(&run(1));
+        for workers in 2..=5 {
+            assert_eq!(bits(&run(workers)), serial, "{workers} workers");
+        }
     }
 
     #[test]
@@ -333,9 +423,9 @@ mod tests {
             .build()
             .expect("valid");
         let f = Matrix::from_fn(3, 2, |_, _| 7.0);
-        let out = aggregate_reference(&g, &f, Aggregation::Sum);
+        let out = aggregate_reference(&g, &f, Aggregation::Sum, 1);
         assert_eq!(out.row(2), &[0.0, 0.0]);
-        let out = aggregate_reference(&g, &f, Aggregation::Mean);
+        let out = aggregate_reference(&g, &f, Aggregation::Mean, 1);
         assert_eq!(out.row(2), &[0.0, 0.0], "mean of no neighbors stays zero");
     }
 }

@@ -5,15 +5,18 @@
 //! over three streams and check that pricing every op up front and then
 //! placing it — in the same simulator, or as a clone in another one —
 //! commits a schedule bitwise equal to enqueueing each workload directly,
-//! with and without a fault plan on the engine.
+//! with and without a fault plan on the engine. A last test checks that
+//! a kernel alone on a single stream reports what a standalone
+//! `Engine::submit` does.
 
 use std::sync::Arc;
 
 use gnnadvisor_core::kernels::node_centric::NodeCentricKernel;
 use gnnadvisor_core::kernels::spmm_dgl::{SpmmKernel, StackingKernel};
+use gnnadvisor_gpu::engine::GEMM_BLOCK_RESOURCES;
 use gnnadvisor_gpu::{
-    Engine, Enqueued, FaultConfig, FaultPlan, GpuError, GpuSpec, OpClass, PricedOp, StreamReport,
-    StreamSim, Workload,
+    Engine, Enqueued, FaultConfig, FaultPlan, GpuError, GpuSpec, Kernel, OpClass, PricedOp,
+    StreamReport, StreamSim, Workload,
 };
 use gnnadvisor_graph::generators::{community_graph, CommunityParams};
 use gnnadvisor_graph::Csr;
@@ -207,4 +210,58 @@ fn placing_on_a_foreign_stream_is_a_typed_error() {
         Err(GpuError::UnknownStream { id: 0 })
     ));
     assert!(sim.enqueue_priced(s, op, 0).is_ok());
+}
+
+#[test]
+fn a_lone_kernel_on_one_stream_is_a_standalone_submit() {
+    // The other half of the stream model's contract: pricing on a
+    // stream is `Engine::submit`. Alone on a single stream, a kernel
+    // reports the standalone metrics in every field and spans the
+    // standalone time. The scheduler runs a launch as `waves` rounds of
+    // equal blocks, each `ceil(body / waves)` cycles, so a multi-wave
+    // launch spans its standalone time rounded up to whole rounds: up to
+    // `waves - 1` cycles more. A single-wave launch spans it exactly.
+    let g = graph();
+    let (spmm, node, stack) = (
+        SpmmKernel::new(&g, 16),
+        NodeCentricKernel::new(&g, 16, 256),
+        StackingKernel::new(g.num_nodes(), 16),
+    );
+    let gemm = |m, n, k| (Workload::Gemm { m, n, k }, GEMM_BLOCK_RESOURCES);
+    let list = [
+        (Workload::Kernel(&spmm), spmm.block_resources()),
+        (Workload::Kernel(&node), node.block_resources()),
+        (Workload::Kernel(&stack), stack.block_resources()),
+        gemm(1_200, 16, 96),
+        gemm(96, 16, 1_200),
+        gemm(100_000, 64, 96),
+    ];
+    let e = engine(false);
+    let spec = e.spec();
+    let mut multi_wave = 0;
+    for (workload, resources) in list {
+        let standalone = e.submit(&mut e.lock_context(), workload).expect("submits");
+        let mut sim = StreamSim::new(&e);
+        let s = sim.stream();
+        let enqueued = sim.try_enqueue_at(s, workload, 0).expect("enqueues");
+        let report = sim.run().expect("schedule runs");
+        assert_eq!(enqueued.metrics, standalone);
+        assert_eq!(format!("{:?}", enqueued.metrics), format!("{standalone:?}"));
+        let k = standalone.as_kernel().expect("a kernel");
+        let [span] = &report.spans[..] else {
+            panic!("one op, one span: {:?}", report.spans);
+        };
+        let capacity = spec.occupancy_limit(&resources).get() as u64 * spec.num_sms as u64;
+        let waves = k.num_blocks.max(1).div_ceil(capacity);
+        let body = k.elapsed_cycles - spec.kernel_launch_cycles;
+        let want = spec.kernel_launch_cycles + waves * body.div_ceil(waves);
+        assert_eq!(span.end_cycles - span.start_cycles, want, "{}", k.name);
+        assert!(want - k.elapsed_cycles < waves, "{}", k.name);
+        if waves == 1 {
+            assert_eq!(want, k.elapsed_cycles, "{}", k.name);
+        } else {
+            multi_wave += 1;
+        }
+    }
+    assert!(multi_wave > 0, "the list covers a multi-wave launch");
 }

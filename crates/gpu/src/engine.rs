@@ -38,7 +38,8 @@
 //! All mutable state lives in a recycled [`RunContext`], so steady-state
 //! launches allocate nothing on the hot path. The worker count comes from
 //! `GNNADVISOR_SIM_THREADS` (or [`EngineBuilder::sim_threads`]); `0` means
-//! one worker per available core.
+//! one worker per available core. [`Engine::host_workers`] resolves it,
+//! for the block loop and for the callers' row-parallel host numerics.
 //!
 //! # Submission API
 //!
@@ -50,7 +51,7 @@
 //! [`Engine::builder`] is the configuration surface.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::context::{plan_shards, RunContext, ShardSlot};
 use crate::fault::{FaultKind, FaultPlan, OpVerdict};
@@ -414,6 +415,19 @@ impl Engine {
     /// The configured simulation worker count (`0` = one per core).
     pub fn sim_threads(&self) -> usize {
         self.sim_threads
+    }
+
+    /// The host threads this engine's callers may use: [`Self::sim_threads`]
+    /// with `0` resolved to one per available core. The sharded block loop
+    /// and the row-parallel host numerics both read it, so
+    /// `GNNADVISOR_SIM_THREADS=1` keeps pricing and numerics on the calling
+    /// thread.
+    pub fn host_workers(&self) -> usize {
+        static CORES: OnceLock<usize> = OnceLock::new();
+        match self.sim_threads {
+            0 => *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+            n => n,
+        }
     }
 
     /// The device specification.
@@ -822,15 +836,7 @@ impl Engine {
 
     /// How many worker threads to spawn for `num_shards` shards.
     fn worker_count(&self, num_shards: usize) -> usize {
-        if num_shards <= 1 {
-            return 1;
-        }
-        let configured = if self.sim_threads > 0 {
-            self.sim_threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        };
-        configured.min(num_shards)
+        self.host_workers().min(num_shards.max(1))
     }
 
     /// Prices a dense `m x k · k x n` GEMM (the update-phase DGEMM/MLP) with
@@ -1100,14 +1106,22 @@ mod tests {
                 .sim_threads(),
             3
         );
-        assert_eq!(
-            Engine::builder(spec)
-                .sim_threads_auto()
+        let auto = Engine::builder(spec.clone())
+            .sim_threads_auto()
+            .build()
+            .unwrap();
+        assert_eq!(auto.sim_threads(), 0);
+        // Host workers resolve `0` to the core count and keep explicit
+        // counts; one worker is the serial path.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(auto.host_workers(), cores);
+        for threads in [1, 3] {
+            let e = Engine::builder(spec.clone())
+                .sim_threads(threads)
                 .build()
-                .unwrap()
-                .sim_threads(),
-            0
-        );
+                .unwrap();
+            assert_eq!(e.host_workers(), threads);
+        }
     }
 
     #[test]

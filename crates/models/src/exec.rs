@@ -1,13 +1,18 @@
 //! Model execution: real numbers plus simulated metrics.
 //!
 //! [`ModelExec`] wraps an execution strategy (a [`Framework`] and, for
-//! GNNAdvisor, a prepared [`Advisor`]) and exposes the two primitives every
+//! GNNAdvisor, a prepared [`Advisor`]) and exposes the primitives every
 //! model is built from:
 //!
 //! - [`ModelExec::aggregate`] — numerically aggregates neighbor features
-//!   *and* records the simulated aggregation-kernel metrics,
-//! - [`ModelExec::update_cost`] — records the simulated GEMM cost of a
-//!   dense update (the numerical GEMM itself is run by the model).
+//!   *and* records the simulated aggregation-kernel metrics
+//!   ([`ModelExec::aggregate_cost`] records only the metrics),
+//! - [`ModelExec::update`] — runs a [`Linear`] layer *and* records the
+//!   simulated GEMM cost of the dense update
+//!   ([`ModelExec::update_cost`] records only the cost).
+//!
+//! The numerics run row-parallel on the engine's
+//! [`Engine::host_workers`], bitwise equal at any worker count.
 //!
 //! When the advisor renumbers the graph, features flow in original node
 //! order; this module permutes them into execution order on entry and back
@@ -19,7 +24,7 @@ use gnnadvisor_core::runtime::Advisor;
 use gnnadvisor_core::Result;
 use gnnadvisor_gpu::{Engine, RunMetrics, Workload};
 use gnnadvisor_graph::Csr;
-use gnnadvisor_tensor::Matrix;
+use gnnadvisor_tensor::{Linear, Matrix};
 
 /// Output of a full model forward pass.
 #[derive(Debug, Clone)]
@@ -36,6 +41,8 @@ pub struct ModelExec<'a> {
     graph: &'a Csr,
     framework: Framework,
     advisor: Option<&'a Advisor>,
+    /// Host threads for the numerics.
+    workers: usize,
 }
 
 impl<'a> ModelExec<'a> {
@@ -52,7 +59,14 @@ impl<'a> ModelExec<'a> {
             graph,
             framework,
             advisor,
+            workers: engine.host_workers(),
         }
+    }
+
+    /// Host threads the numerics run on: the engine's
+    /// [`Engine::host_workers`].
+    pub fn host_workers(&self) -> usize {
+        self.workers
     }
 
     /// The execution framework.
@@ -87,8 +101,17 @@ impl<'a> ModelExec<'a> {
                 },
             ));
         }
-        let dim = features.cols();
-        // Simulated cost.
+        self.aggregate_cost(features.cols(), metrics)?;
+        // Real numbers. The advisor's renumbered graph computes the same
+        // multiset of sums; we use the original graph so outputs stay in
+        // original node order (the permutation-invariance of aggregation is
+        // covered by tests).
+        Ok(aggregate_reference(self.graph, features, op, self.workers))
+    }
+
+    /// Records the simulated kernel metrics of one aggregation at `dim`
+    /// into `metrics`, without computing it.
+    pub fn aggregate_cost(&self, dim: usize, metrics: &mut RunMetrics) -> Result<()> {
         let run = match (self.framework, self.advisor) {
             (Framework::GnnAdvisor, Some(adv)) => aggregate_with(
                 Framework::GnnAdvisor,
@@ -100,12 +123,14 @@ impl<'a> ModelExec<'a> {
             (fw, _) => aggregate_with(fw, self.engine, self.graph, dim, self.advisor)?,
         };
         metrics.merge(run);
+        Ok(())
+    }
 
-        // Real numbers. The advisor's renumbered graph computes the same
-        // multiset of sums; we use the original graph so outputs stay in
-        // original node order (the permutation-invariance of aggregation is
-        // covered by tests).
-        Ok(aggregate_reference(self.graph, features, op))
+    /// Applies `layer` to `x` and records the simulated cost of its GEMM
+    /// into `metrics`.
+    pub fn update(&self, layer: &Linear, x: &Matrix, metrics: &mut RunMetrics) -> Result<Matrix> {
+        self.update_cost(x.rows(), layer.in_dim(), layer.out_dim(), metrics);
+        Ok(layer.forward_par(x, self.workers)?)
     }
 
     /// Records the simulated cost of a dense `rows x in_dim -> out_dim`
@@ -157,7 +182,7 @@ mod tests {
             .expect("runs");
         assert_eq!(out.shape(), (200, 8));
         assert_eq!(metrics.kernels.len(), 2, "DGL = stacking + SpMM");
-        let reference = aggregate_reference(&g, &f, Aggregation::Sum);
+        let reference = aggregate_reference(&g, &f, Aggregation::Sum, 1);
         assert_eq!(out, reference);
     }
 

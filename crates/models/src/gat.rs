@@ -23,7 +23,7 @@ use gnnadvisor_gpu::{Engine, GpuSpec, RunMetrics, Workload};
 use gnnadvisor_graph::Csr;
 use gnnadvisor_tensor::init::xavier_uniform;
 use gnnadvisor_tensor::ops::relu_inplace;
-use gnnadvisor_tensor::{gemm, Matrix};
+use gnnadvisor_tensor::{gemm_par, Matrix};
 
 use crate::exec::{ForwardResult, ModelExec};
 
@@ -160,16 +160,15 @@ impl Gat {
         for (l, layer) in self.layers.iter().enumerate() {
             // Dense update.
             exec.update_cost(n, layer.weight.rows(), layer.weight.cols(), &mut metrics);
-            let z = gemm(&h, &layer.weight)?;
+            let z = gemm_par(&h, &layer.weight, exec.host_workers())?;
             // Attention coefficients: numerics + simulated passes.
             let weights = Self::attention_weights(graph, &z, layer);
             Self::attention_cost(&engine, graph, &mut metrics)?;
             // Weighted aggregation: same data movement as an unweighted
             // pass at this dimensionality (weights ride in registers),
             // priced by the strategy; numerics use the real alphas.
-            let _cost_proxy =
-                exec.aggregate(&z, gnnadvisor_core::compute::Aggregation::Sum, &mut metrics)?;
-            let mut out = aggregate_weighted(graph, &z, &weights);
+            exec.aggregate_cost(z.cols(), &mut metrics)?;
+            let mut out = aggregate_weighted(graph, &z, &weights, exec.host_workers());
             if l + 1 < self.layers.len() {
                 relu_inplace(&mut out);
             }
@@ -238,11 +237,12 @@ mod tests {
             a_dst: vec![0.0; 8],
         };
         let w = Gat::attention_weights(&g, &z, &layer);
-        let weighted = aggregate_weighted(&g, &z, &w);
+        let weighted = aggregate_weighted(&g, &z, &w, 1);
         let mean = gnnadvisor_core::compute::aggregate_reference(
             &g,
             &z,
             gnnadvisor_core::compute::Aggregation::Mean,
+            1,
         );
         assert!(weighted.max_abs_diff(&mean) < 1e-4);
     }

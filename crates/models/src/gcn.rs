@@ -72,7 +72,6 @@ impl Gcn {
     /// at the full input dimensionality.
     pub fn forward(&self, exec: &ModelExec<'_>, features: &Matrix) -> Result<ForwardResult> {
         let mut metrics = RunMetrics::default();
-        let n = features.rows();
         let reduce_first = exec.framework().reduces_before_aggregation();
         // Layer 0 reads the input in place; later layers own their input.
         let mut h: Option<Matrix> = None;
@@ -80,14 +79,12 @@ impl Gcn {
             let input = h.as_ref().unwrap_or(features);
             let mut agg = if reduce_first {
                 // Update first: dimension reduction before aggregation.
-                exec.update_cost(n, layer.in_dim(), layer.out_dim(), &mut metrics);
-                let reduced = layer.forward(input)?;
+                let reduced = exec.update(layer, input, &mut metrics)?;
                 exec.aggregate(&reduced, Aggregation::GcnNorm, &mut metrics)?
             } else {
                 // Aggregate at the full input dimensionality, then update.
                 let gathered = exec.aggregate(input, Aggregation::GcnNorm, &mut metrics)?;
-                exec.update_cost(n, layer.in_dim(), layer.out_dim(), &mut metrics);
-                layer.forward(&gathered)?
+                exec.update(layer, &gathered, &mut metrics)?
             };
             if l + 1 < self.layers.len() {
                 relu_inplace(&mut agg);

@@ -33,13 +33,15 @@
 //! Real numerics ride along: every batch is trained for real through
 //! [`GcnTrainer::train_block`] — `step_block`'s numerics (per-block
 //! normalization, transpose backward) without its charge — on the block
-//! transpose the op list also uses, so the report carries true losses
-//! next to the simulated timelines. Feature rows are gathered with one
+//! transpose the op list also uses, on the engine's
+//! [`Engine::host_workers`], so the report carries true losses next to
+//! the simulated timelines. Feature rows are gathered with one
 //! slice copy per row. Host time is priced by [`HostCostModel`] from the
 //! sampler's own counters (scanned edges, block edges, gathered bytes).
 //!
-//! Everything is deterministic: sampling is seeded, pricing is
-//! worker-count-invariant, and the stream scheduler is serial, so
+//! Everything is deterministic: sampling is seeded, pricing and the
+//! row-parallel numerics are worker-count-invariant, and the stream
+//! scheduler is serial, so
 //! [`MiniBatchReport::render`] is byte-identical at any
 //! `GNNADVISOR_SIM_THREADS`.
 
@@ -321,6 +323,7 @@ pub fn train_minibatch(
 
     let feat_dim = cfg.dims[0];
     let mut trainer = GcnTrainer::new(&cfg.dims, cfg.lr, cfg.seed);
+    let workers = engine.host_workers();
     let mut epochs = Vec::with_capacity(cfg.epochs);
     for epoch in 0..cfg.epochs {
         let blocks = sample_epoch(graph, &cfg.sample, epoch as u64)?;
@@ -346,7 +349,7 @@ pub fn train_minibatch(
                 .map(|&v| labels[v as usize])
                 .collect();
             let transposed = block.block.transpose();
-            let step = trainer.train_block(block, &transposed, &bf, &bl)?;
+            let step = trainer.train_block(block, &transposed, &bf, &bl, workers)?;
             loss += step.loss;
             accuracy += step.accuracy;
 

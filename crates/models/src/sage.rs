@@ -72,15 +72,13 @@ impl GraphSage {
     pub fn forward(&self, exec: &ModelExec<'_>, features: &Matrix) -> Result<ForwardResult> {
         let mut metrics = RunMetrics::default();
         let mut h = features.clone();
-        let n = h.rows();
         for (l, layer) in self.layers.iter().enumerate() {
             // Mean-aggregate neighbors at the current dimension.
             let neigh = exec.aggregate(&h, Aggregation::Mean, &mut metrics)?;
             // `?` propagates a shape mismatch as CoreError::Tensor instead
             // of aborting the serving process.
             let cat = hconcat(&h, &neigh).map_err(gnnadvisor_core::CoreError::from)?;
-            exec.update_cost(n, layer.in_dim(), layer.out_dim(), &mut metrics);
-            let mut out = layer.forward(&cat)?;
+            let mut out = exec.update(layer, &cat, &mut metrics)?;
             if l + 1 < self.layers.len() {
                 relu_inplace(&mut out);
             }

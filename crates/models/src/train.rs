@@ -33,7 +33,7 @@ use gnnadvisor_graph::sample::SampledBlock;
 use gnnadvisor_graph::Csr;
 use gnnadvisor_tensor::init::xavier_uniform;
 use gnnadvisor_tensor::ops::{relu_inplace, softmax_rows_inplace};
-use gnnadvisor_tensor::{gemm, gemm_nt, gemm_tn, Matrix};
+use gnnadvisor_tensor::{gemm_nt, gemm_par, gemm_tn, Matrix};
 
 use crate::exec::ModelExec;
 
@@ -171,7 +171,7 @@ impl GcnTrainer {
         metrics: &mut RunMetrics,
     ) -> Result<(Vec<Matrix>, Matrix)> {
         let n = features.rows();
-        self.forward_with(features, |l, z| {
+        self.forward_with(features, exec.host_workers(), |l, z| {
             let w = &self.weights[l];
             exec.update_cost(n, w.rows(), w.cols(), metrics);
             exec.aggregate(z, Aggregation::GcnNorm, metrics)
@@ -179,25 +179,30 @@ impl GcnTrainer {
     }
 
     /// The forward numerics shared by full-batch and block steps: per
-    /// layer `Z = H W`, then `aggregate(l, Z)`, then ReLU on hidden
-    /// layers. Layer 0 reads `features` in place. Returns the hidden
+    /// layer `Z = H W` on `workers` threads, then `aggregate(l, Z)`, then
+    /// ReLU on hidden layers. Layer 0 reads `features` in place. Returns the hidden
     /// layers' post-ReLU activations (a ReLU's input is `<= 0` exactly
     /// where its output is, so they also carry the backward mask) and the
     /// logits.
     fn forward_with(
         &self,
         features: &Matrix,
+        workers: usize,
         mut aggregate: impl FnMut(usize, &Matrix) -> Result<Matrix>,
     ) -> Result<(Vec<Matrix>, Matrix)> {
         let last = self.weights.len() - 1;
         let mut hidden: Vec<Matrix> = Vec::with_capacity(last);
         for l in 0..last {
-            let z = gemm(hidden.last().unwrap_or(features), &self.weights[l])?;
+            let z = gemm_par(hidden.last().unwrap_or(features), &self.weights[l], workers)?;
             let mut a = aggregate(l, &z)?;
             relu_inplace(&mut a);
             hidden.push(a);
         }
-        let z = gemm(hidden.last().unwrap_or(features), &self.weights[last])?;
+        let z = gemm_par(
+            hidden.last().unwrap_or(features),
+            &self.weights[last],
+            workers,
+        )?;
         let logits = aggregate(last, &z)?;
         Ok((hidden, logits))
     }
@@ -205,13 +210,14 @@ impl GcnTrainer {
     /// The backward numerics shared by full-batch and block steps: from
     /// `grad = dL/dlogits`, per layer (last first) mask through the ReLU,
     /// `dZ = aggregate_t(l, dA)`, `dW = H_inᵀ dZ` and `dH_in = dZ Wᵀ` —
-    /// both GEMMs read their operands in place. Returns the weight
-    /// gradients in layer order.
+    /// both GEMMs read their operands in place, on `workers` threads.
+    /// Returns the weight gradients in layer order.
     fn backward_with(
         &self,
         features: &Matrix,
         hidden: &[Matrix],
         grad: Matrix,
+        workers: usize,
         mut aggregate_t: impl FnMut(usize, &Matrix) -> Result<Matrix>,
     ) -> Result<Vec<Matrix>> {
         let layers = self.weights.len();
@@ -227,9 +233,9 @@ impl GcnTrainer {
             }
             let d_z = aggregate_t(l, &d_h)?;
             let h_in = if l == 0 { features } else { &hidden[l - 1] };
-            weight_grads.push(gemm_tn(h_in, &d_z)?);
+            weight_grads.push(gemm_tn(h_in, &d_z, workers)?);
             if l > 0 {
-                d_h = gemm_nt(&d_z, &self.weights[l])?;
+                d_h = gemm_nt(&d_z, &self.weights[l], workers)?;
             }
         }
         weight_grads.reverse();
@@ -280,7 +286,8 @@ impl GcnTrainer {
         // graph is undirected so A_hat is symmetric and the forward
         // kernel (and its simulated cost) is exactly the adjoint.
         // Sampled blocks are asymmetric — step_block handles those.
-        let weight_grads = self.backward_with(features, &hidden, grad, |l, d_h| {
+        let workers = exec.host_workers();
+        let weight_grads = self.backward_with(features, &hidden, grad, workers, |l, d_h| {
             let (rows, cols) = self.weights[l].shape();
             let d_z = exec.aggregate(d_h, Aggregation::GcnNorm, &mut metrics)?;
             // dW = H_in^T dZ and dH_in = dZ W^T (two GEMMs).
@@ -313,7 +320,8 @@ impl GcnTrainer {
     /// Simulated cost is charged per phase: one GEMM per update, one
     /// DGL-style aggregation per forward layer on the block and per
     /// backward layer on its transpose. The step charges, then runs the
-    /// numerics of [`GcnTrainer::train_block`].
+    /// numerics of [`GcnTrainer::train_block`] on the engine's
+    /// [`Engine::host_workers`].
     pub fn step_block(
         &mut self,
         engine: &Engine,
@@ -324,7 +332,7 @@ impl GcnTrainer {
         self.check_block(block, features, labels)?;
         let transposed = block.block.transpose();
         let metrics = self.charge_block(engine, block, &transposed)?;
-        let step = self.train_block(block, &transposed, features, labels)?;
+        let step = self.train_block(block, &transposed, features, labels, engine.host_workers())?;
         Ok(StepResult { metrics, ..step })
     }
 
@@ -333,12 +341,15 @@ impl GcnTrainer {
     /// `block.block.transpose()`; callers that price the block's device
     /// work themselves (the mini-batch pipeline) transpose once and pass
     /// it here. Features and activations are read in place, never copied.
+    /// The GEMMs and aggregations run row-parallel on `workers` threads,
+    /// bitwise equal at any count.
     pub fn train_block(
         &mut self,
         block: &SampledBlock,
         transposed: &Csr,
         features: &Matrix,
         labels: &[usize],
+        workers: usize,
     ) -> Result<StepResult> {
         self.check_block(block, features, labels)?;
         let g = &block.block;
@@ -354,13 +365,14 @@ impl GcnTrainer {
             });
         }
         let degrees = block.degrees();
-        let (hidden, logits) =
-            self.forward_with(features, |_, z| Ok(aggregate_gcn_block(g, &degrees, z)))?;
+        let (hidden, logits) = self.forward_with(features, workers, |_, z| {
+            Ok(aggregate_gcn_block(g, &degrees, z, workers))
+        })?;
         // Seed-masked softmax cross-entropy: gradient rows of non-seed
         // nodes stay zero.
         let (loss, accuracy, grad) = softmax_cross_entropy(logits, labels);
-        let weight_grads = self.backward_with(features, &hidden, grad, |_, d_h| {
-            Ok(aggregate_gcn_block(transposed, &degrees, d_h))
+        let weight_grads = self.backward_with(features, &hidden, grad, workers, |_, d_h| {
+            Ok(aggregate_gcn_block(transposed, &degrees, d_h, workers))
         })?;
         self.apply(&weight_grads);
         Ok(StepResult {
@@ -686,7 +698,7 @@ mod tests {
                 .step_block(&engine, &blk, &features, &labels)
                 .expect("step");
             let b = numerics
-                .train_block(&blk, &transposed, &features, &labels)
+                .train_block(&blk, &transposed, &features, &labels, 1)
                 .expect("step");
             assert_eq!(a.loss.to_bits(), b.loss.to_bits());
             assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
@@ -703,7 +715,7 @@ mod tests {
         let mut t = GcnTrainer::new(&[3, 3, 2], 0.1, 7);
         let wrong = Csr::from_raw(4, vec![0, 1, 1, 1, 1], vec![2]).expect("valid");
         let err = t
-            .train_block(&blk, &wrong, &features, &[0, 1])
+            .train_block(&blk, &wrong, &features, &[0, 1], 1)
             .expect_err("transpose must match the block");
         assert!(matches!(err, CoreError::InvalidParams { .. }), "{err:?}");
     }

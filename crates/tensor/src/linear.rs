@@ -1,6 +1,6 @@
 //! Fully connected layer (`y = x · W + b`).
 
-use crate::gemm::gemm;
+use crate::gemm::gemm_par;
 use crate::init::xavier_uniform;
 use crate::matrix::Matrix;
 use crate::ops::add_bias_inplace;
@@ -47,9 +47,15 @@ impl Linear {
         &self.weight
     }
 
-    /// Applies the layer to a batch of rows.
+    /// Applies the layer to a batch of rows on the calling thread.
     pub fn forward(&self, x: &Matrix) -> Result<Matrix> {
-        let mut y = gemm(x, &self.weight)?;
+        self.forward_par(x, 1)
+    }
+
+    /// [`Linear::forward`] with its GEMM over row chunks on up to
+    /// `workers` threads; bitwise equal at any worker count.
+    pub fn forward_par(&self, x: &Matrix, workers: usize) -> Result<Matrix> {
+        let mut y = gemm_par(x, &self.weight, workers)?;
         add_bias_inplace(&mut y, &self.bias);
         Ok(y)
     }

@@ -53,12 +53,18 @@ impl Mlp {
             .out_dim()
     }
 
-    /// Forward pass with ReLU between layers.
+    /// Forward pass with ReLU between layers, on the calling thread.
     pub fn forward(&self, x: &Matrix) -> Result<Matrix> {
-        let mut h = self.layers[0].forward(x)?;
+        self.forward_par(x, 1)
+    }
+
+    /// [`Mlp::forward`] with every GEMM over row chunks on up to `workers`
+    /// threads; bitwise equal at any worker count.
+    pub fn forward_par(&self, x: &Matrix, workers: usize) -> Result<Matrix> {
+        let mut h = self.layers[0].forward_par(x, workers)?;
         for layer in &self.layers[1..] {
             relu_inplace(&mut h);
-            h = layer.forward(&h)?;
+            h = layer.forward_par(&h, workers)?;
         }
         Ok(h)
     }

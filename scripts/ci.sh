@@ -106,6 +106,17 @@ minibatch_layer() {
 }
 check_stable train-minibatch-layer minibatch_layer "strategy layer (budget 64)" "total: pipelined"
 
+echo "==> train-minibatch row-parallel smoke: wide blocks stable across runs and worker counts"
+# Blocks of ~9k nodes at hidden 64: the block GEMMs and most aggregations
+# are several times tensor::par::MIN_WORK_PER_WORKER, so the losses on
+# stdout come from the row-parallel numerics at 4 workers and from the
+# serial path at 1.
+minibatch_wide() {
+  cargo run --offline -q --release --bin gnnadvisor -- \
+    train-minibatch --scale 0.5 --batch-size 1024 --epochs 1 --fanout 10,5 --hidden 64 > "$1"
+}
+check_stable train-minibatch-wide minibatch_wide "dims \[96, 64, 10\]" "final: loss"
+
 echo "==> analyze smoke: renumbering report stable across runs and worker counts"
 analyze() {
   gnnadvisor analyze --dataset artist --scale 0.1 > "$1"

@@ -107,7 +107,7 @@ proptest! {
         let features = random_features(graph.num_nodes(), dim, 99);
         let groups = partition_groups(&graph, gs).expect("gs > 0");
         for op in [Aggregation::Sum, Aggregation::GcnNorm, Aggregation::Mean] {
-            let reference = aggregate_reference(&graph, &features, op);
+            let reference = aggregate_reference(&graph, &features, op, 1);
             let grouped = aggregate_grouped(&graph, &features, &groups, op);
             prop_assert!(reference.max_abs_diff(&grouped) < 1e-4);
         }
@@ -124,8 +124,8 @@ proptest! {
         let pfeat_vec = r.permutation.permute_rows(features.as_slice(), dim);
         let pfeat = gnnadvisor_repro::tensor::Matrix::from_vec(40, dim, pfeat_vec).expect("shape");
 
-        let direct = aggregate_reference(&graph, &features, Aggregation::Sum);
-        let permuted = aggregate_reference(&pgraph, &pfeat, Aggregation::Sum);
+        let direct = aggregate_reference(&graph, &features, Aggregation::Sum, 1);
+        let permuted = aggregate_reference(&pgraph, &pfeat, Aggregation::Sum, 1);
         // Map direct output through the permutation and compare.
         let mapped_vec = r.permutation.permute_rows(direct.as_slice(), dim);
         let mapped = gnnadvisor_repro::tensor::Matrix::from_vec(40, dim, mapped_vec).expect("shape");
