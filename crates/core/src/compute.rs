@@ -160,8 +160,9 @@ pub fn aggregate_weighted(
     per_row(graph, features.cols(), workers, |v, row_out| {
         let v = v as usize;
         for e in row_ptr[v]..row_ptr[v + 1] {
+            let u = col_idx[e] as usize;
             let w = weights[e];
-            for (o, &x) in row_out.iter_mut().zip(features.row(col_idx[e] as usize)) {
+            for (o, &x) in row_out.iter_mut().zip(features.row(u)) {
                 *o += w * x;
             }
         }

@@ -130,7 +130,7 @@ impl<'a> ModelExec<'a> {
     /// into `metrics`.
     pub fn update(&self, layer: &Linear, x: &Matrix, metrics: &mut RunMetrics) -> Result<Matrix> {
         self.update_cost(x.rows(), layer.in_dim(), layer.out_dim(), metrics);
-        Ok(layer.forward_par(x, self.workers)?)
+        Ok(layer.forward(x, self.workers)?)
     }
 
     /// Records the simulated cost of a dense `rows x in_dim -> out_dim`
@@ -226,5 +226,12 @@ mod tests {
         exec.update_cost(100, 64, 16, &mut metrics);
         assert_eq!(metrics.kernels.len(), 1);
         assert!(metrics.compute_ms > 0.0);
+        // `update` charges the same GEMM and applies the layer.
+        let layer = Linear::new(64, 16, 3);
+        let x = random_features(100, 64, 4);
+        let y = exec.update(&layer, &x, &mut metrics).expect("runs");
+        assert_eq!(y, layer.forward(&x, 1).expect("runs"));
+        assert_eq!(metrics.kernels.len(), 2);
+        assert_eq!(metrics.kernels[0], metrics.kernels[1]);
     }
 }

@@ -91,7 +91,7 @@ impl Gin {
                 mlp.out_dim(),
                 &mut metrics,
             );
-            let mut out = mlp.forward_par(&agg, exec.host_workers())?;
+            let mut out = mlp.forward(&agg, exec.host_workers())?;
             if l + 1 < self.mlps.len() {
                 relu_inplace(&mut out);
             }

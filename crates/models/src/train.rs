@@ -180,10 +180,10 @@ impl GcnTrainer {
 
     /// The forward numerics shared by full-batch and block steps: per
     /// layer `Z = H W` on `workers` threads, then `aggregate(l, Z)`, then
-    /// ReLU on hidden layers. Layer 0 reads `features` in place. Returns the hidden
-    /// layers' post-ReLU activations (a ReLU's input is `<= 0` exactly
-    /// where its output is, so they also carry the backward mask) and the
-    /// logits.
+    /// ReLU on hidden layers. Layer 0 reads `features` in place. Returns
+    /// the hidden layers' post-ReLU activations (a ReLU's input is `<= 0`
+    /// exactly where its output is, so they also carry the backward mask)
+    /// and the logits.
     fn forward_with(
         &self,
         features: &Matrix,

@@ -47,7 +47,7 @@ pub fn gemm_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<()> {
 }
 
 /// [`gemm_into`] over row chunks on up to `workers` threads.
-pub fn gemm_into_par(a: &Matrix, b: &Matrix, out: &mut Matrix, workers: usize) -> Result<()> {
+fn gemm_into_par(a: &Matrix, b: &Matrix, out: &mut Matrix, workers: usize) -> Result<()> {
     let (m, ka) = a.shape();
     let (kb, n) = b.shape();
     if ka != kb || out.shape() != (m, n) {

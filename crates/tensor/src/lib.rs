@@ -16,8 +16,8 @@
 //! The numbers are computed row-parallel: [`par::for_each_row_chunk`]
 //! splits an output into contiguous chunks of whole rows over a caller's
 //! worker count ([`gemm_par`], [`gemm_tn`], [`gemm_nt`],
-//! [`Linear::forward_par`], [`Mlp::forward_par`], and the host
-//! aggregations of `gnnadvisor-core`). Each row keeps its serial
+//! [`Linear::forward`], [`Mlp::forward`], and the host aggregations of
+//! `gnnadvisor-core`). Each row keeps its serial
 //! accumulation order, so results are bitwise equal at any worker count;
 //! calls below [`par::MIN_WORK_PER_WORKER`] per worker stay on the
 //! calling thread. [`gemm()`] and [`gemm_into`] are the one-worker calls.
@@ -30,7 +30,7 @@ pub mod mlp;
 pub mod ops;
 pub mod par;
 
-pub use gemm::{gemm, gemm_into, gemm_into_par, gemm_nt, gemm_par, gemm_tn};
+pub use gemm::{gemm, gemm_into, gemm_nt, gemm_par, gemm_tn};
 pub use linear::Linear;
 pub use matrix::Matrix;
 pub use mlp::Mlp;

@@ -47,14 +47,9 @@ impl Linear {
         &self.weight
     }
 
-    /// Applies the layer to a batch of rows on the calling thread.
-    pub fn forward(&self, x: &Matrix) -> Result<Matrix> {
-        self.forward_par(x, 1)
-    }
-
-    /// [`Linear::forward`] with its GEMM over row chunks on up to
-    /// `workers` threads; bitwise equal at any worker count.
-    pub fn forward_par(&self, x: &Matrix, workers: usize) -> Result<Matrix> {
+    /// Applies the layer to a batch of rows, its GEMM over row chunks on
+    /// up to `workers` threads; bitwise equal at any worker count.
+    pub fn forward(&self, x: &Matrix, workers: usize) -> Result<Matrix> {
         let mut y = gemm_par(x, &self.weight, workers)?;
         add_bias_inplace(&mut y, &self.bias);
         Ok(y)
@@ -76,7 +71,7 @@ mod tests {
         let w = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 2.0]).unwrap();
         let layer = Linear::from_parts(w, vec![1.0, -1.0]);
         let x = Matrix::from_vec(1, 2, vec![3.0, 4.0]).unwrap();
-        let y = layer.forward(&x).unwrap();
+        let y = layer.forward(&x, 1).unwrap();
         assert_eq!(y.as_slice(), &[4.0, 7.0]);
     }
 
@@ -84,7 +79,7 @@ mod tests {
     fn shape_mismatch_is_error() {
         let layer = Linear::new(3, 2, 0);
         let x = Matrix::zeros(4, 5);
-        assert!(layer.forward(&x).is_err());
+        assert!(layer.forward(&x, 1).is_err());
     }
 
     #[test]

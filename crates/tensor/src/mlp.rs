@@ -53,18 +53,13 @@ impl Mlp {
             .out_dim()
     }
 
-    /// Forward pass with ReLU between layers, on the calling thread.
-    pub fn forward(&self, x: &Matrix) -> Result<Matrix> {
-        self.forward_par(x, 1)
-    }
-
-    /// [`Mlp::forward`] with every GEMM over row chunks on up to `workers`
-    /// threads; bitwise equal at any worker count.
-    pub fn forward_par(&self, x: &Matrix, workers: usize) -> Result<Matrix> {
-        let mut h = self.layers[0].forward_par(x, workers)?;
+    /// Forward pass with ReLU between layers, every GEMM over row chunks
+    /// on up to `workers` threads; bitwise equal at any worker count.
+    pub fn forward(&self, x: &Matrix, workers: usize) -> Result<Matrix> {
+        let mut h = self.layers[0].forward(x, workers)?;
         for layer in &self.layers[1..] {
             relu_inplace(&mut h);
-            h = layer.forward_par(&h, workers)?;
+            h = layer.forward(&h, workers)?;
         }
         Ok(h)
     }
@@ -91,7 +86,7 @@ mod tests {
     fn forward_shape() {
         let mlp = Mlp::new(&[3, 5, 2], 1);
         let x = Matrix::zeros(7, 3);
-        let y = mlp.forward(&x).unwrap();
+        let y = mlp.forward(&x, 1).unwrap();
         assert_eq!(y.shape(), (7, 2));
     }
 
@@ -112,6 +107,6 @@ mod tests {
         let a = Mlp::new(&[4, 4], 9);
         let b = Mlp::new(&[4, 4], 9);
         let x = Matrix::from_fn(2, 4, |r, c| (r + c) as f32);
-        assert_eq!(a.forward(&x).unwrap(), b.forward(&x).unwrap());
+        assert_eq!(a.forward(&x, 1).unwrap(), b.forward(&x, 1).unwrap());
     }
 }
