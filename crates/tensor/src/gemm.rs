@@ -358,6 +358,159 @@ mod tests {
         });
     }
 
+    /// The contract every kernel keeps, as the plain triple loop: each
+    /// element starts from its value in `out` and adds `a(i,k) · b(k,j)`
+    /// for ascending `k`, a separate multiply and add, skipping exactly
+    /// the terms where `a(i,k) == 0.0`.
+    fn gemm_reference(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+        for i in 0..a.rows() {
+            for j in 0..b.cols() {
+                let mut acc = out.get(i, j);
+                for kk in 0..a.cols() {
+                    let aik = a.get(i, kk);
+                    if aik == 0.0 {
+                        continue;
+                    }
+                    acc += aik * b.get(kk, j);
+                }
+                out.set(i, j, acc);
+            }
+        }
+    }
+
+    /// Bits with every NaN mapped to one pattern: Rust leaves the payload
+    /// and sign of a NaN produced by arithmetic unspecified, so two
+    /// correct evaluations of the same sum may differ only there.
+    fn exact_bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice()
+            .iter()
+            .map(|v| {
+                if v.is_nan() {
+                    f32::NAN.to_bits()
+                } else {
+                    v.to_bits()
+                }
+            })
+            .collect()
+    }
+
+    /// Checks `gemm`, `gemm_into` onto `start`, `gemm_tn` and `gemm_nt`
+    /// against [`gemm_reference`] bit for bit at 1..=5 workers, with no
+    /// per-worker minimum so every shape splits.
+    fn assert_exact(a: &Matrix, b: &Matrix, start: &Matrix) {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let mut from_zero = Matrix::zeros(m, n);
+        gemm_reference(a, b, &mut from_zero);
+        let mut from_start = start.clone();
+        gemm_reference(a, b, &mut from_start);
+        let (want_zero, want_start) = (exact_bits(&from_zero), exact_bits(&from_start));
+        let (at, bt) = (a.transpose(), b.transpose());
+        with_min_work(0, || {
+            for workers in 1..=5 {
+                let at_shape = format!("{m}x{k}x{n} at {workers} workers");
+                let got = gemm_par(a, b, workers).unwrap();
+                assert_eq!(exact_bits(&got), want_zero, "gemm {at_shape}");
+                let mut into = start.clone();
+                gemm_into_par(a, b, &mut into, workers).unwrap();
+                assert_eq!(exact_bits(&into), want_start, "gemm_into {at_shape}");
+                let got = gemm_tn(&at, b, workers).unwrap();
+                assert_eq!(exact_bits(&got), want_zero, "gemm_tn {at_shape}");
+                let got = gemm_nt(a, &bt, workers).unwrap();
+                assert_eq!(exact_bits(&got), want_zero, "gemm_nt {at_shape}");
+            }
+            let mut into = start.clone();
+            gemm_into(a, b, &mut into).unwrap();
+            assert_eq!(exact_bits(&into), want_start, "gemm_into {m}x{k}x{n}");
+            assert_eq!(
+                exact_bits(&gemm(a, b).unwrap()),
+                want_zero,
+                "gemm {m}x{k}x{n}"
+            );
+        });
+    }
+
+    /// A deterministic operand: about a third exact zeros (half of them
+    /// `-0.0`), the rest spread over a few magnitudes so that sums round
+    /// differently in another order.
+    fn mixed_operand(rows: usize, cols: usize, salt: u64) -> Matrix {
+        Matrix::from_fn(rows, cols, |r, c| {
+            let mut h = (r as u64 * 0x9E37_79B9 + c as u64 * 0x85EB_CA6B + salt)
+                .wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+            h ^= h >> 29;
+            match h % 6 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => ((h >> 8) % 2001) as f32 / 1000.0 - 1.0 + ((h >> 20) % 7) as f32 * 1e-4,
+            }
+        })
+    }
+
+    /// Output widths on both sides of 16 (the trainers' 10- and 12-wide
+    /// class tails among them), depths on both sides of 256, and odd row
+    /// counts from 1 to 37.
+    const EXACT_WIDTHS: [usize; 8] = [1, 10, 12, 15, 16, 17, 33, 64];
+    const EXACT_DEPTHS: [usize; 6] = [1, 7, 255, 256, 257, 600];
+    const EXACT_ROWS: [usize; 5] = [1, 3, 5, 9, 37];
+
+    #[test]
+    fn every_kernel_keeps_the_exact_contract() {
+        for &m in &EXACT_ROWS {
+            for &k in &EXACT_DEPTHS {
+                for &n in &EXACT_WIDTHS {
+                    let salt = (m * 1000 + k * 10 + n) as u64;
+                    let mut a = mixed_operand(m, k, salt);
+                    let mut b = mixed_operand(k, n, salt + 1);
+                    // Infinities and NaNs, some of them behind zero `a`
+                    // entries (skipped, so no NaN) and some not. Narrow
+                    // shapes keep finite rows and columns to compare.
+                    if n >= 3 {
+                        b.set(k / 2, 0, f32::NEG_INFINITY);
+                        b.set(k - 1, n - 1, f32::NAN);
+                        b.set(0, n / 2, f32::INFINITY);
+                        for i in (0..m).step_by(2) {
+                            a.set(i, k / 2, if i % 4 == 0 { 0.0 } else { -0.0 });
+                        }
+                    }
+                    if m >= 3 {
+                        a.set(m - 1, 0, f32::INFINITY);
+                        a.set(m / 2, k - 1, f32::NAN);
+                    }
+                    let mut start = mixed_operand(m, n, salt + 2);
+                    start.set(0, 0, -0.0);
+                    assert_exact(&a, &b, &start);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Random shapes and operands drawn from a small value set with
+        /// signed zeros, repeated magnitudes and an occasional infinity.
+        #[test]
+        fn random_products_keep_the_exact_contract(
+            m in 1usize..24,
+            k in 1usize..300,
+            n in 1usize..40,
+            salt in 0u64..1_000_000,
+        ) {
+            const VALUES: [f32; 12] =
+                [0.0, -0.0, 0.0, 1.0, -1.0, 0.5, 3.25, -7.125, 1e-3, 1e7, -2.5e-4, f32::INFINITY];
+            let pick = |r: usize, c: usize, s: u64| {
+                let h = (r as u64 * 7919 + c as u64 * 104_729 + s)
+                    .wrapping_mul(0x2545_F491_4F6C_DD1D);
+                let i = (h >> 33) as usize % (VALUES.len() * 64);
+                // Infinities stay rare: one index in 64 rounds of the set.
+                if i == VALUES.len() - 1 { f32::INFINITY } else { VALUES[i % (VALUES.len() - 1)] }
+            };
+            let a = Matrix::from_fn(m, k, |r, c| pick(r, c, salt));
+            let b = Matrix::from_fn(k, n, |r, c| pick(r, c, salt ^ 0x5555));
+            let start = Matrix::from_fn(m, n, |r, c| pick(r, c, salt ^ 0xAAAA));
+            assert_exact(&a, &b, &start);
+        }
+    }
+
     #[test]
     fn identity_is_neutral() {
         let a = Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as f32);
