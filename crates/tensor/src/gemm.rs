@@ -1,21 +1,51 @@
-//! Blocked single-precision matrix multiply, row-parallel.
+//! Register-tiled single-precision matrix multiply, row-parallel.
 //!
 //! The update phase of every GNN layer is one or more GEMMs (`X · W`),
-//! and the backward pass adds `Xᵀ · dZ` and `dZ · Wᵀ`. Each kernel uses a
-//! cache-friendly loop order with row blocking, allocation-free in the
-//! inner loops, and runs over contiguous row chunks of its output on
-//! `workers` threads through [`crate::par::for_each_row_chunk`]. Every
-//! output element accumulates its `k` products in ascending `k` order and
-//! skips zero entries of `a`, whatever chunk it lands in, so the result is
-//! bitwise equal at any worker count. [`gemm`] and [`gemm_into`] are the
-//! one-worker calls.
+//! and the backward pass adds `Xᵀ · dZ` and `dZ · Wᵀ`. All three run
+//! through one micro-kernel:
+//!
+//! - The right operand (`b`, or `bᵀ` for [`gemm_nt`]) is packed once per
+//!   call into zero-padded `k × PANEL` column panels, shared read-only by
+//!   the row-chunk workers of [`crate::par::for_each_row_chunk`].
+//! - The kernel keeps a `TILE_ROWS × PANEL` tile of the output in
+//!   registers across a k-block of up to `K_BLOCK` products. It reads the
+//!   left operand in place: `TILE_ROWS` rows for [`gemm`] and
+//!   [`gemm_nt`], `TILE_ROWS` adjacent columns per `k` for [`gemm_tn`].
+//!   Between k-blocks the tile goes back to the output and is reloaded
+//!   unchanged, so the blocks only bound the working set.
+//! - A tile whose block of the left operand holds no zero adds every
+//!   product. A tile whose block holds a zero masks those terms to `-0.0`
+//!   instead of branching on them: on ReLU'd operands such a branch
+//!   mispredicts about half the time.
+//!
+//! Every output element starts from its value in the output, adds
+//! `a(i,k) · b(k,j)` for ascending `k` with a separate multiply and add,
+//! and skips exactly the terms where `a(i,k) == 0.0` (adding `-0.0`
+//! leaves every value unchanged bit for bit, so a masked term is a
+//! skipped one). That is the plain triple loop's order whatever tile,
+//! panel, k-block or row chunk the element lands in, so the result is
+//! bitwise equal to it at any worker count. [`gemm`] and [`gemm_into`]
+//! are the one-worker calls.
+
+use std::ops::Range;
 
 use crate::matrix::Matrix;
 use crate::par::for_each_row_chunk;
 use crate::{Result, TensorError};
 
-/// Row/column block edge for the tiled loops.
-const BLOCK: usize = 64;
+/// Columns of a packed panel of the right operand, and of an output tile.
+const PANEL: usize = 16;
+
+/// Output rows of a register tile.
+const TILE_ROWS: usize = 2;
+
+/// Products an output tile accumulates in registers before it goes back
+/// to the output.
+const K_BLOCK: usize = 256;
+
+/// Bits of `-0.0`, the one value that leaves every `f32` unchanged, bit
+/// for bit, when added to it.
+const NEG_ZERO: u32 = 0x8000_0000;
 
 /// Computes `a · b` on the calling thread, allocating the output.
 ///
@@ -55,32 +85,14 @@ fn gemm_into_par(a: &Matrix, b: &Matrix, out: &mut Matrix, workers: usize) -> Re
             context: format!("gemm {m}x{ka} . {kb}x{n} -> {:?}", out.shape()),
         });
     }
-    let k = ka;
     let b_data = b.as_slice();
-    for_each_row_chunk(out, workers, m * k * n, |rows, out_data| {
-        let a_data = &a.as_slice()[rows.start * k..rows.end * k];
-        let m = rows.len();
-        for i0 in (0..m).step_by(BLOCK) {
-            let i1 = (i0 + BLOCK).min(m);
-            for k0 in (0..k).step_by(BLOCK) {
-                let k1 = (k0 + BLOCK).min(k);
-                for i in i0..i1 {
-                    let a_row = &a_data[i * k..(i + 1) * k];
-                    let out_row = &mut out_data[i * n..(i + 1) * n];
-                    for kk in k0..k1 {
-                        let aik = a_row[kk];
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let b_row = &b_data[kk * n..(kk + 1) * n];
-                        for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                            *o += aik * bv;
-                        }
-                    }
-                }
-            }
-        }
-    });
+    let panels = Panels::pack(ka, n, |kk, j| b_data[kk * n + j]);
+    let left = Left {
+        data: a.as_slice(),
+        row_stride: ka,
+        k_stride: 1,
+    };
+    multiply(left, &panels, out, workers);
     Ok(())
 }
 
@@ -109,29 +121,15 @@ pub fn gemm_tn(a: &Matrix, b: &Matrix, workers: usize) -> Result<Matrix> {
             context: format!("gemm_tn ({ka}x{m})ᵀ . {kb}x{n}"),
         });
     }
-    let mut out = Matrix::zeros(m, n);
-    let a_data = a.as_slice();
     let b_data = b.as_slice();
-    for_each_row_chunk(&mut out, workers, m * ka * n, |rows, out_data| {
-        // Row blocks of the output stay cache-resident while `k` streams
-        // through `a` and `b` row by row, in ascending order.
-        for i0 in rows.clone().step_by(BLOCK) {
-            let i1 = (i0 + BLOCK).min(rows.end);
-            for kk in 0..ka {
-                let a_row = &a_data[kk * m + i0..kk * m + i1];
-                let b_row = &b_data[kk * n..(kk + 1) * n];
-                for (i, &aki) in (i0 - rows.start..).zip(a_row) {
-                    if aki == 0.0 {
-                        continue;
-                    }
-                    let out_row = &mut out_data[i * n..(i + 1) * n];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += aki * bv;
-                    }
-                }
-            }
-        }
-    });
+    let panels = Panels::pack(ka, n, |kk, j| b_data[kk * n + j]);
+    let left = Left {
+        data: a.as_slice(),
+        row_stride: 1,
+        k_stride: m,
+    };
+    let mut out = Matrix::zeros(m, n);
+    multiply(left, &panels, &mut out, workers);
     Ok(out)
 }
 
@@ -160,26 +158,208 @@ pub fn gemm_nt(a: &Matrix, b: &Matrix, workers: usize) -> Result<Matrix> {
             context: format!("gemm_nt {m}x{ka} . ({n}x{kb})ᵀ"),
         });
     }
-    let k = ka;
-    let mut out = Matrix::zeros(m, n);
     let b_data = b.as_slice();
-    for_each_row_chunk(&mut out, workers, m * k * n, |rows, out_data| {
-        let a_data = &a.as_slice()[rows.start * k..rows.end * k];
-        for i in 0..rows.len() {
-            let a_row = &a_data[i * k..(i + 1) * k];
-            let out_row = &mut out_data[i * n..(i + 1) * n];
-            for (kk, &aik) in a_row.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                // Column `kk` of `b` is row `kk` of `bᵀ`: stride `k`.
-                for (o, &bv) in out_row.iter_mut().zip(b_data[kk..].iter().step_by(k)) {
-                    *o += aik * bv;
-                }
+    let panels = Panels::pack(ka, n, |kk, j| b_data[j * ka + kk]);
+    let left = Left {
+        data: a.as_slice(),
+        row_stride: ka,
+        k_stride: 1,
+    };
+    let mut out = Matrix::zeros(m, n);
+    multiply(left, &panels, &mut out, workers);
+    Ok(out)
+}
+
+/// The right operand as zero-padded `k × PANEL` column panels: row `kk`
+/// of panel `p` holds `b(kk, p·PANEL ..)`, at `rows[p·k + kk]`.
+struct Panels {
+    rows: Vec<[f32; PANEL]>,
+    k: usize,
+    n: usize,
+}
+
+impl Panels {
+    /// Packs the `k x n` right operand whose element `(kk, j)` is `b(kk, j)`.
+    fn pack(k: usize, n: usize, b: impl Fn(usize, usize) -> f32) -> Self {
+        let mut rows = vec![[0.0; PANEL]; k * n.div_ceil(PANEL)];
+        for (i, row) in rows.iter_mut().enumerate() {
+            let (col, kk) = (i / k * PANEL, i % k);
+            for (jj, v) in row.iter_mut().take(n - col).enumerate() {
+                *v = b(kk, col + jj);
+            }
+        }
+        Self { rows, k, n }
+    }
+
+    /// Rows `ks` of the panel that starts at output column `col`.
+    fn block(&self, col: usize, ks: Range<usize>) -> &[[f32; PANEL]] {
+        let base = col / PANEL * self.k;
+        &self.rows[base + ks.start..base + ks.end]
+    }
+}
+
+/// The left operand in place: `a(i, kk)` is `data[i·row_stride + kk·k_stride]`,
+/// where one of the strides is 1.
+#[derive(Clone, Copy)]
+struct Left<'a> {
+    data: &'a [f32],
+    row_stride: usize,
+    k_stride: usize,
+}
+
+impl Left<'_> {
+    /// `a(i, kk)`.
+    #[inline(always)]
+    fn at(&self, i: usize, kk: usize) -> f32 {
+        self.data[i * self.row_stride + kk * self.k_stride]
+    }
+
+    /// Whether any `a(i, kk)` with `i` in `rows` and `kk` in `ks` is
+    /// zero, scanning contiguous runs.
+    fn has_zero(&self, rows: Range<usize>, ks: Range<usize>) -> bool {
+        let any_zero = |run: &[f32]| run.iter().fold(false, |z, &v| z | (v == 0.0));
+        if self.k_stride == 1 {
+            rows.map(|i| i * self.row_stride)
+                .any(|at| any_zero(&self.data[at + ks.start..at + ks.end]))
+        } else {
+            ks.map(|kk| kk * self.k_stride)
+                .any(|at| any_zero(&self.data[at + rows.start..at + rows.end]))
+        }
+    }
+}
+
+/// A tile's k-block of the left operand prepared for skipping zero
+/// entries without a branch: `lhs[r][t]` is `a(i + r, k0 + t)` with zeros
+/// replaced by `-0.0`, and `keep[r][t]` is all ones where that entry is
+/// not zero and `0` where it is. Then `lhs · (b & keep)` is `a · b` bit
+/// for bit for a kept term, and `-0.0`, which adds nothing bit for bit,
+/// for a skipped one, whatever `b` is. Staging the masks in memory keeps
+/// the compiler from turning them back into a branch per entry.
+struct Masked {
+    lhs: [[f32; K_BLOCK]; TILE_ROWS],
+    keep: [[u32; K_BLOCK]; TILE_ROWS],
+}
+
+impl Masked {
+    /// Fills rows `0..R` from the left operand's rows `i..i + R` over `ks`.
+    fn fill<const R: usize>(&mut self, left: Left<'_>, i: usize, ks: Range<usize>) {
+        for (r, (lhs, keep)) in self.lhs.iter_mut().zip(&mut self.keep).take(R).enumerate() {
+            for ((kk, l), m) in ks.clone().zip(lhs.iter_mut()).zip(keep.iter_mut()) {
+                let bits = left.at(i + r, kk).to_bits();
+                // All ones exactly when the magnitude is zero.
+                let magnitude = bits << 1;
+                let zero = ((magnitude.wrapping_sub(1) & !magnitude) as i32 >> 31) as u32;
+                *l = f32::from_bits(bits | zero & NEG_ZERO);
+                *m = !zero;
+            }
+        }
+    }
+}
+
+/// Accumulates `left · panels` onto `out` over row chunks on up to
+/// `workers` threads.
+fn multiply(left: Left<'_>, panels: &Panels, out: &mut Matrix, workers: usize) {
+    let (m, n) = out.shape();
+    let k = panels.k;
+    debug_assert_eq!(n, panels.n);
+    for_each_row_chunk(out, workers, m * k * n, |rows, chunk| {
+        let mut masked = Masked {
+            lhs: [[0.0; K_BLOCK]; TILE_ROWS],
+            keep: [[0; K_BLOCK]; TILE_ROWS],
+        };
+        for k0 in (0..k).step_by(K_BLOCK) {
+            let ks = k0..(k0 + K_BLOCK).min(k);
+            // Whole tiles, then the rows left over one at a time.
+            let tiled = rows.start + rows.len() / TILE_ROWS * TILE_ROWS;
+            for i in (rows.start..tiled).step_by(TILE_ROWS) {
+                let at = (i - rows.start) * n;
+                let out = &mut chunk[at..at + TILE_ROWS * n];
+                row_tile::<TILE_ROWS>(left, &mut masked, i, ks.clone(), panels, out);
+            }
+            for i in tiled..rows.end {
+                let at = (i - rows.start) * n;
+                row_tile::<1>(
+                    left,
+                    &mut masked,
+                    i,
+                    ks.clone(),
+                    panels,
+                    &mut chunk[at..at + n],
+                );
             }
         }
     });
-    Ok(out)
+}
+
+/// Accumulates rows `i..i + R` of the product over the k-block `ks` onto
+/// `out` (those `R` output rows), one `R × PANEL` tile per panel.
+#[inline(always)]
+fn row_tile<const R: usize>(
+    left: Left<'_>,
+    masked: &mut Masked,
+    i: usize,
+    ks: Range<usize>,
+    panels: &Panels,
+    out: &mut [f32],
+) {
+    let skips = left.has_zero(i..i + R, ks.clone());
+    if skips {
+        masked.fill::<R>(left, i, ks.clone());
+    }
+    for col in (0..panels.n).step_by(PANEL) {
+        let b = panels.block(col, ks.clone());
+        if skips {
+            tile::<R, true>(left, masked, i, ks.start, b, out, col);
+        } else {
+            tile::<R, false>(left, masked, i, ks.start, b, out, col);
+        }
+    }
+}
+
+/// Adds the products of k-block rows `b` (from `k0`) to the `R × PANEL`
+/// tile of `out` (`R` rows of the product from row `i`) at column `col`,
+/// with the tile held in registers. A `SKIP` tile reads the left operand
+/// from `masked`, the others read it in place.
+#[inline(always)]
+fn tile<const R: usize, const SKIP: bool>(
+    left: Left<'_>,
+    masked: &Masked,
+    i: usize,
+    k0: usize,
+    b: &[[f32; PANEL]],
+    out: &mut [f32],
+    col: usize,
+) {
+    let n = out.len() / R;
+    let w = (n - col).min(PANEL);
+    // Whole PANEL-wide rows in and out: the tile is only ever indexed by
+    // constants, so it can live in registers.
+    let mut acc = [[0.0f32; PANEL]; R];
+    for (r, acc_row) in acc.iter_mut().enumerate() {
+        let mut row = [0.0; PANEL];
+        row[..w].copy_from_slice(&out[r * n + col..r * n + col + w]);
+        *acc_row = row;
+    }
+    let b = &b[..b.len().min(K_BLOCK)];
+    for (t, b_row) in b.iter().enumerate() {
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            if SKIP {
+                let (a, keep) = (masked.lhs[r][t], masked.keep[r][t]);
+                for (o, &bv) in acc_row.iter_mut().zip(b_row) {
+                    *o += a * f32::from_bits(bv.to_bits() & keep);
+                }
+            } else {
+                let a = left.at(i + r, k0 + t);
+                for (o, &bv) in acc_row.iter_mut().zip(b_row) {
+                    *o += a * bv;
+                }
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        let row = *acc_row;
+        out[r * n + col..r * n + col + w].copy_from_slice(&row[..w]);
+    }
 }
 
 /// Reference triple-loop multiply used to validate [`gemm`] in tests.
@@ -220,7 +400,7 @@ mod tests {
 
     #[test]
     fn matches_naive_on_odd_shapes() {
-        // Sizes straddle the block edge to exercise remainder handling.
+        // Sizes straddle the panel width to exercise remainder handling.
         for &(m, k, n) in &[(1, 1, 1), (5, 7, 3), (65, 64, 63), (130, 70, 1)] {
             let a = Matrix::from_fn(m, k, |r, c| ((r * 31 + c * 7) % 13) as f32 - 6.0);
             let b = Matrix::from_fn(k, n, |r, c| ((r * 17 + c * 5) % 11) as f32 - 5.0);
@@ -257,7 +437,8 @@ mod tests {
         m.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Shapes straddling `BLOCK` on every axis, plus degenerate edges.
+    /// Shapes straddling the 16-wide panels and the 2-row tiles, plus
+    /// degenerate edges.
     const SHAPES: [(usize, usize, usize); 7] = [
         (1, 1, 1),
         (5, 7, 3),
@@ -324,7 +505,7 @@ mod tests {
     #[test]
     fn every_worker_count_is_bitwise_one_worker() {
         // With no per-worker minimum even these small shapes split, into
-        // chunks that cut through `BLOCK`-row blocks.
+        // chunks that end in a partial tile.
         with_min_work(0, || {
             for &(m, k, n) in &SHAPES {
                 let a = operand(m, k, 5);
