@@ -32,7 +32,7 @@ use gnnadvisor_gpu::{Engine, RunMetrics, Workload};
 use gnnadvisor_graph::sample::SampledBlock;
 use gnnadvisor_graph::Csr;
 use gnnadvisor_tensor::init::xavier_uniform;
-use gnnadvisor_tensor::ops::{relu_inplace, softmax_rows_inplace};
+use gnnadvisor_tensor::ops::{relu_inplace, softmax_row_inplace};
 use gnnadvisor_tensor::{gemm_nt, gemm_par, gemm_tn, Matrix};
 
 use crate::exec::ModelExec;
@@ -67,13 +67,14 @@ fn charge_gemm(engine: &Engine, m: usize, n: usize, k: usize, metrics: &mut RunM
 /// rows, and `dL/dlogits` — `(softmax - one_hot) / labels.len()` on
 /// labeled rows, zero on the rest (a block's non-seed nodes).
 fn softmax_cross_entropy(mut logits: Matrix, labels: &[usize]) -> (f64, f64, Matrix) {
-    softmax_rows_inplace(&mut logits);
     let count = labels.len();
     let inv = 1.0 / count as f32;
     let mut loss = 0.0f64;
     let mut correct = 0usize;
     for (v, &y) in labels.iter().enumerate() {
+        // Only labeled rows are softmaxed: the rest are zeroed below.
         let row = logits.row_mut(v);
+        softmax_row_inplace(row);
         loss -= (row[y].max(1e-12) as f64).ln();
         let pred = row
             .iter()
@@ -760,5 +761,34 @@ mod tests {
             last < first * 0.8,
             "mini-batch loss must drop: {first} -> {last}"
         );
+    }
+
+    #[test]
+    fn softmax_cross_entropy_reads_only_labeled_rows() {
+        let logits = Matrix::from_fn(6, 4, |r, c| ((r * 7 + c * 3) % 11) as f32 * 0.7 - 3.0);
+        let labels = [2, 0, 3];
+        let (loss, accuracy, grad) = softmax_cross_entropy(logits.clone(), &labels);
+        // Labeled rows: (softmax - one_hot) / count, softmax as the
+        // whole-matrix op computes it.
+        let mut probs = logits.clone();
+        gnnadvisor_tensor::ops::softmax_rows_inplace(&mut probs);
+        for (v, &y) in labels.iter().enumerate() {
+            for c in 0..4 {
+                let indicator = if c == y { 1.0 } else { 0.0 };
+                let want = (probs.get(v, c) - indicator) * (1.0 / 3.0);
+                assert_eq!(grad.get(v, c).to_bits(), want.to_bits(), "row {v} col {c}");
+            }
+        }
+        assert!(grad.as_slice()[3 * 4..].iter().all(|&g| g == 0.0));
+        // Unlabeled rows never enter: even non-finite ones change nothing.
+        let mut noisy = logits;
+        for v in 3..6 {
+            noisy.row_mut(v).fill(f32::NAN);
+        }
+        noisy.set(5, 0, f32::INFINITY);
+        let (loss2, accuracy2, grad2) = softmax_cross_entropy(noisy, &labels);
+        assert_eq!(loss.to_bits(), loss2.to_bits());
+        assert_eq!(accuracy.to_bits(), accuracy2.to_bits());
+        assert_eq!(grad, grad2);
     }
 }

@@ -59,17 +59,22 @@ pub fn axpy_inplace(a: &mut Matrix, s: f32, b: &Matrix) {
 /// Row-wise softmax (numerically stabilized).
 pub fn softmax_rows_inplace(m: &mut Matrix) {
     for r in 0..m.rows() {
-        let row = m.row_mut(r);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
+        softmax_row_inplace(m.row_mut(r));
+    }
+}
+
+/// Softmax of one row (numerically stabilized), as
+/// [`softmax_rows_inplace`] computes each row.
+pub fn softmax_row_inplace(row: &mut [f32]) {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    if sum > 0.0 {
         for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        if sum > 0.0 {
-            for v in row.iter_mut() {
-                *v /= sum;
-            }
+            *v /= sum;
         }
     }
 }
