@@ -336,18 +336,34 @@ impl Overlay {
         self.added_entries + self.deleted_entries
     }
 
-    /// Merged sorted neighbor list of `v` over `base`.
-    fn neighbors_of(&self, base: &Csr, v: NodeId) -> Vec<NodeId> {
+    /// `v`'s row of `base` (empty for appended nodes) and its sorted
+    /// additions and deletions.
+    fn parts<'a>(&'a self, base: &'a Csr, v: NodeId) -> (&'a [NodeId], &'a [NodeId], &'a [NodeId]) {
         let base_row: &[NodeId] = if (v as usize) < base.num_nodes() {
             base.neighbors(v)
         } else {
             &[]
         };
-        let empty: [NodeId; 0] = [];
-        let adds = self.adds.get(&v).map(|a| a.as_slice()).unwrap_or(&empty);
-        let dels = self.dels.get(&v).map(|d| d.as_slice()).unwrap_or(&empty);
-        let mut out =
-            Vec::with_capacity(base_row.len() + adds.len() - dels.len().min(base_row.len()));
+        let adds = self.adds.get(&v).map_or(&[][..], Vec::as_slice);
+        let dels = self.dels.get(&v).map_or(&[][..], Vec::as_slice);
+        (base_row, adds, dels)
+    }
+
+    /// Merged sorted neighbor list of `v` over `base`.
+    fn neighbors_of(&self, base: &Csr, v: NodeId) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        self.append_row(base, v, &mut out);
+        out
+    }
+
+    /// Appends `v`'s merged sorted neighbor list over `base` to `out`.
+    fn append_row(&self, base: &Csr, v: NodeId, out: &mut Vec<NodeId>) {
+        let (base_row, adds, dels) = self.parts(base, v);
+        if adds.is_empty() && dels.is_empty() {
+            out.extend_from_slice(base_row);
+            return;
+        }
+        out.reserve(base_row.len() + adds.len() - dels.len().min(base_row.len()));
         // Merge two sorted runs, filtering deleted base entries.
         let (mut i, mut j) = (0usize, 0usize);
         while i < base_row.len() || j < adds.len() {
@@ -363,7 +379,14 @@ impl Overlay {
                 j += 1;
             }
         }
-        out
+    }
+
+    /// Whether `u` is in `v`'s merged row over `base`, by binary search
+    /// of the row's parts in place.
+    fn has_neighbor(&self, base: &Csr, v: NodeId, u: NodeId) -> bool {
+        let (base_row, adds, dels) = self.parts(base, v);
+        adds.binary_search(&u).is_ok()
+            || (base_row.binary_search(&u).is_ok() && dels.binary_search(&u).is_err())
     }
 }
 
@@ -425,7 +448,7 @@ impl DeltaCsr {
 
     /// Whether the undirected edge `{u, v}` is live.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.neighbors_of(u).binary_search(&v).is_ok()
+        self.overlay.has_neighbor(&self.base, u, v)
     }
 
     fn check_node(&self, v: NodeId) -> Result<()> {
@@ -601,7 +624,7 @@ impl GraphSnapshot {
 
     /// Whether the undirected edge `{u, v}` was live at snapshot time.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.neighbors_of(u).binary_search(&v).is_ok()
+        self.overlay.has_neighbor(&self.base, u, v)
     }
 
     /// Materializes the snapshot as a plain CSR with sorted rows.
@@ -611,7 +634,7 @@ impl GraphSnapshot {
         let mut col_idx = Vec::with_capacity(self.num_edges());
         row_ptr.push(0usize);
         for v in 0..n as NodeId {
-            col_idx.extend(self.neighbors_of(v));
+            self.overlay.append_row(&self.base, v, &mut col_idx);
             row_ptr.push(col_idx.len());
         }
         Csr::from_raw(n, row_ptr, col_idx).expect("snapshot rows are sorted and in range")

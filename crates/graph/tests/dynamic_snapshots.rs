@@ -100,6 +100,13 @@ fn assert_snapshot_matches(
     assert_eq!(csr.num_nodes(), nodes);
     assert_eq!(csr.num_edges(), snap.num_edges());
     assert!(csr.is_symmetric());
+    for v in 0..nodes as NodeId {
+        assert_eq!(csr.neighbors(v), snap.neighbors_of(v), "csr row {v}");
+        for u in 0..nodes as NodeId {
+            let live = model.contains(&(u.min(v), u.max(v)));
+            assert_eq!(snap.has_edge(v, u), live, "edge {{{v}, {u}}}");
+        }
+    }
 }
 
 proptest! {
