@@ -19,6 +19,12 @@ cargo build --offline --workspace --examples
 echo "==> cargo test -q"
 cargo test --offline --workspace -q
 
+echo "==> cargo test --release: numerics oracles and pins"
+# The GEMM micro-kernel keeps its output tile in registers only under
+# optimization, the build the benchmark runs, so the exact-contract
+# oracles and the numerics pins run there too.
+cargo test --release --offline -q -p gnnadvisor-tensor -p gnnadvisor-models
+
 echo "==> benchmark smoke test"
 # The benchmark is a package of its own; its smoke test runs every
 # workload at tiny size, so an engine change that breaks the harness
