@@ -4,8 +4,11 @@
 //! kernels in `gnnadvisor-core`) with dense NN operations — the paper calls
 //! these DGEMM / MLP updates and notes they are "well-suited for GPU-based
 //! acceleration" via cuBLAS. This crate supplies the numerical side:
-//! a row-major [`Matrix`], a blocked [`gemm`] (plus [`gemm_tn`] /
-//! [`gemm_nt`] for transposed operands), element-wise [`ops`],
+//! a row-major [`Matrix`], a register-tiled [`gemm`] (plus [`gemm_tn`] /
+//! [`gemm_nt`] for transposed operands, through the same micro-kernel:
+//! the right operand packed into zero-padded 16-wide column panels, a
+//! 2 × 16 output tile kept in registers across k-blocks of up to 256
+//! products), element-wise [`ops`],
 //! [`linear::Linear`] layers and [`mlp::Mlp`] stacks with deterministic
 //! Xavier initialization.
 //!
@@ -17,8 +20,10 @@
 //! splits an output into contiguous chunks of whole rows over a caller's
 //! worker count ([`gemm_par`], [`gemm_tn`], [`gemm_nt`],
 //! [`Linear::forward`], [`Mlp::forward`], and the host aggregations of
-//! `gnnadvisor-core`). Each row keeps its serial
-//! accumulation order, so results are bitwise equal at any worker count;
+//! `gnnadvisor-core`). Each element keeps the plain triple loop's
+//! accumulation order (ascending `k`, separate multiply and add, zero
+//! entries of the left operand skipped) whatever tile, k-block or chunk it
+//! lands in, so results are bitwise equal at any worker count;
 //! calls below [`par::MIN_WORK_PER_WORKER`] per worker stay on the
 //! calling thread. [`gemm()`] and [`gemm_into`] are the one-worker calls.
 
