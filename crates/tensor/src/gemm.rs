@@ -664,6 +664,34 @@ mod tests {
         }
     }
 
+    #[test]
+    fn dense_and_masked_blocks_mix_exactly() {
+        // No zeros anywhere (every tile adds every product), then one
+        // zero row per operand that puts a single k-block of some tiles
+        // on the masked path while their other k-blocks stay dense.
+        for &k in &[7, 256, 600] {
+            for &n in &[10, 16, 33] {
+                let nonzero = |m: &Matrix| {
+                    Matrix::from_fn(m.rows(), m.cols(), |r, c| {
+                        let v = m.get(r, c);
+                        if v == 0.0 {
+                            0.375
+                        } else {
+                            v
+                        }
+                    })
+                };
+                let mut a = nonzero(&mixed_operand(9, k, k as u64));
+                let b = nonzero(&mixed_operand(k, n, n as u64));
+                let start = Matrix::zeros(9, n);
+                assert_exact(&a, &b, &start);
+                a.set(4, k / 2, 0.0);
+                a.set(7, k - 1, -0.0);
+                assert_exact(&a, &b, &start);
+            }
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
