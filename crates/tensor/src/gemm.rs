@@ -85,14 +85,7 @@ fn gemm_into_par(a: &Matrix, b: &Matrix, out: &mut Matrix, workers: usize) -> Re
             context: format!("gemm {m}x{ka} . {kb}x{n} -> {:?}", out.shape()),
         });
     }
-    let b_data = b.as_slice();
-    let panels = Panels::pack(ka, n, |kk, j| b_data[kk * n + j]);
-    let left = Left {
-        data: a.as_slice(),
-        row_stride: ka,
-        k_stride: 1,
-    };
-    multiply(left, &panels, out, workers);
+    multiply(Left::rows(a), &Panels::rows(b), out, workers);
     Ok(())
 }
 
@@ -121,15 +114,8 @@ pub fn gemm_tn(a: &Matrix, b: &Matrix, workers: usize) -> Result<Matrix> {
             context: format!("gemm_tn ({ka}x{m})ᵀ . {kb}x{n}"),
         });
     }
-    let b_data = b.as_slice();
-    let panels = Panels::pack(ka, n, |kk, j| b_data[kk * n + j]);
-    let left = Left {
-        data: a.as_slice(),
-        row_stride: 1,
-        k_stride: m,
-    };
     let mut out = Matrix::zeros(m, n);
-    multiply(left, &panels, &mut out, workers);
+    multiply(Left::columns(a), &Panels::rows(b), &mut out, workers);
     Ok(out)
 }
 
@@ -158,43 +144,50 @@ pub fn gemm_nt(a: &Matrix, b: &Matrix, workers: usize) -> Result<Matrix> {
             context: format!("gemm_nt {m}x{ka} . ({n}x{kb})ᵀ"),
         });
     }
-    let b_data = b.as_slice();
-    let panels = Panels::pack(ka, n, |kk, j| b_data[j * ka + kk]);
-    let left = Left {
-        data: a.as_slice(),
-        row_stride: ka,
-        k_stride: 1,
-    };
     let mut out = Matrix::zeros(m, n);
-    multiply(left, &panels, &mut out, workers);
+    multiply(Left::rows(a), &Panels::columns(b), &mut out, workers);
     Ok(out)
 }
 
 /// The right operand as zero-padded `k × PANEL` column panels: row `kk`
-/// of panel `p` holds `b(kk, p·PANEL ..)`, at `rows[p·k + kk]`.
+/// of panel `p` holds `b(kk, p·PANEL ..)`, at `data[p·k + kk]`.
 struct Panels {
-    rows: Vec<[f32; PANEL]>,
+    data: Vec<[f32; PANEL]>,
     k: usize,
     n: usize,
 }
 
 impl Panels {
+    /// `b` itself, `k x n`.
+    fn rows(b: &Matrix) -> Self {
+        let (k, n) = b.shape();
+        let data = b.as_slice();
+        Self::pack(k, n, |kk, j| data[kk * n + j])
+    }
+
+    /// `bᵀ`, where `b` is `n x k`.
+    fn columns(b: &Matrix) -> Self {
+        let (n, k) = b.shape();
+        let data = b.as_slice();
+        Self::pack(k, n, |kk, j| data[j * k + kk])
+    }
+
     /// Packs the `k x n` right operand whose element `(kk, j)` is `b(kk, j)`.
     fn pack(k: usize, n: usize, b: impl Fn(usize, usize) -> f32) -> Self {
-        let mut rows = vec![[0.0; PANEL]; k * n.div_ceil(PANEL)];
-        for (i, row) in rows.iter_mut().enumerate() {
+        let mut data = vec![[0.0; PANEL]; k * n.div_ceil(PANEL)];
+        for (i, row) in data.iter_mut().enumerate() {
             let (col, kk) = (i / k * PANEL, i % k);
             for (jj, v) in row.iter_mut().take(n - col).enumerate() {
                 *v = b(kk, col + jj);
             }
         }
-        Self { rows, k, n }
+        Self { data, k, n }
     }
 
     /// Rows `ks` of the panel that starts at output column `col`.
     fn block(&self, col: usize, ks: Range<usize>) -> &[[f32; PANEL]] {
         let base = col / PANEL * self.k;
-        &self.rows[base + ks.start..base + ks.end]
+        &self.data[base + ks.start..base + ks.end]
     }
 }
 
@@ -207,7 +200,25 @@ struct Left<'a> {
     k_stride: usize,
 }
 
-impl Left<'_> {
+impl<'a> Left<'a> {
+    /// `a` itself: row `i` of the product reads row `i` of `a`.
+    fn rows(a: &'a Matrix) -> Self {
+        Self {
+            data: a.as_slice(),
+            row_stride: a.cols(),
+            k_stride: 1,
+        }
+    }
+
+    /// `aᵀ`: row `i` of the product reads column `i` of `a`.
+    fn columns(a: &'a Matrix) -> Self {
+        Self {
+            data: a.as_slice(),
+            row_stride: 1,
+            k_stride: a.cols(),
+        }
+    }
+
     /// `a(i, kk)`.
     #[inline(always)]
     fn at(&self, i: usize, kk: usize) -> f32 {
@@ -340,6 +351,7 @@ fn tile<const R: usize, const SKIP: bool>(
         row[..w].copy_from_slice(&out[r * n + col..r * n + col + w]);
         *acc_row = row;
     }
+    // Shows the compiler that `t < K_BLOCK`, so `masked` needs no bounds checks.
     let b = &b[..b.len().min(K_BLOCK)];
     for (t, b_row) in b.iter().enumerate() {
         for (r, acc_row) in acc.iter_mut().enumerate() {
