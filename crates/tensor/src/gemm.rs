@@ -13,19 +13,18 @@
 //!   [`gemm_nt`], `TILE_ROWS` adjacent columns per `k` for [`gemm_tn`].
 //!   Between k-blocks the tile goes back to the output and is reloaded
 //!   unchanged, so the blocks only bound the working set.
-//! - A tile whose block of the left operand holds no zero adds every
-//!   product. A tile whose block holds a zero masks those terms to `-0.0`
-//!   instead of branching on them: on ReLU'd operands such a branch
-//!   mispredicts about half the time.
+//! - The zero skip costs no branch per term where it cannot change a
+//!   bit: when `b` is finite and the tile holds no `-0.0`, adding a zero
+//!   term is a no-op, so the tile adds every product. Otherwise the tile
+//!   branches on each zero `a` entry. On ReLU'd operands such a branch
+//!   would mispredict about half the time.
 //!
 //! Every output element starts from its value in the output, adds
 //! `a(i,k) · b(k,j)` for ascending `k` with a separate multiply and add,
-//! and skips exactly the terms where `a(i,k) == 0.0` (adding `-0.0`
-//! leaves every value unchanged bit for bit, so a masked term is a
-//! skipped one). That is the plain triple loop's order whatever tile,
-//! panel, k-block or row chunk the element lands in, so the result is
-//! bitwise equal to it at any worker count. [`gemm`] and [`gemm_into`]
-//! are the one-worker calls.
+//! and skips exactly the terms where `a(i,k) == 0.0`. That is the plain
+//! triple loop's order whatever tile, panel, k-block or row chunk the
+//! element lands in, so the result is bitwise equal to it at any worker
+//! count. [`gemm`] and [`gemm_into`] are the one-worker calls.
 
 use std::ops::Range;
 
@@ -43,8 +42,7 @@ const TILE_ROWS: usize = 2;
 /// to the output.
 const K_BLOCK: usize = 256;
 
-/// Bits of `-0.0`, the one value that leaves every `f32` unchanged, bit
-/// for bit, when added to it.
+/// Bits of `-0.0`.
 const NEG_ZERO: u32 = 0x8000_0000;
 
 /// Computes `a · b` on the calling thread, allocating the output.
@@ -155,6 +153,8 @@ struct Panels {
     data: Vec<[f32; PANEL]>,
     k: usize,
     n: usize,
+    /// Whether every entry of `b` is finite.
+    finite: bool,
 }
 
 impl Panels {
@@ -181,7 +181,8 @@ impl Panels {
                 *v = b(kk, col + jj);
             }
         }
-        Self { data, k, n }
+        let finite = data.iter().flatten().all(|v| v.is_finite());
+        Self { data, k, n, finite }
     }
 
     /// Rows `ks` of the panel that starts at output column `col`.
@@ -224,47 +225,6 @@ impl<'a> Left<'a> {
     fn at(&self, i: usize, kk: usize) -> f32 {
         self.data[i * self.row_stride + kk * self.k_stride]
     }
-
-    /// Whether any `a(i, kk)` with `i` in `rows` and `kk` in `ks` is
-    /// zero, scanning contiguous runs.
-    fn has_zero(&self, rows: Range<usize>, ks: Range<usize>) -> bool {
-        let any_zero = |run: &[f32]| run.iter().fold(false, |z, &v| z | (v == 0.0));
-        if self.k_stride == 1 {
-            rows.map(|i| i * self.row_stride)
-                .any(|at| any_zero(&self.data[at + ks.start..at + ks.end]))
-        } else {
-            ks.map(|kk| kk * self.k_stride)
-                .any(|at| any_zero(&self.data[at + rows.start..at + rows.end]))
-        }
-    }
-}
-
-/// A tile's k-block of the left operand prepared for skipping zero
-/// entries without a branch: `lhs[r][t]` is `a(i + r, k0 + t)` with zeros
-/// replaced by `-0.0`, and `keep[r][t]` is all ones where that entry is
-/// not zero and `0` where it is. Then `lhs · (b & keep)` is `a · b` bit
-/// for bit for a kept term, and `-0.0`, which adds nothing bit for bit,
-/// for a skipped one, whatever `b` is. Staging the masks in memory keeps
-/// the compiler from turning them back into a branch per entry.
-struct Masked {
-    lhs: [[f32; K_BLOCK]; TILE_ROWS],
-    keep: [[u32; K_BLOCK]; TILE_ROWS],
-}
-
-impl Masked {
-    /// Fills rows `0..R` from the left operand's rows `i..i + R` over `ks`.
-    fn fill<const R: usize>(&mut self, left: Left<'_>, i: usize, ks: Range<usize>) {
-        for (r, (lhs, keep)) in self.lhs.iter_mut().zip(&mut self.keep).take(R).enumerate() {
-            for ((kk, l), m) in ks.clone().zip(lhs.iter_mut()).zip(keep.iter_mut()) {
-                let bits = left.at(i + r, kk).to_bits();
-                // All ones exactly when the magnitude is zero.
-                let magnitude = bits << 1;
-                let zero = ((magnitude.wrapping_sub(1) & !magnitude) as i32 >> 31) as u32;
-                *l = f32::from_bits(bits | zero & NEG_ZERO);
-                *m = !zero;
-            }
-        }
-    }
 }
 
 /// Accumulates `left · panels` onto `out` over row chunks on up to
@@ -274,10 +234,6 @@ fn multiply(left: Left<'_>, panels: &Panels, out: &mut Matrix, workers: usize) {
     let k = panels.k;
     debug_assert_eq!(n, panels.n);
     for_each_row_chunk(out, workers, m * k * n, |rows, chunk| {
-        let mut masked = Masked {
-            lhs: [[0.0; K_BLOCK]; TILE_ROWS],
-            keep: [[0; K_BLOCK]; TILE_ROWS],
-        };
         for k0 in (0..k).step_by(K_BLOCK) {
             let ks = k0..(k0 + K_BLOCK).min(k);
             // Whole tiles, then the rows left over one at a time.
@@ -285,59 +241,30 @@ fn multiply(left: Left<'_>, panels: &Panels, out: &mut Matrix, workers: usize) {
             for i in (rows.start..tiled).step_by(TILE_ROWS) {
                 let at = (i - rows.start) * n;
                 let out = &mut chunk[at..at + TILE_ROWS * n];
-                row_tile::<TILE_ROWS>(left, &mut masked, i, ks.clone(), panels, out);
+                for col in (0..n).step_by(PANEL) {
+                    tile::<TILE_ROWS>(left, i, ks.clone(), panels, out, col);
+                }
             }
             for i in tiled..rows.end {
                 let at = (i - rows.start) * n;
-                row_tile::<1>(
-                    left,
-                    &mut masked,
-                    i,
-                    ks.clone(),
-                    panels,
-                    &mut chunk[at..at + n],
-                );
+                let out = &mut chunk[at..at + n];
+                for col in (0..n).step_by(PANEL) {
+                    tile::<1>(left, i, ks.clone(), panels, out, col);
+                }
             }
         }
     });
 }
 
-/// Accumulates rows `i..i + R` of the product over the k-block `ks` onto
-/// `out` (those `R` output rows), one `R × PANEL` tile per panel.
+/// Adds the products over the k-block `ks` to the `R × PANEL` tile of
+/// `out` (`R` rows of the product from row `i`) at column `col`, with the
+/// tile held in registers.
 #[inline(always)]
-fn row_tile<const R: usize>(
+fn tile<const R: usize>(
     left: Left<'_>,
-    masked: &mut Masked,
     i: usize,
     ks: Range<usize>,
     panels: &Panels,
-    out: &mut [f32],
-) {
-    let skips = left.has_zero(i..i + R, ks.clone());
-    if skips {
-        masked.fill::<R>(left, i, ks.clone());
-    }
-    for col in (0..panels.n).step_by(PANEL) {
-        let b = panels.block(col, ks.clone());
-        if skips {
-            tile::<R, true>(left, masked, i, ks.start, b, out, col);
-        } else {
-            tile::<R, false>(left, masked, i, ks.start, b, out, col);
-        }
-    }
-}
-
-/// Adds the products of k-block rows `b` (from `k0`) to the `R × PANEL`
-/// tile of `out` (`R` rows of the product from row `i`) at column `col`,
-/// with the tile held in registers. A `SKIP` tile reads the left operand
-/// from `masked`, the others read it in place.
-#[inline(always)]
-fn tile<const R: usize, const SKIP: bool>(
-    left: Left<'_>,
-    masked: &Masked,
-    i: usize,
-    k0: usize,
-    b: &[[f32; PANEL]],
     out: &mut [f32],
     col: usize,
 ) {
@@ -351,26 +278,45 @@ fn tile<const R: usize, const SKIP: bool>(
         row[..w].copy_from_slice(&out[r * n + col..r * n + col + w]);
         *acc_row = row;
     }
-    // Shows the compiler that `t < K_BLOCK`, so `masked` needs no bounds checks.
-    let b = &b[..b.len().min(K_BLOCK)];
-    for (t, b_row) in b.iter().enumerate() {
-        for (r, acc_row) in acc.iter_mut().enumerate() {
-            if SKIP {
-                let (a, keep) = (masked.lhs[r][t], masked.keep[r][t]);
-                for (o, &bv) in acc_row.iter_mut().zip(b_row) {
-                    *o += a * f32::from_bits(bv.to_bits() & keep);
-                }
-            } else {
-                let a = left.at(i + r, k0 + t);
-                for (o, &bv) in acc_row.iter_mut().zip(b_row) {
-                    *o += a * bv;
-                }
-            }
-        }
+    // A zero `a(i,k)` times a finite `b(k,j)` is `±0.0`, and adding `±0.0`
+    // leaves every value but `-0.0` unchanged, bit for bit. A sum that does
+    // not start at `-0.0` never reaches it: `x + y` rounds to `-0.0` only
+    // when both are `-0.0`. So unless `b` holds an infinity or a NaN, or
+    // the tile holds a `-0.0`, adding every product skips the zero terms
+    // exactly, without a branch per term.
+    let skip = !panels.finite || acc.iter().flatten().any(|v| v.to_bits() == NEG_ZERO);
+    let b = panels.block(col, ks.clone());
+    if skip {
+        accumulate::<R, true>(&mut acc, left, i, ks.start, b);
+    } else {
+        accumulate::<R, false>(&mut acc, left, i, ks.start, b);
     }
     for (r, acc_row) in acc.iter().enumerate() {
         let row = *acc_row;
         out[r * n + col..r * n + col + w].copy_from_slice(&row[..w]);
+    }
+}
+
+/// Adds `a(i + r, k0 + t) · b[t]` to `acc[r]` for ascending `t`, skipping
+/// the zero `a` entries when `SKIP`.
+#[inline(always)]
+fn accumulate<const R: usize, const SKIP: bool>(
+    acc: &mut [[f32; PANEL]; R],
+    left: Left<'_>,
+    i: usize,
+    k0: usize,
+    b: &[[f32; PANEL]],
+) {
+    for (kk, b_row) in (k0..).zip(b) {
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            let a = left.at(i + r, kk);
+            if SKIP && a == 0.0 {
+                continue;
+            }
+            for (o, &bv) in acc_row.iter_mut().zip(b_row) {
+                *o += a * bv;
+            }
+        }
     }
 }
 
@@ -677,28 +623,23 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_masked_blocks_mix_exactly() {
-        // No zeros anywhere (every tile adds every product), then one
-        // zero row per operand that puts a single k-block of some tiles
-        // on the masked path while their other k-blocks stay dense.
-        for &k in &[7, 256, 600] {
-            for &n in &[10, 16, 33] {
-                let nonzero = |m: &Matrix| {
-                    Matrix::from_fn(m.rows(), m.cols(), |r, c| {
-                        let v = m.get(r, c);
-                        if v == 0.0 {
-                            0.375
-                        } else {
-                            v
-                        }
-                    })
-                };
-                let mut a = nonzero(&mixed_operand(9, k, k as u64));
-                let b = nonzero(&mixed_operand(k, n, n as u64));
-                let start = Matrix::zeros(9, n);
+    fn zero_terms_skip_exactly_with_and_without_a_branch() {
+        // Zero `a` entries against a finite `b` and a `+0.0` start take the
+        // path that adds every product; a `-0.0` in one tile's start, or an
+        // infinity in `b`, takes the one that skips them. Row 4 of `a` is
+        // all zeros, so its outputs are the start values exactly.
+        for &k in &[1, 7, 256, 600] {
+            for &n in &[1, 10, 16, 33] {
+                let mut a = mixed_operand(9, k, k as u64);
+                for kk in 0..k {
+                    a.set(4, kk, if kk % 2 == 0 { 0.0 } else { -0.0 });
+                }
+                let mut b = mixed_operand(k, n, n as u64);
+                let mut start = Matrix::zeros(9, n);
                 assert_exact(&a, &b, &start);
-                a.set(4, k / 2, 0.0);
-                a.set(7, k - 1, -0.0);
+                start.set(4, n - 1, -0.0);
+                assert_exact(&a, &b, &start);
+                b.set(k - 1, 0, f32::INFINITY);
                 assert_exact(&a, &b, &start);
             }
         }
