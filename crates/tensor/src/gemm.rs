@@ -152,7 +152,6 @@ pub fn gemm_nt(a: &Matrix, b: &Matrix, workers: usize) -> Result<Matrix> {
 struct Panels {
     data: Vec<[f32; PANEL]>,
     k: usize,
-    n: usize,
     /// Whether every entry of `b` is finite.
     finite: bool,
 }
@@ -182,7 +181,7 @@ impl Panels {
             }
         }
         let finite = data.iter().flatten().all(|v| v.is_finite());
-        Self { data, k, n, finite }
+        Self { data, k, finite }
     }
 
     /// Rows `ks` of the panel that starts at output column `col`.
@@ -192,8 +191,7 @@ impl Panels {
     }
 }
 
-/// The left operand in place: `a(i, kk)` is `data[i·row_stride + kk·k_stride]`,
-/// where one of the strides is 1.
+/// The left operand in place: `a(i, kk)` is `data[i·row_stride + kk·k_stride]`.
 #[derive(Clone, Copy)]
 struct Left<'a> {
     data: &'a [f32],
@@ -232,7 +230,6 @@ impl<'a> Left<'a> {
 fn multiply(left: Left<'_>, panels: &Panels, out: &mut Matrix, workers: usize) {
     let (m, n) = out.shape();
     let k = panels.k;
-    debug_assert_eq!(n, panels.n);
     for_each_row_chunk(out, workers, m * k * n, |rows, chunk| {
         for k0 in (0..k).step_by(K_BLOCK) {
             let ks = k0..(k0 + K_BLOCK).min(k);
