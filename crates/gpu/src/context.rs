@@ -163,8 +163,8 @@ impl ShardSlot {
 #[derive(Debug, Default)]
 pub struct RunContext {
     /// Shard slots; `prepare` guarantees at least `num_shards` of them.
-    /// Each sits behind a `Mutex` so scoped workers can claim slots while
-    /// the context itself is shared immutably across the scope.
+    /// Each sits behind a `Mutex` so pool workers can claim slots while
+    /// the context itself is shared immutably across the launch.
     pub(crate) shards: Vec<Mutex<ShardSlot>>,
     /// Scratch map the merge phase sums per-shard hotspot rounds into.
     pub(crate) merged_hotspots: HotspotMap,

@@ -27,11 +27,13 @@
 //! The block loop runs sharded: [`crate::context::plan_shards`] splits the
 //! launch into contiguous chunks in dispatch order, each simulated against
 //! a private partition of the L2's sets. Worker threads — the calling
-//! thread plus `workers - 1` scoped threads — claim whole shards, so
-//! cross-block temporal locality (the paper's Figure 12 signal) is
-//! preserved within each chunk, and the decomposition depends only on the
-//! launch shape — results are bit-identical for any worker count, including
-//! one. Per-chunk metrics merge with order-independent sums; SM placement
+//! thread plus up to `workers - 1` persistent helpers of the host pool
+//! ([`gnnadvisor_tensor::par::run`]), so a launch starts no thread —
+//! claim whole shards, so cross-block temporal locality (the paper's
+//! Figure 12 signal) is preserved within each chunk, and the
+//! decomposition depends only on the launch shape — results are
+//! bit-identical for any worker count, including one, and however many
+//! threads end up claiming. Per-chunk metrics merge with order-independent sums; SM placement
 //! runs serially over the concatenated per-shard block costs, in dispatch
 //! order, exactly as the serial loop would.
 //!
@@ -52,6 +54,8 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+
+use gnnadvisor_tensor::par;
 
 use crate::context::{plan_shards, RunContext, ShardSlot};
 use crate::fault::{FaultKind, FaultPlan, OpVerdict};
@@ -584,51 +588,30 @@ impl Engine {
         // right-hand rise of the paper's Figure 11b.
         let hiding = self.spec.memory_parallelism.min((resident / 2).max(1));
 
-        let workers = self.worker_count(plan.num_shards);
-        if workers <= 1 {
-            for shard in 0..plan.num_shards {
-                let slot = ctx.shards[shard]
-                    .get_mut()
-                    .unwrap_or_else(|p| p.into_inner());
-                self.simulate_chunk(
-                    kernel,
-                    &grid,
-                    plan.range(shard, grid.num_blocks),
-                    hiding,
-                    sm_bw_cycles_per_byte,
-                    slot,
-                );
-            }
-        } else {
-            // Workers claim whole shards from a shared counter; the
-            // calling thread is one of them, so a launch spawns
-            // `workers - 1` threads. Claim order is racy but irrelevant:
-            // each shard's result depends only on its own chunk, and the
-            // merge below is order-independent.
-            let next = AtomicUsize::new(0);
-            let shards = &ctx.shards[..plan.num_shards];
-            let work = || loop {
-                let shard = next.fetch_add(1, Ordering::Relaxed);
-                if shard >= shards.len() {
-                    break;
-                }
-                let mut slot = shards[shard].lock().unwrap_or_else(|p| p.into_inner());
-                self.simulate_chunk(
-                    kernel,
-                    &grid,
-                    plan.range(shard, grid.num_blocks),
-                    hiding,
-                    sm_bw_cycles_per_byte,
-                    &mut slot,
-                );
+        // Workers claim whole shards from a shared counter on the host
+        // pool (`tensor::par::run`): the calling thread is one of them,
+        // and persistent helpers join it, so a launch starts no thread.
+        // Claim order, and how many threads end up claiming, are racy
+        // but irrelevant: each shard's result depends only on its own
+        // chunk, and the merge below is order-independent. With one
+        // worker the calling thread claims every shard in order.
+        let next = AtomicUsize::new(0);
+        let shards = &ctx.shards[..plan.num_shards];
+        par::run(self.worker_count(plan.num_shards), &|| loop {
+            let shard = next.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = shards.get(shard) else {
+                break;
             };
-            std::thread::scope(|scope| {
-                for _ in 1..workers {
-                    scope.spawn(work);
-                }
-                work();
-            });
-        }
+            let mut slot = slot.lock().unwrap_or_else(|p| p.into_inner());
+            self.simulate_chunk(
+                kernel,
+                &grid,
+                plan.range(shard, grid.num_blocks),
+                hiding,
+                sm_bw_cycles_per_byte,
+                &mut slot,
+            );
+        });
 
         // Serial merge. Counter totals are plain sums and hotspot rounds
         // add per line, so shard order cannot matter; SM placement walks
@@ -834,7 +817,7 @@ impl Engine {
         }
     }
 
-    /// How many worker threads to spawn for `num_shards` shards.
+    /// How many workers a launch of `num_shards` shards asks the pool for.
     fn worker_count(&self, num_shards: usize) -> usize {
         self.host_workers().min(num_shards.max(1))
     }
