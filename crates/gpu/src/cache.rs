@@ -204,6 +204,7 @@ impl SetAssocCache {
     /// Accesses every line overlapping `[addr, addr + bytes)`, returning the
     /// number of lines that hit and missed. The hit/miss counters are
     /// updated once per call, not once per line.
+    #[inline]
     pub fn access_range(&mut self, addr: u64, bytes: u64) -> (u64, u64) {
         if bytes == 0 {
             return (0, 0);

@@ -83,7 +83,7 @@ pub const WARP_SIZE: u32 = 32;
 /// A kernel that can be launched on the simulated device.
 ///
 /// `Sync` is required so the engine can shard one launch's block loop
-/// across scoped worker threads; emitters are read-only descriptions of
+/// across host pool threads; emitters are read-only descriptions of
 /// the launch, so this is free in practice.
 pub trait Kernel: Sync {
     /// Kernel name for reports.
@@ -202,11 +202,13 @@ impl<'a> BlockSink<'a> {
     }
 
     /// Starts a new warp; finalizes the previous one.
+    #[inline]
     pub fn begin_warp(&mut self) {
         self.flush_warp();
         self.current = Some(WarpAcc::default());
     }
 
+    #[inline]
     fn flush_warp(&mut self) {
         if let Some(w) = self.current.take() {
             self.acc.warp_busy.push(w.busy);
@@ -219,6 +221,7 @@ impl<'a> BlockSink<'a> {
         self.flush_warp();
     }
 
+    #[inline]
     fn warp(&mut self) -> &mut WarpAcc {
         // Auto-open a warp so simple emitters can skip begin_warp for
         // single-warp blocks.
@@ -229,6 +232,7 @@ impl<'a> BlockSink<'a> {
     }
 
     /// Charges `cycles` of uniform compute across `active_lanes` lanes.
+    #[inline]
     pub fn compute(&mut self, cycles: u64, active_lanes: u32) {
         let w = self.warp();
         w.busy += cycles;
@@ -239,6 +243,7 @@ impl<'a> BlockSink<'a> {
     /// pipeline for `max(lanes)` cycles while only `sum(lanes)` lane-cycles
     /// are useful. This is the primitive behind the node-centric baseline's
     /// imbalance penalty (Figure 4b).
+    #[inline]
     pub fn compute_lanes(&mut self, lane_cycles: &[u64]) {
         debug_assert!(
             lane_cycles.len() <= WARP_SIZE as usize,
@@ -253,11 +258,13 @@ impl<'a> BlockSink<'a> {
 
     /// Coalesced global read of `bytes` starting at `offset` within
     /// `array`: the warp touches `ceil(bytes / line)` transactions.
+    #[inline]
     pub fn global_read(&mut self, array: ArrayId, offset: u64, bytes: u64) {
         self.global_access(array, offset, bytes, false, true);
     }
 
     /// Coalesced global write.
+    #[inline]
     pub fn global_write(&mut self, array: ArrayId, offset: u64, bytes: u64) {
         self.global_access(array, offset, bytes, true, true);
     }
@@ -266,6 +273,7 @@ impl<'a> BlockSink<'a> {
     /// one transaction per lane (the GunRock-style scalar-operator cost).
     /// `lane_offsets` are byte offsets within `array`; `bytes_per_lane` is
     /// the access width.
+    #[inline]
     pub fn global_read_scattered(
         &mut self,
         array: ArrayId,
@@ -296,6 +304,7 @@ impl<'a> BlockSink<'a> {
     /// adjacent dimensions needs `ceil(D / dw)` transactions per embedding
     /// row and utilizes `dw` lanes per transaction — `dw = 32` is fully
     /// coalesced, `dw = 1` wastes 31/32 of each transaction.
+    #[inline]
     pub fn global_read_strided(
         &mut self,
         array: ArrayId,
@@ -329,6 +338,7 @@ impl<'a> BlockSink<'a> {
         w.stall += exposure + (hits + misses).saturating_sub(1) * 4;
     }
 
+    #[inline]
     fn global_access(
         &mut self,
         array: ArrayId,
@@ -362,6 +372,7 @@ impl<'a> BlockSink<'a> {
         }
     }
 
+    #[inline]
     fn note_read(&mut self, hits: u64, misses: u64, transactions: u64, useful_lanes: u64) {
         let line = self.cache.line_bytes();
         self.acc.dram_read_bytes += misses * line;
@@ -387,6 +398,7 @@ impl<'a> BlockSink<'a> {
     }
 
     /// Shared-memory access of `bytes` (read or write cost identical).
+    #[inline]
     pub fn shared_access(&mut self, bytes: u64) {
         if bytes == 0 {
             return;
@@ -478,6 +490,7 @@ impl<'a> BlockSink<'a> {
     }
 
     /// A `__syncthreads` barrier.
+    #[inline]
     pub fn sync(&mut self) {
         self.acc.syncs += 1;
     }
