@@ -13,14 +13,16 @@
 //!
 //! Usage: `cargo run --release -p gnnadvisor-bench --bin bench_sim`.
 
+#![deny(unsafe_code)]
+
 use std::time::Instant;
 
 use gnnadvisor_core::cluster::{
     assign_tenants, simulate_cluster, ClusterConfig, ClusterReport, RouterPolicy, TenantSpec,
 };
 use gnnadvisor_core::dynamic::{
-    generate_updates, simulate_dynamic, DynamicConfig, DynamicReport, RenumberPolicy,
-    SnapshotAggregationKernel, SnapshotExecutor, SnapshotKernelHandle, UpdateStreamConfig,
+    generate_updates, simulate_dynamic, DynamicConfig, DynamicReport, PreparedSnapshot,
+    RenumberPolicy, SnapshotAggregationKernel, SnapshotExecutor, UpdateStreamConfig,
 };
 use gnnadvisor_core::input::{extract, AggOrder};
 use gnnadvisor_core::serving::{
@@ -461,7 +463,7 @@ struct DynamicBench {
 /// that dilutes the signal; the bench isolates it).
 struct AggExecutor {
     dim: usize,
-    prepared: Option<(u64, std::sync::Arc<SnapshotAggregationKernel>)>,
+    prepared: Option<(u64, SnapshotAggregationKernel)>,
 }
 
 impl SnapshotExecutor for AggExecutor {
@@ -475,9 +477,9 @@ impl SnapshotExecutor for AggExecutor {
             return Ok(BatchWork::default());
         }
         if self.prepared.as_ref().map(|(v, _)| *v) != Some(version) {
-            let kernel =
-                SnapshotAggregationKernel::prepare(graph, self.dim, RuntimeParams::default())?;
-            self.prepared = Some((version, std::sync::Arc::new(kernel)));
+            let snapshot = PreparedSnapshot::prepare(graph, RuntimeParams::default())?;
+            let kernel = SnapshotAggregationKernel::new(snapshot, self.dim)?;
+            self.prepared = Some((version, kernel));
         }
         let kernel = self.prepared.as_ref().expect("just prepared").1.clone();
         Ok(BatchWork {
@@ -485,7 +487,7 @@ impl SnapshotExecutor for AggExecutor {
                 DeviceWork::Transfer {
                     bytes: (batch.requests.len() * 64) as u64,
                 },
-                DeviceWork::Kernel(Box::new(SnapshotKernelHandle(kernel))),
+                DeviceWork::Kernel(Box::new(kernel)),
             ],
         })
     }

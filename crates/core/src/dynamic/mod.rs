@@ -31,6 +31,8 @@
 //! serving over one evolving graph). Everything downstream of the seeds
 //! is deterministic and byte-identical at any `GNNADVISOR_SIM_THREADS`.
 
+use std::sync::Arc;
+
 use gnnadvisor_gpu::stream::OpHandle;
 use gnnadvisor_gpu::{BlockSink, Engine, GridConfig, HitRateWindow, Kernel, StreamSim, Workload};
 use gnnadvisor_graph::dynamic::{DeltaCsr, UpdateEvent, UpdateKind};
@@ -48,56 +50,64 @@ use crate::{CoreError, Result};
 
 pub use gnnadvisor_graph::dynamic::{generate_updates, GraphSnapshot, UpdateStreamConfig};
 
-/// The GNNAdvisor aggregation kernel pinned to one graph snapshot.
+/// One graph snapshot prepared for the GNNAdvisor aggregation.
 ///
 /// The static runtime borrows its graph and group partition for the
 /// lifetime of a launch; dynamic serving cannot — a batch's device work
 /// outlives the planning borrow while updates keep mutating the live
-/// graph. This wrapper owns the materialized snapshot CSR together with
-/// the Section 5.1 group partition and the Algorithm 1 shared layout
-/// built from it, and reconstructs the borrowing [`AdvisorKernel`] on
-/// demand. Executors build one per graph version and reuse it across the
-/// batches pinned to that version.
-pub struct SnapshotAggregationKernel {
+/// graph. This owns the materialized snapshot CSR together with the
+/// Section 5.1 group partition and the Algorithm 1 shared layout built
+/// from it. None of them depends on the embedding width, so executors
+/// prepare one per graph version and share it, behind an [`Arc`], across
+/// every layer of every batch pinned to that version.
+pub struct PreparedSnapshot {
     graph: Csr,
     groups: Vec<NeighborGroup>,
     layout: Option<SharedLayout>,
     params: RuntimeParams,
+}
+
+impl PreparedSnapshot {
+    /// Partitions `graph` into neighbor groups and (when
+    /// `params.use_shared`) organizes the shared-memory layout.
+    pub fn prepare(graph: &Csr, params: RuntimeParams) -> Result<Arc<Self>> {
+        params.validate()?;
+        let groups = partition_groups(graph, params.group_size)?;
+        let layout = params
+            .use_shared
+            .then(|| organize_shared(&groups, params.groups_per_block()));
+        Ok(Arc::new(Self {
+            graph: graph.clone(),
+            groups,
+            layout,
+            params,
+        }))
+    }
+}
+
+/// The GNNAdvisor aggregation kernel over a [`PreparedSnapshot`] at one
+/// dimensionality. Cheap to clone: executors box one per batch and layer,
+/// and it reconstructs the borrowing [`AdvisorKernel`] on demand.
+#[derive(Clone)]
+pub struct SnapshotAggregationKernel {
+    snapshot: Arc<PreparedSnapshot>,
     dim: usize,
 }
 
 impl SnapshotAggregationKernel {
-    /// Partitions `graph` into neighbor groups and (when
-    /// `params.use_shared`) organizes the shared-memory layout, yielding
-    /// a self-contained aggregation kernel at dimensionality `dim`.
-    pub fn prepare(graph: &Csr, dim: usize, params: RuntimeParams) -> Result<Self> {
-        params.validate()?;
+    /// The aggregation over `snapshot` at dimensionality `dim`.
+    pub fn new(snapshot: Arc<PreparedSnapshot>, dim: usize) -> Result<Self> {
         if dim == 0 {
             return Err(CoreError::InvalidParams {
                 reason: "aggregation dimensionality must be at least 1".into(),
             });
         }
-        let groups = partition_groups(graph, params.group_size)?;
-        let layout = params
-            .use_shared
-            .then(|| organize_shared(&groups, params.groups_per_block()));
-        Ok(Self {
-            graph: graph.clone(),
-            groups,
-            layout,
-            params,
-            dim,
-        })
+        Ok(Self { snapshot, dim })
     }
 
     fn kernel(&self) -> AdvisorKernel<'_> {
-        AdvisorKernel::new(
-            &self.graph,
-            &self.groups,
-            self.layout.as_ref(),
-            self.dim,
-            self.params,
-        )
+        let s = &*self.snapshot;
+        AdvisorKernel::new(&s.graph, &s.groups, s.layout.as_ref(), self.dim, s.params)
     }
 }
 
@@ -112,25 +122,6 @@ impl Kernel for SnapshotAggregationKernel {
 
     fn emit_block(&self, block_id: usize, sink: &mut BlockSink<'_>) {
         self.kernel().emit_block(block_id, sink)
-    }
-}
-
-/// A cheap shareable handle to a prepared [`SnapshotAggregationKernel`]:
-/// executors keep one `Arc` per graph version and box one handle per
-/// batch, so re-partitioning happens once per version, not per batch.
-pub struct SnapshotKernelHandle(pub std::sync::Arc<SnapshotAggregationKernel>);
-
-impl Kernel for SnapshotKernelHandle {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn grid(&self) -> GridConfig {
-        self.0.grid()
-    }
-
-    fn emit_block(&self, block_id: usize, sink: &mut BlockSink<'_>) {
-        self.0.emit_block(block_id, sink)
     }
 }
 
@@ -557,11 +548,8 @@ pub fn simulate_dynamic(
 
         // 2. Pin the batch to a consistent snapshot (cached per version)
         //    and plan its device work against it.
-        let (graph, version) = {
-            let (graph, version) = live.materialized();
-            (graph.clone(), version)
-        };
-        let work = exec.plan(batch, &graph, version)?;
+        let (graph, version) = live.materialized();
+        let work = exec.plan(batch, graph, version)?;
 
         // 3. Execute on the round-robin slot; a pending rebuild stall
         //    pushes the release time past the dispatch instant.
@@ -769,7 +757,7 @@ mod tests {
     /// *is* the layout's locality. One prepared kernel per version.
     struct SpmmExecutor {
         dim: usize,
-        prepared: Option<(u64, std::sync::Arc<SnapshotAggregationKernel>)>,
+        prepared: Option<(u64, SnapshotAggregationKernel)>,
     }
 
     impl SpmmExecutor {
@@ -792,9 +780,9 @@ mod tests {
                 return Ok(BatchWork::default());
             }
             if self.prepared.as_ref().map(|(v, _)| *v) != Some(version) {
-                let kernel =
-                    SnapshotAggregationKernel::prepare(graph, self.dim, RuntimeParams::default())?;
-                self.prepared = Some((version, std::sync::Arc::new(kernel)));
+                let snapshot = PreparedSnapshot::prepare(graph, RuntimeParams::default())?;
+                let kernel = SnapshotAggregationKernel::new(snapshot, self.dim)?;
+                self.prepared = Some((version, kernel));
             }
             let kernel = self.prepared.as_ref().expect("just prepared").1.clone();
             Ok(BatchWork {
@@ -802,7 +790,7 @@ mod tests {
                     DeviceWork::Transfer {
                         bytes: (batch.requests.len() * 64) as u64,
                     },
-                    DeviceWork::Kernel(Box::new(SnapshotKernelHandle(kernel))),
+                    DeviceWork::Kernel(Box::new(kernel)),
                 ],
             })
         }

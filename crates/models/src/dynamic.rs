@@ -16,13 +16,12 @@
 //!    pay nothing for topology);
 //! 2. per-request input features copy up, logits copy back;
 //! 3. each layer prices a dense update (GEMM), a DGL-style stacking
-//!    pass, and the advisor aggregation over the whole snapshot — the
-//!    [`SnapshotAggregationKernel`] is prepared once per (version,
-//!    layer) and shared across every batch pinned to that version.
+//!    pass, and the advisor aggregation over the whole snapshot — one
+//!    [`PreparedSnapshot`] (groups and shared layout) is built per
+//!    version and shared by both layers' [`SnapshotAggregationKernel`]s
+//!    and every batch pinned to that version.
 
-use std::sync::Arc;
-
-use gnnadvisor_core::dynamic::{SnapshotAggregationKernel, SnapshotExecutor, SnapshotKernelHandle};
+use gnnadvisor_core::dynamic::{PreparedSnapshot, SnapshotAggregationKernel, SnapshotExecutor};
 use gnnadvisor_core::kernels::spmm_dgl::StackingKernel;
 use gnnadvisor_core::serving::{BatchWork, DeviceWork, DispatchedBatch};
 use gnnadvisor_core::{CoreError, Result, RuntimeParams};
@@ -46,7 +45,7 @@ pub struct DynamicGcnExecutor {
 
 struct Resident {
     version: u64,
-    layers: [Arc<SnapshotAggregationKernel>; 2],
+    layers: [SnapshotAggregationKernel; 2],
 }
 
 impl DynamicGcnExecutor {
@@ -99,11 +98,11 @@ impl SnapshotExecutor for DynamicGcnExecutor {
             ops.push(DeviceWork::Transfer {
                 bytes: ((nodes + 1 + edges) * WORD) as u64,
             });
-            let prepare =
-                |dim| SnapshotAggregationKernel::prepare(graph, dim, self.params).map(Arc::new);
+            let snapshot = PreparedSnapshot::prepare(graph, self.params)?;
+            let layer = |dim| SnapshotAggregationKernel::new(snapshot.clone(), dim);
             self.resident = Some(Resident {
                 version,
-                layers: [prepare(self.hidden_dim)?, prepare(self.num_classes)?],
+                layers: [layer(self.hidden_dim)?, layer(self.num_classes)?],
             });
         }
         let resident = self.resident.as_ref().expect("installed above");
@@ -123,9 +122,7 @@ impl SnapshotExecutor for DynamicGcnExecutor {
             ops.push(DeviceWork::Kernel(Box::new(StackingKernel::new(
                 nodes, out_dim,
             ))));
-            ops.push(DeviceWork::Kernel(Box::new(SnapshotKernelHandle(
-                resident.layers[layer].clone(),
-            ))));
+            ops.push(DeviceWork::Kernel(Box::new(resident.layers[layer].clone())));
         }
         // Device -> host: the batch's logits.
         ops.push(DeviceWork::Transfer {
