@@ -7,6 +7,8 @@
 //! Figure 1 optimization loop). Also ablates each §5/§6 optimization from
 //! the tuned configuration.
 
+#![deny(unsafe_code)]
+
 use gnnadvisor_bench::report::Table;
 use gnnadvisor_bench::runner::{build_advisor_manual, run_forward, ExperimentConfig, ModelKind};
 use gnnadvisor_core::input::extract;

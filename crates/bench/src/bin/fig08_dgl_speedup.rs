@@ -1,5 +1,7 @@
 //! Regenerates Figure 8: speedup over DGL for GCN and GIN.
 
+#![deny(unsafe_code)]
+
 use gnnadvisor_bench::experiments::fig08;
 use gnnadvisor_bench::report::write_json;
 use gnnadvisor_bench::ExperimentConfig;

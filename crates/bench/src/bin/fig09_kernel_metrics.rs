@@ -1,5 +1,7 @@
 //! Regenerates Figure 9: SM efficiency and cache hit rate vs DGL.
 
+#![deny(unsafe_code)]
+
 use gnnadvisor_bench::experiments::fig09;
 use gnnadvisor_bench::report::write_json;
 use gnnadvisor_bench::ExperimentConfig;

@@ -1,5 +1,7 @@
 //! Regenerates Figure 10: comparisons with PyG and GunRock.
 
+#![deny(unsafe_code)]
+
 use gnnadvisor_bench::experiments::fig10;
 use gnnadvisor_bench::report::write_json;
 use gnnadvisor_bench::ExperimentConfig;

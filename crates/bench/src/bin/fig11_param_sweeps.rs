@@ -1,6 +1,8 @@
 //! Regenerates Figure 11: group-size / thread-per-block / dimension-worker
 //! sweeps.
 
+#![deny(unsafe_code)]
+
 use gnnadvisor_bench::experiments::fig11;
 use gnnadvisor_bench::report::write_json;
 use gnnadvisor_bench::ExperimentConfig;

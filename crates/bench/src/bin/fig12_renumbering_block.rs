@@ -1,6 +1,8 @@
 //! Regenerates Figure 12: node renumbering and block-level optimization
 //! ablations.
 
+#![deny(unsafe_code)]
+
 use gnnadvisor_bench::experiments::fig12;
 use gnnadvisor_bench::report::write_json;
 use gnnadvisor_bench::ExperimentConfig;

@@ -1,6 +1,8 @@
 //! Regenerates Figure 13 and Table 3: hidden-dimension scaling and the
 //! V100 case study.
 
+#![deny(unsafe_code)]
+
 use gnnadvisor_bench::experiments::fig13;
 use gnnadvisor_bench::report::write_json;
 use gnnadvisor_bench::ExperimentConfig;

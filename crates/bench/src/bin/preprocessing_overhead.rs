@@ -6,6 +6,8 @@
 //! amortizes it against the simulated per-epoch saving it buys: how many
 //! GCN forward passes pay back the preprocessing investment?
 
+#![deny(unsafe_code)]
+
 use std::time::Instant;
 
 use gnnadvisor_bench::report::Table;

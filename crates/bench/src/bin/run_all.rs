@@ -1,6 +1,8 @@
 //! Runs every experiment in sequence and writes all JSON results — the
 //! one-shot regeneration of the paper's evaluation section.
 
+#![deny(unsafe_code)]
+
 use gnnadvisor_bench::experiments::{fig08, fig09, fig10, fig11, fig12, fig13, table1, table2};
 use gnnadvisor_bench::report::write_json;
 use gnnadvisor_bench::{

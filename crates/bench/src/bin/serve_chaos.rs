@@ -1,5 +1,7 @@
 //! Chaos scenario: serving under injected faults, retry vs no-retry.
 
+#![deny(unsafe_code)]
+
 use gnnadvisor_bench::experiments::chaos;
 use gnnadvisor_bench::report::write_json;
 use gnnadvisor_bench::ExperimentConfig;

@@ -1,5 +1,7 @@
 //! Serving scenario: serialized vs. overlapped simulated streams.
 
+#![deny(unsafe_code)]
+
 use gnnadvisor_bench::experiments::serving;
 use gnnadvisor_bench::report::write_json;
 use gnnadvisor_bench::ExperimentConfig;

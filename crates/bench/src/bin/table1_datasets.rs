@@ -1,5 +1,7 @@
 //! Regenerates Table 1: the dataset inventory.
 
+#![deny(unsafe_code)]
+
 use gnnadvisor_bench::experiments::table1;
 use gnnadvisor_bench::report::write_json;
 use gnnadvisor_bench::ExperimentConfig;

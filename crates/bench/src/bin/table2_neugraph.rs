@@ -1,5 +1,7 @@
 //! Regenerates Table 2: comparison with NeuGraph.
 
+#![deny(unsafe_code)]
+
 use gnnadvisor_bench::experiments::table2;
 use gnnadvisor_bench::report::write_json;
 use gnnadvisor_bench::ExperimentConfig;

@@ -6,6 +6,8 @@
 //! simulated per-epoch time, the speedup, and the learning curve — the
 //! numerics are identical by construction, only the cost differs.
 
+#![deny(unsafe_code)]
+
 use gnnadvisor_bench::report::Table;
 use gnnadvisor_bench::runner::{build_advisor, ExperimentConfig, ModelKind};
 use gnnadvisor_core::Framework;

@@ -22,6 +22,8 @@
 //! where the crossovers sit), not milliseconds. Set `GNNADVISOR_SCALE`
 //! (default 0.05) to trade fidelity for runtime; every binary honors it.
 
+#![deny(unsafe_code)]
+
 pub mod experiments;
 pub mod report;
 pub mod runner;

@@ -27,6 +27,8 @@
 //! values; property tests assert the grouped execution order computes
 //! exactly what the sequential reference does.
 
+#![deny(unsafe_code)]
+
 pub mod cluster;
 pub mod compute;
 pub mod dynamic;

@@ -12,6 +12,8 @@
 //! counts proportionally, so full sweeps finish quickly while preserving
 //! shape (degree distribution, community structure, dimensionality).
 
+#![deny(unsafe_code)]
+
 pub mod neugraph;
 pub mod registry;
 pub mod scale;

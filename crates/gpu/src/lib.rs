@@ -22,6 +22,8 @@
 //! streaming baselines. Nothing is sampled from a clock or an unseeded RNG:
 //! identical inputs produce identical metrics.
 
+#![deny(unsafe_code)]
+
 pub mod cache;
 pub mod context;
 pub mod device;

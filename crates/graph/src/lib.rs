@@ -26,6 +26,8 @@
 //! input they produce byte-identical output, which the simulator upstream
 //! relies on for reproducible experiment tables.
 
+#![deny(unsafe_code)]
+
 pub mod builder;
 pub mod community;
 pub mod coo;

@@ -19,6 +19,8 @@
 //!
 //! [`Framework`]: gnnadvisor_core::Framework
 
+#![deny(unsafe_code)]
+
 pub mod batch;
 pub mod dynamic;
 pub mod exec;

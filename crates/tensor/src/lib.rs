@@ -18,7 +18,9 @@
 //!
 //! The numbers are computed row-parallel: [`par::for_each_row_chunk`]
 //! splits an output into contiguous chunks of whole rows over a caller's
-//! worker count ([`gemm_par`], [`gemm_tn`], [`gemm_nt`],
+//! worker count and runs them on [`par::run`], the process-wide pool of
+//! persistent helper threads that `gnnadvisor-gpu`'s sharded block loop
+//! shares ([`gemm_par`], [`gemm_tn`], [`gemm_nt`],
 //! [`Linear::forward`], [`Mlp::forward`], and the host aggregations of
 //! `gnnadvisor-core`). Each element keeps the plain triple loop's
 //! accumulation order (ascending `k`, separate multiply and add, zero
@@ -26,6 +28,8 @@
 //! lands in, so results are bitwise equal at any worker count;
 //! calls below [`par::MIN_WORK_PER_WORKER`] per worker stay on the
 //! calling thread. [`gemm()`] and [`gemm_into`] are the one-worker calls.
+
+#![deny(unsafe_code)]
 
 pub mod gemm;
 pub mod init;

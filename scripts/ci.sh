@@ -19,11 +19,13 @@ cargo build --offline --workspace --examples
 echo "==> cargo test -q"
 cargo test --offline --workspace -q
 
-echo "==> cargo test --release: numerics oracles and pins"
+echo "==> cargo test --release: numerics oracles, pins and the host pool"
 # The GEMM micro-kernel keeps its output tile in registers only under
 # optimization, the build the benchmark runs, so the exact-contract
-# oracles and the numerics pins run there too.
-cargo test --release --offline -q -p gnnadvisor-tensor -p gnnadvisor-models
+# oracles and the numerics pins run there too; so do the host pool's
+# concurrency tests and the concurrent-launch differential test, where
+# optimized timing makes the interleavings they probe most likely.
+cargo test --release --offline -q -p gnnadvisor-tensor -p gnnadvisor-models -p gnnadvisor-gpu
 
 echo "==> benchmark smoke test"
 # The benchmark is a package of its own; its smoke test runs every

@@ -1,5 +1,7 @@
 //! The `gnnadvisor` command-line tool — see `gnnadvisor help`.
 
+#![deny(unsafe_code)]
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match gnnadvisor_repro::cli::dispatch(&args) {

@@ -11,6 +11,8 @@
 //! - [`models`] — GCN / GIN / GraphSage architectures.
 //! - [`datasets`] — the paper's Table 1 / Table 2 dataset registry.
 
+#![deny(unsafe_code)]
+
 pub mod cli;
 
 /// The workspace's unified error enum (one variant per layer),
