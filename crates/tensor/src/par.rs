@@ -93,6 +93,7 @@ pub fn run(workers: usize, job: &(dyn Fn() + Sync)) {
 static POOL: Pool = Pool {
     busy: AtomicBool::new(false),
     posted: AtomicU64::new(0),
+    running: AtomicUsize::new(0),
     state: Mutex::new(State {
         job: None,
         posted: 0,
@@ -113,6 +114,9 @@ struct Pool {
     busy: AtomicBool,
     /// [`State::posted`], readable without the lock by spinning helpers.
     posted: AtomicU64,
+    /// [`State::running`], readable without the lock by a spinning
+    /// caller.
+    running: AtomicUsize,
     state: Mutex<State>,
     /// Parked helpers wait here for a job.
     wake: Condvar,
@@ -215,13 +219,7 @@ impl Pool {
     fn serve(&self, mut seen: u64) -> ! {
         let mut spin_until = Instant::now() + SPIN;
         loop {
-            let mut spins = 0u32;
-            while self.posted.load(Ordering::Acquire) == seen
-                && (!spins.is_multiple_of(64) || Instant::now() < spin_until)
-            {
-                std::hint::spin_loop();
-                spins = spins.wrapping_add(1);
-            }
+            spin_while(spin_until, || self.posted.load(Ordering::Acquire) == seen);
             let mut st = self.lock();
             while st.posted == seen {
                 st.parked += 1;
@@ -234,6 +232,7 @@ impl Pool {
             if let Some(job) = job {
                 st.seats -= 1;
                 st.running += 1;
+                self.running.store(st.running, Ordering::Release);
                 drop(st);
                 let result = panic::catch_unwind(AssertUnwindSafe(job));
                 let mut st = self.lock();
@@ -241,6 +240,7 @@ impl Pool {
                     st.panic.get_or_insert(payload);
                 }
                 st.running -= 1;
+                self.running.store(st.running, Ordering::Release);
                 if st.running == 0 && st.caller_waiting {
                     self.done.notify_one();
                 }
@@ -264,6 +264,15 @@ impl Drop for Close<'_> {
         let mut st = self.pool.lock();
         st.job = None;
         st.seats = 0;
+        if st.running > 0 {
+            // Closed, so `running` only falls from here. The helpers'
+            // last units usually end within microseconds of the caller's:
+            // spin for them before sleeping.
+            drop(st);
+            let spin_until = Instant::now() + SPIN;
+            spin_while(spin_until, || self.pool.running.load(Ordering::Acquire) > 0);
+            st = self.pool.lock();
+        }
         while st.running > 0 {
             st.caller_waiting = true;
             st = self
@@ -276,6 +285,15 @@ impl Drop for Close<'_> {
         *self.helper_panic = st.panic.take();
         drop(st);
         self.pool.busy.store(false, Ordering::Release);
+    }
+}
+
+/// Spins while `waiting()` holds, until `until` at the latest.
+fn spin_while(until: Instant, waiting: impl Fn() -> bool) {
+    let mut spins = 0u32;
+    while waiting() && (!spins.is_multiple_of(64) || Instant::now() < until) {
+        std::hint::spin_loop();
+        spins = spins.wrapping_add(1);
     }
 }
 
