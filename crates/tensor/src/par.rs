@@ -13,10 +13,10 @@
 //!
 //! Helpers start lazily, one per extra worker, and grow to the largest
 //! `workers - 1` any call has asked for; they are never torn down. After
-//! a job a helper spins for [`SPIN`] waiting for the next one, then parks
-//! on a condition variable, so back-to-back calls (one kernel launch per
-//! served batch) pay no thread start-up and no wake-up. With one worker
-//! nothing is ever started.
+//! a job a helper spins for a bounded interval (200 µs) waiting for the
+//! next one, then parks on a condition variable, so back-to-back calls
+//! (one kernel launch per served batch) pay no thread start-up and no
+//! wake-up. With one worker nothing is ever started.
 //!
 //! Every GEMM and host aggregation writes each output row from its own
 //! inputs alone, so splitting the output into contiguous chunks of whole
@@ -206,7 +206,9 @@ impl Pool {
     }
 
     /// Starts one helper that will take jobs posted after `posted`;
-    /// `false` if the thread could not be started.
+    /// `false` if the thread could not be started. Helpers are never
+    /// joined: they live as long as the process, and no panic unwinds out
+    /// of [`Pool::serve`] (shares run under `catch_unwind`).
     fn start_helper(&'static self, posted: u64) -> bool {
         std::thread::Builder::new()
             .name("gnnadvisor-par".into())
