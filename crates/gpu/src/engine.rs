@@ -33,9 +33,9 @@
 //! Figure 12 signal) is preserved within each chunk, and the
 //! decomposition depends only on the launch shape — results are
 //! bit-identical for any worker count, including one, and however many
-//! threads end up claiming. Per-chunk metrics merge with order-independent sums; SM placement
-//! runs serially over the concatenated per-shard block costs, in dispatch
-//! order, exactly as the serial loop would.
+//! threads end up claiming. Per-chunk metrics merge with order-independent
+//! sums; SM placement runs serially over the concatenated per-shard block
+//! costs, in dispatch order, exactly as the serial loop would.
 //!
 //! All mutable state lives in a recycled [`RunContext`], so steady-state
 //! launches allocate nothing on the hot path. The worker count comes from

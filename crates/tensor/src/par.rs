@@ -527,14 +527,14 @@ mod pool_tests {
         let chunks: Vec<Mutex<Option<&mut [u64]>>> =
             data.chunks_mut(7).map(|c| Mutex::new(Some(c))).collect();
         let next = AtomicUsize::new(0);
-        run_pooled(4, &|| {
-            while let Some(i) =
-                Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < chunks.len())
-            {
-                let chunk = chunks[i].lock().unwrap().take().unwrap();
-                for (j, x) in chunk.iter_mut().enumerate() {
-                    *x = (i * 7 + j) as u64 * 3;
-                }
+        run_pooled(4, &|| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(chunk) = chunks.get(i) else {
+                break;
+            };
+            let chunk = chunk.lock().unwrap().take().unwrap();
+            for (j, x) in chunk.iter_mut().enumerate() {
+                *x = (i * 7 + j) as u64 * 3;
             }
         });
         drop(chunks);
