@@ -341,7 +341,7 @@ pub fn simulate_cluster(
             let release = spec.ms_to_cycles(release_ms);
 
             let mut tail = None;
-            let mut attempt_ms = 0.0f64;
+            let mut attempt_cycles = 0u64;
             let mut fault: Option<FaultKind> = None;
             for op in &work.ops {
                 let workload = match op {
@@ -358,7 +358,7 @@ pub fn simulate_cluster(
                     workload,
                     release,
                 )?;
-                attempt_ms += enq.metrics.time_ms();
+                attempt_cycles += spec.ms_to_cycles(enq.metrics.time_ms());
                 if let Some(kind) = enq.fault {
                     // The faulted op burns its time; the attempt's
                     // remaining ops are never issued.
@@ -367,11 +367,7 @@ pub fn simulate_cluster(
                 }
                 tail = Some(enq.handle);
             }
-            let est_end = router.commit(
-                placement,
-                clock.ms_to_cycles(release_ms),
-                clock.ms_to_cycles(attempt_ms),
-            );
+            let est_end = router.commit(placement, clock.ms_to_cycles(release_ms), attempt_cycles);
             match fault {
                 None => {
                     // Feed the latency estimator (sorted insert) so the
@@ -402,7 +398,7 @@ pub fn simulate_cluster(
                         break;
                     }
                     retries += 1;
-                    release_ms = spec.cycles_to_ms(release + spec.ms_to_cycles(attempt_ms))
+                    release_ms = spec.cycles_to_ms(release + attempt_cycles)
                         + cfg.retry.backoff_ms(i, attempt);
                     exclude = Some(replica);
                 }

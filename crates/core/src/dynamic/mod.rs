@@ -665,13 +665,14 @@ pub fn simulate_dynamic(
         match outcome {
             BatchOutcome::Exhausted => failed += batch.requests.len(),
             BatchOutcome::Done(tail) => {
-                let end_cycles = match tail {
-                    Some(handle) => reports[replica]
-                        .op_end(handle)
-                        .expect("committed op has a span"),
-                    None => spec.ms_to_cycles(batch.dispatch_ms),
+                let end_ms = match tail {
+                    Some(handle) => spec.cycles_to_ms(
+                        reports[replica]
+                            .op_end(handle)
+                            .expect("committed op has a span"),
+                    ),
+                    None => batch.dispatch_ms,
                 };
-                let end_ms = spec.cycles_to_ms(end_cycles);
                 span_ms = span_ms.max(end_ms);
                 for request in &batch.requests {
                     let latency = (end_ms - request.arrival_ms).max(0.0);

@@ -1,12 +1,21 @@
 //! Differential oracles between the serving entry points.
 //!
-//! Plain serving is the degenerate case of dynamic serving: one engine,
-//! no updates and no re-renumbering policy serve the same batches on the
-//! same round-robin streams, so every report field must agree bit for
-//! bit. The runs cover faults, retries, deadlines and admission shedding.
+//! Plain serving is the degenerate case of the other two:
+//!
+//! - dynamic serving with one engine, no updates and no re-renumbering
+//!   policy serves the same batches on the same round-robin streams;
+//! - a cluster of one replica with one stream and one tenant, whose
+//!   deadline is the serving deadline, places every batch on that stream
+//!   under any router policy.
+//!
+//! So every report field must agree bit for bit. The runs cover faults,
+//! retries, deadlines and admission shedding. (With two or more streams
+//! a cluster is not plain serving: its router picks the least-busy
+//! stream, where plain serving takes the next stream in turn.)
 
 use std::sync::Arc;
 
+use gnnadvisor_core::cluster::{simulate_cluster, ClusterConfig, RouterPolicy, TenantSpec};
 use gnnadvisor_core::dynamic::{simulate_dynamic, DynamicConfig, SnapshotExecutor};
 use gnnadvisor_core::kernels::spmm_dgl::StackingKernel;
 use gnnadvisor_core::serving::{
@@ -43,6 +52,15 @@ impl BatchExecutor for GemmExecutor {
 impl SnapshotExecutor for GemmExecutor {
     fn plan(&mut self, batch: &DispatchedBatch, _graph: &Csr, _version: u64) -> Result<BatchWork> {
         BatchExecutor::plan(self, batch)
+    }
+}
+
+/// Plans no device work: every batch completes at its dispatch instant.
+struct NoOps;
+
+impl BatchExecutor for NoOps {
+    fn plan(&mut self, _batch: &DispatchedBatch) -> Result<BatchWork> {
+        Ok(BatchWork::default())
     }
 }
 
@@ -175,4 +193,91 @@ fn plain_serving_equals_dynamic_serving_without_updates() {
         shed && retried && missed,
         "the sweep must shed, retry and miss"
     );
+}
+
+#[test]
+fn a_one_stream_single_tenant_cluster_equals_plain_serving() {
+    let mut shed = false;
+    for policy in [
+        RouterPolicy::RoundRobin,
+        RouterPolicy::LeastLoaded,
+        RouterPolicy::CostAware,
+    ] {
+        for case in cases(1..=1) {
+            for zero_ops in [false, true] {
+                let exec = || -> Box<dyn BatchExecutor> {
+                    if zero_ops {
+                        Box::new(NoOps)
+                    } else {
+                        Box::new(GemmExecutor)
+                    }
+                };
+                let cfg = case.config();
+                let arrivals = trace(case.seed);
+                let plain = simulate(
+                    &engine(case.fault_rate, case.seed),
+                    &arrivals,
+                    &cfg,
+                    &mut *exec(),
+                )
+                .expect("serves");
+                let tenant = TenantSpec {
+                    name: "only".into(),
+                    weight: 1,
+                    deadline_ms: cfg.deadline_ms,
+                };
+                let cluster = simulate_cluster(
+                    &[engine(case.fault_rate, case.seed)],
+                    &arrivals,
+                    &vec![0; arrivals.len()],
+                    &[tenant],
+                    &ClusterConfig {
+                        replicas: 1,
+                        streams: 1,
+                        queue: cfg.queue.clone(),
+                        batch: cfg.batch.clone(),
+                        retry: cfg.retry.clone(),
+                        router: policy,
+                        autoscaler: None,
+                    },
+                    &mut *exec(),
+                )
+                .expect("serves");
+                let row = &cluster.tenants[0];
+                // The cluster report carries no busy cycles; every other
+                // serving field has a cluster counterpart.
+                let as_serving = ServingReport {
+                    completed: cluster.completed,
+                    shed: cluster.shed,
+                    failed: cluster.failed,
+                    deadline_missed: cluster.deadline_missed,
+                    retries: cluster.retries,
+                    batches: cluster.batches,
+                    p50_ms: row.p50_ms,
+                    p95_ms: row.p95_ms,
+                    p99_ms: row.p99_ms,
+                    mean_ms: row.mean_ms,
+                    throughput_rps: cluster.throughput_rps,
+                    goodput_rps: row.goodput_rps,
+                    makespan_ms: cluster.makespan_ms,
+                    kernel_busy_cycles: plain.kernel_busy_cycles,
+                    copy_busy_cycles: plain.copy_busy_cycles,
+                    mean_kernel_occupancy: cluster.per_replica_occupancy[0],
+                };
+                assert_eq!(
+                    bits(&plain),
+                    bits(&as_serving),
+                    "{policy:?} zero ops {zero_ops} fault rate {} attempts {} deadline {:?} \
+                     capacity {}",
+                    case.fault_rate,
+                    case.max_attempts,
+                    case.deadline_ms,
+                    case.queue_capacity
+                );
+                assert_eq!(cluster.goodput_rps.to_bits(), row.goodput_rps.to_bits());
+                shed |= plain.shed > 0;
+            }
+        }
+    }
+    assert!(shed, "the sweep must shed");
 }

@@ -460,7 +460,7 @@ fn cluster_serving_is_byte_identical() {
         },
         &[
             ("faulted", 0x5fefa9ecd3c89302),
-            ("autoscale", 0x2d4fb311f571ca13),
+            ("autoscale", 0x31d8f19cc3fbb15c),
             ("reset", 0x7acec3e3c8203a55),
         ],
     );
