@@ -22,7 +22,14 @@
 //! [`simulate_cluster`] ties it together and aggregates a
 //! [`ClusterReport`] with per-tenant goodput and SLO attainment under the
 //! cluster-wide conservation invariant: summed across replicas,
-//! `completed + shed + failed + deadline_missed == arrivals`. The report
+//! `completed + shed + failed + deadline_missed == arrivals`. Batches run
+//! through the serving layer's batch runner, with the router and the
+//! failover rule placing each attempt, and requests are accounted in its
+//! latency ledger, one class per tenant. A cluster of one replica with
+//! one stream and one tenant reports exactly what
+//! [`crate::serving::simulate`] reports; with more streams it does not,
+//! because the router picks the least-busy stream where plain serving
+//! takes the next stream in turn. The report
 //! renders byte-identically across runs and `GNNADVISOR_SIM_THREADS`
 //! settings — pricing is worker-count-invariant and every policy above is
 //! a seeded pure fold.
@@ -38,11 +45,11 @@ pub use tenant::{
 };
 
 use gnnadvisor_gpu::fault::FaultKind;
-use gnnadvisor_gpu::stream::OpHandle;
-use gnnadvisor_gpu::{Engine, StreamSim, Workload};
+use gnnadvisor_gpu::{Engine, GpuSpec};
 
-use crate::serving::percentile;
-use crate::serving::{BatchExecutor, BatchPolicy, DeviceWork, QueuePolicy, Request, RetryPolicy};
+use crate::serving::ledger::{percentile, Class};
+use crate::serving::runner::{Attempt, Fleet, Outcome, Placer, Slot};
+use crate::serving::{BatchExecutor, BatchPolicy, QueuePolicy, Request, RetryPolicy};
 use crate::{CoreError, Result};
 
 /// Shape of the cluster: replica/stream counts plus the shared policies.
@@ -211,17 +218,63 @@ impl ClusterReport {
     }
 }
 
-/// How one batch's cluster-wide retry chain ended.
-enum Outcome {
-    /// Some attempt ran fault-free on `replica`; `tail` is its last op
-    /// (`None`: the batch planned no device ops and completes at its
-    /// dispatch instant).
-    Done {
-        replica: usize,
-        tail: Option<OpHandle>,
-    },
-    /// Every attempt faulted; the batch's requests failed.
-    Exhausted,
+/// The cluster's control plane as it places each attempt of a batch:
+/// the active replica set, the router's estimates, and failover.
+struct Control {
+    router: Router,
+    /// The router keeps time in replica 0's cycles (every CLI and bench
+    /// path builds identical specs; with mixed specs the estimates stay
+    /// deterministic, merely coarser).
+    clock: GpuSpec,
+    active: Vec<usize>,
+    dead: Vec<bool>,
+    per_replica_batches: Vec<usize>,
+    /// The replica the batch's previous attempt faulted on.
+    exclude: Option<usize>,
+    /// The router's estimated end cycle of the last committed attempt.
+    est_end: u64,
+}
+
+impl Placer for Control {
+    fn place(&mut self, release_ms: f64) -> Slot {
+        // Retry elsewhere: skip the replica that just faulted unless it
+        // is the only active one.
+        let avail: Vec<usize> = match self.exclude {
+            Some(x) if self.active.len() > 1 => {
+                self.active.iter().copied().filter(|&r| r != x).collect()
+            }
+            _ => self.active.clone(),
+        };
+        let p = self
+            .router
+            .route(&avail, self.clock.ms_to_cycles(release_ms));
+        self.per_replica_batches[p.replica] += 1;
+        Slot {
+            replica: p.replica,
+            stream: p.stream,
+        }
+    }
+
+    fn settled(&mut self, attempt: &Attempt) {
+        let Slot { replica, stream } = attempt.slot;
+        self.est_end = self.router.commit(
+            Placement { replica, stream },
+            self.clock.ms_to_cycles(attempt.release_ms),
+            attempt.cycles,
+        );
+        if let Some(kind) = attempt.fault {
+            if kind == FaultKind::DeviceReset && !self.dead[replica] {
+                // The replica is gone for the rest of the run — unless it
+                // is the last one standing, where a degraded replica
+                // beats an empty cluster.
+                self.dead[replica] = true;
+                if self.active.len() > 1 {
+                    self.active.retain(|&r| r != replica);
+                }
+            }
+            self.exclude = Some(replica);
+        }
+    }
 }
 
 fn validate(engines: &[Engine], cfg: &ClusterConfig) -> Result<usize> {
@@ -278,27 +331,23 @@ pub fn simulate_cluster(
     let engines = &engines[..slots];
     let plan = plan_cluster_batches(arrivals, tenant_of, tenants, &cfg.queue, &cfg.batch)?;
 
-    // The router and the latency estimator keep time in replica 0's
-    // cycles (every CLI/bench path builds identical specs; with mixed
-    // specs the estimates stay deterministic, merely coarser).
-    let clock = engines[0].spec().clone();
-    let mut sims: Vec<StreamSim> = engines.iter().map(StreamSim::new).collect();
-    let streams: Vec<Vec<_>> = sims
-        .iter_mut()
-        .map(|sim| (0..cfg.streams).map(|_| sim.stream()).collect())
-        .collect();
-    let mut router = Router::new(cfg.router, slots, cfg.streams);
+    let mut fleet = Fleet::new(engines, cfg.streams);
+    let mut control = Control {
+        router: Router::new(cfg.router, slots, cfg.streams),
+        clock: engines[0].spec().clone(),
+        active: (0..cfg.replicas.min(slots)).collect(),
+        dead: vec![false; slots],
+        per_replica_batches: vec![0; slots],
+        exclude: None,
+        est_end: 0,
+    };
     let mut scaler = match &cfg.autoscaler {
         Some(a) => Some(Autoscaler::new(a.clone(), cfg.replicas)?),
         None => None,
     };
-
-    let mut active: Vec<usize> = (0..cfg.replicas.min(slots)).collect();
-    let mut dead: Vec<bool> = vec![false; slots];
-    let mut peak_active = active.len();
-    let mut per_replica_batches = vec![0usize; slots];
+    let mut peak_active = control.active.len();
     let mut est_latencies: Vec<f64> = Vec::new(); // kept sorted
-    let mut outcomes: Vec<Outcome> = Vec::with_capacity(plan.batches.len());
+    let mut outcomes = Vec::with_capacity(plan.batches.len());
     let mut retries = 0u64;
 
     for (i, cb) in plan.batches.iter().enumerate() {
@@ -307,6 +356,7 @@ pub fn simulate_cluster(
         if let Some(scaler) = scaler.as_mut() {
             let p99_est = percentile(&est_latencies, 99.0);
             let target = scaler.observe(cb.batch.dispatch_ms, cb.depth_at_dispatch, p99_est);
+            let Control { active, dead, .. } = &mut control;
             while active.len() > target {
                 // Drain the highest slot: committed batches still run.
                 active.pop();
@@ -324,187 +374,84 @@ pub fn simulate_cluster(
         }
 
         let work = exec.plan(&cb.batch)?;
-        let mut release_ms = cb.batch.dispatch_ms;
-        let mut exclude: Option<usize> = None;
-        let mut outcome = Outcome::Exhausted;
-        for attempt in 1..=cfg.retry.max_attempts {
-            // Retry elsewhere: skip the replica that just faulted unless
-            // it is the only active one.
-            let avail: Vec<usize> = match exclude {
-                Some(x) if active.len() > 1 => active.iter().copied().filter(|&r| r != x).collect(),
-                _ => active.clone(),
-            };
-            let placement = router.route(&avail, clock.ms_to_cycles(release_ms));
-            let replica = placement.replica;
-            per_replica_batches[replica] += 1;
-            let spec = engines[replica].spec();
-            let release = spec.ms_to_cycles(release_ms);
-
-            let mut tail = None;
-            let mut attempt_cycles = 0u64;
-            let mut fault: Option<FaultKind> = None;
-            for op in &work.ops {
-                let workload = match op {
-                    DeviceWork::Kernel(k) => Workload::Kernel(&**k),
-                    DeviceWork::Gemm { m, n, k } => Workload::Gemm {
-                        m: *m,
-                        n: *n,
-                        k: *k,
-                    },
-                    DeviceWork::Transfer { bytes } => Workload::Transfer { bytes: *bytes },
-                };
-                let enq = sims[replica].try_enqueue_at(
-                    streams[replica][placement.stream],
-                    workload,
-                    release,
-                )?;
-                attempt_cycles += spec.ms_to_cycles(enq.metrics.time_ms());
-                if let Some(kind) = enq.fault {
-                    // The faulted op burns its time; the attempt's
-                    // remaining ops are never issued.
-                    fault = Some(kind);
-                    break;
-                }
-                tail = Some(enq.handle);
-            }
-            let est_end = router.commit(placement, clock.ms_to_cycles(release_ms), attempt_cycles);
-            match fault {
-                None => {
-                    // Feed the latency estimator (sorted insert) so the
-                    // autoscaler's p99 signal tracks estimated service;
-                    // nothing else reads it.
-                    if scaler.is_some() {
-                        let est_end_ms = clock.cycles_to_ms(est_end);
-                        for request in &cb.batch.requests {
-                            let est = (est_end_ms - request.arrival_ms).max(0.0);
-                            let at = est_latencies.partition_point(|&x| x < est);
-                            est_latencies.insert(at, est);
-                        }
-                    }
-                    outcome = Outcome::Done { replica, tail };
-                    break;
-                }
-                Some(kind) => {
-                    if kind == FaultKind::DeviceReset && !dead[replica] {
-                        // The replica is gone for the rest of the run —
-                        // unless it is the last one standing, where a
-                        // degraded replica beats an empty cluster.
-                        dead[replica] = true;
-                        if active.len() > 1 {
-                            active.retain(|&r| r != replica);
-                        }
-                    }
-                    if attempt == cfg.retry.max_attempts {
-                        break;
-                    }
-                    retries += 1;
-                    release_ms = spec.cycles_to_ms(release + attempt_cycles)
-                        + cfg.retry.backoff_ms(i, attempt);
-                    exclude = Some(replica);
-                }
+        control.exclude = None;
+        let run = fleet.run_batch(i, &work, cb.batch.dispatch_ms, &cfg.retry, &mut control)?;
+        retries += run.retries();
+        if scaler.is_some() && matches!(run.outcome, Outcome::Done { .. }) {
+            // Feed the latency estimator (sorted insert) so the
+            // autoscaler's p99 signal tracks estimated service; nothing
+            // else reads it.
+            let est_end_ms = control.clock.cycles_to_ms(control.est_end);
+            for request in &cb.batch.requests {
+                let est = (est_end_ms - request.arrival_ms).max(0.0);
+                let at = est_latencies.partition_point(|&x| x < est);
+                est_latencies.insert(at, est);
             }
         }
-        outcomes.push(outcome);
+        outcomes.push(run.outcome);
     }
 
-    let reports: Vec<_> = sims
-        .into_iter()
-        .map(|sim| sim.run())
-        .collect::<gnnadvisor_gpu::Result<_>>()?;
-
-    // Classification per tenant.
-    let n = tenants.len();
-    let mut t_arrivals = vec![0usize; n];
+    let mut tenant_arrivals = vec![0usize; tenants.len()];
     for &t in tenant_of {
-        t_arrivals[t] += 1;
+        tenant_arrivals[t] += 1;
     }
-    let mut t_completed_lat: Vec<Vec<f64>> = vec![Vec::new(); n];
-    let mut t_failed = vec![0usize; n];
-    let mut t_missed = vec![0usize; n];
-    let mut span_ms = reports.iter().map(|r| r.makespan_ms).fold(0.0, f64::max);
+    let classes = tenants
+        .iter()
+        .zip(&tenant_arrivals)
+        .zip(&plan.shed_per_tenant)
+        .map(|((spec, &arrivals), &shed)| Class {
+            deadline_ms: spec.deadline_ms,
+            arrivals,
+            shed,
+        })
+        .collect();
+    let mut ledger = fleet.close(classes)?;
     for (cb, outcome) in plan.batches.iter().zip(outcomes) {
-        match outcome {
-            Outcome::Exhausted => t_failed[cb.tenant] += cb.batch.requests.len(),
-            Outcome::Done { replica, tail } => {
-                let end_ms = match tail {
-                    Some(handle) => {
-                        let end = reports[replica]
-                            .op_end(handle)
-                            .expect("committed op has a span");
-                        engines[replica].spec().cycles_to_ms(end)
-                    }
-                    None => cb.batch.dispatch_ms,
-                };
-                span_ms = span_ms.max(end_ms);
-                let deadline = tenants[cb.tenant].deadline_ms;
-                for request in &cb.batch.requests {
-                    let latency = (end_ms - request.arrival_ms).max(0.0);
-                    match deadline {
-                        Some(d) if latency > d => t_missed[cb.tenant] += 1,
-                        _ => t_completed_lat[cb.tenant].push(latency),
-                    }
-                }
+        ledger.record(cb.tenant, &cb.batch, outcome);
+    }
+    let rows = tenants
+        .iter()
+        .enumerate()
+        .map(|(t, spec)| {
+            let r = ledger.report(t..t + 1);
+            let arrivals = tenant_arrivals[t];
+            TenantRow {
+                name: spec.name.clone(),
+                arrivals,
+                completed: r.completed,
+                shed: r.shed,
+                failed: r.failed,
+                deadline_missed: r.deadline_missed,
+                p50_ms: r.p50_ms,
+                p95_ms: r.p95_ms,
+                p99_ms: r.p99_ms,
+                mean_ms: r.mean_ms,
+                goodput_rps: r.goodput_rps,
+                slo_attainment: if arrivals == 0 {
+                    1.0
+                } else {
+                    r.completed as f64 / arrivals as f64
+                },
             }
-        }
-    }
-
-    let rate = |count: usize| {
-        if span_ms > 0.0 {
-            count as f64 * 1000.0 / span_ms
-        } else {
-            0.0
-        }
-    };
-    let mut rows = Vec::with_capacity(n);
-    for (t, spec) in tenants.iter().enumerate() {
-        let mut lat = std::mem::take(&mut t_completed_lat[t]);
-        lat.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let completed = lat.len();
-        let mean_ms = if completed == 0 {
-            0.0
-        } else {
-            lat.iter().sum::<f64>() / completed as f64
-        };
-        rows.push(TenantRow {
-            name: spec.name.clone(),
-            arrivals: t_arrivals[t],
-            completed,
-            shed: plan.shed_per_tenant[t],
-            failed: t_failed[t],
-            deadline_missed: t_missed[t],
-            p50_ms: percentile(&lat, 50.0),
-            p95_ms: percentile(&lat, 95.0),
-            p99_ms: percentile(&lat, 99.0),
-            mean_ms,
-            goodput_rps: rate(completed),
-            slo_attainment: if t_arrivals[t] == 0 {
-                1.0
-            } else {
-                completed as f64 / t_arrivals[t] as f64
-            },
-        });
-    }
-
-    let completed: usize = rows.iter().map(|r| r.completed).sum();
-    let shed: u64 = rows.iter().map(|r| r.shed).sum();
-    let failed: usize = rows.iter().map(|r| r.failed).sum();
-    let deadline_missed: usize = rows.iter().map(|r| r.deadline_missed).sum();
+        })
+        .collect();
+    let total = ledger.report(0..tenants.len());
     Ok(ClusterReport {
         tenants: rows,
-        completed,
-        shed,
-        failed,
-        deadline_missed,
+        completed: total.completed,
+        shed: total.shed,
+        failed: total.failed,
+        deadline_missed: total.deadline_missed,
         retries,
         batches: plan.batches.len(),
-        per_replica_batches,
-        per_replica_occupancy: reports.iter().map(|r| r.mean_kernel_occupancy()).collect(),
-        dead_replicas: (0..slots).filter(|&r| dead[r]).collect(),
+        per_replica_batches: control.per_replica_batches,
+        per_replica_occupancy: ledger.per_replica_occupancy(),
+        dead_replicas: (0..slots).filter(|&r| control.dead[r]).collect(),
         scale_events: scaler.map(Autoscaler::into_events).unwrap_or_default(),
         peak_active,
-        throughput_rps: rate(completed + deadline_missed),
-        goodput_rps: rate(completed),
-        makespan_ms: reports.iter().map(|r| r.makespan_ms).fold(0.0, f64::max),
+        throughput_rps: total.throughput_rps,
+        goodput_rps: total.goodput_rps,
+        makespan_ms: total.makespan_ms,
     })
 }
 
@@ -512,7 +459,7 @@ pub fn simulate_cluster(
 mod tests {
     use super::*;
     use crate::serving::{generate_arrivals, generate_mmpp_arrivals, ArrivalConfig, MmppConfig};
-    use crate::serving::{BatchWork, DispatchedBatch};
+    use crate::serving::{BatchWork, DeviceWork, DispatchedBatch};
     use gnnadvisor_gpu::{FaultConfig, FaultPlan, GpuSpec};
     use std::sync::Arc;
 

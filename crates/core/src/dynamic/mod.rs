@@ -7,7 +7,7 @@
 //! production graph the packing decays — uniformly random churn threads
 //! long-span edges through the community blocks — and nothing in a
 //! static pipeline notices. This module is the online version of that
-//! result (ROADMAP item 4):
+//! result:
 //!
 //! - updates from a seeded stream ([`gnnadvisor_graph::dynamic`]) are
 //!   interleaved with request arrivals on the simulated clock: every
@@ -24,25 +24,30 @@
 //!   stall on the simulated clock that subsequent batches must wait out
 //!   — amortizing the rebuild against the recovered kernel speed.
 //!
-//! The arrival/admission/batching/retry/deadline machinery is the
-//! serving pipeline's, reused verbatim ([`plan_batches`], the stream
-//! round-robin, the conservation invariant); batches may round-robin
-//! across several replica engines (the cluster integration: replicated
-//! serving over one evolving graph). Everything downstream of the seeds
-//! is deterministic and byte-identical at any `GNNADVISOR_SIM_THREADS`.
+//! The arrival, admission, batching, retry and deadline machinery is the
+//! serving pipeline's: [`crate::serving`]'s round-robin loop runs every
+//! batch, and this module adds one step before each batch (apply the due
+//! updates, pin the snapshot) and one after it (the locality policy).
+//! Batches may round-robin across several replica engines (the cluster
+//! integration: replicated serving over one evolving graph). With one
+//! engine, no updates and no policy the report equals
+//! [`crate::serving::simulate`]'s bit for bit. Everything downstream of
+//! the seeds is deterministic and byte-identical at any
+//! `GNNADVISOR_SIM_THREADS`.
 
 use std::sync::Arc;
 
-use gnnadvisor_gpu::stream::OpHandle;
-use gnnadvisor_gpu::{BlockSink, Engine, GridConfig, HitRateWindow, Kernel, StreamSim, Workload};
+use gnnadvisor_gpu::{BlockSink, Engine, GridConfig, HitRateWindow, Kernel};
 use gnnadvisor_graph::dynamic::{DeltaCsr, UpdateEvent, UpdateKind};
 use gnnadvisor_graph::reorder::{renumber, RenumberConfig};
 use gnnadvisor_graph::{Csr, NodeId};
 
 use crate::kernels::advisor::AdvisorKernel;
 use crate::memory::organize::{organize_shared, SharedLayout};
+use crate::serving::runner::BatchRun;
 use crate::serving::{
-    plan_batches, BatchWork, DeviceWork, DispatchedBatch, Request, ServingConfig, ServingReport,
+    serve_round_robin, BatchSteps, BatchWork, DispatchedBatch, Request, ServingConfig,
+    ServingReport,
 };
 use crate::tuning::params::RuntimeParams;
 use crate::workload::group::{partition_groups, NeighborGroup};
@@ -362,12 +367,6 @@ fn mean_rate<'a, I: Iterator<Item = &'a SnapshotRow>>(rows: I) -> f64 {
     }
 }
 
-/// How one batch's retry chain ended (mirrors the serving pipeline).
-enum BatchOutcome {
-    Done(Option<OpHandle>),
-    Exhausted,
-}
-
 /// The mutable graph side of the run: the live delta CSR plus the
 /// stream-space → current-space id map that survives renumbering.
 struct LiveGraph {
@@ -447,6 +446,107 @@ impl LiveGraph {
     }
 }
 
+/// Dynamic serving's steps around the shared round-robin loop: before a
+/// batch plans, apply the updates due by its dispatch instant and pin it
+/// to the live graph's snapshot; after it ran, feed its locality signal
+/// to the policy, which may rebuild the layout.
+struct DynamicSteps<'a> {
+    exec: &'a mut dyn SnapshotExecutor,
+    updates: &'a [UpdateEvent],
+    compact_every: usize,
+    policy: Option<&'a RenumberPolicy>,
+    live: LiveGraph,
+    next_update: usize,
+    updates_applied: usize,
+    updates_noop: usize,
+    applied_since_compact: usize,
+    compactions: usize,
+    /// The policy's sliding window (present iff the policy is).
+    window: Option<HitRateWindow>,
+    baseline: Option<f64>,
+    batches_since_rebuild: usize,
+    /// A rebuild stall: no batch is released before this instant.
+    maintenance_until_ms: f64,
+    /// The version the batch in flight is pinned to.
+    version: u64,
+    trajectory: Vec<SnapshotRow>,
+    renumbers: Vec<RenumberEvent>,
+}
+
+impl BatchSteps for DynamicSteps<'_> {
+    fn plan(&mut self, _i: usize, batch: &DispatchedBatch) -> Result<(BatchWork, f64)> {
+        while self.next_update < self.updates.len()
+            && self.updates[self.next_update].at_ms <= batch.dispatch_ms
+        {
+            if self.live.apply(&self.updates[self.next_update])? {
+                self.updates_applied += 1;
+                self.applied_since_compact += 1;
+            } else {
+                self.updates_noop += 1;
+            }
+            self.next_update += 1;
+            if self.compact_every > 0 && self.applied_since_compact >= self.compact_every {
+                self.live.delta.compact();
+                self.compactions += 1;
+                self.applied_since_compact = 0;
+            }
+        }
+        let (graph, version) = self.live.materialized();
+        self.version = version;
+        let work = self.exec.plan(batch, graph, version)?;
+        Ok((work, batch.dispatch_ms.max(self.maintenance_until_ms)))
+    }
+
+    fn ran(&mut self, i: usize, batch: &DispatchedBatch, run: &BatchRun) -> Result<()> {
+        let (hits, misses) = (run.l2_hits, run.l2_misses);
+        let mut windowed_rate = None;
+        if let (Some(p), Some(w)) = (self.policy, self.window.as_mut()) {
+            w.push(hits, misses);
+            self.batches_since_rebuild += 1;
+            if let Some(rate) = w.rate().filter(|_| w.is_full()) {
+                windowed_rate = Some(rate);
+                match self.baseline {
+                    None => self.baseline = Some(rate),
+                    Some(b)
+                        if rate < p.watermark * b
+                            && self.batches_since_rebuild >= p.cooldown_batches =>
+                    {
+                        // The rebuild starts when the batch's last attempt
+                        // was released.
+                        let at_ms = run.last().release_ms;
+                        let edges = self.live.rebuild()?;
+                        let rebuild_ms = edges as f64 * p.rebuild_cost_us_per_edge / 1000.0;
+                        self.maintenance_until_ms = at_ms + rebuild_ms;
+                        self.renumbers.push(RenumberEvent {
+                            at_ms,
+                            version: self.live.delta.version(),
+                            windowed_rate: rate,
+                            baseline_rate: b,
+                            rebuild_ms,
+                        });
+                        w.clear();
+                        self.baseline = None;
+                        self.batches_since_rebuild = 0;
+                    }
+                    Some(_) => {}
+                }
+            }
+        }
+        self.trajectory.push(SnapshotRow {
+            batch: i,
+            dispatch_ms: batch.dispatch_ms,
+            version: self.version,
+            hit_rate: if hits + misses == 0 {
+                0.0
+            } else {
+                hits as f64 / (hits + misses) as f64
+            },
+            windowed_rate,
+        });
+        Ok(())
+    }
+}
+
 /// Runs the dynamic-graph serving pipeline: batches planned from
 /// `arrivals` round-robin across `engines x cfg.serving.streams`
 /// simulated streams; updates due by each batch's dispatch instant are
@@ -465,24 +565,6 @@ pub fn simulate_dynamic(
     cfg: &DynamicConfig,
     exec: &mut dyn SnapshotExecutor,
 ) -> Result<DynamicReport> {
-    if engines.is_empty() {
-        return Err(CoreError::Serving {
-            reason: "at least one replica engine is required".into(),
-        });
-    }
-    if cfg.serving.streams == 0 {
-        return Err(CoreError::Serving {
-            reason: "streams must be at least 1".into(),
-        });
-    }
-    cfg.serving.retry.validate()?;
-    if let Some(d) = cfg.serving.deadline_ms {
-        if !(d.is_finite() && d > 0.0) {
-            return Err(CoreError::Serving {
-                reason: format!("deadline_ms must be positive and finite, got {d}"),
-            });
-        }
-    }
     if let Some(p) = &cfg.policy {
         p.validate()?;
     }
@@ -497,259 +579,47 @@ pub fn simulate_dynamic(
         });
     }
 
-    let plan = plan_batches(arrivals, &cfg.serving.queue, &cfg.serving.batch)?;
-    let spec = engines[0].spec();
-
-    let mut sims: Vec<StreamSim<'_>> = engines.iter().map(StreamSim::new).collect();
-    let slots: Vec<(usize, gnnadvisor_gpu::StreamId)> = {
-        let mut slots = Vec::with_capacity(engines.len() * cfg.serving.streams);
-        for (replica, sim) in sims.iter_mut().enumerate() {
-            for _ in 0..cfg.serving.streams {
-                slots.push((replica, sim.stream()));
-            }
-        }
-        slots
-    };
-
-    let mut live = LiveGraph::new(base);
-    let mut update_idx = 0usize;
-    let mut updates_applied = 0usize;
-    let mut updates_noop = 0usize;
-    let mut applied_since_compact = 0usize;
-    let mut compactions = 0usize;
-
     let policy = cfg.policy.as_ref();
-    let mut window = policy.map(|p| HitRateWindow::new(p.window));
-    let mut baseline: Option<f64> = None;
-    let mut batches_since_rebuild = 0usize;
-    let mut maintenance_until_ms = 0.0f64;
-
-    let mut outcomes: Vec<(usize, BatchOutcome)> = Vec::with_capacity(plan.batches.len());
-    let mut trajectory: Vec<SnapshotRow> = Vec::with_capacity(plan.batches.len());
-    let mut renumbers: Vec<RenumberEvent> = Vec::new();
-    let mut retries = 0u64;
-
-    for (i, batch) in plan.batches.iter().enumerate() {
-        // 1. Apply every update due by this batch's dispatch instant.
-        while update_idx < updates.len() && updates[update_idx].at_ms <= batch.dispatch_ms {
-            if live.apply(&updates[update_idx])? {
-                updates_applied += 1;
-                applied_since_compact += 1;
-            } else {
-                updates_noop += 1;
-            }
-            update_idx += 1;
-            if cfg.compact_every > 0 && applied_since_compact >= cfg.compact_every {
-                live.delta.compact();
-                compactions += 1;
-                applied_since_compact = 0;
-            }
-        }
-
-        // 2. Pin the batch to a consistent snapshot (cached per version)
-        //    and plan its device work against it.
-        let (graph, version) = live.materialized();
-        let work = exec.plan(batch, graph, version)?;
-
-        // 3. Execute on the round-robin slot; a pending rebuild stall
-        //    pushes the release time past the dispatch instant.
-        let (replica, stream) = slots[i % slots.len()];
-        let sim = &mut sims[replica];
-        let mut release_ms = batch.dispatch_ms.max(maintenance_until_ms);
-        let mut outcome = BatchOutcome::Exhausted;
-        let (mut batch_hits, mut batch_misses) = (0u64, 0u64);
-        for attempt in 1..=cfg.serving.retry.max_attempts {
-            let release = spec.ms_to_cycles(release_ms);
-            let mut tail = None;
-            let mut attempt_cycles = 0u64;
-            let mut faulted = false;
-            for op in &work.ops {
-                let workload = match op {
-                    DeviceWork::Kernel(k) => Workload::Kernel(&**k),
-                    DeviceWork::Gemm { m, n, k } => Workload::Gemm {
-                        m: *m,
-                        n: *n,
-                        k: *k,
-                    },
-                    DeviceWork::Transfer { bytes } => Workload::Transfer { bytes: *bytes },
-                };
-                let enq = sim.try_enqueue_at(stream, workload, release)?;
-                attempt_cycles += spec.ms_to_cycles(enq.metrics.time_ms());
-                if attempt == 1 {
-                    // The locality signal: kernel L2 traffic of the first
-                    // attempt (retries re-price the same layout).
-                    if let Some(k) = enq.metrics.as_kernel() {
-                        batch_hits += k.l2_hits;
-                        batch_misses += k.l2_misses;
-                    }
-                }
-                if enq.fault.is_some() {
-                    faulted = true;
-                    break;
-                }
-                tail = Some(enq.handle);
-            }
-            if !faulted {
-                outcome = BatchOutcome::Done(tail);
-                break;
-            }
-            if attempt == cfg.serving.retry.max_attempts {
-                break;
-            }
-            retries += 1;
-            release_ms = spec.cycles_to_ms(release + attempt_cycles)
-                + cfg.serving.retry.backoff_ms(i, attempt);
-        }
-        outcomes.push((replica, outcome));
-
-        // 4. Feed the policy and maybe rebuild.
-        let batch_rate = if batch_hits + batch_misses == 0 {
-            0.0
-        } else {
-            batch_hits as f64 / (batch_hits + batch_misses) as f64
-        };
-        let mut windowed_rate = None;
-        if let (Some(p), Some(w)) = (policy, window.as_mut()) {
-            w.push(batch_hits, batch_misses);
-            batches_since_rebuild += 1;
-            if w.is_full() {
-                if let Some(rate) = w.rate() {
-                    windowed_rate = Some(rate);
-                    match baseline {
-                        None => baseline = Some(rate),
-                        Some(b)
-                            if rate < p.watermark * b
-                                && batches_since_rebuild >= p.cooldown_batches =>
-                        {
-                            let edges = live.rebuild()?;
-                            let rebuild_ms = edges as f64 * p.rebuild_cost_us_per_edge / 1000.0;
-                            maintenance_until_ms = release_ms + rebuild_ms;
-                            renumbers.push(RenumberEvent {
-                                at_ms: release_ms,
-                                version: live.delta.version(),
-                                windowed_rate: rate,
-                                baseline_rate: b,
-                                rebuild_ms,
-                            });
-                            w.clear();
-                            baseline = None;
-                            batches_since_rebuild = 0;
-                        }
-                        Some(_) => {}
-                    }
-                }
-            }
-        }
-        trajectory.push(SnapshotRow {
-            batch: i,
-            dispatch_ms: batch.dispatch_ms,
-            version,
-            hit_rate: batch_rate,
-            windowed_rate,
-        });
-    }
-
-    // 5. Run every replica's schedule and aggregate per-request latencies
-    //    exactly like the serving pipeline.
-    let reports: Vec<_> = sims
-        .into_iter()
-        .map(|sim| sim.run())
-        .collect::<core::result::Result<_, _>>()?;
-
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut failed = 0usize;
-    let mut deadline_missed = 0usize;
-    let mut span_ms = reports.iter().map(|r| r.makespan_ms).fold(0.0, f64::max);
-    for (i, (replica, outcome)) in outcomes.into_iter().enumerate() {
-        let batch = &plan.batches[i];
-        match outcome {
-            BatchOutcome::Exhausted => failed += batch.requests.len(),
-            BatchOutcome::Done(tail) => {
-                let end_ms = match tail {
-                    Some(handle) => spec.cycles_to_ms(
-                        reports[replica]
-                            .op_end(handle)
-                            .expect("committed op has a span"),
-                    ),
-                    None => batch.dispatch_ms,
-                };
-                span_ms = span_ms.max(end_ms);
-                for request in &batch.requests {
-                    let latency = (end_ms - request.arrival_ms).max(0.0);
-                    match cfg.serving.deadline_ms {
-                        Some(d) if latency > d => deadline_missed += 1,
-                        _ => latencies.push(latency),
-                    }
-                }
-            }
-        }
-    }
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-
-    let completed = latencies.len();
-    let mean_ms = if completed == 0 {
-        0.0
-    } else {
-        latencies.iter().sum::<f64>() / completed as f64
+    let mut steps = DynamicSteps {
+        exec,
+        updates,
+        compact_every: cfg.compact_every,
+        policy,
+        live: LiveGraph::new(base),
+        next_update: 0,
+        updates_applied: 0,
+        updates_noop: 0,
+        applied_since_compact: 0,
+        compactions: 0,
+        window: policy.map(|p| HitRateWindow::new(p.window)),
+        baseline: None,
+        batches_since_rebuild: 0,
+        maintenance_until_ms: 0.0,
+        version: 0,
+        trajectory: Vec::new(),
+        renumbers: Vec::new(),
     };
-    let served = completed + deadline_missed;
-    let (throughput_rps, goodput_rps) = if span_ms > 0.0 {
-        (
-            served as f64 * 1000.0 / span_ms,
-            completed as f64 * 1000.0 / span_ms,
-        )
-    } else {
-        (0.0, 0.0)
-    };
-    let serving = ServingReport {
-        completed,
-        shed: plan.shed,
-        failed,
-        deadline_missed,
-        retries,
-        batches: plan.batches.len(),
-        p50_ms: crate::serving::percentile(&latencies, 50.0),
-        p95_ms: crate::serving::percentile(&latencies, 95.0),
-        p99_ms: crate::serving::percentile(&latencies, 99.0),
-        mean_ms,
-        throughput_rps,
-        goodput_rps,
-        makespan_ms: reports.iter().map(|r| r.makespan_ms).fold(0.0, f64::max),
-        kernel_busy_cycles: reports.iter().map(|r| r.kernel_busy_cycles).sum(),
-        copy_busy_cycles: reports.iter().map(|r| r.copy_busy_cycles).sum(),
-        // Merge per-window means weighted by their kernel time (each
-        // window's mean is already duration-weighted over its spans).
-        mean_kernel_occupancy: {
-            let busy: u64 = reports.iter().map(|r| r.kernel_busy_cycles).sum();
-            if busy == 0 {
-                0.0
-            } else {
-                reports
-                    .iter()
-                    .map(|r| r.mean_kernel_occupancy() * r.kernel_busy_cycles as f64)
-                    .sum::<f64>()
-                    / busy as f64
-            }
-        },
-    };
+    let serving = serve_round_robin(engines, arrivals, &cfg.serving, &mut steps)?;
     Ok(DynamicReport {
         serving,
         replicas: engines.len(),
-        updates_applied,
-        updates_noop,
-        final_version: live.delta.version(),
-        final_nodes: live.delta.num_nodes(),
-        final_edges: live.delta.num_edges(),
-        compactions,
-        renumbers,
-        trajectory,
+        updates_applied: steps.updates_applied,
+        updates_noop: steps.updates_noop,
+        final_version: steps.live.delta.version(),
+        final_nodes: steps.live.delta.num_nodes(),
+        final_edges: steps.live.delta.num_edges(),
+        compactions: steps.compactions,
+        renumbers: steps.renumbers,
+        trajectory: steps.trajectory,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serving::{generate_arrivals, ArrivalConfig, BatchPolicy, QueuePolicy, RetryPolicy};
+    use crate::serving::{
+        generate_arrivals, ArrivalConfig, BatchPolicy, DeviceWork, QueuePolicy, RetryPolicy,
+    };
     use gnnadvisor_gpu::GpuSpec;
     use gnnadvisor_graph::generators::{community_graph, CommunityParams};
 

@@ -21,6 +21,14 @@
 //!   a release time, and per-request latency is measured from arrival to
 //!   the completion of its batch's last op on the simulated clock.
 //!
+//! Two private pieces do that work for every serving entry point, this
+//! one, [`crate::cluster`] and [`crate::dynamic`]: the batch runner
+//! (`runner`) submits one batch's ops with retries on the stream its
+//! caller picks per attempt, and the latency ledger (`ledger`) accounts
+//! each request and owns the percentiles, the mean, the rates and the
+//! occupancy merge. Dynamic serving also shares this module's
+//! round-robin loop, adding a step before and after each batch.
+//!
 //! With a fault plan attached to the engine (see [`gnnadvisor_gpu::fault`])
 //! the device may kill a batch's ops; a [`RetryPolicy`] re-submits the
 //! batch with exponential backoff up to a bounded attempt count, and an
@@ -36,8 +44,10 @@
 
 pub mod arrivals;
 pub mod batcher;
+pub(crate) mod ledger;
 pub mod queue;
 pub mod retry;
+pub(crate) mod runner;
 
 pub use arrivals::{
     generate_arrivals, generate_mmpp_arrivals, replay_trace, ArrivalConfig, MmppConfig, Request,
@@ -46,10 +56,11 @@ pub use batcher::{plan_batches, BatchPlan, BatchPolicy, DispatchedBatch, QueuePo
 pub use queue::BoundedQueue;
 pub use retry::RetryPolicy;
 
-use gnnadvisor_gpu::stream::OpHandle;
-use gnnadvisor_gpu::{Engine, Kernel, StreamSim, Workload};
+use gnnadvisor_gpu::{Engine, Kernel, Workload};
 
 use crate::{CoreError, Result};
+use ledger::Class;
+use runner::{BatchRun, Fleet, Slot};
 
 /// One unit of device work an executor plans for a batch.
 pub enum DeviceWork {
@@ -69,6 +80,21 @@ pub enum DeviceWork {
         /// Payload size in bytes.
         bytes: u64,
     },
+}
+
+impl DeviceWork {
+    /// The engine workload this op submits.
+    pub fn workload(&self) -> Workload<'_> {
+        match self {
+            DeviceWork::Kernel(k) => Workload::Kernel(&**k),
+            DeviceWork::Gemm { m, n, k } => Workload::Gemm {
+                m: *m,
+                n: *n,
+                k: *k,
+            },
+            DeviceWork::Transfer { bytes } => Workload::Transfer { bytes: *bytes },
+        }
+    }
 }
 
 impl core::fmt::Debug for DeviceWork {
@@ -120,6 +146,27 @@ pub struct ServingConfig {
     /// later than this after its arrival counts as `deadline_missed`
     /// instead of `completed`. `None` disables the check.
     pub deadline_ms: Option<f64>,
+}
+
+impl ServingConfig {
+    /// Rejects zero streams, an invalid retry policy and a deadline that
+    /// is not positive and finite.
+    pub(crate) fn validate(&self) -> Result<()> {
+        if self.streams == 0 {
+            return Err(CoreError::Serving {
+                reason: "streams must be at least 1".into(),
+            });
+        }
+        self.retry.validate()?;
+        if let Some(d) = self.deadline_ms {
+            if !(d.is_finite() && d > 0.0) {
+                return Err(CoreError::Serving {
+                    reason: format!("deadline_ms must be positive and finite, got {d}"),
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Aggregate latency/throughput statistics of one serving simulation.
@@ -216,26 +263,73 @@ impl ServingReport {
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample: the value at
-/// rank `ceil(p/100 · n)` (1-based), so p50 of `[1, 9]` is `1` (rank 1)
-/// and every percentile of a singleton is that sample. Shared with the
-/// cluster layer's per-tenant statistics.
-pub(crate) fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
+/// The per-batch steps around the round-robin serving loop: plain
+/// serving plans each batch and releases it at its dispatch instant;
+/// dynamic serving also applies due graph updates first and runs its
+/// locality policy after.
+pub(crate) trait BatchSteps {
+    /// Plans batch `i`'s device work and the instant its first attempt is
+    /// released at.
+    fn plan(&mut self, i: usize, batch: &DispatchedBatch) -> Result<(BatchWork, f64)>;
+
+    /// Sees how batch `i` ran.
+    fn ran(&mut self, _i: usize, _batch: &DispatchedBatch, _run: &BatchRun) -> Result<()> {
+        Ok(())
     }
-    let rank = ((p / 100.0) * sorted_ms.len() as f64).ceil() as usize;
-    sorted_ms[rank.clamp(1, sorted_ms.len()) - 1]
 }
 
-/// How one batch's retry chain ended.
-enum BatchOutcome {
-    /// Some attempt ran fault-free; its last op (if any) is the batch's
-    /// completion point. `None` means the batch planned no device ops and
-    /// completes at its dispatch instant.
-    Done(Option<OpHandle>),
-    /// Every attempt faulted; the batch's requests failed.
-    Exhausted,
+impl BatchSteps for dyn BatchExecutor + '_ {
+    fn plan(&mut self, _i: usize, batch: &DispatchedBatch) -> Result<(BatchWork, f64)> {
+        Ok((BatchExecutor::plan(self, batch)?, batch.dispatch_ms))
+    }
+}
+
+/// Serves `arrivals` on `engines x cfg.streams` streams: batch `i` runs on
+/// slot `i mod (engines x streams)` of the replica-major
+/// `(replica, stream)` order, retrying on that slot.
+pub(crate) fn serve_round_robin<S: BatchSteps + ?Sized>(
+    engines: &[Engine],
+    arrivals: &[Request],
+    cfg: &ServingConfig,
+    steps: &mut S,
+) -> Result<ServingReport> {
+    if engines.is_empty() {
+        return Err(CoreError::Serving {
+            reason: "at least one replica engine is required".into(),
+        });
+    }
+    cfg.validate()?;
+    let plan = plan_batches(arrivals, &cfg.queue, &cfg.batch)?;
+
+    let mut fleet = Fleet::new(engines, cfg.streams);
+    let slots = engines.len() * cfg.streams;
+    let mut outcomes = Vec::with_capacity(plan.batches.len());
+    let mut retries = 0u64;
+    for (i, batch) in plan.batches.iter().enumerate() {
+        let (work, release_ms) = steps.plan(i, batch)?;
+        let mut slot = Slot {
+            replica: i % slots / cfg.streams,
+            stream: i % slots % cfg.streams,
+        };
+        let run = fleet.run_batch(i, &work, release_ms, &cfg.retry, &mut slot)?;
+        retries += run.retries();
+        outcomes.push(run.outcome);
+        steps.ran(i, batch, &run)?;
+    }
+
+    let mut ledger = fleet.close(vec![Class {
+        deadline_ms: cfg.deadline_ms,
+        arrivals: arrivals.len(),
+        shed: plan.shed,
+    }])?;
+    for (batch, outcome) in plan.batches.iter().zip(outcomes) {
+        ledger.record(0, batch, outcome);
+    }
+    Ok(ServingReport {
+        retries,
+        batches: plan.batches.len(),
+        ..ledger.report(0..1)
+    })
 }
 
 /// Runs the full serving pipeline on the simulated device: plans batches
@@ -255,141 +349,12 @@ pub fn simulate(
     cfg: &ServingConfig,
     exec: &mut dyn BatchExecutor,
 ) -> Result<ServingReport> {
-    if cfg.streams == 0 {
-        return Err(CoreError::Serving {
-            reason: "streams must be at least 1".into(),
-        });
-    }
-    cfg.retry.validate()?;
-    if let Some(d) = cfg.deadline_ms {
-        if !(d.is_finite() && d > 0.0) {
-            return Err(CoreError::Serving {
-                reason: format!("deadline_ms must be positive and finite, got {d}"),
-            });
-        }
-    }
-    let plan = plan_batches(arrivals, &cfg.queue, &cfg.batch)?;
-    let spec = engine.spec();
-
-    let mut sim = StreamSim::new(engine);
-    let streams: Vec<_> = (0..cfg.streams).map(|_| sim.stream()).collect();
-    let mut outcomes: Vec<BatchOutcome> = Vec::with_capacity(plan.batches.len());
-    let mut retries = 0u64;
-    for (i, batch) in plan.batches.iter().enumerate() {
-        let stream = streams[i % streams.len()];
-        let work = exec.plan(batch)?;
-        let mut release_ms = batch.dispatch_ms;
-        let mut outcome = BatchOutcome::Exhausted;
-        for attempt in 1..=cfg.retry.max_attempts {
-            let release = spec.ms_to_cycles(release_ms);
-            let mut tail = None;
-            let mut attempt_cycles = 0u64;
-            let mut faulted = false;
-            for op in &work.ops {
-                let workload = match op {
-                    DeviceWork::Kernel(k) => Workload::Kernel(&**k),
-                    DeviceWork::Gemm { m, n, k } => Workload::Gemm {
-                        m: *m,
-                        n: *n,
-                        k: *k,
-                    },
-                    DeviceWork::Transfer { bytes } => Workload::Transfer { bytes: *bytes },
-                };
-                let enq = sim.try_enqueue_at(stream, workload, release)?;
-                attempt_cycles += spec.ms_to_cycles(enq.metrics.time_ms());
-                if enq.fault.is_some() {
-                    // The faulted op still burns its time on the stream;
-                    // the attempt's remaining ops are never issued.
-                    faulted = true;
-                    break;
-                }
-                tail = Some(enq.handle);
-            }
-            if !faulted {
-                outcome = BatchOutcome::Done(tail);
-                break;
-            }
-            if attempt == cfg.retry.max_attempts {
-                break;
-            }
-            retries += 1;
-            release_ms =
-                spec.cycles_to_ms(release + attempt_cycles) + cfg.retry.backoff_ms(i, attempt);
-        }
-        outcomes.push(outcome);
-    }
-    let report = sim.run()?;
-
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut failed = 0usize;
-    let mut deadline_missed = 0usize;
-    // Schedule span for rate accounting: the last device op OR the last
-    // batch completion instant — a batch of zero device ops completes at
-    // its dispatch instant without extending the op makespan.
-    let mut span_ms = report.makespan_ms;
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        let batch = &plan.batches[i];
-        match outcome {
-            BatchOutcome::Exhausted => failed += batch.requests.len(),
-            BatchOutcome::Done(tail) => {
-                let end_ms = match tail {
-                    Some(handle) => {
-                        spec.cycles_to_ms(report.op_end(handle).expect("committed op has a span"))
-                    }
-                    None => batch.dispatch_ms,
-                };
-                span_ms = span_ms.max(end_ms);
-                for request in &batch.requests {
-                    let latency = (end_ms - request.arrival_ms).max(0.0);
-                    match cfg.deadline_ms {
-                        Some(d) if latency > d => deadline_missed += 1,
-                        _ => latencies.push(latency),
-                    }
-                }
-            }
-        }
-    }
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-
-    let completed = latencies.len();
-    let mean_ms = if completed == 0 {
-        0.0
-    } else {
-        latencies.iter().sum::<f64>() / completed as f64
-    };
-    let served = completed + deadline_missed;
-    let throughput_rps = if span_ms > 0.0 {
-        served as f64 * 1000.0 / span_ms
-    } else {
-        0.0
-    };
-    let goodput_rps = if span_ms > 0.0 {
-        completed as f64 * 1000.0 / span_ms
-    } else {
-        0.0
-    };
-    Ok(ServingReport {
-        completed,
-        shed: plan.shed,
-        failed,
-        deadline_missed,
-        retries,
-        batches: plan.batches.len(),
-        p50_ms: percentile(&latencies, 50.0),
-        p95_ms: percentile(&latencies, 95.0),
-        p99_ms: percentile(&latencies, 99.0),
-        mean_ms,
-        throughput_rps,
-        goodput_rps,
-        makespan_ms: report.makespan_ms,
-        kernel_busy_cycles: report.kernel_busy_cycles,
-        copy_busy_cycles: report.copy_busy_cycles,
-        mean_kernel_occupancy: report.mean_kernel_occupancy(),
-    })
+    serve_round_robin(std::slice::from_ref(engine), arrivals, cfg, exec)
 }
 
 #[cfg(test)]
 mod tests {
+    use super::ledger::percentile;
     use super::*;
     use gnnadvisor_gpu::GpuSpec;
 
