@@ -808,6 +808,29 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_arrivals_are_rejected() {
+        let engines = engines(2, 0.0, 0, 1);
+        for (at, bad) in [(3, f64::NAN), (7, f64::NAN), (7, f64::INFINITY)] {
+            let (mut arrivals, tenant_of) = trace(8);
+            arrivals[at].arrival_ms = bad;
+            assert!(
+                matches!(
+                    simulate_cluster(
+                        &engines,
+                        &arrivals,
+                        &tenant_of,
+                        &tenants2(),
+                        &config(2),
+                        &mut exec(),
+                    ),
+                    Err(CoreError::Serving { .. })
+                ),
+                "{bad} ms at request {at}"
+            );
+        }
+    }
+
+    #[test]
     fn empty_trace_yields_an_empty_report() {
         let engines = engines(2, 0.0, 0, 1);
         let report = simulate_cluster(&engines, &[], &[], &tenants2(), &config(2), &mut exec())

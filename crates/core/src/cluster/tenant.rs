@@ -257,16 +257,7 @@ pub fn plan_cluster_batches(
     }
     // Reuse the single-tenant validation for the batch/queue policies.
     crate::serving::plan_batches(&[], queue, policy)?;
-    for pair in arrivals.windows(2) {
-        if pair[0].arrival_ms > pair[1].arrival_ms {
-            return Err(CoreError::Serving {
-                reason: format!(
-                    "arrival trace is not sorted: {} ms after {} ms",
-                    pair[1].arrival_ms, pair[0].arrival_ms
-                ),
-            });
-        }
-    }
+    crate::serving::batcher::validate_trace(arrivals)?;
 
     let mut adm = Admission::new(tenants, queue.capacity);
     let mut batches = Vec::new();

@@ -568,7 +568,17 @@ pub fn simulate_dynamic(
     if let Some(p) = &cfg.policy {
         p.validate()?;
     }
-    if updates.windows(2).any(|w| w[0].at_ms > w[1].at_ms) {
+    if let Some(u) = updates.iter().find(|u| !u.at_ms.is_finite()) {
+        return Err(CoreError::Serving {
+            reason: format!("update at non-finite {} ms", u.at_ms),
+        });
+    }
+    let out_of_order = |w: &[UpdateEvent]| {
+        w[0].at_ms
+            .partial_cmp(&w[1].at_ms)
+            .is_none_or(|o| o.is_gt())
+    };
+    if updates.windows(2).any(out_of_order) {
         return Err(CoreError::Serving {
             reason: "updates must be sorted by at_ms".into(),
         });
@@ -950,6 +960,33 @@ mod tests {
         let mut shuffled = updates.clone();
         shuffled.reverse();
         assert!(run(&[engine(1)], &config(None), &shuffled).is_err());
+        // Non-finite update instants are rejected: a NaN used to stall
+        // the update cursor and silently drop every later update.
+        for (at, bad) in [(1, f64::NAN), (7, f64::NAN), (7, f64::INFINITY)] {
+            let mut broken = updates.clone();
+            broken[at].at_ms = bad;
+            assert!(
+                matches!(
+                    run(&[engine(1)], &config(None), &broken),
+                    Err(CoreError::Serving { .. })
+                ),
+                "{bad} ms at update {at}"
+            );
+        }
+        // So are non-finite arrivals.
+        let mut late = trace.clone();
+        late[1].arrival_ms = f64::NAN;
+        assert!(matches!(
+            simulate_dynamic(
+                &[engine(1)],
+                base.clone(),
+                &updates,
+                &late,
+                &config(None),
+                &mut exec
+            ),
+            Err(CoreError::Serving { .. })
+        ));
         // Asymmetric base graphs are rejected.
         let asym = Csr::from_raw(2, vec![0, 1, 1], vec![1]).expect("valid csr");
         assert!(

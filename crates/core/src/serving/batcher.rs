@@ -77,6 +77,25 @@ fn validate(queue: &QueuePolicy, policy: &BatchPolicy) -> Result<()> {
     Ok(())
 }
 
+/// Rejects a trace with a non-finite arrival instant or one out of
+/// order.
+pub(crate) fn validate_trace(arrivals: &[Request]) -> Result<()> {
+    if let Some(r) = arrivals.iter().find(|r| !r.arrival_ms.is_finite()) {
+        return Err(CoreError::Serving {
+            reason: format!("request {} arrives at non-finite {} ms", r.id, r.arrival_ms),
+        });
+    }
+    for pair in arrivals.windows(2) {
+        let (a, b) = (pair[0].arrival_ms, pair[1].arrival_ms);
+        if a.partial_cmp(&b).is_none_or(|o| o.is_gt()) {
+            return Err(CoreError::Serving {
+                reason: format!("arrival trace is not sorted: {b} ms after {a} ms"),
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Drains up to `max_batch` requests into a batch dispatched at `at_ms`.
 fn dispatch(
     at_ms: f64,
@@ -103,16 +122,7 @@ pub fn plan_batches(
     policy: &BatchPolicy,
 ) -> Result<BatchPlan> {
     validate(queue_policy, policy)?;
-    for pair in arrivals.windows(2) {
-        if pair[0].arrival_ms > pair[1].arrival_ms {
-            return Err(CoreError::Serving {
-                reason: format!(
-                    "arrival trace is not sorted: {} ms after {} ms",
-                    pair[1].arrival_ms, pair[0].arrival_ms
-                ),
-            });
-        }
-    }
+    validate_trace(arrivals)?;
 
     let mut queue: BoundedQueue<Request> = BoundedQueue::new(queue_policy.capacity);
     let mut batches = Vec::new();

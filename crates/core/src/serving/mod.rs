@@ -517,6 +517,25 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn non_finite_arrivals_are_rejected() {
+        // A NaN arrival passes an ordering check written with `>`; its
+        // latency would clamp to 0 ms and skew p50 and the mean.
+        let engine = Engine::new(GpuSpec::quadro_p6000());
+        let n = trace().len();
+        for (at, bad) in [(5, f64::NAN), (n - 1, f64::NAN), (n - 1, f64::INFINITY)] {
+            let mut arrivals = trace();
+            arrivals[at].arrival_ms = bad;
+            assert!(
+                matches!(
+                    simulate(&engine, &arrivals, &config(2), &mut exec()),
+                    Err(CoreError::Serving { .. })
+                ),
+                "{bad} ms at request {at}"
+            );
+        }
+    }
+
     /// An executor that plans no device work at all — the zero-op batch
     /// regression case.
     struct NoopExecutor;
