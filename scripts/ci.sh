@@ -94,6 +94,17 @@ cluster() {
 }
 check_stable serve-cluster cluster "tenant online" "replica submissions"
 
+echo "==> serve-cluster failover smoke: autoscaling, failover and a device reset stable"
+# Bursty traffic scales the fleet from 2 to 3 replicas while a device
+# reset kills replica 1, so its batches retry elsewhere.
+cluster_failover() {
+  gnnadvisor serve-cluster --requests 200 --rate 20000 --streams 2 --scale 0.02 \
+    --replicas 2 --autoscale 1:3 --scale-high 4 --scale-interval-ms 1 --reset-replica 1:1 \
+    --tenants batch:3,online:1:5 --fault-rate 0.2 --retries 2 --arrivals mmpp > "$1"
+}
+check_stable serve-cluster-failover cluster_failover "dead replicas        1" \
+  "scale events         2->3"
+
 echo "==> serve-dynamic smoke: report stable across runs and worker counts"
 dynamic() {
   gnnadvisor serve-dynamic --requests 32 --rate 4000 --streams 2 --scale 0.02 \
