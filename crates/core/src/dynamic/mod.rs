@@ -568,17 +568,13 @@ pub fn simulate_dynamic(
     if let Some(p) = &cfg.policy {
         p.validate()?;
     }
+    // NaN compares false both ways, so it would pass the ordering check.
     if let Some(u) = updates.iter().find(|u| !u.at_ms.is_finite()) {
         return Err(CoreError::Serving {
             reason: format!("update at non-finite {} ms", u.at_ms),
         });
     }
-    let out_of_order = |w: &[UpdateEvent]| {
-        w[0].at_ms
-            .partial_cmp(&w[1].at_ms)
-            .is_none_or(|o| o.is_gt())
-    };
-    if updates.windows(2).any(out_of_order) {
+    if updates.windows(2).any(|w| w[0].at_ms > w[1].at_ms) {
         return Err(CoreError::Serving {
             reason: "updates must be sorted by at_ms".into(),
         });

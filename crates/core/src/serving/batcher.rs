@@ -78,7 +78,8 @@ fn validate(queue: &QueuePolicy, policy: &BatchPolicy) -> Result<()> {
 }
 
 /// Rejects a trace with a non-finite arrival instant or one out of
-/// order.
+/// order. Finiteness is checked first because NaN compares false both
+/// ways and would pass the ordering check.
 pub(crate) fn validate_trace(arrivals: &[Request]) -> Result<()> {
     if let Some(r) = arrivals.iter().find(|r| !r.arrival_ms.is_finite()) {
         return Err(CoreError::Serving {
@@ -87,7 +88,7 @@ pub(crate) fn validate_trace(arrivals: &[Request]) -> Result<()> {
     }
     for pair in arrivals.windows(2) {
         let (a, b) = (pair[0].arrival_ms, pair[1].arrival_ms);
-        if a.partial_cmp(&b).is_none_or(|o| o.is_gt()) {
+        if a > b {
             return Err(CoreError::Serving {
                 reason: format!("arrival trace is not sorted: {b} ms after {a} ms"),
             });
