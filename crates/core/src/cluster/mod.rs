@@ -48,7 +48,7 @@ use gnnadvisor_gpu::fault::FaultKind;
 use gnnadvisor_gpu::{Engine, GpuSpec};
 
 use crate::serving::ledger::{percentile, Class};
-use crate::serving::runner::{Attempt, Fleet, Outcome, Placer, Slot};
+use crate::serving::runner::{Attempt, Fleet, Outcome, Placer};
 use crate::serving::{BatchExecutor, BatchPolicy, QueuePolicy, Request, RetryPolicy};
 use crate::{CoreError, Result};
 
@@ -236,7 +236,7 @@ struct Control {
 }
 
 impl Placer for Control {
-    fn place(&mut self, release_ms: f64) -> Slot {
+    fn place(&mut self, release_ms: f64) -> Placement {
         // Retry elsewhere: skip the replica that just faulted unless it
         // is the only active one.
         let avail: Vec<usize> = match self.exclude {
@@ -249,16 +249,13 @@ impl Placer for Control {
             .router
             .route(&avail, self.clock.ms_to_cycles(release_ms));
         self.per_replica_batches[p.replica] += 1;
-        Slot {
-            replica: p.replica,
-            stream: p.stream,
-        }
+        p
     }
 
     fn settled(&mut self, attempt: &Attempt) {
-        let Slot { replica, stream } = attempt.slot;
+        let replica = attempt.placement.replica;
         self.est_end = self.router.commit(
-            Placement { replica, stream },
+            attempt.placement,
             self.clock.ms_to_cycles(attempt.release_ms),
             attempt.cycles,
         );

@@ -58,9 +58,10 @@ pub use retry::RetryPolicy;
 
 use gnnadvisor_gpu::{Engine, Kernel, Workload};
 
+use crate::cluster::Placement;
 use crate::{CoreError, Result};
 use ledger::Class;
-use runner::{BatchRun, Fleet, Slot};
+use runner::{BatchRun, Fleet};
 
 /// One unit of device work an executor plans for a batch.
 pub enum DeviceWork {
@@ -307,7 +308,7 @@ pub(crate) fn serve_round_robin<S: BatchSteps + ?Sized>(
     let mut retries = 0u64;
     for (i, batch) in plan.batches.iter().enumerate() {
         let (work, release_ms) = steps.plan(i, batch)?;
-        let mut slot = Slot {
+        let mut slot = Placement {
             replica: i % slots / cfg.streams,
             stream: i % slots % cfg.streams,
         };

@@ -7,8 +7,8 @@
 //! attempt may not start before the failed attempt's estimated end (its
 //! release plus the per-op cycle sum the stream charges) plus the
 //! [`RetryPolicy`] backoff. The caller picks each attempt's
-//! `(replica, stream)` slot through a [`Placer`]: plain and dynamic
-//! serving keep a batch on one slot, the cluster routes every attempt and
+//! `(replica, stream)` placement through a [`Placer`]: plain and dynamic
+//! serving keep a batch on one stream, the cluster routes every attempt and
 //! fails over.
 
 use gnnadvisor_gpu::fault::FaultKind;
@@ -17,22 +17,14 @@ use gnnadvisor_gpu::{Engine, StreamId, StreamSim};
 
 use super::ledger::{Class, Ledger};
 use super::{BatchWork, RetryPolicy};
+use crate::cluster::Placement;
 use crate::Result;
-
-/// One stream of one replica in a [`Fleet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Slot {
-    /// Replica (engine) index.
-    pub replica: usize,
-    /// Stream index on that replica.
-    pub stream: usize,
-}
 
 /// One submission of a batch's ops.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Attempt {
     /// Where the attempt ran.
-    pub slot: Slot,
+    pub placement: Placement,
     /// Instant its ops were released at, ms.
     pub release_ms: f64,
     /// Device cycles of the ops it issued, summed per op.
@@ -81,18 +73,18 @@ impl BatchRun {
     }
 }
 
-/// Picks the slot of each attempt of one batch.
+/// Picks the `(replica, stream)` placement of each attempt of one batch.
 pub(crate) trait Placer {
-    /// The slot of the next attempt, released at `release_ms`.
-    fn place(&mut self, release_ms: f64) -> Slot;
+    /// The placement of the next attempt, released at `release_ms`.
+    fn place(&mut self, release_ms: f64) -> Placement;
 
     /// Sees each attempt end, before the next one is placed.
     fn settled(&mut self, _attempt: &Attempt) {}
 }
 
-/// A fixed slot places every attempt on itself.
-impl Placer for Slot {
-    fn place(&mut self, _release_ms: f64) -> Slot {
+/// A fixed placement puts every attempt on itself.
+impl Placer for Placement {
+    fn place(&mut self, _release_ms: f64) -> Placement {
         *self
     }
 }
@@ -122,7 +114,7 @@ impl<'e> Fleet<'e> {
 
     /// Submits batch number `batch` (it seeds the backoff jitter), first
     /// released at `release_ms`, retrying faulted attempts under `retry`
-    /// on the slots `placer` picks.
+    /// where `placer` puts each attempt.
     pub fn run_batch(
         &mut self,
         batch: usize,
@@ -134,13 +126,13 @@ impl<'e> Fleet<'e> {
         let mut attempts = Vec::with_capacity(1);
         let (mut l2_hits, mut l2_misses) = (0u64, 0u64);
         for attempt in 1..=retry.max_attempts {
-            let slot = placer.place(release_ms);
-            let spec = self.engines[slot.replica].spec();
-            let stream = self.streams[slot.replica][slot.stream];
+            let at = placer.place(release_ms);
+            let spec = self.engines[at.replica].spec();
+            let stream = self.streams[at.replica][at.stream];
             let release = spec.ms_to_cycles(release_ms);
             let (mut tail, mut cycles, mut fault) = (None, 0u64, None);
             for op in &work.ops {
-                let enq = self.sims[slot.replica].try_enqueue_at(stream, op.workload(), release)?;
+                let enq = self.sims[at.replica].try_enqueue_at(stream, op.workload(), release)?;
                 cycles += spec.ms_to_cycles(enq.metrics.time_ms());
                 if attempt == 1 {
                     if let Some(k) = enq.metrics.as_kernel() {
@@ -155,7 +147,7 @@ impl<'e> Fleet<'e> {
                 tail = Some(enq.handle);
             }
             let ended = Attempt {
-                slot,
+                placement: at,
                 release_ms,
                 cycles,
                 fault,
@@ -164,7 +156,7 @@ impl<'e> Fleet<'e> {
             attempts.push(ended);
             if fault.is_none() {
                 let outcome = Outcome::Done {
-                    replica: slot.replica,
+                    replica: at.replica,
                     tail,
                 };
                 return Ok(BatchRun {
