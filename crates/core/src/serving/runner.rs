@@ -1,9 +1,11 @@
 //! The batch runner: one batch's submit, fault and backoff loop.
 //!
-//! Every serving entry point submits a batch the same way. An attempt
-//! enqueues the batch's ops in order on one stream, released at the
+//! Every serving entry point submits a batch the same way. The batch's
+//! ops are priced once, fault-free, before its first attempt. An attempt
+//! then draws each op's fault verdict from the placing replica's fault
+//! plan and enqueues the ops in order on one stream, released at the
 //! attempt's instant. A faulted op still burns its priced time on the
-//! stream, and the attempt's remaining ops are never issued. The next
+//! stream, and the attempt's remaining ops are never issued (nor drawn). The next
 //! attempt may not start before the failed attempt's estimated end (its
 //! release plus the per-op cycle sum the stream charges) plus the
 //! [`RetryPolicy`] backoff. The caller picks each attempt's
@@ -13,10 +15,10 @@
 
 use gnnadvisor_gpu::fault::FaultKind;
 use gnnadvisor_gpu::stream::OpHandle;
-use gnnadvisor_gpu::{Engine, StreamId, StreamSim};
+use gnnadvisor_gpu::{CleanPrice, Engine, RunContext, StreamId, StreamSim, Workload};
 
 use super::ledger::{Class, Ledger};
-use super::{BatchWork, RetryPolicy};
+use super::{BatchWork, DeviceWork, RetryPolicy};
 use crate::cluster::Placement;
 use crate::Result;
 
@@ -54,8 +56,8 @@ pub(crate) struct BatchRun {
     pub outcome: Outcome,
     /// Every attempt, in order; all but the last faulted.
     pub attempts: Vec<Attempt>,
-    /// Kernel L2 hits of the first attempt's ops (retries re-price the
-    /// same work).
+    /// Kernel L2 hits of the first attempt's ops (retries place the same
+    /// priced work).
     pub l2_hits: u64,
     /// Kernel L2 misses of the first attempt's ops.
     pub l2_misses: u64,
@@ -90,11 +92,17 @@ impl Placer for Placement {
 }
 
 /// The stream simulators of a set of replica engines, `streams` per
-/// engine.
+/// engine, and the pricing contexts they share.
 pub(crate) struct Fleet<'e> {
     engines: &'e [Engine],
     sims: Vec<StreamSim<'e>>,
     streams: Vec<Vec<StreamId>>,
+    /// For each replica, the lowest replica whose `GpuSpec` equals its
+    /// own: replicas of one class price every op identically.
+    spec_class: Vec<usize>,
+    /// One context per kernel of the longest batch priced so far, shared
+    /// by every replica (a batch is priced on one engine at a time).
+    ctxs: Vec<RunContext>,
 }
 
 impl<'e> Fleet<'e> {
@@ -105,16 +113,38 @@ impl<'e> Fleet<'e> {
             .iter_mut()
             .map(|sim| (0..streams).map(|_| sim.stream()).collect())
             .collect();
+        let spec_class = engines
+            .iter()
+            .map(|e| {
+                engines
+                    .iter()
+                    .position(|other| other.spec() == e.spec())
+                    .expect("an engine's spec equals itself")
+            })
+            .collect();
         Self {
             engines,
             sims,
             streams,
+            spec_class,
+            ctxs: Vec::new(),
         }
     }
 
     /// Submits batch number `batch` (it seeds the backoff jitter), first
     /// released at `release_ms`, retrying faulted attempts under `retry`
     /// where `placer` puts each attempt.
+    ///
+    /// The batch's ops are priced once, on the first attempt's engine,
+    /// with [`Engine::price_list`], and an attempt on a replica with an
+    /// equal `GpuSpec` reuses those clean prices (another spec prices them
+    /// again). Each attempt then only draws the placing replica's fault
+    /// verdicts, op by op in issue order, and stops at the first fault.
+    ///
+    /// # Errors
+    ///
+    /// A kernel whose grid is invalid fails the batch before its first
+    /// attempt draws a verdict.
     pub fn run_batch(
         &mut self,
         batch: usize,
@@ -123,16 +153,26 @@ impl<'e> Fleet<'e> {
         retry: &RetryPolicy,
         placer: &mut dyn Placer,
     ) -> Result<BatchRun> {
+        let workloads: Vec<Workload<'_>> = work.ops.iter().map(DeviceWork::workload).collect();
+        let mut clean: Vec<CleanPrice> = Vec::new();
+        let mut priced_class = None;
         let mut attempts = Vec::with_capacity(1);
         let (mut l2_hits, mut l2_misses) = (0u64, 0u64);
         for attempt in 1..=retry.max_attempts {
             let at = placer.place(release_ms);
-            let spec = self.engines[at.replica].spec();
+            let engine = &self.engines[at.replica];
+            let class = self.spec_class[at.replica];
+            if priced_class != Some(class) {
+                clean = engine.price_list(&mut self.ctxs, &workloads)?;
+                priced_class = Some(class);
+            }
+            let spec = engine.spec();
+            let sim = &mut self.sims[at.replica];
             let stream = self.streams[at.replica][at.stream];
             let release = spec.ms_to_cycles(release_ms);
             let (mut tail, mut cycles, mut fault) = (None, 0u64, None);
-            for op in &work.ops {
-                let enq = self.sims[at.replica].try_enqueue_at(stream, op.workload(), release)?;
+            for op in &clean {
+                let enq = sim.enqueue_priced(stream, sim.draw(op), release)?;
                 cycles += spec.ms_to_cycles(enq.metrics.time_ms());
                 if attempt == 1 {
                     if let Some(k) = enq.metrics.as_kernel() {

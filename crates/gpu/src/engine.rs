@@ -37,6 +37,11 @@
 //! sums; SM placement runs serially over the concatenated per-shard block
 //! costs, in dispatch order, exactly as the serial loop would.
 //!
+//! [`Engine::price_list`] prices a whole op list the same way in one pool
+//! job: its units are every `(kernel, shard)` pair of the list, each
+//! kernel simulates into its own context, and the merges run serially in
+//! list order. A single launch is the one-op list.
+//!
 //! All mutable state lives in a recycled [`RunContext`], so steady-state
 //! launches allocate nothing on the hot path. The worker count comes from
 //! `GNNADVISOR_SIM_THREADS` (or [`EngineBuilder::sim_threads`]); `0` means
@@ -48,7 +53,9 @@
 //! Every way of putting work on the simulated device goes through one
 //! typed entry point: [`Engine::submit`] takes a [`Workload`] — a kernel
 //! launch, a roofline-priced GEMM, or a host↔device transfer — and returns
-//! [`WorkloadMetrics`]. This uniform surface is what
+//! [`WorkloadMetrics`]. It prices the workload fault-free, then draws its
+//! fault verdict; [`Engine::price_list`] is the pricing step alone, for a
+//! whole list. This uniform surface is what
 //! [`crate::stream::StreamSim`] enqueues onto simulated streams, and
 //! [`Engine::builder`] is the configuration surface.
 
@@ -57,7 +64,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use gnnadvisor_tensor::par;
 
-use crate::context::{plan_shards, RunContext, ShardSlot};
+use crate::context::{plan_shards, RunContext, ShardPlan, ShardSlot};
 use crate::fault::{FaultKind, FaultPlan, OpVerdict};
 use crate::kernel::{BlockSink, GridConfig, Kernel, WARP_SIZE};
 use crate::metrics::{KernelMetrics, PhaseBreakdown};
@@ -203,6 +210,26 @@ impl WorkloadMetrics {
             WorkloadMetrics::Kernel(_) => panic!("expected transfer metrics, got kernel metrics"),
             WorkloadMetrics::Transfer(m) => m,
         }
+    }
+}
+
+/// A workload priced as if alone on a fault-free device: its standalone
+/// metrics and, for a kernel or GEMM, the block shape the stream scheduler
+/// admits. [`Engine::price_list`] returns these; no fault verdict has been
+/// drawn for one until [`crate::StreamSim::draw`] places it, so one clean
+/// price serves every attempt of an op on any engine with an equal
+/// [`GpuSpec`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct CleanPrice {
+    pub(crate) metrics: WorkloadMetrics,
+    /// Per-block demand of a kernel or GEMM; `None` for a transfer.
+    pub(crate) resources: Option<BlockResources>,
+}
+
+impl CleanPrice {
+    /// The op's standalone, fault-free metrics.
+    pub fn metrics(&self) -> &WorkloadMetrics {
+        &self.metrics
     }
 }
 
@@ -454,14 +481,32 @@ impl Engine {
     /// Use [`Engine::lock_context`] for the engine's shared context, or an
     /// owned [`RunContext`] for isolation.
     ///
-    /// With a [`EngineBuilder::fault_plan`] attached, the submission may
-    /// come back as [`GpuError::Fault`]; the op still burned its priced
-    /// time on the plan's simulated clock before failing.
+    /// This is the one-op case of [`Engine::price_list`] followed by the
+    /// op's fault verdict: with a [`EngineBuilder::fault_plan`] attached,
+    /// the submission may come back as [`GpuError::Fault`]; the op still
+    /// burned its priced time on the plan's simulated clock before failing.
     pub fn submit(&self, ctx: &mut RunContext, workload: Workload<'_>) -> Result<WorkloadMetrics> {
-        let op = Self::op_name(&workload);
-        let (metrics, fault) = self.price_with_faults(ctx, workload, true)?;
+        let traced = self.tracer.is_some();
+        let clean = self.price_into(std::slice::from_mut(ctx), &[workload], traced)?;
+        let mut metrics = clean.into_iter().next().expect("one op priced").metrics;
+        let (fault, completes) = self.draw_verdict(&mut metrics);
+        // An op that its verdict kills never completes, so its span is not
+        // recorded; the trace stays a timeline of finished work. Slowed
+        // ops are traced at their stretched timings.
+        if let (Some(tracer), true) = (&self.tracer, completes) {
+            match (&metrics, workload) {
+                (WorkloadMetrics::Kernel(m), Workload::Kernel(_)) => {
+                    tracer.record_kernel(m, &self.spec, &ctx.shard_traces, &ctx.hot_blocks)
+                }
+                (WorkloadMetrics::Kernel(m), _) => tracer.record_gemm(m),
+                (WorkloadMetrics::Transfer(m), _) => tracer.record_transfer(m, &self.spec),
+            }
+        }
         match fault {
-            Some(kind) => Err(GpuError::Fault { kind, op }),
+            Some(kind) => Err(GpuError::Fault {
+                kind,
+                op: Self::op_name(&workload),
+            }),
             None => Ok(metrics),
         }
     }
@@ -475,148 +520,208 @@ impl Engine {
         }
     }
 
-    /// `submit` with tracing suppressed: [`crate::stream::StreamSim`]
-    /// prices enqueued work through this path and records stream-placed
-    /// spans itself once the schedule is known.
-    pub(crate) fn submit_untraced(
+    /// Prices every workload of `list` as if alone on a fault-free device
+    /// and returns their [`CleanPrice`]s in list order. No fault verdict
+    /// is drawn and nothing is traced: [`crate::StreamSim::draw`] draws an
+    /// op's verdict when it is placed.
+    ///
+    /// Every kernel launch of the list is simulated in **one** host pool
+    /// job whose units are the list's `(kernel, shard)` pairs, each kernel
+    /// into its own context of `ctxs` (grown to the list's kernel count
+    /// and recycled across calls); each kernel's merge then runs serially,
+    /// in list order. GEMMs and transfers are closed-form. The result
+    /// equals pricing each workload alone, at any worker count.
+    ///
+    /// # Errors
+    ///
+    /// A kernel whose grid is invalid fails the whole list before any of
+    /// it is simulated.
+    pub fn price_list(
         &self,
-        ctx: &mut RunContext,
-        workload: Workload<'_>,
-    ) -> Result<(WorkloadMetrics, Option<FaultKind>)> {
-        self.price_with_faults(ctx, workload, false)
+        ctxs: &mut Vec<RunContext>,
+        list: &[Workload<'_>],
+    ) -> Result<Vec<CleanPrice>> {
+        let kernels = list
+            .iter()
+            .filter(|w| matches!(w, Workload::Kernel(_)))
+            .count();
+        if ctxs.len() < kernels {
+            ctxs.resize_with(kernels, RunContext::new);
+        }
+        self.price_into(ctxs, list, false)
     }
 
-    /// Prices one workload under the engine's fault plan (if any). A
-    /// `Slow` verdict stretches the metrics before they are returned or
-    /// traced; a `Fail` verdict (or a device-reset crossing during the
-    /// op) is reported alongside the burned metrics rather than as an
-    /// `Err`, so stream schedulers can still occupy the device with the
-    /// failed op's cycles. Verdicts are consumed on this serial path —
-    /// never inside the sharded block loop — so the fault sequence depends
-    /// only on submission order, not on `GNNADVISOR_SIM_THREADS`.
-    fn price_with_faults(
+    /// [`Engine::price_list`] over at least one context per kernel of
+    /// `list`. With `gather_trace`, each kernel's context keeps its shard
+    /// and hotspot trace rows for the caller to record.
+    fn price_into(
         &self,
-        ctx: &mut RunContext,
-        workload: Workload<'_>,
-        traced: bool,
-    ) -> Result<(WorkloadMetrics, Option<FaultKind>)> {
+        ctxs: &mut [RunContext],
+        list: &[Workload<'_>],
+        gather_trace: bool,
+    ) -> Result<Vec<CleanPrice>> {
+        let kernels: Vec<&dyn Kernel> = list
+            .iter()
+            .filter_map(|w| match *w {
+                Workload::Kernel(k) => Some(k),
+                _ => None,
+            })
+            .collect();
+        let mut launched = self
+            .launch_kernels(ctxs, &kernels, gather_trace)?
+            .into_iter();
+        Ok(list
+            .iter()
+            .map(|w| match *w {
+                Workload::Kernel(k) => CleanPrice {
+                    metrics: WorkloadMetrics::Kernel(launched.next().expect("one per kernel")),
+                    resources: Some(k.block_resources()),
+                },
+                Workload::Gemm { m, n, k } => CleanPrice {
+                    metrics: WorkloadMetrics::Kernel(self.price_gemm(m, n, k)),
+                    resources: Some(GEMM_BLOCK_RESOURCES),
+                },
+                Workload::Transfer { bytes } => CleanPrice {
+                    metrics: WorkloadMetrics::Transfer(transfer(&self.spec, bytes)),
+                    resources: None,
+                },
+            })
+            .collect())
+    }
+
+    /// Draws one op's verdict from the engine's fault plan (if any) and
+    /// applies it to the op's clean `metrics`: a `Slow` verdict stretches
+    /// a kernel or GEMM (never a transfer), then the plan's clock absorbs
+    /// the op's time, which may cross the device-reset instant. Returns
+    /// the fault the op dies with and whether it completes its run (a
+    /// `Fail` verdict kills it; a reset still lets it finish burning).
+    /// Verdicts are drawn on this serial path — never inside the sharded
+    /// block loop — so the fault sequence depends only on the order ops
+    /// are drawn in, not on `GNNADVISOR_SIM_THREADS`.
+    pub(crate) fn draw_verdict(&self, metrics: &mut WorkloadMetrics) -> (Option<FaultKind>, bool) {
         let Some(plan) = &self.fault_plan else {
-            return self.submit_inner(ctx, workload, traced).map(|m| (m, None));
+            return (None, true);
         };
-        let is_transfer = matches!(workload, Workload::Transfer { .. });
-        let verdict = plan.next_verdict(is_transfer);
-        let (slow_factor, mut fault) = match verdict {
-            OpVerdict::Ok => (1.0, None),
-            OpVerdict::Slow { factor } => (factor, None),
-            OpVerdict::Fail { kind } => (1.0, Some(kind)),
+        let is_transfer = matches!(metrics, WorkloadMetrics::Transfer(_));
+        let mut fault = match plan.next_verdict(is_transfer) {
+            OpVerdict::Ok => None,
+            OpVerdict::Slow { factor } => {
+                if let WorkloadMetrics::Kernel(m) = metrics {
+                    m.stretch(factor, &self.spec);
+                }
+                None
+            }
+            OpVerdict::Fail { kind } => Some(kind),
         };
-        // An op that dies never completes, so its span is not recorded;
-        // the trace stays a timeline of finished work. Slowed ops are
-        // traced at their stretched timings.
-        let traced = traced && fault.is_none();
-        let metrics = self.price_inner(ctx, workload, traced, slow_factor)?;
+        let completes = fault.is_none();
         if let Some(kind) = plan.absorb_time(metrics.time_ms()) {
             fault.get_or_insert(kind);
         }
-        Ok((metrics, fault))
+        (fault, completes)
     }
 
-    fn submit_inner(
+    /// Simulates kernel launches `kernels[i]` into `ctxs[i]`, all in one
+    /// pool job, and returns their metrics in order. Each context is fully
+    /// re-prepared first, so any contexts yield identical results; passing
+    /// the same ones across calls just recycles their allocations.
+    fn launch_kernels(
         &self,
-        ctx: &mut RunContext,
-        workload: Workload<'_>,
-        traced: bool,
-    ) -> Result<WorkloadMetrics> {
-        self.price_inner(ctx, workload, traced, 1.0)
-    }
-
-    fn price_inner(
-        &self,
-        ctx: &mut RunContext,
-        workload: Workload<'_>,
-        traced: bool,
-        slow_factor: f64,
-    ) -> Result<WorkloadMetrics> {
-        match workload {
-            Workload::Kernel(kernel) => self
-                .launch_kernel(ctx, kernel, traced, slow_factor)
-                .map(WorkloadMetrics::Kernel),
-            Workload::Gemm { m, n, k } => Ok(WorkloadMetrics::Kernel(self.price_gemm_inner(
-                m,
-                n,
-                k,
-                traced,
-                slow_factor,
-            ))),
-            Workload::Transfer { bytes } => Ok(WorkloadMetrics::Transfer(
-                self.price_transfer(bytes, traced),
-            )),
+        ctxs: &mut [RunContext],
+        kernels: &[&dyn Kernel],
+        gather_trace: bool,
+    ) -> Result<Vec<KernelMetrics>> {
+        let mut launches = Vec::with_capacity(kernels.len());
+        let mut units = 0;
+        for &kernel in kernels {
+            let grid = kernel.grid();
+            grid.validate(&self.spec)?;
+            let plan = plan_shards(grid.num_blocks, self.spec.l2_sets());
+            // Occupancy-limited latency hiding: big blocks co-reside less
+            // on an SM, so fewer independent warps are available to cover
+            // memory stalls. Shared-memory and register-file demand cap
+            // residency the same way; `occupancy_limit` is the single
+            // source of truth.
+            let resources = kernel.block_resources();
+            let resident = self.spec.occupancy_limit(&resources).get().max(1) as u64;
+            // Roughly half the resident blocks have runnable warps at any
+            // moment (the rest drain at barriers/tails), so effective
+            // latency-hiding depth is resident/2 — a 1024-thread launch (2
+            // resident) barely covers one outstanding miss, which is the
+            // right-hand rise of the paper's Figure 11b.
+            let hiding = self.spec.memory_parallelism.min((resident / 2).max(1));
+            launches.push(Launch {
+                kernel,
+                grid,
+                plan,
+                resources,
+                hiding,
+                first_unit: units,
+            });
+            units += plan.num_shards;
         }
-    }
-
-    /// Simulates one kernel launch. The context is fully re-prepared
-    /// first, so any context yields identical results; passing the same
-    /// one across launches just recycles its allocations. `slow_factor`
-    /// (an injected-fault stretch, `1.0` = clean) is applied before
-    /// tracing, so recorded spans show the perturbed timings.
-    fn launch_kernel(
-        &self,
-        ctx: &mut RunContext,
-        kernel: &dyn Kernel,
-        traced: bool,
-        slow_factor: f64,
-    ) -> Result<KernelMetrics> {
-        let grid = kernel.grid();
-        grid.validate(&self.spec)?;
-
-        let plan = plan_shards(grid.num_blocks, self.spec.l2_sets());
-        ctx.prepare(&self.spec, &plan);
+        let ctxs = &mut ctxs[..kernels.len()];
+        for (ctx, launch) in ctxs.iter_mut().zip(&launches) {
+            ctx.prepare(&self.spec, &launch.plan);
+        }
 
         let sm_bw_cycles_per_byte =
             self.spec.num_sms as f64 / self.spec.dram_bytes_per_cycle().max(1e-9);
 
-        // Occupancy-limited latency hiding: big blocks co-reside less on an
-        // SM, so fewer independent warps are available to cover memory
-        // stalls. Shared-memory and register-file demand cap residency the
-        // same way; `occupancy_limit` is the single source of truth.
-        let resources = kernel.block_resources();
-        let resident = self.spec.occupancy_limit(&resources).get().max(1) as u64;
-        // Roughly half the resident blocks have runnable warps at any
-        // moment (the rest drain at barriers/tails), so effective
-        // latency-hiding depth is resident/2 — a 1024-thread launch (2
-        // resident) barely covers one outstanding miss, which is the
-        // right-hand rise of the paper's Figure 11b.
-        let hiding = self.spec.memory_parallelism.min((resident / 2).max(1));
-
-        // Workers claim whole shards from a shared counter on the host
-        // pool (`tensor::par::run`): the calling thread is one of them,
-        // and persistent helpers join it, so a launch starts no thread.
-        // Claim order, and how many threads end up claiming, are racy
-        // but irrelevant: each shard's result depends only on its own
-        // chunk, and the merge below is order-independent. With one
-        // worker the calling thread claims every shard in order.
+        // Workers claim `(kernel, shard)` units, kernel-major, from a
+        // shared counter on the host pool (`tensor::par::run`): the
+        // calling thread is one of them, and persistent helpers join it,
+        // so a launch starts no thread. Claim order, and how many threads
+        // end up claiming, are racy but irrelevant: each shard's result
+        // depends only on its own chunk and its own kernel's context, and
+        // each merge below is order-independent. With one worker the
+        // calling thread claims every unit in order.
         let next = AtomicUsize::new(0);
-        let shards = &ctx.shards[..plan.num_shards];
-        par::run(self.worker_count(plan.num_shards), &|| loop {
-            let shard = next.fetch_add(1, Ordering::Relaxed);
-            let Some(slot) = shards.get(shard) else {
+        let shared: &[RunContext] = ctxs;
+        par::run(self.host_workers().min(units.max(1)), &|| loop {
+            let unit = next.fetch_add(1, Ordering::Relaxed);
+            if unit >= units {
                 break;
-            };
-            let mut slot = slot.lock().unwrap_or_else(|p| p.into_inner());
+            }
+            let op = launches.partition_point(|l| l.first_unit <= unit) - 1;
+            let launch = &launches[op];
+            let shard = unit - launch.first_unit;
+            let mut slot = shared[op].shards[shard]
+                .lock()
+                .unwrap_or_else(|p| p.into_inner());
             self.simulate_chunk(
-                kernel,
-                &grid,
-                plan.range(shard, grid.num_blocks),
-                hiding,
+                launch.kernel,
+                &launch.grid,
+                launch.plan.range(shard, launch.grid.num_blocks),
+                launch.hiding,
                 sm_bw_cycles_per_byte,
                 &mut slot,
             );
         });
 
-        // Serial merge. Counter totals are plain sums and hotspot rounds
-        // add per line, so shard order cannot matter; SM placement walks
-        // the per-shard block costs in dispatch order, exactly like the
-        // serial loop.
+        Ok(ctxs
+            .iter_mut()
+            .zip(&launches)
+            .map(|(ctx, launch)| self.merge(ctx, launch, gather_trace))
+            .collect())
+    }
+
+    /// Merges one launch's simulated shards into its metrics. Counter
+    /// totals are plain sums and hotspot rounds add per line, so shard
+    /// order cannot matter; SM placement walks the per-shard block costs
+    /// in dispatch order, exactly like the serial loop.
+    fn merge(
+        &self,
+        ctx: &mut RunContext,
+        launch: &Launch<'_>,
+        gather_trace: bool,
+    ) -> KernelMetrics {
+        let Launch {
+            kernel,
+            grid,
+            plan,
+            resources,
+            ..
+        } = launch;
         let RunContext {
             shards,
             merged_hotspots,
@@ -636,10 +741,9 @@ impl Engine {
         // worker-count-invariant, so traced timelines are too. Their
         // buffers live in the context (emptied by `prepare`) so repeated
         // launches recycle the allocations.
-        let tracing = traced && self.tracer.is_some();
         for (shard_idx, slot) in shards[..plan.num_shards].iter_mut().enumerate() {
             let slot = slot.get_mut().unwrap_or_else(|p| p.into_inner());
-            if tracing {
+            if gather_trace {
                 let range = plan.range(shard_idx, grid.num_blocks);
                 shard_traces.push(ShardTrace {
                     first_block: range.start,
@@ -719,7 +823,7 @@ impl Engine {
         totals.num_blocks = grid.num_blocks as u64;
         totals.achieved_occupancy = self
             .spec
-            .achieved_occupancy(&resources, grid.num_blocks as u64);
+            .achieved_occupancy(resources, grid.num_blocks as u64);
         totals.elapsed_cycles = elapsed;
         totals.time_ms = self.spec.cycles_to_ms(elapsed);
 
@@ -754,17 +858,7 @@ impl Engine {
         };
         totals.sm_efficiency = (feed_eff.min(1.0) * warp_eff).clamp(0.0, 1.0);
 
-        if slow_factor != 1.0 {
-            totals.stretch(slow_factor, &self.spec);
-        }
-
-        if tracing {
-            if let Some(tracer) = &self.tracer {
-                tracer.record_kernel(&totals, &self.spec, shard_traces, hot_blocks);
-            }
-        }
-
-        Ok(totals)
+        totals
     }
 
     /// Simulates one contiguous chunk of blocks against its shard's private
@@ -817,24 +911,10 @@ impl Engine {
         }
     }
 
-    /// How many workers a launch of `num_shards` shards asks the pool for.
-    fn worker_count(&self, num_shards: usize) -> usize {
-        self.host_workers().min(num_shards.max(1))
-    }
-
     /// Prices a dense `m x k · k x n` GEMM (the update-phase DGEMM/MLP) with
     /// a cuBLAS-like roofline: compute at `gemm_efficiency` of peak FLOPs,
-    /// memory as one pass over the three operand matrices. `slow_factor`
-    /// is an injected-fault stretch (`1.0` = clean), applied before
-    /// tracing.
-    fn price_gemm_inner(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        traced: bool,
-        slow_factor: f64,
-    ) -> KernelMetrics {
+    /// memory as one pass over the three operand matrices.
+    fn price_gemm(&self, m: usize, n: usize, k: usize) -> KernelMetrics {
         let flops = 2 * m as u64 * n as u64 * k as u64;
         let compute_cycles =
             (flops as f64 / (self.spec.flops_per_cycle() * self.spec.gemm_efficiency)) as u64;
@@ -843,7 +923,7 @@ impl Engine {
         let body = compute_cycles.max(bw_cycles);
         let elapsed = body + self.spec.kernel_launch_cycles;
         let dram_phase = bw_cycles.min(body);
-        let mut metrics = KernelMetrics {
+        KernelMetrics {
             name: format!("gemm_{m}x{k}x{n}"),
             elapsed_cycles: elapsed,
             time_ms: self.spec.cycles_to_ms(elapsed),
@@ -871,28 +951,22 @@ impl Engine {
                 launch_cycles: self.spec.kernel_launch_cycles,
             },
             ..Default::default()
-        };
-        if slow_factor != 1.0 {
-            metrics.stretch(slow_factor, &self.spec);
         }
-        if traced {
-            if let Some(tracer) = &self.tracer {
-                tracer.record_gemm(&metrics);
-            }
-        }
-        metrics
     }
+}
 
-    /// Prices a host→device or device→host copy over the PCIe model.
-    fn price_transfer(&self, bytes: u64, traced: bool) -> TransferMetrics {
-        let metrics = transfer(&self.spec, bytes);
-        if traced {
-            if let Some(tracer) = &self.tracer {
-                tracer.record_transfer(&metrics, &self.spec);
-            }
-        }
-        metrics
-    }
+/// One kernel of a list priced by [`Engine::price_list`]: what its shards
+/// and its merge need.
+struct Launch<'k> {
+    kernel: &'k dyn Kernel,
+    grid: GridConfig,
+    plan: ShardPlan,
+    resources: BlockResources,
+    /// Latency-hiding depth: how many outstanding misses a warp's stall
+    /// time is divided over.
+    hiding: u64,
+    /// Index of the launch's first shard among the list's pool units.
+    first_unit: usize,
 }
 
 #[cfg(test)]

@@ -41,7 +41,8 @@ pub use context::RunContext;
 pub use device::{BlockDemand, CommandProcessor, Retirement, RetirementQueue, SmUsage};
 pub use device_memory::DeviceMemory;
 pub use engine::{
-    parse_sim_threads, Engine, EngineBuilder, Workload, WorkloadMetrics, MAX_SIM_THREADS,
+    parse_sim_threads, CleanPrice, Engine, EngineBuilder, Workload, WorkloadMetrics,
+    MAX_SIM_THREADS,
 };
 pub use fault::{FaultConfig, FaultKind, FaultPlan};
 pub use kernel::{ArrayId, BlockSink, GridConfig, Kernel};

@@ -30,7 +30,11 @@
 //! Pricing and placement are separable: [`StreamSim::price`] turns a
 //! workload into a [`PricedOp`] and [`StreamSim::enqueue_priced`] places
 //! it, so a caller that schedules the same work on several timelines
-//! prices it once and enqueues clones.
+//! prices it once and enqueues clones. Pricing splits once more: the
+//! engine prices fault-free ([`Engine::price_list`] returns a
+//! [`CleanPrice`]) and [`StreamSim::draw`] draws the op's fault verdict,
+//! so a caller that retries the same work prices it once and draws a
+//! fresh verdict per attempt.
 //!
 //! The event loop advances the clock from instant to instant; at each
 //! instant it retires due blocks, admits waiting blocks in kernel
@@ -55,7 +59,7 @@
 
 use crate::context::RunContext;
 use crate::device::{BlockDemand, CommandProcessor, Retirement, RetirementQueue};
-use crate::engine::{Engine, Workload, WorkloadMetrics, GEMM_BLOCK_RESOURCES};
+use crate::engine::{CleanPrice, Engine, Workload, WorkloadMetrics};
 use crate::fault::FaultKind;
 use crate::trace::{ArgValue, SpanKind, TraceEvent, STREAM_TRACK_BASE};
 use crate::{GpuError, Result};
@@ -241,8 +245,9 @@ struct ActiveKernel {
 ///
 /// A `PricedOp` carries the fault verdict drawn when it was priced: with
 /// a fault plan on the engine, the verdict is consumed from the plan's
-/// sequence at [`StreamSim::price`], and every schedule the op (or a
-/// clone of it) is enqueued on sees that same verdict.
+/// sequence at [`StreamSim::price`] (or [`StreamSim::draw`]), and every
+/// schedule the op (or a clone of it) is enqueued on sees that same
+/// verdict.
 #[derive(Debug, Clone)]
 pub struct PricedOp {
     kind: OpKind,
@@ -272,9 +277,10 @@ pub struct Enqueued {
 #[derive(Debug)]
 pub struct StreamSim<'e> {
     engine: &'e Engine,
-    /// Private pricing context, so enqueue-time pricing neither contends
-    /// with nor perturbs the engine's shared context users.
-    ctx: RunContext,
+    /// Private pricing contexts, one per kernel of the longest list priced
+    /// so far, so enqueue-time pricing neither contends with nor perturbs
+    /// the engine's shared context users.
+    ctxs: Vec<RunContext>,
     streams: Vec<Vec<Op>>,
     /// `Some(record op issued)` per created event.
     event_recorded: Vec<bool>,
@@ -285,7 +291,7 @@ impl<'e> StreamSim<'e> {
     pub fn new(engine: &'e Engine) -> Self {
         Self {
             engine,
-            ctx: RunContext::new(),
+            ctxs: Vec::new(),
             streams: Vec::new(),
             event_recorded: Vec::new(),
         }
@@ -344,19 +350,36 @@ impl<'e> StreamSim<'e> {
 
     /// Prices a workload through the engine as if alone on the device,
     /// drawing its fault verdict from the engine's fault plan (if any),
-    /// without placing it on a stream.
+    /// without placing it on a stream: [`StreamSim::price_list`] of the
+    /// one-op list.
     pub fn price(&mut self, workload: Workload<'_>) -> Result<PricedOp> {
-        let (metrics, fault) = self.engine.submit_untraced(&mut self.ctx, workload)?;
+        let mut ops = self.price_list(&[workload])?;
+        Ok(ops.pop().expect("one op priced"))
+    }
+
+    /// Prices every workload of `list` with [`Engine::price_list`] (one
+    /// host pool job for all its kernels), then draws each op's fault
+    /// verdict in list order with [`StreamSim::draw`]. Equal to calling
+    /// [`StreamSim::price`] on each workload in turn.
+    pub fn price_list(&mut self, list: &[Workload<'_>]) -> Result<Vec<PricedOp>> {
+        let clean = self.engine.price_list(&mut self.ctxs, list)?;
+        Ok(clean.iter().map(|c| self.draw(c)).collect())
+    }
+
+    /// Draws the fault verdict of one clean-priced op from the engine's
+    /// fault plan (if any) and returns the op ready to place. A `Slow`
+    /// verdict stretches a kernel's or GEMM's clean metrics; a transfer is
+    /// never stretched. Each call consumes one verdict, so drawing the
+    /// same clean price again (a retry) draws a fresh verdict. `clean`
+    /// must have been priced by an engine with this engine's [`GpuSpec`].
+    ///
+    /// [`GpuSpec`]: crate::GpuSpec
+    pub fn draw(&self, clean: &CleanPrice) -> PricedOp {
+        let mut metrics = clean.metrics.clone();
+        let (fault, _) = self.engine.draw_verdict(&mut metrics);
         let spec = self.engine.spec();
-        let (kind, name) = match &metrics {
-            WorkloadMetrics::Kernel(m) => {
-                let resources = match workload {
-                    Workload::Kernel(k) => k.block_resources(),
-                    Workload::Gemm { .. } => GEMM_BLOCK_RESOURCES,
-                    Workload::Transfer { .. } => {
-                        unreachable!("transfers price to TransferMetrics")
-                    }
-                };
+        let (kind, name) = match (&metrics, clean.resources) {
+            (WorkloadMetrics::Kernel(m), Some(resources)) => {
                 // Split the standalone body over the waves the launch
                 // needs alone: occupancy_limit blocks per SM at a time.
                 let occupancy = spec.occupancy_limit(&resources).get().max(1) as u64;
@@ -375,19 +398,22 @@ impl<'e> StreamSim<'e> {
                     m.name.clone(),
                 )
             }
-            WorkloadMetrics::Transfer(m) => (
+            (WorkloadMetrics::Kernel(_), None) => {
+                unreachable!("kernels and GEMMs price with their block shape")
+            }
+            (WorkloadMetrics::Transfer(m), _) => (
                 OpKind::Copy {
                     cycles: spec.ms_to_cycles(m.time_ms),
                 },
                 format!("copy {} B", m.bytes),
             ),
         };
-        Ok(PricedOp {
+        PricedOp {
             kind,
             name,
             metrics,
             fault,
-        })
+        }
     }
 
     /// Places an op priced by [`StreamSim::price`] on `stream`, released

@@ -20,8 +20,8 @@
 //!
 //! Each batch's device work is priced **once**: one op list (H2D, then
 //! per layer the forward GEMM, stacking and SpMM, then the backward
-//! mirror over the block's transpose) is built with
-//! [`StreamSim::price`], enqueued on the pipelined timeline, and a clone
+//! mirror over the block's transpose) is priced with one
+//! [`StreamSim::price_list`] call, enqueued on the pipelined timeline, and a clone
 //! of it on the batch's solo timeline. That list prices the same kernels
 //! as [`GcnTrainer::step_block`] with one difference: no DGL launch
 //! surcharge. `step_block` charges each aggregation through the DGL
@@ -205,9 +205,10 @@ impl MiniBatchReport {
 /// (features + block topology), then per layer the forward GEMM and the
 /// DGL-style aggregation (stacking + fused SpMM over the block), then the
 /// backward mirror, last layer first (stacking + SpMM over `transposed`,
-/// the `dW` GEMM, and the `dH` GEMM below the first layer). Both arms of
-/// [`train_minibatch`] schedule this one list, so each op is priced once
-/// per batch.
+/// the `dW` GEMM, and the `dH` GEMM below the first layer). The list is
+/// priced in one [`StreamSim::price_list`] call, so all of its kernels
+/// share one host pool job. Both arms of [`train_minibatch`] schedule this
+/// one list, so each op is priced once per batch.
 ///
 /// The list prices the same kernels as [`GcnTrainer::step_block`] but
 /// without the DGL launch surcharge (see the module docs).
@@ -220,40 +221,47 @@ fn price_batch(
     let g = &block.block;
     let n = g.num_nodes();
     let h2d = (n * dims[0] * WORD + (n + 1 + g.num_edges()) * WORD) as u64;
+    let layers = &dims[1..];
+    let stacking: Vec<StackingKernel> = layers.iter().map(|&d| StackingKernel::new(n, d)).collect();
+    let forward: Vec<SpmmKernel<'_>> = layers.iter().map(|&d| SpmmKernel::new(g, d)).collect();
+    let backward: Vec<SpmmKernel<'_>> = layers
+        .iter()
+        .map(|&d| SpmmKernel::new(transposed, d))
+        .collect();
     // One H2D, three ops per forward layer, four per backward layer but
     // the first (it has no dH GEMM).
-    let mut ops = Vec::with_capacity(7 * (dims.len() - 1));
-    ops.push(sim.price(Workload::Transfer { bytes: h2d })?);
+    let mut list = Vec::with_capacity(7 * layers.len());
+    list.push(Workload::Transfer { bytes: h2d });
     // Forward: update-then-aggregate per layer.
-    for w in dims.windows(2) {
+    for (l, w) in dims.windows(2).enumerate() {
         let (in_dim, out_dim) = (w[0], w[1]);
-        ops.push(sim.price(Workload::Gemm {
+        list.push(Workload::Gemm {
             m: n,
             n: out_dim,
             k: in_dim,
-        })?);
-        ops.push(sim.price(Workload::Kernel(&StackingKernel::new(n, out_dim)))?);
-        ops.push(sim.price(Workload::Kernel(&SpmmKernel::new(g, out_dim)))?);
+        });
+        list.push(Workload::Kernel(&stacking[l]));
+        list.push(Workload::Kernel(&forward[l]));
     }
     // Backward: transpose aggregation plus dW / dH GEMMs per layer.
     for (l, w) in dims.windows(2).enumerate().rev() {
         let (in_dim, out_dim) = (w[0], w[1]);
-        ops.push(sim.price(Workload::Kernel(&StackingKernel::new(n, out_dim)))?);
-        ops.push(sim.price(Workload::Kernel(&SpmmKernel::new(transposed, out_dim)))?);
-        ops.push(sim.price(Workload::Gemm {
+        list.push(Workload::Kernel(&stacking[l]));
+        list.push(Workload::Kernel(&backward[l]));
+        list.push(Workload::Gemm {
             m: in_dim,
             n: out_dim,
             k: n,
-        })?);
+        });
         if l > 0 {
-            ops.push(sim.price(Workload::Gemm {
+            list.push(Workload::Gemm {
                 m: n,
                 n: in_dim,
                 k: out_dim,
-            })?);
+            });
         }
     }
-    Ok(ops)
+    Ok(sim.price_list(&list)?)
 }
 
 /// Length of the union of `spans` clipped to `[0, horizon_ms]` — how much
