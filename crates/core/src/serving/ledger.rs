@@ -33,6 +33,23 @@ pub(crate) fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
     sorted_ms[rank.clamp(1, sorted_ms.len()) - 1]
 }
 
+/// The end cycle of every span of `report`, indexed `[stream][index]`.
+fn end_index(report: &StreamReport) -> Vec<Vec<u64>> {
+    let mut ends: Vec<Vec<u64>> = Vec::new();
+    for span in &report.spans {
+        let (stream, index) = (span.stream.index(), span.index);
+        if ends.len() <= stream {
+            ends.resize_with(stream + 1, Vec::new);
+        }
+        let fifo = &mut ends[stream];
+        if fifo.len() <= index {
+            fifo.resize(index + 1, 0);
+        }
+        fifo[index] = span.end_cycles;
+    }
+    ends
+}
+
 /// A request class (one tenant, or all traffic of plain serving).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Class {
@@ -57,6 +74,9 @@ struct Tally {
 pub(crate) struct Ledger<'e> {
     engines: &'e [Engine],
     reports: Vec<StreamReport>,
+    /// `ends[replica][stream][index]`: the end cycle of each committed op,
+    /// so a batch's end is one lookup instead of a scan of every span.
+    ends: Vec<Vec<Vec<u64>>>,
     classes: Vec<(Class, Tally)>,
     /// Schedule span for rates: the last device op or the last batch
     /// completion, whichever is later (a zero-op batch completes at its
@@ -68,9 +88,11 @@ impl<'e> Ledger<'e> {
     /// A ledger over `reports[r]`, the run schedule of `engines[r]`.
     pub fn new(engines: &'e [Engine], reports: Vec<StreamReport>, classes: Vec<Class>) -> Self {
         let span_ms = reports.iter().map(|r| r.makespan_ms).fold(0.0, f64::max);
+        let ends = reports.iter().map(end_index).collect();
         Self {
             engines,
             reports,
+            ends,
             classes: classes.into_iter().map(|c| (c, Tally::default())).collect(),
             span_ms,
         }
@@ -89,9 +111,7 @@ impl<'e> Ledger<'e> {
                 replica,
                 tail: Some(handle),
             } => {
-                let end = self.reports[replica]
-                    .op_end(handle)
-                    .expect("committed op has a span");
+                let end = self.ends[replica][handle.stream.index()][handle.index];
                 self.engines[replica].spec().cycles_to_ms(end)
             }
             Outcome::Done { tail: None, .. } => batch.dispatch_ms,

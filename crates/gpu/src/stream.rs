@@ -38,7 +38,8 @@
 //!
 //! The event loop advances the clock from instant to instant; at each
 //! instant it retires due blocks, admits waiting blocks in kernel
-//! activation order, and commits every schedulable stream head, scanning
+//! activation order (visiting only launches with blocks still waiting,
+//! so the loop's cost grows linearly with the trace), and commits every schedulable stream head, scanning
 //! streams in ascending id — so heads that become schedulable at the same
 //! cycle commit in **lowest-stream-id order**, even when the copy engine
 //! and an SM slot free at the same cycle. The schedule is a pure function
@@ -550,6 +551,9 @@ impl<'e> StreamSim<'e> {
         let mut cp = CommandProcessor::new(spec);
         let mut rq = RetirementQueue::new();
         let mut active: Vec<ActiveKernel> = Vec::new();
+        // Ids into `active` of the launches with blocks still to admit, in
+        // activation order.
+        let mut admitting: Vec<usize> = Vec::new();
         let mut spans: Vec<OpSpan> = Vec::new();
         let mut kernel_busy = 0u64;
         let mut copy_busy = 0u64;
@@ -602,10 +606,11 @@ impl<'e> StreamSim<'e> {
                 // (b) Admit waiting blocks in kernel activation order
                 // (FIFO — an earlier launch keeps first claim on freed
                 // slots; within a launch, admission is breadth-first).
-                for (id, ak) in active.iter_mut().enumerate() {
-                    if ak.to_admit == 0 {
-                        continue;
-                    }
+                // Only launches with blocks left to admit are visited, so
+                // an instant costs the waiting launches, not every launch
+                // the schedule has activated.
+                for &id in &admitting {
+                    let ak = &mut active[id];
                     let placed = cp.admit_up_to(id, &ak.shape.demand, ak.to_admit);
                     let mut admitted = 0u64;
                     for (sm, blocks) in placed {
@@ -625,6 +630,7 @@ impl<'e> StreamSim<'e> {
                         changed = true;
                     }
                 }
+                admitting.retain(|&id| active[id].to_admit > 0);
 
                 // (c) Commit schedulable stream heads, ascending stream
                 // id: the deterministic tie-break.
@@ -682,6 +688,7 @@ impl<'e> StreamSim<'e> {
                                 to_retire: shape.blocks,
                                 first_admit: None,
                             });
+                            admitting.push(active.len() - 1);
                             stream_ready[s] = IN_FLIGHT;
                             next_op[s] += 1;
                             changed = true;
