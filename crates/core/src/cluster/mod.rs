@@ -47,7 +47,7 @@ pub use tenant::{
 use gnnadvisor_gpu::fault::FaultKind;
 use gnnadvisor_gpu::{Engine, GpuSpec};
 
-use crate::serving::ledger::{percentile, Class};
+use crate::serving::ledger::{Class, RunningPercentile};
 use crate::serving::runner::{Attempt, Fleet, Outcome, Placer};
 use crate::serving::{BatchExecutor, BatchPolicy, QueuePolicy, Request, RetryPolicy};
 use crate::{CoreError, Result};
@@ -343,7 +343,7 @@ pub fn simulate_cluster(
         None => None,
     };
     let mut peak_active = control.active.len();
-    let mut est_latencies: Vec<f64> = Vec::new(); // kept sorted
+    let mut est_p99 = RunningPercentile::new(99.0);
     let mut outcomes = Vec::with_capacity(plan.batches.len());
     let mut retries = 0u64;
 
@@ -351,8 +351,8 @@ pub fn simulate_cluster(
         // Control plane first: the autoscaler sees the queue depth at
         // this dispatch and the running p99 estimate.
         if let Some(scaler) = scaler.as_mut() {
-            let p99_est = percentile(&est_latencies, 99.0);
-            let target = scaler.observe(cb.batch.dispatch_ms, cb.depth_at_dispatch, p99_est);
+            let target =
+                scaler.observe(cb.batch.dispatch_ms, cb.depth_at_dispatch, est_p99.value());
             let Control { active, dead, .. } = &mut control;
             while active.len() > target {
                 // Drain the highest slot: committed batches still run.
@@ -375,14 +375,11 @@ pub fn simulate_cluster(
         let run = fleet.run_batch(i, &work, cb.batch.dispatch_ms, &cfg.retry, &mut control)?;
         retries += run.retries();
         if scaler.is_some() && matches!(run.outcome, Outcome::Done { .. }) {
-            // Feed the latency estimator (sorted insert) so the
-            // autoscaler's p99 signal tracks estimated service; nothing
-            // else reads it.
+            // Feed the latency estimator so the autoscaler's p99 signal
+            // tracks estimated service; nothing else reads it.
             let est_end_ms = control.clock.cycles_to_ms(control.est_end);
             for request in &cb.batch.requests {
-                let est = (est_end_ms - request.arrival_ms).max(0.0);
-                let at = est_latencies.partition_point(|&x| x < est);
-                est_latencies.insert(at, est);
+                est_p99.insert((est_end_ms - request.arrival_ms).max(0.0));
             }
         }
         outcomes.push(run.outcome);

@@ -14,6 +14,8 @@
 //! occupancy, and the conservation check
 //! `completed + shed + failed + deadline_missed == arrivals` per class.
 
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 use std::ops::Range;
 
 use gnnadvisor_gpu::{Engine, StreamReport};
@@ -29,8 +31,85 @@ pub(crate) fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
     if sorted_ms.is_empty() {
         return 0.0;
     }
-    let rank = ((p / 100.0) * sorted_ms.len() as f64).ceil() as usize;
-    sorted_ms[rank.clamp(1, sorted_ms.len()) - 1]
+    sorted_ms[nearest_rank(p, sorted_ms.len()) - 1]
+}
+
+/// The 1-based nearest rank `ceil(p/100 · n)` of percentile `p` in a
+/// sample of `n >= 1`, clamped to `[1, n]`.
+fn nearest_rank(p: f64, n: usize) -> usize {
+    (((p / 100.0) * n as f64).ceil() as usize).clamp(1, n)
+}
+
+/// The nearest-rank percentile `p` of a sample that only grows, at
+/// `O(log n)` per insert: equal to [`percentile`] of the sorted sample.
+/// `low` holds the `nearest_rank` smallest values with the largest on top,
+/// `high` the rest with the smallest on top, so the percentile is `low`'s
+/// top. Values must be finite.
+pub(crate) struct RunningPercentile {
+    p: f64,
+    low: BinaryHeap<Ms>,
+    high: BinaryHeap<Reverse<Ms>>,
+}
+
+/// A finite latency, ordered by `f64::total_cmp`. That agrees with `<` on
+/// every finite value but the two zeros, which are equal values anyway.
+#[derive(Debug, Clone, Copy)]
+struct Ms(f64);
+
+impl PartialEq for Ms {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Ms {}
+
+impl PartialOrd for Ms {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Ms {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+impl RunningPercentile {
+    /// An empty sample tracking percentile `p`.
+    pub fn new(p: f64) -> Self {
+        Self {
+            p,
+            low: BinaryHeap::new(),
+            high: BinaryHeap::new(),
+        }
+    }
+
+    /// Adds one value to the sample.
+    pub fn insert(&mut self, ms: f64) {
+        debug_assert!(ms.is_finite(), "latency estimates are finite");
+        let ms = Ms(ms);
+        if self.low.peek().is_some_and(|top| ms <= *top) {
+            self.low.push(ms);
+        } else {
+            self.high.push(Reverse(ms));
+        }
+        let rank = nearest_rank(self.p, self.low.len() + self.high.len());
+        while self.low.len() > rank {
+            let top = self.low.pop().expect("low is longer than the rank");
+            self.high.push(Reverse(top));
+        }
+        while self.low.len() < rank {
+            let Reverse(least) = self.high.pop().expect("the rank fits the sample");
+            self.low.push(least);
+        }
+    }
+
+    /// The percentile of the sample so far, `0.0` when it is empty.
+    pub fn value(&self) -> f64 {
+        self.low.peek().map_or(0.0, |top| top.0)
+    }
 }
 
 /// The end cycle of every span of `report`, indexed `[stream][index]`.
@@ -195,5 +274,50 @@ impl<'e> Ledger<'e> {
             .iter()
             .map(|r| r.mean_kernel_occupancy())
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// SplitMix64 step: a seeded stream of well-mixed words.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn running_percentile_matches_the_sorted_sample() {
+        for seed in 0..12u64 {
+            for p in [99.0, 50.0, 95.0, 0.0, 100.0] {
+                let mut state = seed;
+                let mut running = RunningPercentile::new(p);
+                let mut sorted: Vec<f64> = Vec::new();
+                assert_eq!(running.value().to_bits(), percentile(&sorted, p).to_bits());
+                for i in 0..700 {
+                    let word = next(&mut state);
+                    // Mostly a handful of repeated values (ties, zeros
+                    // included), sometimes a fresh one.
+                    let ms = if word.is_multiple_of(4) {
+                        (word >> 11) as f64 / (1u64 << 53) as f64 * 10.0
+                    } else {
+                        ((word >> 8) % 6) as f64 * 0.5
+                    };
+                    running.insert(ms);
+                    let at = sorted.partition_point(|&x| x < ms);
+                    sorted.insert(at, ms);
+                    assert_eq!(
+                        running.value().to_bits(),
+                        percentile(&sorted, p).to_bits(),
+                        "seed {seed}, p{p}, after {} values",
+                        i + 1
+                    );
+                }
+            }
+        }
     }
 }
