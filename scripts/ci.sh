@@ -112,6 +112,15 @@ dynamic() {
 }
 check_stable serve-dynamic dynamic "dynamic-graph report" "updates applied"
 
+echo "==> faulted serve-dynamic smoke: retried batches stable across runs and worker counts"
+# Faults make batches retry, so every attempt after the first replays
+# fault verdicts over the batch's one set of prices.
+dynamic_chaos() {
+  gnnadvisor serve-dynamic --requests 32 --rate 4000 --streams 2 --scale 0.02 \
+    --updates 600 --update-gap-ms 0.01 --fault-rate 0.2 --retries 2 > "$1"
+}
+check_stable serve-dynamic-chaos dynamic_chaos "batch retries"
+
 echo "==> train-minibatch smoke: report stable across runs and worker counts"
 minibatch() {
   gnnadvisor train-minibatch --scale 0.02 --batch-size 96 --epochs 2 --fanout 6,3 > "$1"
