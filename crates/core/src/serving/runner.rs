@@ -5,10 +5,10 @@
 //! then draws each op's fault verdict from the placing replica's fault
 //! plan and enqueues the ops in order on one stream, released at the
 //! attempt's instant. A faulted op still burns its priced time on the
-//! stream, and the attempt's remaining ops are never issued (nor drawn). The next
-//! attempt may not start before the failed attempt's estimated end (its
-//! release plus the per-op cycle sum the stream charges) plus the
-//! [`RetryPolicy`] backoff. The caller picks each attempt's
+//! stream, and the attempt's remaining ops are neither drawn nor issued.
+//! The next attempt may not start before the failed attempt's estimated
+//! end (its release plus the per-op cycle sum the stream charges) plus
+//! the [`RetryPolicy`] backoff. The caller picks each attempt's
 //! `(replica, stream)` placement through a [`Placer`]: plain and dynamic
 //! serving keep a batch on one stream, the cluster routes every attempt and
 //! fails over.

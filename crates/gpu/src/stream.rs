@@ -39,10 +39,11 @@
 //! The event loop advances the clock from instant to instant; at each
 //! instant it retires due blocks, admits waiting blocks in kernel
 //! activation order (visiting only launches with blocks still waiting,
-//! so the loop's cost grows linearly with the trace), and commits every schedulable stream head, scanning
-//! streams in ascending id — so heads that become schedulable at the same
-//! cycle commit in **lowest-stream-id order**, even when the copy engine
-//! and an SM slot free at the same cycle. The schedule is a pure function
+//! so the loop's cost grows linearly with the trace), and commits every
+//! schedulable stream head, scanning streams in ascending id — so heads
+//! that become schedulable at the same cycle commit in
+//! **lowest-stream-id order**, even when the copy engine and an SM slot
+//! free at the same cycle. The schedule is a pure function
 //! of the enqueued ops: pricing is worker-count-invariant and the
 //! scheduler is serial, so reports and traces are byte-identical at any
 //! `GNNADVISOR_SIM_THREADS` value.
