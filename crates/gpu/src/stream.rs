@@ -155,14 +155,6 @@ pub struct StreamReport {
 }
 
 impl StreamReport {
-    /// The completion cycle of one enqueued op.
-    pub fn op_end(&self, handle: OpHandle) -> Option<u64> {
-        self.spans
-            .iter()
-            .find(|s| s.stream == handle.stream && s.index == handle.index)
-            .map(|s| s.end_cycles)
-    }
-
     /// Duration-weighted mean achieved occupancy over the kernel spans,
     /// `0.0` when the schedule ran no kernels.
     pub fn mean_kernel_occupancy(&self) -> f64 {
@@ -845,13 +837,13 @@ mod tests {
             .unwrap();
         let report = sim.run().unwrap();
         // Ops on one stream execute in order, back to back.
-        let ends: Vec<u64> = [a, b, c]
-            .iter()
-            .map(|&h| report.op_end(h).unwrap())
-            .collect();
-        assert!(ends[0] < ends[1] && ends[1] < ends[2]);
         let spans = &report.spans;
         assert_eq!(spans.len(), 3);
+        for (span, h) in spans.iter().zip([a, b, c]) {
+            assert_eq!((span.stream, span.index), (h.stream, h.index));
+        }
+        assert!(spans[0].end_cycles < spans[1].end_cycles);
+        assert!(spans[1].end_cycles < spans[2].end_cycles);
         assert!(spans[1].start_cycles >= spans[0].end_cycles);
         assert!(spans[2].start_cycles >= spans[1].end_cycles);
     }
@@ -866,7 +858,9 @@ mod tests {
         // First admission at 0, last retirement + launch teardown at the
         // standalone elapsed time: the single-kernel timings of the old
         // whole-kernel scheduler are preserved exactly.
-        assert_eq!(report.op_end(h).unwrap(), m.into_kernel().elapsed_cycles);
+        let span = &report.spans[0];
+        assert_eq!((span.stream, span.index), (h.stream, h.index));
+        assert_eq!(span.end_cycles, m.into_kernel().elapsed_cycles);
         assert_eq!(report.spans[0].start_cycles, 0);
         // 30 one-per-SM blocks of 8 warps each: 8/64 of the warp slots.
         assert!((report.spans[0].occupancy - 0.125).abs() < 1e-9);
@@ -1101,7 +1095,12 @@ mod tests {
         sim.wait_event(consumer, done).unwrap();
         let (cons_op, _) = sim.enqueue(consumer, gemm_with_blocks(10)).unwrap();
         let report = sim.run().unwrap();
-        let produced = report.op_end(prod_op).unwrap();
+        let produced = report
+            .spans
+            .iter()
+            .find(|s| s.stream == prod_op.stream && s.index == prod_op.index)
+            .unwrap()
+            .end_cycles;
         let consumer_span = report
             .spans
             .iter()

@@ -169,4 +169,29 @@ cmp "$out_dir/tune.a" "$out_dir/tune.sc" || {
   exit 1
 }
 
+echo "==> flag smoke: a foreign flag fails naming the command and the flag"
+# Each command takes only its own flags; run has no --replicas.
+if gnnadvisor run --dataset Cora --scale 0.05 --replicas 3 \
+  > "$out_dir/foreign.out" 2> "$out_dir/foreign.err"; then
+  status=0
+else
+  status=$?
+fi
+if [[ $status -ne 1 ]] || ! grep -q -- "run" "$out_dir/foreign.err" \
+  || ! grep -q -- "--replicas" "$out_dir/foreign.err"; then
+  echo "FAIL: run --replicas must exit 1 naming run and --replicas (status $status)" >&2
+  cat "$out_dir/foreign.err" >&2
+  exit 1
+fi
+
+echo "==> help smoke: the generated help lists every command"
+gnnadvisor help > "$out_dir/help"
+for command in analyze run profile compare tune serve-sim serve-cluster serve-dynamic \
+  train-minibatch; do
+  grep -q -- "^    $command " "$out_dir/help" || {
+    echo "FAIL: gnnadvisor help does not list $command" >&2
+    exit 1
+  }
+done
+
 echo "CI green."

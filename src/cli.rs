@@ -4,6 +4,11 @@
 //! GPUs systematically and comprehensively"; this module is that tool's
 //! engine. Every command returns its report as a `String` so the logic is
 //! unit-testable; the binary just prints it.
+//!
+//! Each flag is one row of the `flags!` table: its name, placeholder,
+//! default, range rule, help text and the commands that take it.
+//! `dispatch` resolves the command first and then parses only that
+//! command's flags; `gnnadvisor help` is generated from the same table.
 
 use std::sync::Arc;
 
@@ -20,7 +25,7 @@ use gnnadvisor_core::minibatch::HostCostModel;
 use gnnadvisor_core::runtime::{Advisor, AdvisorConfig};
 use gnnadvisor_core::serving::{
     generate_arrivals, generate_mmpp_arrivals, simulate, ArrivalConfig, BatchPolicy, MmppConfig,
-    QueuePolicy, RetryPolicy, ServingConfig,
+    QueuePolicy, Request, RetryPolicy, ServingConfig,
 };
 use gnnadvisor_core::tuning::estimator::{Estimator, EstimatorConfig};
 use gnnadvisor_core::tuning::model;
@@ -40,572 +45,360 @@ use gnnadvisor_models::{
 };
 use gnnadvisor_tensor::init::random_features;
 
-/// Parsed command-line options.
-#[derive(Debug, Clone)]
-pub struct CliOptions {
-    /// Table 1 dataset name (mutually exclusive with `edge_list`).
-    pub dataset: Option<String>,
-    /// Edge-list file path.
-    pub edge_list: Option<String>,
-    /// Dataset scale in `(0, 1]`.
-    pub scale: f64,
-    /// Model name: gcn | gin | sage | gat.
-    pub model: String,
-    /// Device: p6000 | v100.
-    pub gpu: String,
-    /// Feature dimensionality when loading raw edge lists.
-    pub feat_dim: usize,
-    /// Class count when loading raw edge lists.
-    pub num_classes: usize,
-    /// Where `profile` writes its chrome://tracing JSON (`None` = don't).
-    pub trace_out: Option<String>,
-    /// serve-sim: requests in the synthetic arrival trace.
-    pub requests: usize,
-    /// serve-sim: offered load, requests per second of simulated time.
-    pub rate: f64,
-    /// serve-sim: dynamic batcher's max batch size.
-    pub batch_size: usize,
-    /// serve-sim: dynamic batcher's max queueing delay, ms.
-    pub max_delay_ms: f64,
-    /// serve-sim: admission-queue capacity (arrivals beyond it are shed).
-    pub queue_cap: usize,
-    /// serve-sim: concurrent simulated streams.
-    pub streams: usize,
-    /// serve-sim: arrival-trace seed.
-    pub seed: u64,
-    /// serve-sim: injected fault rate in `[0, 1]` (0 disables faults).
-    pub fault_rate: f64,
-    /// serve-sim: retries per faulted batch (attempts = retries + 1).
-    pub retries: usize,
-    /// serve-sim: per-request completion deadline, ms (`None` = none).
-    pub deadline_ms: Option<f64>,
-    /// serve-cluster: replica engines behind the router.
-    pub replicas: usize,
-    /// serve-cluster: router policy — round-robin | least-loaded | cost-aware.
-    pub router: String,
-    /// serve-cluster: tenant roster `NAME:WEIGHT[:DEADLINE_MS],...`
-    /// (`None` = one default tenant carrying `deadline_ms`).
-    pub tenants: Option<String>,
-    /// serve-cluster: autoscaler bounds `MIN:MAX` (`None` = fixed fleet).
-    pub autoscale: Option<String>,
-    /// serve-cluster: autoscaler queue-depth scale-up watermark.
-    pub scale_high: usize,
-    /// serve-cluster: autoscaler queue-depth scale-down watermark.
-    pub scale_low: usize,
-    /// serve-cluster: autoscaler control cadence, ms.
-    pub scale_interval_ms: f64,
-    /// serve-cluster: optional autoscaler p99 latency watermark, ms.
-    pub scale_p99_ms: Option<f64>,
-    /// serve-cluster: arrival process — poisson | mmpp.
-    pub arrivals: String,
-    /// serve-cluster: MMPP burst factor (heavy phase runs this many times
-    /// faster than the mean, calm phase as many times slower).
-    pub burst: f64,
-    /// serve-cluster: MMPP mean phase dwell, ms.
-    pub dwell_ms: f64,
-    /// serve-cluster: kill one replica mid-run, `REPLICA:MS`.
-    pub reset_replica: Option<String>,
-    /// serve-dynamic: update-stream length.
-    pub updates: usize,
-    /// serve-dynamic: mean gap between updates, ms of simulated time.
-    pub update_gap_ms: f64,
-    /// serve-dynamic: fraction of updates that delete a live edge.
-    pub delete_frac: f64,
-    /// serve-dynamic: fraction of updates that are node arrivals.
-    pub node_frac: f64,
-    /// serve-dynamic: edges each arriving node wires into its community.
-    pub attach_degree: usize,
-    /// serve-dynamic: re-renumbering policy — on | off.
-    pub renumber: String,
-    /// serve-dynamic: rebuild when the windowed hit-rate sinks below this
-    /// fraction of the post-rebuild baseline.
-    pub hit_watermark: f64,
-    /// serve-dynamic: sliding hit-rate window length, batches.
-    pub policy_window: usize,
-    /// serve-dynamic: minimum batches between rebuilds.
-    pub cooldown: usize,
-    /// serve-dynamic: simulated rebuild stall, microseconds per live edge.
-    pub rebuild_cost_us: f64,
-    /// serve-dynamic: fold the delta overlay into the base CSR after this
-    /// many applied updates (0 = only at rebuilds).
-    pub compact_every: usize,
-    /// tune: tier selection — analytic | two-tier | full.
-    pub tier: String,
-    /// tune: finalists verified on the engine in two-tier mode.
-    pub top_k: usize,
-    /// tune: require fast-path candidate scoring to be at least this many
-    /// times faster than full simulation (measured; reported on stderr so
-    /// stdout stays byte-deterministic).
-    pub speed_check: Option<f64>,
-    /// train-minibatch: training epochs.
-    pub epochs: usize,
-    /// train-minibatch: per-hop neighbor fan-outs, comma-separated.
-    pub fanout: String,
-    /// train-minibatch: hidden layer dimension.
-    pub hidden: usize,
-    /// train-minibatch: SGD learning rate.
-    pub lr: f64,
-    /// train-minibatch: sampling strategy — neighbor | layer.
-    pub strategy: String,
-    /// train-minibatch: layer-wise strategy's shared node budget per hop.
-    pub budget: usize,
-}
-
-impl Default for CliOptions {
-    fn default() -> Self {
-        Self {
-            dataset: None,
-            edge_list: None,
-            scale: 0.05,
-            model: "gcn".into(),
-            gpu: "p6000".into(),
-            feat_dim: 96,
-            num_classes: 10,
-            trace_out: None,
-            requests: 64,
-            rate: 2_000.0,
-            batch_size: 8,
-            max_delay_ms: 2.0,
-            queue_cap: 64,
-            streams: 4,
-            seed: 7,
-            fault_rate: 0.0,
-            retries: 2,
-            deadline_ms: None,
-            replicas: 2,
-            router: "cost-aware".into(),
-            tenants: None,
-            autoscale: None,
-            scale_high: 8,
-            scale_low: 1,
-            scale_interval_ms: 5.0,
-            scale_p99_ms: None,
-            arrivals: "poisson".into(),
-            burst: 4.0,
-            dwell_ms: 5.0,
-            reset_replica: None,
-            updates: 4_000,
-            update_gap_ms: 0.004,
-            delete_frac: 0.15,
-            node_frac: 0.25,
-            attach_degree: 6,
-            renumber: "on".into(),
-            hit_watermark: 0.98,
-            policy_window: 8,
-            cooldown: 16,
-            rebuild_cost_us: 0.0005,
-            compact_every: 64,
-            tier: "two-tier".into(),
-            top_k: 4,
-            speed_check: None,
-            epochs: 3,
-            fanout: "10,5".into(),
-            hidden: 16,
-            lr: 0.1,
-            strategy: "neighbor".into(),
-            budget: 256,
-        }
-    }
-}
-
 /// CLI errors as plain strings (shown to the user verbatim).
 pub type CliResult = Result<String, String>;
 
+/// Upper bound on the counts that size a fleet: `--streams`, `--replicas`
+/// and the `--autoscale` MAX.
+const MAX_FLEET: usize = 1024;
+/// Upper bound on the lengths that size a trace or a queue: `--requests`,
+/// `--updates` and `--queue-cap`.
+const MAX_TRACE: usize = 1 << 24;
+/// Upper bound on the model dimensions: `--feat-dim`, `--classes` and
+/// `--hidden`.
+const MAX_DIM: usize = 1 << 14;
+
+/// One subcommand and the function that runs it.
+struct Command {
+    name: &'static str,
+    /// The command's bit in each flag's `cmds` set.
+    bit: u16,
+    about: &'static str,
+    run: fn(&CliOptions) -> CliResult,
+}
+
+const ANALYZE: u16 = 1;
+const RUN: u16 = 1 << 1;
+const PROFILE: u16 = 1 << 2;
+const COMPARE: u16 = 1 << 3;
+const TUNE: u16 = 1 << 4;
+const SERVE_SIM: u16 = 1 << 5;
+const SERVE_CLUSTER: u16 = 1 << 6;
+const SERVE_DYNAMIC: u16 = 1 << 7;
+const TRAIN: u16 = 1 << 8;
+/// The commands that load a Table 1 dataset or an edge list.
+const GRAPH: u16 = ANALYZE | RUN | PROFILE | COMPARE | TUNE;
+const SERVE: u16 = SERVE_SIM | SERVE_CLUSTER | SERVE_DYNAMIC;
+const ALL: u16 = GRAPH | SERVE | TRAIN;
+
+/// Declares `COMMANDS`, one row per subcommand:
+/// `BIT "name" function, "one-line help"`.
+macro_rules! commands {
+    ($($bit:ident $name:literal $run:ident, $about:literal;)*) => {
+        static COMMANDS: &[Command] = &[
+            $(Command { name: $name, bit: $bit, about: $about, run: $run },)*
+        ];
+    };
+}
+
+commands! {
+    ANALYZE "analyze" analyze, "input-extractor report + suggested runtime parameters";
+    RUN "run" run, "one model forward pass under GNNAdvisor, with metrics";
+    PROFILE "profile" profile, "a traced forward pass: phase breakdown + span report";
+    COMPARE "compare" compare, "all execution strategies on one aggregation pass";
+    TUNE "tune" tune, "the Section 7 Modeling & Estimating pipeline (two-tier)";
+    SERVE_SIM "serve-sim" serve_sim, "multi-stream serving runtime with dynamic batching";
+    SERVE_CLUSTER "serve-cluster" serve_cluster, "replicated serving: router, tenants, autoscaler";
+    SERVE_DYNAMIC "serve-dynamic" serve_dynamic, "serving under live graph updates, with re-renumbering";
+    TRAIN "train-minibatch" train_minibatch, "pipelined sampling-based mini-batch training";
+}
+
+/// One flag, as its `flags!` row declares it.
+struct Flag {
+    name: &'static str,
+    meta: &'static str,
+    help: &'static str,
+    /// The bits of the commands that take the flag.
+    cmds: u16,
+    /// Parses and range-checks one argument into the options.
+    set: fn(&mut CliOptions, &str) -> Result<(), String>,
+    /// The range rule, as the help prints it (empty when there is none).
+    rule: fn() -> String,
+    /// The flag's value in the options; `None` when unset.
+    show: fn(&CliOptions) -> Option<String>,
+}
+
+/// The type behind a flag's field.
+trait FlagValue {
+    /// What an argument parses to: the field's type, or the type an
+    /// `Option` field wraps.
+    type Arg: std::str::FromStr + std::fmt::Display;
+    /// What a malformed argument should have been, for its error.
+    const KIND: &'static str;
+    fn wrap(arg: Self::Arg) -> Self;
+    fn show(&self) -> Option<String>;
+}
+
+macro_rules! plain_flag_values {
+    ($($ty:ty: $kind:literal),*) => {$(
+        impl FlagValue for $ty {
+            type Arg = $ty;
+            const KIND: &'static str = $kind;
+            fn wrap(arg: $ty) -> Self {
+                arg
+            }
+            fn show(&self) -> Option<String> {
+                Some(self.to_string())
+            }
+        }
+    )*};
+}
+
+plain_flag_values!(usize: "an integer", u64: "an integer", f64: "a number", String: "a value");
+
+impl<T: FlagValue> FlagValue for Option<T> {
+    type Arg = T::Arg;
+    const KIND: &'static str = T::KIND;
+    fn wrap(arg: T::Arg) -> Self {
+        Some(T::wrap(arg))
+    }
+    fn show(&self) -> Option<String> {
+        self.as_ref().and_then(T::show)
+    }
+}
+
+/// Declares `CliOptions`, its `Default` and `FLAGS`, one row per flag:
+/// `field: Type = default, "--name" "META", COMMANDS, "help"`, then
+/// optionally `map f` (applied to the argument first), one range rule —
+/// `check "rule" => predicate` or `count LO..=HI` — and `with parser`
+/// (whose error becomes the flag's error).
+macro_rules! flags {
+    (@rule) => { String::new };
+    (@rule check $rule:expr) => { || $rule.to_string() };
+    (@rule count $lo:literal $hi:expr) => { || format!("between {} and {}", $lo, $hi) };
+    (@ok) => { |_| true };
+    (@ok check $ok:expr) => { $ok };
+    (@ok count $lo:literal $hi:expr) => { |v| ($lo..=$hi).contains(v) };
+    ($($field:ident: $ty:ty = $default:expr, $name:literal $meta:literal, $cmds:expr, $help:literal
+        $(, map $map:path)?
+        $(, check $rule:expr => $ok:expr)?
+        $(, count $lo:literal..=$hi:expr)?
+        $(, with $with:path)?;
+    )*) => {
+        #[derive(Debug)]
+        struct CliOptions {
+            $($field: $ty,)*
+        }
+
+        impl Default for CliOptions {
+            fn default() -> Self {
+                Self { $($field: $default,)* }
+            }
+        }
+
+        const FLAGS: &[Flag] = &[$(Flag {
+            name: $name,
+            meta: $meta,
+            help: $help,
+            cmds: $cmds,
+            set: |opts, raw| {
+                $(let raw: &str = &$map(raw);)?
+                let v: <$ty as FlagValue>::Arg = raw.parse().map_err(|_| {
+                    format!("{} needs {}, got {raw:?}", $name, <$ty as FlagValue>::KIND)
+                })?;
+                let ok: fn(&<$ty as FlagValue>::Arg) -> bool =
+                    flags!(@ok $(check $ok)? $(count $lo $hi)?);
+                if !ok(&v) {
+                    let rule: fn() -> String = flags!(@rule $(check $rule)? $(count $lo $hi)?);
+                    return Err(format!("{} must be {}, got {v}", $name, rule()));
+                }
+                $($with(&v)?;)?
+                opts.$field = <$ty as FlagValue>::wrap(v);
+                Ok(())
+            },
+            rule: flags!(@rule $(check $rule)? $(count $lo $hi)?),
+            show: |opts| opts.$field.show(),
+        },)*];
+    };
+}
+
+fn positive(v: &f64) -> bool {
+    v.is_finite() && *v > 0.0
+}
+
+fn non_negative(v: &f64) -> bool {
+    v.is_finite() && *v >= 0.0
+}
+
+/// In `[0, 1]`.
+fn fraction(v: &f64) -> bool {
+    (0.0..=1.0).contains(v)
+}
+
+/// In `(0, 1]`.
+fn nonzero_fraction(v: &f64) -> bool {
+    *v > 0.0 && *v <= 1.0
+}
+
+flags! {
+    dataset: Option<String> = None, "--dataset" "NAME", GRAPH,
+        "a Table 1 dataset (e.g. Cora, artist, DD)";
+    edge_list: Option<String> = None, "--edge-list" "FILE", GRAPH,
+        "a SNAP-style edge list, instead of --dataset";
+    scale: f64 = 0.05, "--scale" "S", ALL, "dataset or synthetic-graph scale",
+        check "a number in (0, 1]" => nonzero_fraction;
+    model: String = "gcn".into(), "--model" "M", GRAPH, "gcn | gin | sage | gat",
+        map str::to_lowercase;
+    gpu: String = "p6000".into(), "--gpu" "G", ALL, "p6000 | v100", map str::to_lowercase;
+    feat_dim: usize = 96, "--feat-dim" "D", ALL,
+        "input feature dim (a Table 1 dataset brings its own)", count 1..=MAX_DIM;
+    num_classes: usize = 10, "--classes" "C", ALL,
+        "class count (a Table 1 dataset brings its own)", count 1..=MAX_DIM;
+    trace_out: Option<String> = None, "--trace-out" "FILE", PROFILE,
+        "write the chrome://tracing JSON here";
+
+    tier: String = "two-tier".into(), "--tier" "T", TUNE,
+        "analytic: explore on the calibrated model; two-tier: also engine-verify the \
+         top-K finalists; full: score every candidate on the simulator",
+        map str::to_lowercase,
+        check "analytic, two-tier, or full" =>
+            |v| matches!(v.as_str(), "analytic" | "two-tier" | "full");
+    top_k: usize = 4, "--top-k" "K", TUNE, "two-tier finalists verified on the engine",
+        check "at least 1" => |v| *v >= 1;
+    speed_check: Option<f64> = None, "--speed-check" "R", TUNE,
+        "require fast-path scoring R times faster than full simulation (ratio on stderr)",
+        check "a positive ratio" => positive;
+
+    requests: usize = 64, "--requests" "N", SERVE, "arrival-trace length",
+        count 1..=MAX_TRACE;
+    rate: f64 = 2_000.0, "--rate" "R", SERVE, "offered load, requests per second",
+        check "a positive request rate" => positive;
+    batch_size: usize = 8, "--batch-size" "B", SERVE | TRAIN,
+        "max requests per serving batch, or seed nodes per mini-batch",
+        check "at least 1" => |v| *v >= 1;
+    max_delay_ms: f64 = 2.0, "--max-delay-ms" "D", SERVE,
+        "the batcher's max queueing delay, ms", check "non-negative" => non_negative;
+    queue_cap: usize = 64, "--queue-cap" "Q", SERVE,
+        "admission-queue capacity; arrivals beyond it are shed", count 1..=MAX_TRACE;
+    streams: usize = 4, "--streams" "S", SERVE, "concurrent simulated streams per engine",
+        count 1..=MAX_FLEET;
+    seed: u64 = 7, "--seed" "X", SERVE | TRAIN,
+        "seed of the arrival trace and faults, or of sampling and weights";
+    fault_rate: f64 = 0.0, "--fault-rate" "F", SERVE, "injected device-fault rate",
+        check "a number in [0, 1]" => fraction;
+    retries: usize = 2, "--retries" "N", SERVE, "retries per faulted batch",
+        check format!("below {}", usize::MAX) => |v| v.checked_add(1).is_some();
+    deadline_ms: Option<f64> = None, "--deadline-ms" "D", SERVE,
+        "per-request completion deadline, ms (serve-cluster: the default tenant's SLO)",
+        check "positive" => positive;
+
+    replicas: usize = 2, "--replicas" "N", SERVE_CLUSTER | SERVE_DYNAMIC,
+        "replica engines behind the router", count 1..=MAX_FLEET;
+    router: String = "cost-aware".into(), "--router" "P", SERVE_CLUSTER,
+        "replica selection policy", map str::to_lowercase,
+        check "round-robin, least-loaded, or cost-aware" => |v| RouterPolicy::parse(v).is_some();
+    tenants: Option<String> = None, "--tenants" "SPEC", SERVE_CLUSTER,
+        "roster NAME:WEIGHT[:DEADLINE_MS],...: weighted-fair admission shares and \
+         per-tenant SLOs (unset: one tenant carrying --deadline-ms)",
+        with parse_tenant_specs;
+    autoscale: Option<String> = None, "--autoscale" "MIN:MAX", SERVE_CLUSTER,
+        "seeded queue-depth/p99 autoscaler bounds (unset: a fixed fleet)",
+        check format!("MIN:MAX with 1 <= MIN <= MAX <= {MAX_FLEET}") =>
+            |v| parse_autoscale(v).is_some();
+    scale_high: usize = 8, "--scale-high" "N", SERVE_CLUSTER,
+        "queue depth that votes to scale up";
+    scale_low: usize = 1, "--scale-low" "N", SERVE_CLUSTER,
+        "queue depth that votes to scale down, below --scale-high";
+    scale_interval_ms: f64 = 5.0, "--scale-interval-ms" "I", SERVE_CLUSTER,
+        "autoscaler control cadence, ms", check "positive" => positive;
+    scale_p99_ms: Option<f64> = None, "--scale-p99-ms" "P", SERVE_CLUSTER,
+        "a p99 estimate above P ms also votes to scale up", check "positive" => positive;
+    arrivals: String = "poisson".into(), "--arrivals" "A", SERVE_CLUSTER,
+        "arrival process; mmpp switches between bursty and calm phases",
+        map str::to_lowercase,
+        check "poisson or mmpp" => |v| matches!(v.as_str(), "poisson" | "mmpp");
+    burst: f64 = 4.0, "--burst" "F", SERVE_CLUSTER,
+        "mmpp: the heavy phase runs at F times the mean rate",
+        check "a finite factor above 1" => |v| v.is_finite() && *v > 1.0;
+    dwell_ms: f64 = 5.0, "--dwell-ms" "D", SERVE_CLUSTER, "mmpp: mean phase dwell, ms",
+        check "positive" => positive;
+    reset_replica: Option<String> = None, "--reset-replica" "R:MS", SERVE_CLUSTER,
+        "kill replica R with a device reset at MS; the fleet retries its batches elsewhere",
+        check "REPLICA:MS with a positive MS" => |v| parse_reset(v).is_some();
+
+    updates: usize = 4_000, "--updates" "N", SERVE_DYNAMIC, "update-stream length",
+        count 1..=MAX_TRACE;
+    update_gap_ms: f64 = 0.004, "--update-gap-ms" "G", SERVE_DYNAMIC,
+        "mean gap between updates, simulated ms", check "positive" => positive;
+    delete_frac: f64 = 0.15, "--delete-frac" "F", SERVE_DYNAMIC,
+        "fraction of updates deleting a live edge", check "a number in [0, 1]" => fraction;
+    node_frac: f64 = 0.25, "--node-frac" "F", SERVE_DYNAMIC,
+        "fraction of updates that are node arrivals; with --delete-frac at most 1",
+        check "a number in [0, 1]" => fraction;
+    attach_degree: usize = 6, "--attach-degree" "K", SERVE_DYNAMIC,
+        "edges each arriving node wires into its community";
+    renumber: String = "on".into(), "--renumber" "on|off", SERVE_DYNAMIC,
+        "locality-triggered re-renumbering", map str::to_lowercase,
+        check "on or off" => |v| matches!(v.as_str(), "on" | "off");
+    hit_watermark: f64 = 0.98, "--hit-watermark" "W", SERVE_DYNAMIC,
+        "rebuild when the windowed hit-rate sinks below W x the post-rebuild baseline",
+        check "a number in (0, 1]" => nonzero_fraction;
+    policy_window: usize = 8, "--policy-window" "B", SERVE_DYNAMIC,
+        "sliding hit-rate window, batches", check "at least 1" => |v| *v >= 1;
+    cooldown: usize = 16, "--cooldown" "B", SERVE_DYNAMIC, "minimum batches between rebuilds";
+    rebuild_cost_us: f64 = 0.0005, "--rebuild-cost-us" "C", SERVE_DYNAMIC,
+        "simulated rebuild stall, us per live edge", check "non-negative" => non_negative;
+    compact_every: usize = 64, "--compact-every" "N", SERVE_DYNAMIC,
+        "fold the delta overlay into the base CSR after N applied updates (0: only at rebuilds)";
+
+    epochs: usize = 3, "--epochs" "N", TRAIN, "training epochs", check "at least 1" => |v| *v >= 1;
+    fanout: String = "10,5".into(), "--fanout" "F1,F2,...", TRAIN, "per-hop neighbor fan-outs",
+        check "comma-separated positive integers" => |v| parse_fanouts(v).is_some();
+    hidden: usize = 16, "--hidden" "H", TRAIN, "hidden layer dimension", count 1..=MAX_DIM;
+    lr: f64 = 0.1, "--lr" "R", TRAIN, "SGD learning rate",
+        check "a finite non-negative rate" => non_negative;
+    strategy: String = "neighbor".into(), "--strategy" "S", TRAIN,
+        "neighbor: per-node fan-out sampling; layer: a shared per-hop node budget",
+        map str::to_lowercase,
+        check "neighbor or layer" => |v| matches!(v.as_str(), "neighbor" | "layer");
+    budget: usize = 256, "--budget" "N", TRAIN, "the layer strategy's node budget per hop",
+        check "at least 1" => |v| *v >= 1;
+}
+
+/// The command named `name`.
+fn command(name: &str) -> Result<&'static Command, String> {
+    COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command {name}\n\n{}", usage()))
+}
+
 impl CliOptions {
-    /// Parses `--key value` pairs after the subcommand.
-    pub fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses the `--flag value` pairs after `cmd`. A flag `cmd` does not
+    /// take, a malformed or out-of-range value and a broken cross-flag
+    /// rule are each an error naming the command and the flag.
+    fn parse(cmd: &str, args: &[String]) -> Result<Self, String> {
+        let bit = command(cmd)?.bit;
         let mut opts = Self::default();
         let mut it = args.iter();
         while let Some(key) = it.next() {
-            let mut need = || {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{key} needs a value"))
-            };
-            match key.as_str() {
-                "--dataset" => opts.dataset = Some(need()?),
-                "--edge-list" => opts.edge_list = Some(need()?),
-                "--scale" => {
-                    opts.scale = need()?
-                        .parse()
-                        .map_err(|_| "--scale needs a number in (0, 1]".to_string())?
-                }
-                "--model" => opts.model = need()?.to_lowercase(),
-                "--gpu" => opts.gpu = need()?.to_lowercase(),
-                "--feat-dim" => {
-                    opts.feat_dim = need()?
-                        .parse()
-                        .map_err(|_| "--feat-dim needs an integer".to_string())?
-                }
-                "--classes" => {
-                    opts.num_classes = need()?
-                        .parse()
-                        .map_err(|_| "--classes needs an integer".to_string())?
-                }
-                "--trace-out" => opts.trace_out = Some(need()?),
-                "--requests" => {
-                    opts.requests = need()?
-                        .parse()
-                        .map_err(|_| "--requests needs an integer".to_string())?
-                }
-                "--rate" => {
-                    opts.rate = need()?
-                        .parse()
-                        .map_err(|_| "--rate needs a number (requests per second)".to_string())?
-                }
-                "--batch-size" => {
-                    opts.batch_size = need()?
-                        .parse()
-                        .map_err(|_| "--batch-size needs an integer".to_string())?
-                }
-                "--max-delay-ms" => {
-                    opts.max_delay_ms = need()?
-                        .parse()
-                        .map_err(|_| "--max-delay-ms needs a number".to_string())?
-                }
-                "--queue-cap" => {
-                    opts.queue_cap = need()?
-                        .parse()
-                        .map_err(|_| "--queue-cap needs an integer".to_string())?
-                }
-                "--streams" => {
-                    opts.streams = need()?
-                        .parse()
-                        .map_err(|_| "--streams needs an integer".to_string())?
-                }
-                "--seed" => {
-                    opts.seed = need()?
-                        .parse()
-                        .map_err(|_| "--seed needs an integer".to_string())?
-                }
-                "--fault-rate" => {
-                    opts.fault_rate = need()?
-                        .parse()
-                        .map_err(|_| "--fault-rate needs a number in [0, 1]".to_string())?
-                }
-                "--retries" => {
-                    opts.retries = need()?
-                        .parse()
-                        .map_err(|_| "--retries needs an integer".to_string())?
-                }
-                "--deadline-ms" => {
-                    opts.deadline_ms = Some(
-                        need()?
-                            .parse()
-                            .map_err(|_| "--deadline-ms needs a number".to_string())?,
-                    )
-                }
-                "--replicas" => {
-                    opts.replicas = need()?
-                        .parse()
-                        .map_err(|_| "--replicas needs an integer".to_string())?
-                }
-                "--router" => opts.router = need()?.to_lowercase(),
-                "--tenants" => opts.tenants = Some(need()?),
-                "--autoscale" => opts.autoscale = Some(need()?),
-                "--scale-high" => {
-                    opts.scale_high = need()?
-                        .parse()
-                        .map_err(|_| "--scale-high needs an integer".to_string())?
-                }
-                "--scale-low" => {
-                    opts.scale_low = need()?
-                        .parse()
-                        .map_err(|_| "--scale-low needs an integer".to_string())?
-                }
-                "--scale-interval-ms" => {
-                    opts.scale_interval_ms = need()?
-                        .parse()
-                        .map_err(|_| "--scale-interval-ms needs a number".to_string())?
-                }
-                "--scale-p99-ms" => {
-                    opts.scale_p99_ms = Some(
-                        need()?
-                            .parse()
-                            .map_err(|_| "--scale-p99-ms needs a number".to_string())?,
-                    )
-                }
-                "--arrivals" => opts.arrivals = need()?.to_lowercase(),
-                "--burst" => {
-                    opts.burst = need()?
-                        .parse()
-                        .map_err(|_| "--burst needs a number above 1".to_string())?
-                }
-                "--dwell-ms" => {
-                    opts.dwell_ms = need()?
-                        .parse()
-                        .map_err(|_| "--dwell-ms needs a number".to_string())?
-                }
-                "--reset-replica" => opts.reset_replica = Some(need()?),
-                "--updates" => {
-                    opts.updates = need()?
-                        .parse()
-                        .map_err(|_| "--updates needs an integer".to_string())?
-                }
-                "--update-gap-ms" => {
-                    opts.update_gap_ms = need()?
-                        .parse()
-                        .map_err(|_| "--update-gap-ms needs a number".to_string())?
-                }
-                "--delete-frac" => {
-                    opts.delete_frac = need()?
-                        .parse()
-                        .map_err(|_| "--delete-frac needs a number in [0, 1]".to_string())?
-                }
-                "--node-frac" => {
-                    opts.node_frac = need()?
-                        .parse()
-                        .map_err(|_| "--node-frac needs a number in [0, 1]".to_string())?
-                }
-                "--attach-degree" => {
-                    opts.attach_degree = need()?
-                        .parse()
-                        .map_err(|_| "--attach-degree needs an integer".to_string())?
-                }
-                "--renumber" => opts.renumber = need()?.to_lowercase(),
-                "--hit-watermark" => {
-                    opts.hit_watermark = need()?
-                        .parse()
-                        .map_err(|_| "--hit-watermark needs a number in (0, 1]".to_string())?
-                }
-                "--policy-window" => {
-                    opts.policy_window = need()?
-                        .parse()
-                        .map_err(|_| "--policy-window needs an integer".to_string())?
-                }
-                "--cooldown" => {
-                    opts.cooldown = need()?
-                        .parse()
-                        .map_err(|_| "--cooldown needs an integer".to_string())?
-                }
-                "--rebuild-cost-us" => {
-                    opts.rebuild_cost_us = need()?
-                        .parse()
-                        .map_err(|_| "--rebuild-cost-us needs a number".to_string())?
-                }
-                "--compact-every" => {
-                    opts.compact_every = need()?
-                        .parse()
-                        .map_err(|_| "--compact-every needs an integer".to_string())?
-                }
-                "--tier" => opts.tier = need()?.to_lowercase(),
-                "--top-k" => {
-                    opts.top_k = need()?
-                        .parse()
-                        .map_err(|_| "--top-k needs an integer".to_string())?
-                }
-                "--speed-check" => {
-                    opts.speed_check = Some(
-                        need()?
-                            .parse()
-                            .map_err(|_| "--speed-check needs a number".to_string())?,
-                    )
-                }
-                "--epochs" => {
-                    opts.epochs = need()?
-                        .parse()
-                        .map_err(|_| "--epochs needs an integer".to_string())?
-                }
-                "--fanout" => opts.fanout = need()?,
-                "--hidden" => {
-                    opts.hidden = need()?
-                        .parse()
-                        .map_err(|_| "--hidden needs an integer".to_string())?
-                }
-                "--lr" => {
-                    opts.lr = need()?
-                        .parse()
-                        .map_err(|_| "--lr needs a number".to_string())?
-                }
-                "--strategy" => opts.strategy = need()?.to_lowercase(),
-                "--budget" => {
-                    opts.budget = need()?
-                        .parse()
-                        .map_err(|_| "--budget needs an integer".to_string())?
-                }
-                other => return Err(format!("unknown option {other}")),
+            let flag = FLAGS
+                .iter()
+                .find(|f| f.name == key)
+                .ok_or_else(|| format!("{cmd}: unknown option {key}"))?;
+            if flag.cmds & bit == 0 {
+                return Err(format!("{cmd} does not take {key}; see gnnadvisor help"));
             }
+            let raw = it
+                .next()
+                .ok_or_else(|| format!("{cmd}: {key} needs a value"))?;
+            (flag.set)(&mut opts, raw).map_err(|e| format!("{cmd}: {e}"))?;
         }
-        // Range checks up front, so a bad value fails with the CLI's own
-        // message instead of a panic deep inside dataset scaling.
-        if !(opts.scale.is_finite() && opts.scale > 0.0 && opts.scale <= 1.0) {
-            return Err(format!(
-                "--scale must be a number in (0, 1], got {}",
-                opts.scale
-            ));
-        }
-        if opts.feat_dim == 0 {
-            return Err("--feat-dim must be at least 1".to_string());
-        }
-        if opts.num_classes == 0 {
-            return Err("--classes must be at least 1".to_string());
-        }
-        if !(opts.rate.is_finite() && opts.rate > 0.0) {
-            return Err(format!(
-                "--rate must be a positive request rate, got {}",
-                opts.rate
-            ));
-        }
-        if opts.batch_size == 0 {
-            return Err("--batch-size must be at least 1".to_string());
-        }
-        if opts.queue_cap == 0 {
-            return Err("--queue-cap must be at least 1".to_string());
-        }
-        if opts.streams == 0 {
-            return Err("--streams must be at least 1".to_string());
-        }
-        if !(opts.max_delay_ms.is_finite() && opts.max_delay_ms >= 0.0) {
-            return Err(format!(
-                "--max-delay-ms must be non-negative, got {}",
-                opts.max_delay_ms
-            ));
-        }
-        if !(opts.fault_rate.is_finite() && (0.0..=1.0).contains(&opts.fault_rate)) {
-            return Err(format!(
-                "--fault-rate must be a number in [0, 1], got {}",
-                opts.fault_rate
-            ));
-        }
-        if let Some(d) = opts.deadline_ms {
-            if !(d.is_finite() && d > 0.0) {
-                return Err(format!("--deadline-ms must be positive, got {d}"));
-            }
-        }
-        if opts.replicas == 0 {
-            return Err("--replicas must be at least 1".to_string());
-        }
-        if RouterPolicy::parse(&opts.router).is_none() {
-            return Err(format!(
-                "--router must be round-robin, least-loaded, or cost-aware, got {}",
-                opts.router
-            ));
-        }
-        if let Some(t) = &opts.tenants {
-            parse_tenant_specs(t)?;
-        }
-        if let Some(a) = &opts.autoscale {
-            parse_autoscale(a)?;
-        }
-        if opts.scale_low >= opts.scale_high {
-            return Err(format!(
+        let clash = match cmd {
+            "serve-cluster" if opts.scale_low >= opts.scale_high => format!(
                 "--scale-low {} must sit below --scale-high {}",
                 opts.scale_low, opts.scale_high
-            ));
-        }
-        if !(opts.scale_interval_ms.is_finite() && opts.scale_interval_ms > 0.0) {
-            return Err(format!(
-                "--scale-interval-ms must be positive, got {}",
-                opts.scale_interval_ms
-            ));
-        }
-        if let Some(p) = opts.scale_p99_ms {
-            if !(p.is_finite() && p > 0.0) {
-                return Err(format!("--scale-p99-ms must be positive, got {p}"));
-            }
-        }
-        if !matches!(opts.arrivals.as_str(), "poisson" | "mmpp") {
-            return Err(format!(
-                "--arrivals must be poisson or mmpp, got {}",
-                opts.arrivals
-            ));
-        }
-        if !(opts.burst.is_finite() && opts.burst > 1.0) {
-            return Err(format!(
-                "--burst must be a finite factor above 1, got {}",
-                opts.burst
-            ));
-        }
-        if !(opts.dwell_ms.is_finite() && opts.dwell_ms > 0.0) {
-            return Err(format!(
-                "--dwell-ms must be positive, got {}",
-                opts.dwell_ms
-            ));
-        }
-        if let Some(r) = &opts.reset_replica {
-            parse_reset(r)?;
-        }
-        if !(opts.update_gap_ms.is_finite() && opts.update_gap_ms > 0.0) {
-            return Err(format!(
-                "--update-gap-ms must be positive, got {}",
-                opts.update_gap_ms
-            ));
-        }
-        for (name, v) in [
-            ("--delete-frac", opts.delete_frac),
-            ("--node-frac", opts.node_frac),
-        ] {
-            if !(v.is_finite() && (0.0..=1.0).contains(&v)) {
-                return Err(format!("{name} must be a number in [0, 1], got {v}"));
-            }
-        }
-        if opts.delete_frac + opts.node_frac > 1.0 {
-            return Err(format!(
+            ),
+            "serve-dynamic" if opts.delete_frac + opts.node_frac > 1.0 => format!(
                 "--delete-frac {} + --node-frac {} must not exceed 1",
                 opts.delete_frac, opts.node_frac
-            ));
-        }
-        if !matches!(opts.renumber.as_str(), "on" | "off") {
-            return Err(format!(
-                "--renumber must be on or off, got {}",
-                opts.renumber
-            ));
-        }
-        if !(opts.hit_watermark.is_finite()
-            && opts.hit_watermark > 0.0
-            && opts.hit_watermark <= 1.0)
-        {
-            return Err(format!(
-                "--hit-watermark must be a number in (0, 1], got {}",
-                opts.hit_watermark
-            ));
-        }
-        if opts.policy_window == 0 {
-            return Err("--policy-window must be at least 1".to_string());
-        }
-        if !(opts.rebuild_cost_us.is_finite() && opts.rebuild_cost_us >= 0.0) {
-            return Err(format!(
-                "--rebuild-cost-us must be non-negative, got {}",
-                opts.rebuild_cost_us
-            ));
-        }
-        if !matches!(opts.tier.as_str(), "analytic" | "two-tier" | "full") {
-            return Err(format!(
-                "--tier must be analytic, two-tier, or full, got {}",
-                opts.tier
-            ));
-        }
-        if opts.top_k == 0 {
-            return Err("--top-k must be at least 1".to_string());
-        }
-        if let Some(r) = opts.speed_check {
-            if !(r.is_finite() && r > 0.0) {
-                return Err(format!("--speed-check must be a positive ratio, got {r}"));
+            ),
+            _ if opts.dataset.is_some() && opts.edge_list.is_some() => {
+                "pass --dataset or --edge-list, not both".to_string()
             }
-        }
-        if opts.epochs == 0 {
-            return Err("--epochs must be at least 1".to_string());
-        }
-        parse_fanouts(&opts.fanout)?;
-        if opts.hidden == 0 {
-            return Err("--hidden must be at least 1".to_string());
-        }
-        if !(opts.lr.is_finite() && opts.lr >= 0.0) {
-            return Err(format!(
-                "--lr must be a finite non-negative rate, got {}",
-                opts.lr
-            ));
-        }
-        if !matches!(opts.strategy.as_str(), "neighbor" | "layer") {
-            return Err(format!(
-                "--strategy must be neighbor or layer, got {}",
-                opts.strategy
-            ));
-        }
-        if opts.budget == 0 {
-            return Err("--budget must be at least 1".to_string());
-        }
-        Ok(opts)
+            _ => return Ok(opts),
+        };
+        Err(format!("{cmd}: {clash}"))
     }
 
     fn spec(&self) -> Result<GpuSpec, String> {
@@ -647,16 +440,114 @@ impl CliOptions {
     }
 }
 
-/// An engine for `spec` honouring `GNNADVISOR_SIM_THREADS`; a malformed
-/// value is an error naming the variable, not a panic.
-fn build_engine(spec: &GpuSpec) -> Result<Engine, String> {
-    Engine::builder(spec.clone())
-        .build()
-        .map_err(|e| e.to_string())
+/// The GNNAdvisor runtime for `ds` under `--model`, launching on `engine`.
+fn advisor(opts: &CliOptions, ds: &Dataset, engine: &Engine) -> Result<Advisor, String> {
+    Advisor::new(
+        &ds.graph,
+        ds.feat_dim,
+        16,
+        ds.num_classes,
+        model_order(&opts.model)?,
+        AdvisorConfig {
+            spec: engine.spec().clone(),
+            engine: Some(engine.clone()),
+            ..Default::default()
+        },
+    )
+    .map_err(|e| e.to_string())
+}
+
+/// Replica `replica`'s engine for `--gpu`, honouring
+/// `GNNADVISOR_SIM_THREADS` (a malformed value is an error naming the
+/// variable, not a panic). Under `--fault-rate`, or when `reset` names the
+/// replica, it gets a fault plan seeded `--seed + replica`: replicas fault
+/// independently, but the whole run's chaos replays from one seed.
+fn build_engine(
+    opts: &CliOptions,
+    replica: usize,
+    reset: Option<(usize, f64)>,
+) -> Result<Engine, String> {
+    let mut builder = Engine::builder(opts.spec()?);
+    let reset_ms = reset.and_then(|(r, ms)| (r == replica).then_some(ms));
+    if opts.fault_rate > 0.0 || reset_ms.is_some() {
+        let mut fc = FaultConfig::uniform(opts.fault_rate, opts.seed.wrapping_add(replica as u64));
+        fc.device_reset_ms = reset_ms;
+        let plan = FaultPlan::new(fc).map_err(|e| e.to_string())?;
+        builder = builder.fault_plan(Arc::new(plan));
+    }
+    builder.build().map_err(|e| e.to_string())
+}
+
+/// The batched Type II dataset (Section 8.1.2) that `serve-sim` and
+/// `serve-cluster` serve: many small independent graphs, the workload
+/// class served with mini-batched inference.
+fn batched_exec(opts: &CliOptions) -> Result<GcnBatchExecutor, String> {
+    let nodes = ((40_000.0 * opts.scale) as usize).clamp(400, 40_000);
+    let (graph, components) = batched_graph(
+        &BatchedParams {
+            num_nodes: nodes,
+            num_edges: nodes * 4,
+            mean_graph_size: 40,
+            graph_size_cv: 0.4,
+        },
+        31,
+    )
+    .map_err(|e| e.to_string())?;
+    Ok(GcnBatchExecutor::new(
+        &graph,
+        &components,
+        opts.feat_dim,
+        16,
+        opts.num_classes,
+    ))
+}
+
+/// `--requests` arrivals at `--rate` over `components` graphs, Poisson or
+/// (`--arrivals mmpp`) bursty.
+fn arrivals(opts: &CliOptions, components: usize) -> Result<Vec<Request>, String> {
+    let mean = 1000.0 / opts.rate;
+    match opts.arrivals.as_str() {
+        "mmpp" => generate_mmpp_arrivals(&MmppConfig {
+            num_requests: opts.requests,
+            phase_interarrival_ms: vec![mean / opts.burst, mean * opts.burst],
+            mean_dwell_ms: opts.dwell_ms,
+            num_components: components,
+            seed: opts.seed,
+        }),
+        _ => generate_arrivals(&ArrivalConfig {
+            num_requests: opts.requests,
+            mean_interarrival_ms: mean,
+            num_components: components,
+            seed: opts.seed,
+        }),
+    }
+    .map_err(|e| e.to_string())
+}
+
+/// The admission queue, batcher, retry policy and deadline of a serving
+/// run.
+fn serving_config(opts: &CliOptions) -> ServingConfig {
+    ServingConfig {
+        streams: opts.streams,
+        queue: QueuePolicy {
+            capacity: opts.queue_cap,
+        },
+        batch: BatchPolicy {
+            max_batch: opts.batch_size,
+            max_delay_ms: opts.max_delay_ms,
+        },
+        retry: RetryPolicy {
+            // `--retries` is below usize::MAX, checked at parse.
+            max_attempts: opts.retries + 1,
+            seed: opts.seed,
+            ..RetryPolicy::default()
+        },
+        deadline_ms: opts.deadline_ms,
+    }
 }
 
 /// `analyze`: the input extractor's report plus suggested parameters.
-pub fn analyze(opts: &CliOptions) -> CliResult {
+fn analyze(opts: &CliOptions) -> CliResult {
     let ds = opts.load()?;
     let spec = opts.spec()?;
     let stats = DegreeStats::of(&ds.graph);
@@ -721,23 +612,10 @@ pub fn analyze(opts: &CliOptions) -> CliResult {
 }
 
 /// `run`: one model forward pass under GNNAdvisor, with metrics.
-pub fn run(opts: &CliOptions) -> CliResult {
+fn run(opts: &CliOptions) -> CliResult {
     let ds = opts.load()?;
-    let spec = opts.spec()?;
-    let engine = build_engine(&spec)?;
-    let advisor = Advisor::new(
-        &ds.graph,
-        ds.feat_dim,
-        16,
-        ds.num_classes,
-        model_order(&opts.model)?,
-        AdvisorConfig {
-            spec,
-            engine: Some(engine.clone()),
-            ..Default::default()
-        },
-    )
-    .map_err(|e| e.to_string())?;
+    let engine = build_engine(opts, 0, None)?;
+    let advisor = advisor(opts, &ds, &engine)?;
     let features = random_features(ds.graph.num_nodes(), ds.feat_dim, 7);
     let exec = ModelExec::new(&engine, &ds.graph, Framework::GnnAdvisor, Some(&advisor));
     let result = forward(&opts.model, &exec, &ds, &features)?;
@@ -772,29 +650,16 @@ pub fn run(opts: &CliOptions) -> CliResult {
 /// report; `--trace-out FILE` additionally writes chrome://tracing JSON.
 /// Timestamps are simulated cycles, so the output is byte-identical
 /// run-to-run and at any `GNNADVISOR_SIM_THREADS`.
-pub fn profile(opts: &CliOptions) -> CliResult {
+fn profile(opts: &CliOptions) -> CliResult {
     let ds = opts.load()?;
-    let spec = opts.spec()?;
     let tracer = Arc::new(TraceRecorder::new());
-    let engine = Engine::builder(spec.clone())
+    let engine = Engine::builder(opts.spec()?)
         .tracer(Arc::clone(&tracer))
         .build()
         .map_err(|e| e.to_string())?;
     // The traced engine must drive the advisor too: GNNAdvisor-framework
     // kernels launch on `advisor.engine()`, not the exec's engine.
-    let advisor = Advisor::new(
-        &ds.graph,
-        ds.feat_dim,
-        16,
-        ds.num_classes,
-        model_order(&opts.model)?,
-        AdvisorConfig {
-            spec,
-            engine: Some(engine.clone()),
-            ..Default::default()
-        },
-    )
-    .map_err(|e| e.to_string())?;
+    let advisor = advisor(opts, &ds, &engine)?;
     let features = random_features(ds.graph.num_nodes(), ds.feat_dim, 7);
     let exec = ModelExec::new(&engine, &ds.graph, Framework::GnnAdvisor, Some(&advisor));
     let result = forward(&opts.model, &exec, &ds, &features)?;
@@ -821,23 +686,10 @@ pub fn profile(opts: &CliOptions) -> CliResult {
 }
 
 /// `compare`: every execution strategy on one aggregation pass.
-pub fn compare(opts: &CliOptions) -> CliResult {
+fn compare(opts: &CliOptions) -> CliResult {
     let ds = opts.load()?;
-    let spec = opts.spec()?;
-    let engine = build_engine(&spec)?;
-    let advisor = Advisor::new(
-        &ds.graph,
-        ds.feat_dim,
-        16,
-        ds.num_classes,
-        model_order(&opts.model)?,
-        AdvisorConfig {
-            spec,
-            engine: Some(engine.clone()),
-            ..Default::default()
-        },
-    )
-    .map_err(|e| e.to_string())?;
+    let engine = build_engine(opts, 0, None)?;
+    let advisor = advisor(opts, &ds, &engine)?;
     let dim = 16;
     let mut out = format!(
         "one aggregation pass at dim {dim} on {} ({} nodes, {} edges):\n",
@@ -877,12 +729,12 @@ pub fn compare(opts: &CliOptions) -> CliResult {
 /// counted quantities, never wall-clock, so the report is byte-identical
 /// run-to-run — `--speed-check` prints its (wall-clock) measurement to
 /// stderr only.
-pub fn tune(opts: &CliOptions) -> CliResult {
+fn tune(opts: &CliOptions) -> CliResult {
     let ds = opts.load()?;
     let spec = opts.spec()?;
     // Built before any tuning so a malformed GNNADVISOR_SIM_THREADS is a
     // typed error here rather than a panic inside the tuners' engines.
-    let engine = build_engine(&spec)?;
+    let engine = build_engine(opts, 0, None)?;
     let info = extract(
         &ds.graph,
         ds.feat_dim,
@@ -1048,55 +900,12 @@ fn speed_check(
 /// into GCN inference batches that round-robin across simulated streams.
 /// Everything downstream of the seed is deterministic: the report is
 /// byte-identical across runs and across `GNNADVISOR_SIM_THREADS`.
-pub fn serve_sim(opts: &CliOptions) -> CliResult {
-    let spec = opts.spec()?;
-    // A batched Type II dataset (Section 8.1.2): many small independent
-    // graphs, the workload class served with mini-batched inference.
-    let nodes = ((40_000.0 * opts.scale) as usize).clamp(400, 40_000);
-    let (graph, components) = batched_graph(
-        &BatchedParams {
-            num_nodes: nodes,
-            num_edges: nodes * 4,
-            mean_graph_size: 40,
-            graph_size_cv: 0.4,
-        },
-        31,
-    )
-    .map_err(|e| e.to_string())?;
-    let mut exec = GcnBatchExecutor::new(&graph, &components, opts.feat_dim, 16, opts.num_classes);
-    let arrivals = generate_arrivals(&ArrivalConfig {
-        num_requests: opts.requests,
-        mean_interarrival_ms: 1000.0 / opts.rate,
-        num_components: exec.num_components(),
-        seed: opts.seed,
-    })
-    .map_err(|e| e.to_string())?;
-    let serving = ServingConfig {
-        streams: opts.streams,
-        queue: QueuePolicy {
-            capacity: opts.queue_cap,
-        },
-        batch: BatchPolicy {
-            max_batch: opts.batch_size,
-            max_delay_ms: opts.max_delay_ms,
-        },
-        retry: RetryPolicy {
-            max_attempts: opts.retries + 1,
-            seed: opts.seed,
-            ..RetryPolicy::default()
-        },
-        deadline_ms: opts.deadline_ms,
-    };
-    let mut builder = Engine::builder(spec);
-    if opts.fault_rate > 0.0 {
-        // Faults are seeded alongside the arrival trace: the whole chaos
-        // run replays bit-for-bit from one --seed.
-        let plan = FaultPlan::new(FaultConfig::uniform(opts.fault_rate, opts.seed))
-            .map_err(|e| e.to_string())?;
-        builder = builder.fault_plan(Arc::new(plan));
-    }
-    let engine = builder.build().map_err(|e| e.to_string())?;
-    let report = simulate(&engine, &arrivals, &serving, &mut exec).map_err(|e| e.to_string())?;
+fn serve_sim(opts: &CliOptions) -> CliResult {
+    let mut exec = batched_exec(opts)?;
+    let arrivals = arrivals(opts, exec.num_components())?;
+    let engine = build_engine(opts, 0, None)?;
+    let report = simulate(&engine, &arrivals, &serving_config(opts), &mut exec)
+        .map_err(|e| e.to_string())?;
     let deadline = opts
         .deadline_ms
         .map_or("none".to_string(), |d| format!("{d} ms"));
@@ -1148,42 +957,18 @@ fn parse_tenant_specs(s: &str) -> Result<Vec<TenantSpec>, String> {
     Ok(tenants)
 }
 
-/// Parses `--autoscale MIN:MAX`.
-fn parse_autoscale(s: &str) -> Result<(usize, usize), String> {
-    let (min, max) = s
-        .split_once(':')
-        .ok_or_else(|| "--autoscale must be MIN:MAX".to_string())?;
-    let min: usize = min
-        .parse()
-        .map_err(|_| "--autoscale MIN must be an integer".to_string())?;
-    let max: usize = max
-        .parse()
-        .map_err(|_| "--autoscale MAX must be an integer".to_string())?;
-    if min == 0 || max < min {
-        return Err(format!(
-            "--autoscale needs 1 <= MIN <= MAX, got {min}:{max}"
-        ));
-    }
-    Ok((min, max))
+/// Parses `--autoscale MIN:MAX`, where `1 <= MIN <= MAX <= MAX_FLEET`.
+fn parse_autoscale(s: &str) -> Option<(usize, usize)> {
+    let (min, max) = s.split_once(':')?;
+    let (min, max) = (min.parse().ok()?, max.parse().ok()?);
+    (1 <= min && min <= max && max <= MAX_FLEET).then_some((min, max))
 }
 
-/// Parses `--reset-replica REPLICA:MS`.
-fn parse_reset(s: &str) -> Result<(usize, f64), String> {
-    let (replica, ms) = s
-        .split_once(':')
-        .ok_or_else(|| "--reset-replica must be REPLICA:MS".to_string())?;
-    let replica: usize = replica
-        .parse()
-        .map_err(|_| "--reset-replica REPLICA must be an integer".to_string())?;
-    let ms: f64 = ms
-        .parse()
-        .map_err(|_| "--reset-replica MS must be a number".to_string())?;
-    if !(ms.is_finite() && ms > 0.0) {
-        return Err(format!(
-            "--reset-replica instant must be positive, got {ms}"
-        ));
-    }
-    Ok((replica, ms))
+/// Parses `--reset-replica REPLICA:MS`, where the instant `MS` is positive.
+fn parse_reset(s: &str) -> Option<(usize, f64)> {
+    let (replica, ms) = s.split_once(':')?;
+    let ms: f64 = ms.parse().ok()?;
+    Some((replica.parse().ok()?, ms)).filter(|_| positive(&ms))
 }
 
 /// `serve-cluster`: the serving pipeline scaled out across replicated
@@ -1193,40 +978,9 @@ fn parse_reset(s: &str) -> Result<(usize, f64), String> {
 /// the Poisson generator or the bursty MMPP generator; everything
 /// downstream of the seed replays bit-for-bit, so the report is
 /// byte-identical across runs and `GNNADVISOR_SIM_THREADS`.
-pub fn serve_cluster(opts: &CliOptions) -> CliResult {
-    // Same batched Type II dataset as serve-sim: the cluster serves the
-    // mini-batched inference workload class.
-    let nodes = ((40_000.0 * opts.scale) as usize).clamp(400, 40_000);
-    let (graph, components) = batched_graph(
-        &BatchedParams {
-            num_nodes: nodes,
-            num_edges: nodes * 4,
-            mean_graph_size: 40,
-            graph_size_cv: 0.4,
-        },
-        31,
-    )
-    .map_err(|e| e.to_string())?;
-    let mut exec = GcnBatchExecutor::new(&graph, &components, opts.feat_dim, 16, opts.num_classes);
-
-    let mean = 1000.0 / opts.rate;
-    let arrivals = match opts.arrivals.as_str() {
-        "mmpp" => generate_mmpp_arrivals(&MmppConfig {
-            num_requests: opts.requests,
-            phase_interarrival_ms: vec![mean / opts.burst, mean * opts.burst],
-            mean_dwell_ms: opts.dwell_ms,
-            num_components: exec.num_components(),
-            seed: opts.seed,
-        }),
-        _ => generate_arrivals(&ArrivalConfig {
-            num_requests: opts.requests,
-            mean_interarrival_ms: mean,
-            num_components: exec.num_components(),
-            seed: opts.seed,
-        }),
-    }
-    .map_err(|e| e.to_string())?;
-
+fn serve_cluster(opts: &CliOptions) -> CliResult {
+    let mut exec = batched_exec(opts)?;
+    let arrivals = arrivals(opts, exec.num_components())?;
     let tenants = match &opts.tenants {
         Some(s) => parse_tenant_specs(s)?,
         None => vec![TenantSpec {
@@ -1240,8 +994,7 @@ pub fn serve_cluster(opts: &CliOptions) -> CliResult {
     let autoscaler = opts
         .autoscale
         .as_deref()
-        .map(parse_autoscale)
-        .transpose()?
+        .and_then(parse_autoscale)
         .map(|(min, max)| AutoscalerConfig {
             min_replicas: min,
             max_replicas: max,
@@ -1255,7 +1008,7 @@ pub fn serve_cluster(opts: &CliOptions) -> CliResult {
     let slots = autoscaler
         .as_ref()
         .map_or(opts.replicas, |a| a.max_replicas.max(opts.replicas));
-    let reset = opts.reset_replica.as_deref().map(parse_reset).transpose()?;
+    let reset = opts.reset_replica.as_deref().and_then(parse_reset);
     if let Some((r, _)) = reset {
         if r >= slots {
             return Err(format!(
@@ -1263,38 +1016,24 @@ pub fn serve_cluster(opts: &CliOptions) -> CliResult {
             ));
         }
     }
+    let engines = (0..slots)
+        .map(|r| build_engine(opts, r, reset))
+        .collect::<Result<Vec<_>, _>>()?;
 
-    let mut engines = Vec::with_capacity(slots);
-    for r in 0..slots {
-        let mut builder = Engine::builder(opts.spec()?);
-        let reset_ms = reset.and_then(|(rr, ms)| (rr == r).then_some(ms));
-        if opts.fault_rate > 0.0 || reset_ms.is_some() {
-            // Per-replica fault seeds: replicas fault independently, but
-            // the whole fleet's chaos replays from one --seed.
-            let mut fc = FaultConfig::uniform(opts.fault_rate, opts.seed.wrapping_add(r as u64));
-            fc.device_reset_ms = reset_ms;
-            let plan = FaultPlan::new(fc).map_err(|e| e.to_string())?;
-            builder = builder.fault_plan(Arc::new(plan));
-        }
-        engines.push(builder.build().map_err(|e| e.to_string())?);
-    }
-
+    let ServingConfig {
+        streams,
+        queue,
+        batch,
+        retry,
+        ..
+    } = serving_config(opts);
     let cfg = ClusterConfig {
         replicas: opts.replicas,
-        streams: opts.streams,
-        queue: QueuePolicy {
-            capacity: opts.queue_cap,
-        },
-        batch: BatchPolicy {
-            max_batch: opts.batch_size,
-            max_delay_ms: opts.max_delay_ms,
-        },
-        retry: RetryPolicy {
-            max_attempts: opts.retries + 1,
-            seed: opts.seed,
-            ..RetryPolicy::default()
-        },
-        router: RouterPolicy::parse(&opts.router).expect("validated at parse"),
+        streams,
+        queue,
+        batch,
+        retry,
+        router: RouterPolicy::parse(&opts.router).expect("checked at parse"),
         autoscaler,
     };
     let report = simulate_cluster(&engines, &arrivals, &tenant_of, &tenants, &cfg, &mut exec)
@@ -1346,7 +1085,7 @@ pub fn serve_cluster(opts: &CliOptions) -> CliResult {
 /// watermark. Everything downstream of the seeds replays bit-for-bit,
 /// so the report is byte-identical across runs and
 /// `GNNADVISOR_SIM_THREADS`.
-pub fn serve_dynamic(opts: &CliOptions) -> CliResult {
+fn serve_dynamic(opts: &CliOptions) -> CliResult {
     // A community-structured graph, freshly renumbered: the starting
     // layout is what the Section 6.1 pass produces offline, and the run
     // measures how long it stays good under churn.
@@ -1380,14 +1119,7 @@ pub fn serve_dynamic(opts: &CliOptions) -> CliResult {
         },
     )
     .map_err(|e| e.to_string())?;
-    let arrivals = generate_arrivals(&ArrivalConfig {
-        num_requests: opts.requests,
-        mean_interarrival_ms: 1000.0 / opts.rate,
-        num_components: 1,
-        seed: opts.seed,
-    })
-    .map_err(|e| e.to_string())?;
-
+    let arrivals = arrivals(opts, 1)?;
     let policy = (opts.renumber == "on").then_some(RenumberPolicy {
         window: opts.policy_window,
         watermark: opts.hit_watermark,
@@ -1395,39 +1127,13 @@ pub fn serve_dynamic(opts: &CliOptions) -> CliResult {
         rebuild_cost_us_per_edge: opts.rebuild_cost_us,
     });
     let cfg = DynamicConfig {
-        serving: ServingConfig {
-            streams: opts.streams,
-            queue: QueuePolicy {
-                capacity: opts.queue_cap,
-            },
-            batch: BatchPolicy {
-                max_batch: opts.batch_size,
-                max_delay_ms: opts.max_delay_ms,
-            },
-            retry: RetryPolicy {
-                max_attempts: opts.retries + 1,
-                seed: opts.seed,
-                ..RetryPolicy::default()
-            },
-            deadline_ms: opts.deadline_ms,
-        },
+        serving: serving_config(opts),
         policy,
         compact_every: opts.compact_every,
     };
-
-    let mut engines = Vec::with_capacity(opts.replicas);
-    for replica in 0..opts.replicas {
-        let mut builder = Engine::builder(opts.spec()?);
-        if opts.fault_rate > 0.0 {
-            let plan = FaultPlan::new(FaultConfig::uniform(
-                opts.fault_rate,
-                opts.seed.wrapping_add(replica as u64),
-            ))
-            .map_err(|e| e.to_string())?;
-            builder = builder.fault_plan(Arc::new(plan));
-        }
-        engines.push(builder.build().map_err(|e| e.to_string())?);
-    }
+    let engines = (0..opts.replicas)
+        .map(|r| build_engine(opts, r, None))
+        .collect::<Result<Vec<_>, _>>()?;
 
     // Hidden dim 32 keeps the advisor aggregation in the SM-time-limited
     // regime where layout locality is what the clock measures.
@@ -1479,22 +1185,11 @@ pub fn serve_dynamic(opts: &CliOptions) -> CliResult {
     ))
 }
 
-/// Parses a comma-separated fan-out list like `10,5` (all entries > 0).
-fn parse_fanouts(s: &str) -> Result<Vec<usize>, String> {
-    let fanouts: Vec<usize> = s
-        .split(',')
-        .map(|part| {
-            part.trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|&f| f > 0)
-                .ok_or_else(|| format!("--fanout needs comma-separated positive integers, got {s}"))
-        })
-        .collect::<Result<_, _>>()?;
-    if fanouts.is_empty() {
-        return Err("--fanout needs at least one hop".to_string());
-    }
-    Ok(fanouts)
+/// Parses a comma-separated fan-out list like `10,5`, every entry positive.
+fn parse_fanouts(s: &str) -> Option<Vec<usize>> {
+    s.split(',')
+        .map(|part| part.trim().parse().ok().filter(|&f| f > 0))
+        .collect()
 }
 
 /// `train-minibatch`: pipelined sampling-based mini-batch training. A
@@ -1505,7 +1200,7 @@ fn parse_fanouts(s: &str) -> Result<Vec<usize>, String> {
 /// `k+1` while the device trains batch `k`) and the classic serialized
 /// loop. Everything is seeded, so the report replays byte-for-byte at any
 /// `GNNADVISOR_SIM_THREADS`.
-pub fn train_minibatch(opts: &CliOptions) -> CliResult {
+fn train_minibatch(opts: &CliOptions) -> CliResult {
     let nodes = ((20_000.0 * opts.scale) as usize).clamp(300, 20_000);
     let (graph, comm) = community_graph(
         &CommunityParams {
@@ -1533,7 +1228,7 @@ pub fn train_minibatch(opts: &CliOptions) -> CliResult {
         }
     });
 
-    let fanouts = parse_fanouts(&opts.fanout)?;
+    let fanouts = parse_fanouts(&opts.fanout).expect("checked at parse");
     let strategy = match opts.strategy.as_str() {
         "layer" => SampleStrategy::LayerWise {
             budget: opts.budget,
@@ -1553,7 +1248,7 @@ pub fn train_minibatch(opts: &CliOptions) -> CliResult {
         host: HostCostModel::default(),
         seed: opts.seed,
     };
-    let engine = build_engine(&opts.spec()?)?;
+    let engine = build_engine(opts, 0, None)?;
     let report = gnnadvisor_models::train_minibatch(&engine, &graph, &features, &labels, &cfg)
         .map_err(|e| e.to_string())?;
 
@@ -1616,123 +1311,66 @@ fn forward(
     r.map_err(|e| e.to_string())
 }
 
-/// Usage text for the binary.
-pub const USAGE: &str = "\
-gnnadvisor — GNNAdvisor runtime reproduction CLI
+/// The help text, generated from `COMMANDS` and `FLAGS`.
+fn usage() -> String {
+    let mut out = String::from(
+        "gnnadvisor — GNNAdvisor runtime reproduction CLI\n\n\
+         USAGE:\n    gnnadvisor <COMMAND> [OPTIONS]\n\n\
+         COMMANDS (each takes only the options listed under it):\n",
+    );
+    for c in COMMANDS {
+        out.push_str(&format!("    {:<16} {}\n", c.name, c.about));
+        let names: Vec<&str> = FLAGS
+            .iter()
+            .filter(|f| f.cmds & c.bit != 0)
+            .map(|f| f.name)
+            .collect();
+        out.push_str(&wrap(&names.join(" "), 21));
+    }
+    out.push_str("\nOPTIONS:\n");
+    let defaults = CliOptions::default();
+    for f in FLAGS {
+        let default = (f.show)(&defaults).unwrap_or_else(|| "none".to_string());
+        let rule = match (f.rule)() {
+            r if r.is_empty() => r,
+            r => format!("; must be {r}"),
+        };
+        out.push_str(&format!("    {} {}\n", f.name, f.meta));
+        out.push_str(&wrap(&format!("{}{rule} (default {default})", f.help), 8));
+    }
+    out
+}
 
-USAGE:
-    gnnadvisor <COMMAND> [OPTIONS]
-
-COMMANDS:
-    analyze    input-extractor report + suggested runtime parameters
-    run        one model forward pass under GNNAdvisor, with metrics
-    profile    a traced forward pass: phase breakdown + span report
-    compare    all execution strategies on one aggregation pass
-    tune       the Section 7 Modeling & Estimating pipeline (two-tier)
-    serve-sim  multi-stream serving runtime with dynamic batching
-    serve-cluster  replicated serving: router, tenants, autoscaler
-    serve-dynamic  serving under live graph updates: incremental CSR,
-                   locality-triggered re-renumbering
-    train-minibatch  pipelined sampling-based mini-batch training:
-                     host sampling overlapped with device training
-
-OPTIONS:
-    --dataset NAME       a Table 1 dataset (e.g. Cora, artist, DD)
-    --edge-list FILE     load a SNAP-style edge list instead
-    --scale S            dataset scale in (0, 1], default 0.05
-    --model M            gcn | gin | sage | gat, default gcn
-    --gpu G              p6000 | v100, default p6000
-    --feat-dim D         feature dim for --edge-list inputs (default 96)
-    --classes C          class count for --edge-list inputs (default 10)
-    --trace-out FILE     profile only: write chrome://tracing JSON here
-
-TUNE OPTIONS:
-    --tier T             analytic | two-tier | full (default two-tier):
-                         explore on the calibrated analytical model only,
-                         engine-verify the top-K finalists, or score every
-                         candidate on the event-level simulator
-    --top-k K            two-tier finalists verified on the engine (default 4)
-    --speed-check R      require fast-path candidate scoring to be at least
-                         R times faster than full simulation; the measured
-                         ratio prints to stderr (stdout stays deterministic)
-
-SERVE-SIM OPTIONS:
-    --requests N         arrival-trace length (default 64)
-    --rate R             offered load, requests/second (default 2000)
-    --batch-size B       dynamic batcher's max batch size (default 8)
-    --max-delay-ms D     max queueing delay before dispatch (default 2)
-    --queue-cap Q        admission-queue capacity (default 64)
-    --streams S          concurrent simulated streams (default 4)
-    --seed X             arrival-trace and fault seed (default 7)
-    --fault-rate F       injected device-fault rate in [0, 1] (default 0)
-    --retries N          retries per faulted batch (default 2)
-    --deadline-ms D      per-request completion deadline, ms (default none)
-
-SERVE-CLUSTER OPTIONS (plus all serve-sim options):
-    --replicas N         replica engines behind the router (default 2)
-    --router P           round-robin | least-loaded | cost-aware (default)
-    --tenants SPEC       roster NAME:WEIGHT[:DEADLINE_MS],... — weighted-fair
-                         admission shares + per-tenant SLOs (default: one
-                         tenant carrying --deadline-ms)
-    --autoscale MIN:MAX  seeded queue-depth/p99 autoscaler bounds (default off)
-    --scale-high N       queue depth that votes to scale up (default 8)
-    --scale-low N        queue depth that votes to scale down (default 1)
-    --scale-interval-ms I  autoscaler control cadence (default 5)
-    --scale-p99-ms P     p99 estimate above P also votes to scale up
-    --arrivals A         poisson | mmpp — bursty state-switching (default poisson)
-    --burst F            mmpp: heavy phase is F times the mean rate (default 4)
-    --dwell-ms D         mmpp: mean phase dwell (default 5)
-    --reset-replica R:MS kill replica R with a device reset at MS — the
-                         fleet retries its batches elsewhere
-
-SERVE-DYNAMIC OPTIONS (plus the serve-sim options and --replicas):
-    --updates N          update-stream length (default 4000)
-    --update-gap-ms G    mean gap between updates, simulated ms (default 0.004)
-    --delete-frac F      fraction of updates deleting a live edge (default 0.15)
-    --node-frac F        fraction of updates that are node arrivals (default 0.25)
-    --attach-degree K    edges each arrival wires into its community (default 6)
-    --renumber on|off    locality-triggered re-renumbering (default on)
-    --hit-watermark W    rebuild when windowed hit-rate < W x baseline (default 0.98)
-    --policy-window B    sliding hit-rate window, batches (default 8)
-    --cooldown B         minimum batches between rebuilds (default 16)
-    --rebuild-cost-us C  simulated rebuild stall, us per live edge (default 0.0005)
-    --compact-every N    fold the delta overlay after N applied updates
-                         (default 64; 0 = only at rebuilds)
-
-TRAIN-MINIBATCH OPTIONS:
-    --epochs N           training epochs (default 3)
-    --batch-size B       seed nodes per mini-batch (default 8)
-    --fanout F1,F2,...   per-hop neighbor fan-outs (default 10,5)
-    --hidden H           hidden layer dimension (default 16)
-    --lr R               SGD learning rate (default 0.1)
-    --strategy S         neighbor | layer — per-node fan-out sampling or a
-                         shared per-hop node budget (default neighbor)
-    --budget N           layer strategy's shared node budget (default 256)
-    --seed X             sampling and weight-init seed (default 7)
-";
+/// `text` in lines of at most 80 columns, each indented by `indent`.
+fn wrap(text: &str, indent: usize) -> String {
+    let mut out = String::new();
+    let mut line = String::new();
+    for word in text.split_whitespace() {
+        if !line.is_empty() && indent + line.len() + word.len() >= 80 {
+            out.push_str(&format!("{:indent$}{line}\n", ""));
+            line.clear();
+        }
+        if !line.is_empty() {
+            line.push(' ');
+        }
+        line.push_str(word);
+    }
+    out + &format!("{:indent$}{line}\n", "")
+}
 
 /// Dispatches a full argument vector (without the program name).
 pub fn dispatch(args: &[String]) -> CliResult {
-    let (cmd, rest) = args.split_first().ok_or_else(|| USAGE.to_string())?;
-    let opts = CliOptions::parse(rest)?;
-    match cmd.as_str() {
-        "analyze" => analyze(&opts),
-        "run" => run(&opts),
-        "profile" => profile(&opts),
-        "compare" => compare(&opts),
-        "tune" => tune(&opts),
-        "serve-sim" => serve_sim(&opts),
-        "serve-cluster" => serve_cluster(&opts),
-        "serve-dynamic" => serve_dynamic(&opts),
-        "train-minibatch" => train_minibatch(&opts),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(format!("unknown command {other}\n\n{USAGE}")),
+    let (cmd, rest) = args.split_first().ok_or_else(usage)?;
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        return Ok(usage());
     }
+    (command(cmd)?.run)(&CliOptions::parse(cmd, rest)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -1740,38 +1378,41 @@ mod tests {
 
     #[test]
     fn parse_options() {
-        let o = CliOptions::parse(&args("--dataset Cora --scale 0.02 --model gin --gpu v100"))
-            .expect("parses");
+        let o = CliOptions::parse(
+            "run",
+            &args("--dataset Cora --scale 0.02 --model gin --gpu v100"),
+        )
+        .expect("parses");
         assert_eq!(o.dataset.as_deref(), Some("Cora"));
         assert_eq!(o.scale, 0.02);
         assert_eq!(o.model, "gin");
         assert_eq!(o.gpu, "v100");
-        assert!(CliOptions::parse(&args("--bogus 1")).is_err());
-        assert!(CliOptions::parse(&args("--scale")).is_err());
+        assert!(CliOptions::parse("run", &args("--bogus 1")).is_err());
+        assert!(CliOptions::parse("run", &args("--scale")).is_err());
     }
 
     #[test]
     fn out_of_range_scale_rejected_at_parse() {
         for bad in ["2", "-1", "0", "NaN", "inf", "1.0001"] {
-            let err = CliOptions::parse(&args(&format!("--scale {bad}")))
+            let err = CliOptions::parse("run", &args(&format!("--scale {bad}")))
                 .expect_err(bad)
                 .to_string();
             assert!(err.contains("(0, 1]"), "{bad}: {err}");
         }
         // Boundary values stay accepted.
-        assert!(CliOptions::parse(&args("--scale 1")).is_ok());
-        assert!(CliOptions::parse(&args("--scale 0.001")).is_ok());
+        assert!(CliOptions::parse("run", &args("--scale 1")).is_ok());
+        assert!(CliOptions::parse("run", &args("--scale 0.001")).is_ok());
     }
 
     #[test]
     fn zero_dims_rejected_at_parse() {
-        assert!(CliOptions::parse(&args("--feat-dim 0"))
+        assert!(CliOptions::parse("run", &args("--feat-dim 0"))
             .expect_err("zero feat dim")
             .contains("--feat-dim"));
-        assert!(CliOptions::parse(&args("--classes 0"))
+        assert!(CliOptions::parse("run", &args("--classes 0"))
             .expect_err("zero classes")
             .contains("--classes"));
-        assert!(CliOptions::parse(&args("--feat-dim 1 --classes 1")).is_ok());
+        assert!(CliOptions::parse("run", &args("--feat-dim 1 --classes 1")).is_ok());
     }
 
     #[test]
@@ -1894,18 +1535,22 @@ mod tests {
 
     #[test]
     fn tune_options_validated_at_parse() {
-        assert!(CliOptions::parse(&args("--tier warp"))
+        assert!(CliOptions::parse("tune", &args("--tier warp"))
             .expect_err("bad tier")
             .contains("--tier"));
-        assert!(CliOptions::parse(&args("--top-k 0"))
+        assert!(CliOptions::parse("tune", &args("--top-k 0"))
             .expect_err("zero finalists")
             .contains("--top-k"));
         for bad in ["0", "-3", "nan"] {
-            assert!(CliOptions::parse(&args(&format!("--speed-check {bad}")))
-                .expect_err(bad)
-                .contains("--speed-check"));
+            assert!(
+                CliOptions::parse("tune", &args(&format!("--speed-check {bad}")))
+                    .expect_err(bad)
+                    .contains("--speed-check")
+            );
         }
-        assert!(CliOptions::parse(&args("--tier analytic --top-k 2 --speed-check 20")).is_ok());
+        assert!(
+            CliOptions::parse("tune", &args("--tier analytic --top-k 2 --speed-check 20")).is_ok()
+        );
     }
 
     #[test]
@@ -1948,37 +1593,41 @@ mod tests {
 
     #[test]
     fn serve_sim_options_validated_at_parse() {
-        assert!(CliOptions::parse(&args("--rate 0"))
+        assert!(CliOptions::parse("serve-sim", &args("--rate 0"))
             .expect_err("zero rate")
             .contains("--rate"));
-        assert!(CliOptions::parse(&args("--rate nan"))
+        assert!(CliOptions::parse("serve-sim", &args("--rate nan"))
             .expect_err("nan rate")
             .contains("--rate"));
-        assert!(CliOptions::parse(&args("--batch-size 0"))
+        assert!(CliOptions::parse("serve-sim", &args("--batch-size 0"))
             .expect_err("zero batch")
             .contains("--batch-size"));
-        assert!(CliOptions::parse(&args("--queue-cap 0"))
+        assert!(CliOptions::parse("serve-sim", &args("--queue-cap 0"))
             .expect_err("zero cap")
             .contains("--queue-cap"));
-        assert!(CliOptions::parse(&args("--streams 0"))
+        assert!(CliOptions::parse("serve-sim", &args("--streams 0"))
             .expect_err("zero streams")
             .contains("--streams"));
-        assert!(CliOptions::parse(&args("--max-delay-ms -1"))
+        assert!(CliOptions::parse("serve-sim", &args("--max-delay-ms -1"))
             .expect_err("negative delay")
             .contains("--max-delay-ms"));
-        assert!(CliOptions::parse(&args("--max-delay-ms 0")).is_ok());
+        assert!(CliOptions::parse("serve-sim", &args("--max-delay-ms 0")).is_ok());
         for bad in ["-0.1", "1.5", "nan"] {
-            assert!(CliOptions::parse(&args(&format!("--fault-rate {bad}")))
-                .expect_err(bad)
-                .contains("--fault-rate"));
+            assert!(
+                CliOptions::parse("serve-sim", &args(&format!("--fault-rate {bad}")))
+                    .expect_err(bad)
+                    .contains("--fault-rate")
+            );
         }
-        assert!(CliOptions::parse(&args("--fault-rate 0.3 --retries 0")).is_ok());
+        assert!(CliOptions::parse("serve-sim", &args("--fault-rate 0.3 --retries 0")).is_ok());
         for bad in ["0", "-2", "inf"] {
-            assert!(CliOptions::parse(&args(&format!("--deadline-ms {bad}")))
-                .expect_err(bad)
-                .contains("--deadline-ms"));
+            assert!(
+                CliOptions::parse("serve-sim", &args(&format!("--deadline-ms {bad}")))
+                    .expect_err(bad)
+                    .contains("--deadline-ms")
+            );
         }
-        assert!(CliOptions::parse(&args("--deadline-ms 5")).is_ok());
+        assert!(CliOptions::parse("serve-sim", &args("--deadline-ms 5")).is_ok());
     }
 
     #[test]
@@ -2059,50 +1708,66 @@ mod tests {
 
     #[test]
     fn serve_cluster_options_validated_at_parse() {
-        assert!(CliOptions::parse(&args("--replicas 0"))
+        assert!(CliOptions::parse("serve-cluster", &args("--replicas 0"))
             .expect_err("zero replicas")
             .contains("--replicas"));
-        assert!(CliOptions::parse(&args("--router random"))
+        assert!(CliOptions::parse("serve-cluster", &args("--router random"))
             .expect_err("bad router")
             .contains("--router"));
         for bad in ["solo", "a:0", "a:1:nan", "a:1:-3", ":2"] {
-            assert!(CliOptions::parse(&args(&format!("--tenants {bad}")))
-                .expect_err(bad)
-                .contains("--tenants"));
+            assert!(
+                CliOptions::parse("serve-cluster", &args(&format!("--tenants {bad}")))
+                    .expect_err(bad)
+                    .contains("--tenants")
+            );
         }
-        assert!(CliOptions::parse(&args("--tenants batch:3,online:1:40")).is_ok());
+        assert!(CliOptions::parse("serve-cluster", &args("--tenants batch:3,online:1:40")).is_ok());
         for bad in ["3", "0:2", "4:2", "a:b"] {
-            assert!(CliOptions::parse(&args(&format!("--autoscale {bad}")))
-                .expect_err(bad)
-                .contains("--autoscale"));
+            assert!(
+                CliOptions::parse("serve-cluster", &args(&format!("--autoscale {bad}")))
+                    .expect_err(bad)
+                    .contains("--autoscale")
+            );
         }
-        assert!(CliOptions::parse(&args("--autoscale 1:4")).is_ok());
-        assert!(CliOptions::parse(&args("--scale-low 8 --scale-high 8"))
-            .expect_err("inverted watermarks")
-            .contains("--scale-low"));
-        assert!(CliOptions::parse(&args("--scale-interval-ms 0"))
-            .expect_err("zero cadence")
-            .contains("--scale-interval-ms"));
-        assert!(CliOptions::parse(&args("--scale-p99-ms -1"))
-            .expect_err("negative p99")
-            .contains("--scale-p99-ms"));
-        assert!(CliOptions::parse(&args("--arrivals uniform"))
-            .expect_err("bad arrivals")
-            .contains("--arrivals"));
+        assert!(CliOptions::parse("serve-cluster", &args("--autoscale 1:4")).is_ok());
+        assert!(
+            CliOptions::parse("serve-cluster", &args("--scale-low 8 --scale-high 8"))
+                .expect_err("inverted watermarks")
+                .contains("--scale-low")
+        );
+        assert!(
+            CliOptions::parse("serve-cluster", &args("--scale-interval-ms 0"))
+                .expect_err("zero cadence")
+                .contains("--scale-interval-ms")
+        );
+        assert!(
+            CliOptions::parse("serve-cluster", &args("--scale-p99-ms -1"))
+                .expect_err("negative p99")
+                .contains("--scale-p99-ms")
+        );
+        assert!(
+            CliOptions::parse("serve-cluster", &args("--arrivals uniform"))
+                .expect_err("bad arrivals")
+                .contains("--arrivals")
+        );
         for bad in ["1", "0.5", "nan"] {
-            assert!(CliOptions::parse(&args(&format!("--burst {bad}")))
-                .expect_err(bad)
-                .contains("--burst"));
+            assert!(
+                CliOptions::parse("serve-cluster", &args(&format!("--burst {bad}")))
+                    .expect_err(bad)
+                    .contains("--burst")
+            );
         }
-        assert!(CliOptions::parse(&args("--dwell-ms 0"))
+        assert!(CliOptions::parse("serve-cluster", &args("--dwell-ms 0"))
             .expect_err("zero dwell")
             .contains("--dwell-ms"));
         for bad in ["1", "1:0", "x:2", "1:nan"] {
-            assert!(CliOptions::parse(&args(&format!("--reset-replica {bad}")))
-                .expect_err(bad)
-                .contains("--reset-replica"));
+            assert!(
+                CliOptions::parse("serve-cluster", &args(&format!("--reset-replica {bad}")))
+                    .expect_err(bad)
+                    .contains("--reset-replica")
+            );
         }
-        assert!(CliOptions::parse(&args("--reset-replica 0:0.5")).is_ok());
+        assert!(CliOptions::parse("serve-cluster", &args("--reset-replica 0:0.5")).is_ok());
     }
 
     #[test]
@@ -2138,41 +1803,58 @@ mod tests {
 
     #[test]
     fn serve_dynamic_options_validated_at_parse() {
-        assert!(CliOptions::parse(&args("--update-gap-ms 0"))
-            .expect_err("zero gap")
-            .contains("--update-gap-ms"));
+        assert!(
+            CliOptions::parse("serve-dynamic", &args("--update-gap-ms 0"))
+                .expect_err("zero gap")
+                .contains("--update-gap-ms")
+        );
         for bad in ["-0.1", "1.5", "nan"] {
-            assert!(CliOptions::parse(&args(&format!("--delete-frac {bad}")))
-                .expect_err(bad)
-                .contains("--delete-frac"));
-            assert!(CliOptions::parse(&args(&format!("--node-frac {bad}")))
-                .expect_err(bad)
-                .contains("--node-frac"));
+            assert!(
+                CliOptions::parse("serve-dynamic", &args(&format!("--delete-frac {bad}")))
+                    .expect_err(bad)
+                    .contains("--delete-frac")
+            );
+            assert!(
+                CliOptions::parse("serve-dynamic", &args(&format!("--node-frac {bad}")))
+                    .expect_err(bad)
+                    .contains("--node-frac")
+            );
         }
         assert!(
-            CliOptions::parse(&args("--delete-frac 0.6 --node-frac 0.6"))
+            CliOptions::parse("serve-dynamic", &args("--delete-frac 0.6 --node-frac 0.6"))
                 .expect_err("fractions over 1")
                 .contains("must not exceed 1")
         );
-        assert!(CliOptions::parse(&args("--renumber maybe"))
-            .expect_err("bad mode")
-            .contains("--renumber"));
+        assert!(
+            CliOptions::parse("serve-dynamic", &args("--renumber maybe"))
+                .expect_err("bad mode")
+                .contains("--renumber")
+        );
         for bad in ["0", "1.5", "nan"] {
-            assert!(CliOptions::parse(&args(&format!("--hit-watermark {bad}")))
-                .expect_err(bad)
-                .contains("--hit-watermark"));
+            assert!(
+                CliOptions::parse("serve-dynamic", &args(&format!("--hit-watermark {bad}")))
+                    .expect_err(bad)
+                    .contains("--hit-watermark")
+            );
         }
-        assert!(CliOptions::parse(&args("--policy-window 0"))
-            .expect_err("zero window")
-            .contains("--policy-window"));
-        assert!(CliOptions::parse(&args("--rebuild-cost-us -1"))
-            .expect_err("negative cost")
-            .contains("--rebuild-cost-us"));
-        assert!(CliOptions::parse(&args(
-            "--updates 100 --update-gap-ms 0.01 --delete-frac 0.2 --node-frac 0.3 \
+        assert!(
+            CliOptions::parse("serve-dynamic", &args("--policy-window 0"))
+                .expect_err("zero window")
+                .contains("--policy-window")
+        );
+        assert!(
+            CliOptions::parse("serve-dynamic", &args("--rebuild-cost-us -1"))
+                .expect_err("negative cost")
+                .contains("--rebuild-cost-us")
+        );
+        assert!(CliOptions::parse(
+            "serve-dynamic",
+            &args(
+                "--updates 100 --update-gap-ms 0.01 --delete-frac 0.2 --node-frac 0.3 \
              --attach-degree 4 --renumber off --hit-watermark 0.9 --policy-window 4 \
              --cooldown 8 --rebuild-cost-us 0.001 --compact-every 0"
-        ))
+            )
+        )
         .is_ok());
     }
 
@@ -2206,31 +1888,38 @@ mod tests {
 
     #[test]
     fn train_minibatch_options_validated_at_parse() {
-        assert!(CliOptions::parse(&args("--epochs 0"))
+        assert!(CliOptions::parse("train-minibatch", &args("--epochs 0"))
             .expect_err("zero epochs")
             .contains("--epochs"));
         for bad in ["", "0", "3,0", "a", "2,,3"] {
-            assert!(CliOptions::parse(&args(&format!("--fanout {bad}")))
-                .expect_err(bad)
-                .contains("--fanout"));
+            assert!(
+                CliOptions::parse("train-minibatch", &args(&format!("--fanout {bad}")))
+                    .expect_err(bad)
+                    .contains("--fanout")
+            );
         }
-        assert!(CliOptions::parse(&args("--hidden 0"))
+        assert!(CliOptions::parse("train-minibatch", &args("--hidden 0"))
             .expect_err("zero hidden")
             .contains("--hidden"));
         for bad in ["-0.1", "nan", "inf"] {
-            assert!(CliOptions::parse(&args(&format!("--lr {bad}")))
-                .expect_err(bad)
-                .contains("--lr"));
+            assert!(
+                CliOptions::parse("train-minibatch", &args(&format!("--lr {bad}")))
+                    .expect_err(bad)
+                    .contains("--lr")
+            );
         }
-        assert!(CliOptions::parse(&args("--strategy random"))
-            .expect_err("bad strategy")
-            .contains("--strategy"));
-        assert!(CliOptions::parse(&args("--budget 0"))
+        assert!(
+            CliOptions::parse("train-minibatch", &args("--strategy random"))
+                .expect_err("bad strategy")
+                .contains("--strategy")
+        );
+        assert!(CliOptions::parse("train-minibatch", &args("--budget 0"))
             .expect_err("zero budget")
             .contains("--budget"));
-        assert!(CliOptions::parse(&args(
-            "--epochs 5 --fanout 10,5,2 --hidden 32 --lr 0.05 --strategy layer --budget 128"
-        ))
+        assert!(CliOptions::parse(
+            "train-minibatch",
+            &args("--epochs 5 --fanout 10,5,2 --hidden 32 --lr 0.05 --strategy layer --budget 128")
+        )
         .is_ok());
     }
 
@@ -2248,4 +1937,225 @@ mod tests {
         assert!(out.contains("simulated ms"));
         std::fs::remove_file(path).ok();
     }
+
+    /// `line` with `MAX` standing for `usize::MAX` must fail at parse,
+    /// naming `flag`.
+    fn rejected(line: &str, flag: &str) {
+        let line = line.replace("MAX", &usize::MAX.to_string());
+        let err = dispatch(&args(&line)).expect_err(&line);
+        assert!(err.contains(flag), "{line}: {err}");
+    }
+
+    #[test]
+    fn retries_that_overflow_the_attempt_count_are_rejected() {
+        rejected(
+            "serve-sim --requests 8 --scale 0.02 --retries MAX",
+            "--retries",
+        );
+    }
+
+    #[test]
+    fn huge_stream_counts_are_rejected() {
+        rejected(
+            "serve-sim --requests 8 --scale 0.02 --streams MAX",
+            "--streams",
+        );
+    }
+
+    #[test]
+    fn huge_queue_capacities_are_rejected() {
+        rejected(
+            "serve-sim --requests 8 --scale 0.02 --queue-cap MAX",
+            "--queue-cap",
+        );
+    }
+
+    #[test]
+    fn huge_request_counts_are_rejected() {
+        rejected("serve-sim --requests MAX", "--requests");
+    }
+
+    #[test]
+    fn huge_replica_counts_are_rejected() {
+        rejected(
+            "serve-dynamic --requests 8 --scale 0.02 --updates 10 --replicas MAX",
+            "--replicas",
+        );
+    }
+
+    #[test]
+    fn huge_autoscale_bounds_are_rejected() {
+        rejected(
+            "serve-cluster --requests 8 --scale 0.02 --autoscale 1:MAX",
+            "--autoscale",
+        );
+    }
+
+    #[test]
+    fn huge_update_counts_and_dims_are_rejected() {
+        rejected("serve-dynamic --requests 8 --updates MAX", "--updates");
+        rejected("run --edge-list g.el --feat-dim MAX", "--feat-dim");
+        rejected("serve-sim --requests 8 --classes MAX", "--classes");
+        rejected("train-minibatch --epochs 1 --hidden MAX", "--hidden");
+    }
+
+    #[test]
+    fn dataset_and_edge_list_together_are_rejected() {
+        let err = dispatch(&args("run --dataset Cora --edge-list g.el")).expect_err("both");
+        assert!(
+            err.contains("--dataset") && err.contains("--edge-list"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn foreign_flags_are_rejected_naming_the_command_and_the_flag() {
+        let err = dispatch(&args("run --dataset Cora --scale 0.05 --replicas 3")).unwrap_err();
+        assert!(err.contains("run") && err.contains("--replicas"), "{err}");
+        for c in COMMANDS {
+            for f in FLAGS.iter().filter(|f| f.cmds & c.bit == 0) {
+                let err =
+                    CliOptions::parse(c.name, &args(&format!("{} 1", f.name))).expect_err(f.name);
+                assert!(err.contains(c.name) && err.contains(f.name), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_flag_of_a_command_is_accepted_at_its_default() {
+        let defaults = CliOptions::default();
+        for c in COMMANDS {
+            for f in FLAGS.iter().filter(|f| f.cmds & c.bit != 0) {
+                // Unset options (`None`) have no value to pass.
+                if let Some(value) = (f.show)(&defaults) {
+                    CliOptions::parse(c.name, &[f.name.to_string(), value])
+                        .unwrap_or_else(|e| panic!("{}: {e}", c.name));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn help_lists_every_command_and_every_flag_with_its_default() {
+        let help = dispatch(&args("help")).expect("help");
+        assert_eq!(FLAGS.len(), 50);
+        for c in COMMANDS {
+            assert!(
+                help.contains(&format!("\n    {:<16} ", c.name)),
+                "{}",
+                c.name
+            );
+        }
+        let defaults = CliOptions::default();
+        for f in FLAGS {
+            let entry = format!("\n    {} {}\n", f.name, f.meta);
+            let at = help.find(&entry).unwrap_or_else(|| panic!("{entry}"));
+            let default = (f.show)(&defaults).unwrap_or_else(|| "none".into());
+            let text = &help[at + entry.len()..];
+            let text = &text[..text.find("\n    --").unwrap_or(text.len())];
+            assert!(
+                text.split_whitespace()
+                    .collect::<Vec<_>>()
+                    .join(" ")
+                    .ends_with(&format!("(default {default})")),
+                "{entry}{text}"
+            );
+        }
+    }
+
+    /// Argument values that overflow, wrap, or are not numbers at all,
+    /// then a few that some flags accept.
+    const VALUES: [&str; 18] = [
+        "",
+        "-1",
+        "-0",
+        "nan",
+        "inf",
+        "1e308",
+        "18446744073709551615",
+        "a:b",
+        ",",
+        "3,0",
+        "0",
+        "1",
+        "0.5",
+        "2",
+        "1:2",
+        "a:1:40",
+        "on",
+        "mmpp",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Any argv of `--flag value` pairs parses to `Ok` or `Err`, never a
+        /// panic, under every command. Most pairs use the command's own
+        /// flags, so values reach the range checks; the rest use any flag
+        /// or junk, and the argv may end on a flag without its value.
+        #[test]
+        fn parsing_never_panics(
+            cmd in 0..COMMANDS.len(),
+            pairs in proptest::collection::vec((0..4usize, 0..FLAGS.len(), 0..VALUES.len()), 0..8),
+            dangling in (0..8usize, 0..FLAGS.len()),
+        ) {
+            let c = &COMMANDS[cmd];
+            let own: Vec<&str> = FLAGS.iter().filter(|f| f.cmds & c.bit != 0).map(|f| f.name).collect();
+            let name = |kind: usize, i: usize| match kind {
+                0 => FLAGS[i].name,
+                1 => "--bogus",
+                _ => own[i % own.len()],
+            };
+            let mut argv: Vec<String> = Vec::new();
+            for &(kind, flag, value) in &pairs {
+                argv.push(name(kind, flag).to_string());
+                argv.push(VALUES[value].to_string());
+            }
+            if dangling.0 < 4 {
+                argv.push(name(dangling.0, dangling.1).to_string());
+            }
+            let _ = CliOptions::parse(c.name, &argv);
+        }
+
+        /// Any text, as lines of id-like tokens or as raw bytes, loads as an
+        /// edge list or fails with an error, never a panic.
+        #[test]
+        fn edge_list_reading_never_panics(
+            lines in proptest::collection::vec(
+                proptest::collection::vec(0..EDGE_TOKENS.len(), 0..5),
+                0..10,
+            ),
+            sep in 0..3usize,
+            bytes in proptest::collection::vec(0u8..=255, 0..48),
+        ) {
+            let sep = [" ", ",", "\t"][sep];
+            let text: Vec<String> = lines
+                .iter()
+                .map(|l| l.iter().map(|&t| EDGE_TOKENS[t]).collect::<Vec<_>>().join(sep))
+                .collect();
+            for input in [text.join("\n").into_bytes(), bytes] {
+                for symmetrize in [false, true] {
+                    let opts = LoadOptions { symmetrize, drop_self_loops: !symmetrize };
+                    let _ = gnnadvisor_graph::io::read_edge_list(input.as_slice(), &opts);
+                }
+            }
+        }
+    }
+
+    const EDGE_TOKENS: [&str; 14] = [
+        "0",
+        "1",
+        "7",
+        "-1",
+        "18446744073709551615",
+        "18446744073709551616",
+        "4294967296",
+        "a",
+        "#",
+        "%",
+        "1e3",
+        "",
+        "0x1",
+        "3,0",
+    ];
 }
