@@ -16,10 +16,8 @@ use gnnadvisor_core::serving::{
 use gnnadvisor_gpu::{Engine, FaultConfig, FaultPlan};
 use gnnadvisor_graph::generators::{batched_graph, BatchedParams};
 use gnnadvisor_models::GcnBatchExecutor;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-use crate::report::Table;
 use crate::runner::ExperimentConfig;
 
 /// Injected fault rate of the scenario — high enough that several batches
@@ -27,7 +25,7 @@ use crate::runner::ExperimentConfig;
 pub const FAULT_RATE: f64 = 0.2;
 
 /// One retry policy's outcome under the shared fault plan.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Retries per faulted batch (attempts − 1).
     pub retries: usize,
@@ -42,7 +40,7 @@ pub struct Row {
 }
 
 /// Full scenario result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChaosResult {
     /// Requests in the trace.
     pub requests: usize,
@@ -122,29 +120,6 @@ pub fn run(cfg: &ExperimentConfig) -> ChaosResult {
             .collect(),
         goodput_recovery: with_retry / no_retry.max(1e-12),
     }
-}
-
-/// Prints the scenario in paper-table style.
-pub fn print(result: &ChaosResult) {
-    println!(
-        "chaos: {} requests at fault rate {}, retry vs no-retry",
-        result.requests, result.fault_rate
-    );
-    let mut t = Table::new(&["retries", "completed", "failed", "resubmits", "goodput"]);
-    for row in &result.rows {
-        t.row(&[
-            row.retries.to_string(),
-            row.completed.to_string(),
-            row.failed.to_string(),
-            row.batch_retries.to_string(),
-            format!("{:.1}", row.goodput_rps),
-        ]);
-    }
-    println!("{}", t.render());
-    println!(
-        "retries with backoff recover {:.2}x the no-retry goodput",
-        result.goodput_recovery
-    );
 }
 
 #[cfg(test)]

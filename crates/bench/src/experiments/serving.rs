@@ -15,13 +15,11 @@ use gnnadvisor_core::serving::{
 use gnnadvisor_gpu::Engine;
 use gnnadvisor_graph::generators::{batched_graph, BatchedParams};
 use gnnadvisor_models::GcnBatchExecutor;
-use serde::{Deserialize, Serialize};
 
-use crate::report::Table;
 use crate::runner::ExperimentConfig;
 
 /// One serving configuration's outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Stream count of this run.
     pub streams: usize,
@@ -36,7 +34,7 @@ pub struct Row {
 }
 
 /// Full scenario result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServingResult {
     /// Requests in the trace.
     pub requests: usize,
@@ -118,29 +116,6 @@ pub fn run(cfg: &ExperimentConfig) -> ServingResult {
             .collect(),
         overlap_speedup: serialized / best_overlapped.max(1e-12),
     }
-}
-
-/// Prints the scenario in paper-table style.
-pub fn print(result: &ServingResult) {
-    println!(
-        "serving: {} requests ({} shed), dynamic batching on simulated streams",
-        result.requests, result.shed
-    );
-    let mut t = Table::new(&["streams", "p50 ms", "p99 ms", "req/s", "makespan ms"]);
-    for row in &result.rows {
-        t.row(&[
-            row.streams.to_string(),
-            format!("{:.3}", row.p50_ms),
-            format!("{:.3}", row.p99_ms),
-            format!("{:.1}", row.throughput_rps),
-            format!("{:.3}", row.makespan_ms),
-        ]);
-    }
-    println!("{}", t.render());
-    println!(
-        "overlapped streams finish the trace {:.2}x faster than the serialized stream",
-        result.overlap_speedup
-    );
 }
 
 #[cfg(test)]

@@ -140,6 +140,7 @@ fn coresident_kernels_beat_whole_kernel_serialization() {
         );
     }
 
+    let spec = spec();
     let mut h = Fnv::new();
     h.f64(coarse_serialized_ms);
     h.f64(report.makespan_ms);
@@ -148,8 +149,8 @@ fn coresident_kernels_beat_whole_kernel_serialization() {
     h.u64(report.peak_resident_warps);
     for k in &kernels {
         h.u64(k.stream.index() as u64);
-        h.f64(spec().cycles_to_ms(k.start_cycles));
-        h.f64(spec().cycles_to_ms(k.end_cycles));
+        h.f64(spec.cycles_to_ms(k.start_cycles));
+        h.f64(spec.cycles_to_ms(k.end_cycles));
         h.f64(k.occupancy);
     }
     h.check("co-residency", 0x39446ea40fb08d71);

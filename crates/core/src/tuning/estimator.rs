@@ -36,14 +36,6 @@ pub struct EstimatorConfig {
     pub mutation_rate: f64,
     /// RNG seed (the search is fully deterministic given the seed).
     pub seed: u64,
-    /// Memoize candidate fitness: survivors re-enter every generation and
-    /// crossover re-draws lattice points, so duplicate candidates are
-    /// common — with memoization each distinct candidate is evaluated at
-    /// most once. Scores are pure functions of the candidate (both the
-    /// analytical model and the deterministic simulator), so this never
-    /// changes the search result; disable it only to time the
-    /// un-memoized baseline.
-    pub memoize: bool,
 }
 
 impl Default for EstimatorConfig {
@@ -54,7 +46,6 @@ impl Default for EstimatorConfig {
             survivors: 8,
             mutation_rate: 0.15,
             seed: 0xAD71,
-            memoize: true,
         }
     }
 }
@@ -110,8 +101,7 @@ impl Estimator {
     /// [`gnnadvisor_gpu::RunContext`] — one set of cache arrays, hotspot
     /// maps, and warp accumulators — instead of allocating per candidate.
     /// Duplicate candidates drawn across generations are answered from the
-    /// memo cache (see [`EstimatorConfig::memoize`]) and never
-    /// re-simulated.
+    /// search's memo cache and never re-simulated.
     pub fn tune_profiled(
         &self,
         mut latency: impl FnMut(&RuntimeParams, &Engine) -> f64,
@@ -173,10 +163,14 @@ impl Estimator {
         (outcome.best, outcome.stats)
     }
 
-    /// The search loop proper. Candidate scores are memoized (when
-    /// [`EstimatorConfig::memoize`] is set) in a map keyed on the
-    /// candidate itself; infeasible candidates never reach the fitness
-    /// function or the cache.
+    /// The search loop proper. Survivors re-enter every generation and
+    /// crossover re-draws lattice points, so duplicate candidates are
+    /// common: each distinct candidate is scored at most once and its
+    /// score memoized in a map keyed on the candidate itself. Scores are
+    /// pure functions of the candidate (both the analytical model and the
+    /// deterministic simulator), so the cache never changes the result.
+    /// Infeasible candidates never reach the fitness function or the
+    /// cache.
     pub(crate) fn search(&self, mut latency: impl FnMut(&RuntimeParams) -> f64) -> SearchOutcome {
         let mut rng = SmallRng::seed_from_u64(self.config.seed);
         let mut population: Vec<RuntimeParams> = (0..self.config.population)
@@ -198,16 +192,9 @@ impl Estimator {
                         && model::respects_shared_capacity(&p, &self.input, &self.spec);
                     let s = if !feasible {
                         f64::INFINITY
-                    } else if self.config.memoize {
-                        if let Some(&cached) = evals.get(&p) {
-                            stats.memo_hits += 1;
-                            cached
-                        } else {
-                            let s = latency(&p);
-                            stats.unique_evals += 1;
-                            evals.insert(p, s);
-                            s
-                        }
+                    } else if let Some(&cached) = evals.get(&p) {
+                        stats.memo_hits += 1;
+                        cached
                     } else {
                         let s = latency(&p);
                         stats.unique_evals += 1;
@@ -379,7 +366,6 @@ mod tests {
             survivors: 2,
             mutation_rate: 0.0,
             seed: 3,
-            ..Default::default()
         };
         let spec = GpuSpec::quadro_p6000();
         let inp = input();
@@ -434,13 +420,17 @@ mod tests {
     fn memoization_never_reevaluates_and_preserves_the_result() {
         let spec = GpuSpec::quadro_p6000();
         let inp = input();
-        let mut seen = std::collections::HashSet::new();
+        let mut scores = std::collections::HashMap::new();
         let mut calls = 0usize;
         let est = Estimator::new(inp.clone(), spec.clone(), EstimatorConfig::default());
         let (memoized, stats) = est.tune_with_stats(|p| {
             calls += 1;
-            assert!(seen.insert(*p), "candidate {p:?} was re-evaluated");
-            model::estimated_latency(p, &inp, &spec)
+            let s = model::estimated_latency(p, &inp, &spec);
+            assert!(
+                scores.insert(*p, s).is_none(),
+                "candidate {p:?} was re-evaluated"
+            );
+            s
         });
         assert_eq!(calls, stats.unique_evals);
         assert!(
@@ -449,24 +439,13 @@ mod tests {
              must produce duplicate draws for the cache to absorb"
         );
 
-        // Turning memoization off re-runs duplicates but picks the same
-        // winner (the fitness is pure).
-        let mut raw_calls = 0usize;
-        let cfg = EstimatorConfig {
-            memoize: false,
-            ..Default::default()
-        };
-        let est_raw = Estimator::new(inp.clone(), spec.clone(), cfg);
-        let (unmemoized, raw_stats) = est_raw.tune_with_stats(|p| {
-            raw_calls += 1;
-            model::estimated_latency(p, &inp, &spec)
-        });
-        assert_eq!(unmemoized, memoized);
-        assert_eq!(raw_stats.memo_hits, 0);
+        // Answering duplicates from the cache keeps the result: the winner
+        // scores the minimum over every candidate the fitness scored.
+        let best = scores.values().copied().fold(f64::INFINITY, f64::min);
         assert_eq!(
-            raw_calls,
-            stats.unique_evals + stats.memo_hits,
-            "the memo cache must absorb exactly the duplicate evaluations"
+            scores.get(&memoized),
+            Some(&best),
+            "the winner must carry the lowest score the search saw"
         );
     }
 

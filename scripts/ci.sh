@@ -184,6 +184,21 @@ if [[ $status -ne 1 ]] || ! grep -q -- "run" "$out_dir/foreign.err" \
   exit 1
 fi
 
+echo "==> edge-list smoke: an edge list with no edges fails naming the file"
+empty_edges="$out_dir/empty.el"
+: > "$empty_edges"
+if gnnadvisor run --edge-list "$empty_edges" \
+  > "$out_dir/empty.out" 2> "$out_dir/empty.err"; then
+  status=0
+else
+  status=$?
+fi
+if [[ $status -ne 1 ]] || ! grep -qF -- "$empty_edges" "$out_dir/empty.err"; then
+  echo "FAIL: run --edge-list <empty file> must exit 1 naming the file (status $status)" >&2
+  cat "$out_dir/empty.err" >&2
+  exit 1
+fi
+
 echo "==> help smoke: the generated help lists every command"
 gnnadvisor help > "$out_dir/help"
 for command in analyze run profile compare tune serve-sim serve-cluster serve-dynamic \

@@ -412,6 +412,11 @@ impl CliOptions {
     fn load(&self) -> Result<Dataset, String> {
         if let Some(path) = &self.edge_list {
             let graph = load_edge_list(path, &LoadOptions::default()).map_err(|e| e.to_string())?;
+            if graph.num_edges() == 0 {
+                return Err(format!(
+                    "edge list {path} has no edges (self-loops are dropped)"
+                ));
+            }
             let spec = gnnadvisor_datasets::DatasetSpec {
                 name: "edge-list",
                 num_nodes: graph.num_nodes(),
@@ -1936,6 +1941,29 @@ mod tests {
         .expect("runs");
         assert!(out.contains("simulated ms"));
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn edge_lists_without_edges_are_rejected_naming_the_file() {
+        let dir = std::env::temp_dir().join("gnnadvisor_cli_test");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        for (name, body) in [
+            ("empty.el", ""),
+            ("comments.el", "# nodes 3 edges 0\n% nothing here\n"),
+            ("self_loops.el", "0 0\n1 1\n2 2\n"),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, body).expect("write");
+            for cmd in ["run", "analyze"] {
+                let line = format!("{cmd} --edge-list {}", path.display());
+                let err = dispatch(&args(&line)).expect_err(&line);
+                assert!(
+                    err.contains(&path.display().to_string()) && err.contains("no edges"),
+                    "{line}: {err}"
+                );
+            }
+            std::fs::remove_file(path).ok();
+        }
     }
 
     /// `line` with `MAX` standing for `usize::MAX` must fail at parse,
