@@ -4,8 +4,7 @@
 //! cache locality, scattered reads, and atomic hotspots, i.e. the traffic
 //! mix real GNN kernels emit — through the engine at 1, 2, 4, and 8
 //! simulation workers, with every configuration checked for bit-identical
-//! metrics, then times the engine's recycled [`RunContext`] arena against
-//! a fresh context per launch.
+//! metrics.
 //!
 //! Timings land in `BENCH_sim.json` together with `host_cpus`, because the
 //! thread-scaling rows only show parallel speedup when the host actually
@@ -22,7 +21,7 @@ use std::time::Instant;
 
 use gnnadvisor_gpu::kernel::WARP_SIZE;
 use gnnadvisor_gpu::{
-    ArrayId, BlockSink, Engine, GpuSpec, GridConfig, Kernel, KernelMetrics, RunContext, Workload,
+    ArrayId, BlockSink, Engine, GpuSpec, GridConfig, Kernel, KernelMetrics, Workload,
     WorkloadMetrics,
 };
 use serde::{Deserialize, Serialize};
@@ -88,20 +87,6 @@ struct ThreadRow {
     speedup_vs_serial: f64,
 }
 
-/// The hot-loop before/after: the same engine, same worker count, with
-/// the recycled [`RunContext`] arena versus a fresh context per launch
-/// (what every launch paid before spans, traces, and hot-block buffers
-/// moved into the context).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct HotLoopBench {
-    /// One reused context across all launches (the engine's own path).
-    reused_context_wall_ms: f64,
-    /// A fresh `RunContext` allocated per launch.
-    fresh_context_wall_ms: f64,
-    /// fresh / reused — what arena reuse buys on this workload.
-    arena_speedup: f64,
-}
-
 /// Everything `BENCH_sim.json` records.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct BenchSim {
@@ -122,10 +107,6 @@ struct BenchSim {
     threaded: Vec<ThreadRow>,
     /// Whether every worker count produced bit-identical metrics.
     deterministic: bool,
-    /// Arena-reuse before/after at 1 worker, on small tuner-shaped
-    /// launches (8 blocks, 400 launches per run) where per-launch context
-    /// setup is a real fraction of the work.
-    hot_loop: HotLoopBench,
     /// How to read the numbers on this host.
     note: String,
 }
@@ -140,50 +121,6 @@ fn launch(engine: &Engine, kernel: &SimWorkload) -> KernelMetrics {
         .submit(&mut engine.lock_context(), Workload::Kernel(kernel))
         .map(WorkloadMetrics::into_kernel)
         .expect("workload runs")
-}
-
-/// Like [`launch`] but against a caller-provided context, so the fresh-
-/// context baseline can pay the per-launch allocation the arena avoids.
-fn launch_with(engine: &Engine, ctx: &mut RunContext, kernel: &SimWorkload) -> KernelMetrics {
-    engine
-        .submit(ctx, Workload::Kernel(kernel))
-        .map(WorkloadMetrics::into_kernel)
-        .expect("workload runs")
-}
-
-/// Arena before/after at 1 worker: identical launches, one reusing the
-/// engine's context and one building a fresh `RunContext` each time.
-/// Measured on a *small* launch (8 blocks against the full-size L2 model),
-/// the shape tuner sweeps hammer: per-launch context setup — allocating
-/// and wiping the cache arrays — is a real fraction of such launches, and
-/// the recycled arena turns it into an O(1) epoch bump.
-fn bench_hot_loop(engine: &Engine) -> HotLoopBench {
-    let kernel = SimWorkload { blocks: 8 };
-    const SMALL_LAUNCHES: usize = 400;
-    let expect = launch(engine, &kernel);
-    let mut reused = f64::INFINITY;
-    let mut fresh = f64::INFINITY;
-    for _ in 0..RUNS {
-        let start = Instant::now();
-        for _ in 0..SMALL_LAUNCHES {
-            let m = launch(engine, &kernel);
-            assert_eq!(m, expect, "reused-context launches must be identical");
-        }
-        reused = reused.min(start.elapsed().as_secs_f64() * 1e3);
-
-        let start = Instant::now();
-        for _ in 0..SMALL_LAUNCHES {
-            let mut ctx = RunContext::new();
-            let m = launch_with(engine, &mut ctx, &kernel);
-            assert_eq!(m, expect, "context reuse must be transparent");
-        }
-        fresh = fresh.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    HotLoopBench {
-        reused_context_wall_ms: reused,
-        fresh_context_wall_ms: fresh,
-        arena_speedup: fresh / reused.max(1e-9),
-    }
 }
 
 /// Times one full workload (`LAUNCHES_PER_RUN` launches) on an engine,
@@ -266,7 +203,6 @@ fn main() {
             speedup_vs_serial: serial_wall_ms / wall_ms.max(1e-9),
         })
         .collect();
-    let hot_loop = bench_hot_loop(&check_engines[0]);
 
     let skip_note = if skipped_worker_counts.is_empty() {
         String::new()
@@ -290,7 +226,6 @@ fn main() {
         serial_wall_ms,
         threaded,
         deterministic,
-        hot_loop,
         note: format!(
             "speedup_vs_serial is thread scaling and is bounded by host_cpus \
              (= {host_cpus} here, so worker counts above it cannot beat \
@@ -302,7 +237,7 @@ fn main() {
     std::fs::write("BENCH_sim.json", &json).expect("BENCH_sim.json written");
     println!("{json}");
     println!(
-        "\nserial {:.2} ms; {}; hot loop: reused {:.2} ms vs fresh {:.2} ms ({:.2}x)",
+        "\nserial {:.2} ms; {}",
         result.serial_wall_ms,
         result
             .threaded
@@ -313,8 +248,5 @@ fn main() {
             ))
             .collect::<Vec<_>>()
             .join(", "),
-        result.hot_loop.reused_context_wall_ms,
-        result.hot_loop.fresh_context_wall_ms,
-        result.hot_loop.arena_speedup,
     );
 }

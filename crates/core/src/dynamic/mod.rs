@@ -20,9 +20,10 @@
 //! - a [`RenumberPolicy`] watches the batches' kernel L2 hit-rate
 //!   through a sliding [`HitRateWindow`]; when the windowed rate sinks
 //!   below `watermark x` the baseline captured after the last rebuild,
-//!   it triggers [`reorder::renumber`] + compaction, charging a rebuild
-//!   stall on the simulated clock that subsequent batches must wait out
-//!   — amortizing the rebuild against the recovered kernel speed.
+//!   it triggers [`reorder::renumber`](renumber()) + compaction,
+//!   charging a rebuild stall on the simulated clock that subsequent
+//!   batches must wait out — amortizing the rebuild against the recovered
+//!   kernel speed.
 //!
 //! The arrival, admission, batching, retry and deadline machinery is the
 //! serving pipeline's: [`crate::serving`]'s round-robin loop runs every

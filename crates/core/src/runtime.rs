@@ -17,7 +17,6 @@ use gnnadvisor_graph::{Csr, Permutation};
 use crate::input::{extract, AggOrder, InputInfo};
 use crate::kernels::advisor::AdvisorKernel;
 use crate::memory::organize::{organize_shared, SharedLayout};
-use crate::tuning::estimator::{Estimator, EstimatorConfig};
 use crate::tuning::model;
 use crate::tuning::params::RuntimeParams;
 use crate::tuning::two_tier::{aggregation_metrics, tune_two_tier, TwoTierConfig};
@@ -30,8 +29,6 @@ pub enum TuneStrategy {
     /// Analytical Modeling only (Section 7.1): grid search under Eq. 2–4.
     #[default]
     ModelOnly,
-    /// Evolutionary Estimating (Section 7.2) seeded by the analytical model.
-    Evolutionary(EstimatorConfig),
     /// Two-tier tuning: explore on the calibrated closed-form model,
     /// verify only the top-K finalists with event-level aggregation
     /// launches (see [`crate::tuning::two_tier`]).
@@ -132,9 +129,6 @@ impl Advisor {
 
         let mut params = match &config.tune {
             TuneStrategy::ModelOnly => model::decide(&input, &config.spec),
-            TuneStrategy::Evolutionary(cfg) => {
-                Estimator::new(input.clone(), config.spec.clone(), *cfg).tune()
-            }
             TuneStrategy::TwoTier(cfg) => {
                 let dim = input.aggregation_dim();
                 tune_two_tier(&input, &config.spec, cfg, |p, e| {

@@ -1,7 +1,7 @@
 //! Deterministic synthetic request arrivals.
 //!
 //! A serving benchmark needs an open-loop workload: requests arrive on
-//! their own schedule whether or not the server keeps up. Three processes
+//! their own schedule whether or not the server keeps up. Two processes
 //! are available, all seeded so a `(config, seed)` pair always yields the
 //! same trace, bit for bit:
 //!
@@ -13,9 +13,6 @@
 //!   state-switching traffic real front ends see. A phase mixing a 10x
 //!   rate spread stresses admission and autoscaling far harder than any
 //!   single-rate Poisson stream.
-//! - [`replay_trace`] — **trace replay**: the caller supplies the arrival
-//!   instants (e.g. recorded production timestamps) and only the
-//!   component assignment is drawn from the seed.
 //!
 //! Every generator guarantees *strictly* increasing arrival instants (two
 //! requests never alias one timestamp) and rejects degenerate configs
@@ -182,41 +179,6 @@ pub fn generate_mmpp_arrivals(cfg: &MmppConfig) -> Result<Vec<Request>> {
     Ok(out)
 }
 
-/// Replays caller-supplied arrival instants as a trace, drawing only the
-/// component assignment from the seed. Instants must be finite,
-/// non-negative, and strictly increasing — production timestamps that tie
-/// should be de-duplicated upstream (sub-microsecond nudges), because the
-/// planner's delay triggers assume a total order.
-pub fn replay_trace(instants_ms: &[f64], num_components: usize, seed: u64) -> Result<Vec<Request>> {
-    validate_common(instants_ms.len(), num_components)?;
-    for (i, &at) in instants_ms.iter().enumerate() {
-        if !(at.is_finite() && at >= 0.0) {
-            return Err(CoreError::Serving {
-                reason: format!("trace instant {i} must be non-negative and finite, got {at}"),
-            });
-        }
-        if i > 0 && at <= instants_ms[i - 1] {
-            return Err(CoreError::Serving {
-                reason: format!(
-                    "trace instants must be strictly increasing: {at} ms at index {i} \
-                     after {} ms",
-                    instants_ms[i - 1]
-                ),
-            });
-        }
-    }
-    let mut rng = SmallRng::seed_from_u64(seed);
-    Ok(instants_ms
-        .iter()
-        .enumerate()
-        .map(|(id, &arrival_ms)| Request {
-            id,
-            arrival_ms,
-            component: rng.gen_range(0..num_components),
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,31 +334,6 @@ mod tests {
         let mut empty = mmpp_cfg();
         empty.num_requests = 0;
         assert!(generate_mmpp_arrivals(&empty).is_err());
-    }
-
-    #[test]
-    fn trace_replay_preserves_instants_and_seeds_components() {
-        let instants = [0.5, 1.25, 3.0, 3.5];
-        let a = replay_trace(&instants, 4, 9).expect("valid");
-        let b = replay_trace(&instants, 4, 9).expect("valid");
-        assert_eq!(a, b);
-        for (i, r) in a.iter().enumerate() {
-            assert_eq!(r.id, i);
-            assert_eq!(r.arrival_ms, instants[i]);
-            assert!(r.component < 4);
-        }
-        assert_ne!(a, replay_trace(&instants, 4, 10).expect("valid"));
-    }
-
-    #[test]
-    fn invalid_traces_are_rejected() {
-        assert!(replay_trace(&[], 2, 0).is_err(), "empty trace");
-        assert!(replay_trace(&[1.0], 0, 0).is_err(), "zero components");
-        assert!(replay_trace(&[-1.0], 2, 0).is_err(), "negative instant");
-        assert!(replay_trace(&[f64::NAN], 2, 0).is_err(), "NaN instant");
-        assert!(replay_trace(&[f64::INFINITY], 2, 0).is_err());
-        assert!(replay_trace(&[1.0, 1.0], 2, 0).is_err(), "tied instants");
-        assert!(replay_trace(&[2.0, 1.0], 2, 0).is_err(), "unsorted");
     }
 
     mod arrival_proptest {

@@ -49,9 +49,7 @@ pub mod queue;
 pub mod retry;
 pub(crate) mod runner;
 
-pub use arrivals::{
-    generate_arrivals, generate_mmpp_arrivals, replay_trace, ArrivalConfig, MmppConfig, Request,
-};
+pub use arrivals::{generate_arrivals, generate_mmpp_arrivals, ArrivalConfig, MmppConfig, Request};
 pub use batcher::{plan_batches, BatchPlan, BatchPolicy, DispatchedBatch, QueuePolicy};
 pub use queue::BoundedQueue;
 pub use retry::RetryPolicy;

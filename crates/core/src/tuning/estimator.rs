@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use gnnadvisor_gpu::{Engine, GpuSpec, PhaseBreakdown};
+use gnnadvisor_gpu::{Engine, GpuSpec};
 
 use crate::input::InputInfo;
 use crate::tuning::model;
@@ -121,46 +121,10 @@ impl Estimator {
         (outcome.best, outcome.stats)
     }
 
-    /// Profile-guided search scored on the phase-attributed breakdown
-    /// instead of raw latency. The closure runs the candidate and returns
-    /// its [`PhaseBreakdown`]; candidates are ranked by
-    /// [`Estimator::breakdown_fitness`], which penalizes
-    /// serialization-prone phases (atomic stalls, launch overhead) above
-    /// streaming ones — those are the terms that scale worst as graphs
-    /// grow, so the search prefers configurations whose cycles are spent
-    /// in parallel-friendly compute and DRAM streaming.
-    pub fn tune_profiled_breakdown(
-        &self,
-        mut run: impl FnMut(&RuntimeParams, &Engine) -> PhaseBreakdown,
-    ) -> RuntimeParams {
-        self.tune_profiled(|p, e| Self::breakdown_fitness(&run(p, e)))
-    }
-
-    /// Phase-aware fitness (lower is better): simulated cycles weighted by
-    /// how poorly each phase scales. Compute and DRAM streaming count at
-    /// face value; atomic serialization counts double (it grows with
-    /// contention, not input size); launch overhead counts 4× (it is pure
-    /// fixed cost that more blocks cannot amortize).
-    pub fn breakdown_fitness(phases: &PhaseBreakdown) -> f64 {
-        phases.compute_cycles as f64
-            + phases.dram_cycles as f64
-            + 2.0 * phases.atomic_cycles as f64
-            + 4.0 * phases.launch_cycles as f64
-    }
-
     /// Runs the search with a caller-provided latency function (lower is
     /// better), e.g. an actual simulated kernel launch.
     pub fn tune_with(&self, latency: impl FnMut(&RuntimeParams) -> f64) -> RuntimeParams {
         self.search(latency).best
-    }
-
-    /// [`Estimator::tune_with`] plus the evaluation counters.
-    pub fn tune_with_stats(
-        &self,
-        latency: impl FnMut(&RuntimeParams) -> f64,
-    ) -> (RuntimeParams, SearchStats) {
-        let outcome = self.search(latency);
-        (outcome.best, outcome.stats)
     }
 
     /// The search loop proper. Survivors re-enter every generation and
@@ -384,46 +348,17 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_fitness_prefers_parallel_friendly_cycles() {
-        let streaming = PhaseBreakdown {
-            compute_cycles: 500,
-            dram_cycles: 500,
-            atomic_cycles: 0,
-            launch_cycles: 0,
-        };
-        let serialized = PhaseBreakdown {
-            compute_cycles: 0,
-            dram_cycles: 0,
-            atomic_cycles: 500,
-            launch_cycles: 500,
-        };
-        assert_eq!(streaming.total_cycles(), serialized.total_cycles());
-        assert!(
-            Estimator::breakdown_fitness(&streaming) < Estimator::breakdown_fitness(&serialized),
-            "equal cycle counts must rank by how they serialize"
-        );
-
-        // End-to-end: the breakdown-aware profiled search is deterministic
-        // and returns feasible parameters.
-        let est = Estimator::new(input(), GpuSpec::quadro_p6000(), EstimatorConfig::default());
-        let a = est.tune_profiled_breakdown(|p, e| {
-            gemm(e, 1_000, p.threads_per_block as usize, 16).phases
-        });
-        a.validate().expect("feasible");
-        let b = est.tune_profiled_breakdown(|p, e| {
-            gemm(e, 1_000, p.threads_per_block as usize, 16).phases
-        });
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn memoization_never_reevaluates_and_preserves_the_result() {
         let spec = GpuSpec::quadro_p6000();
         let inp = input();
         let mut scores = std::collections::HashMap::new();
         let mut calls = 0usize;
         let est = Estimator::new(inp.clone(), spec.clone(), EstimatorConfig::default());
-        let (memoized, stats) = est.tune_with_stats(|p| {
+        let SearchOutcome {
+            best: memoized,
+            stats,
+            ..
+        } = est.search(|p| {
             calls += 1;
             let s = model::estimated_latency(p, &inp, &spec);
             assert!(

@@ -6,8 +6,6 @@
 //! preserves CSR order), so after renumbering, the nodes a block touches
 //! are neighbors in id space — the locality the shared cache rewards.
 
-use crate::workload::group::NeighborGroup;
-
 /// How groups map to thread blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockMapping {
@@ -50,29 +48,11 @@ impl BlockMapping {
             ((block + 1) * gpb).min(self.num_groups),
         )
     }
-
-    /// Distinct target nodes among `groups[start..end)` of one block —
-    /// the shared-memory slot count Algorithm 1 will allocate (runs of the
-    /// same node share a slot).
-    pub fn nodes_in_block(&self, groups: &[NeighborGroup], block: usize) -> usize {
-        let (s, e) = self.block_range(block);
-        let mut count = 0;
-        let mut last = None;
-        for g in &groups[s..e] {
-            if last != Some(g.node) {
-                count += 1;
-                last = Some(g.node);
-            }
-        }
-        count
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::group::partition_groups;
-    use gnnadvisor_graph::generators::barabasi_albert;
 
     #[test]
     fn ranges_tile_all_groups() {
@@ -106,20 +86,5 @@ mod tests {
         let empty = BlockMapping::new(128, 4, 0);
         assert_eq!(empty.num_blocks(), 1, "empty launches still get one block");
         assert_eq!(empty.block_range(0), (0, 0));
-    }
-
-    #[test]
-    fn nodes_in_block_counts_runs() {
-        let g = barabasi_albert(64, 4, 3).expect("valid");
-        let groups = partition_groups(&g, 2).expect("valid");
-        let m = BlockMapping::new(64, 4, groups.len());
-        for b in 0..m.num_blocks() {
-            let (s, e) = m.block_range(b);
-            let distinct: std::collections::HashSet<_> =
-                groups[s..e].iter().map(|g| g.node).collect();
-            // Runs of the same node are contiguous, so run count == distinct
-            // count here.
-            assert_eq!(m.nodes_in_block(&groups, b), distinct.len());
-        }
     }
 }

@@ -258,13 +258,6 @@ impl SetAssocCache {
     pub fn line_bytes(&self) -> u64 {
         self.line_bytes
     }
-
-    /// Resets counters but keeps resident lines (used between kernels of
-    /// one run, where data stays warm on a real device too).
-    pub fn reset_counters(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-    }
 }
 
 #[cfg(test)]
@@ -322,9 +315,6 @@ mod tests {
         c.access(0);
         c.access(0);
         assert!((c.hit_rate() - 0.5).abs() < 1e-12);
-        c.reset_counters();
-        assert_eq!(c.hits() + c.misses(), 0);
-        assert_eq!(c.access(0), Access::Hit, "contents survive counter reset");
     }
 
     #[test]

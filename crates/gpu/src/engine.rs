@@ -24,7 +24,7 @@
 //!
 //! # Parallel, allocation-free execution
 //!
-//! The block loop runs sharded: [`crate::context::plan_shards`] splits the
+//! The block loop runs sharded: `context::plan_shards` splits the
 //! launch into contiguous chunks in dispatch order, each simulated against
 //! a private partition of the L2's sets. Worker threads — the calling
 //! thread plus up to `workers - 1` persistent helpers of the host pool
@@ -175,14 +175,6 @@ impl WorkloadMetrics {
         match self {
             WorkloadMetrics::Kernel(m) => Some(m),
             WorkloadMetrics::Transfer(_) => None,
-        }
-    }
-
-    /// The transfer metrics, if this was a transfer workload.
-    pub fn as_transfer(&self) -> Option<&TransferMetrics> {
-        match self {
-            WorkloadMetrics::Kernel(_) => None,
-            WorkloadMetrics::Transfer(m) => Some(m),
         }
     }
 
@@ -395,30 +387,21 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates an engine for the given device. The worker count defaults to
-    /// the `GNNADVISOR_SIM_THREADS` environment variable (`0` or unset =
-    /// one worker per available core).
+    /// Creates an engine for the given device: `Engine::builder(spec).build()`
+    /// with no option set, so the worker count comes from the
+    /// `GNNADVISOR_SIM_THREADS` environment variable (`0` or unset = one
+    /// worker per available core).
     ///
     /// # Panics
     ///
-    /// Panics when `GNNADVISOR_SIM_THREADS` is set to something that is
+    /// Panics with the builder's error, which names the variable and its
+    /// value, when `GNNADVISOR_SIM_THREADS` is set to something that is
     /// not a non-negative integer at most [`MAX_SIM_THREADS`] — see
     /// [`parse_sim_threads`].
     pub fn new(spec: GpuSpec) -> Self {
-        let sim_threads = match std::env::var("GNNADVISOR_SIM_THREADS") {
-            Err(std::env::VarError::NotPresent) => 0,
-            Err(std::env::VarError::NotUnicode(_)) => {
-                panic!("GNNADVISOR_SIM_THREADS is not valid unicode; unset it to use all cores")
-            }
-            Ok(raw) => parse_sim_threads(&raw).unwrap_or_else(|msg| panic!("{msg}")),
-        };
-        Self {
-            spec,
-            sim_threads,
-            ctx: Arc::new(Mutex::new(RunContext::new())),
-            tracer: None,
-            fault_plan: None,
-        }
+        Self::builder(spec)
+            .build()
+            .unwrap_or_else(|err| panic!("{err}"))
     }
 
     /// Starts a validated [`EngineBuilder`] for the given device. This is
@@ -1205,7 +1188,6 @@ mod tests {
             )
             .unwrap();
         assert!(g.as_kernel().is_some());
-        assert!(g.as_transfer().is_none());
         assert!(g.time_ms() > 0.0);
 
         let t = e

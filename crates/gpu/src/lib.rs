@@ -27,7 +27,6 @@
 pub mod cache;
 pub mod context;
 pub mod device;
-pub mod device_memory;
 pub mod engine;
 pub mod fault;
 pub mod kernel;
@@ -39,7 +38,6 @@ pub mod transfer;
 
 pub use context::RunContext;
 pub use device::{BlockDemand, CommandProcessor, Retirement, RetirementQueue, SmUsage};
-pub use device_memory::DeviceMemory;
 pub use engine::{
     parse_sim_threads, CleanPrice, Engine, EngineBuilder, Workload, WorkloadMetrics,
     MAX_SIM_THREADS,

@@ -297,11 +297,6 @@ impl<'e> StreamSim<'e> {
         StreamId(self.streams.len() - 1)
     }
 
-    /// Number of created streams.
-    pub fn num_streams(&self) -> usize {
-        self.streams.len()
-    }
-
     /// Enqueues a workload on `stream`, pricing it through the engine
     /// immediately (ops are priced as if alone on the device; the
     /// scheduler arbitrates only *when* their blocks run). Returns the

@@ -10,8 +10,8 @@
 //! - **Type II** (graph-kernel benchmark sets): unions of many small dense
 //!   graphs with block-diagonal adjacency and consecutive ids →
 //!   [`batched::batched_graph`].
-//! - Reference generators for tests and ablations: [`erdos_renyi`],
-//!   [`power_law`] (Barabási–Albert), and [`rmat`].
+//! - Reference generators for tests and ablations:
+//!   [`erdos_renyi()`] and [`barabasi_albert`].
 //!
 //! All generators take an explicit `u64` seed and are deterministic.
 
@@ -19,13 +19,11 @@ pub mod batched;
 pub mod community;
 pub mod erdos_renyi;
 pub mod power_law;
-pub mod rmat;
 
 pub use batched::{batched_graph, BatchedParams};
 pub use community::{community_graph, CommunityParams};
 pub use erdos_renyi::erdos_renyi;
 pub use power_law::barabasi_albert;
-pub use rmat::{rmat, RmatParams};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

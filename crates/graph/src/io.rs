@@ -3,10 +3,10 @@
 //! The reproduction synthesizes its datasets, but a downstream user will
 //! want to feed real graphs in. This module reads the two formats the
 //! paper's dataset sources use — SNAP-style whitespace-separated edge
-//! lists (with `#` comments) and simple CSV pairs — and writes them back
-//! out, so results can be reproduced on the genuine inputs when available.
+//! lists (with `#` comments) and simple CSV pairs — so results can be
+//! reproduced on the genuine inputs when available.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader};
 use std::path::Path;
 
 use crate::csr::{Csr, NodeId};
@@ -95,29 +95,6 @@ pub fn load_edge_list<P: AsRef<Path>>(path: P, options: &LoadOptions) -> Result<
     read_edge_list(file, options)
 }
 
-/// Writes a graph as a SNAP-style edge list (one directed edge per line).
-pub fn save_edge_list<P: AsRef<Path>>(graph: &Csr, path: P) -> Result<()> {
-    let file = std::fs::File::create(path.as_ref()).map_err(|e| GraphError::InvalidParameters {
-        reason: format!("cannot create {}: {e}", path.as_ref().display()),
-    })?;
-    let mut w = BufWriter::new(file);
-    writeln!(
-        w,
-        "# nodes {} edges {}",
-        graph.num_nodes(),
-        graph.num_edges()
-    )
-    .and_then(|_| {
-        for (u, v) in graph.edges() {
-            writeln!(w, "{u}\t{v}")?;
-        }
-        Ok(())
-    })
-    .map_err(|e| GraphError::InvalidParameters {
-        reason: format!("write failed: {e}"),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,7 +150,8 @@ mod tests {
         let dir = std::env::temp_dir().join("gnnadvisor_io_test");
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("roundtrip.el");
-        save_edge_list(&g, &path).expect("saves");
+        let text: String = g.edges().map(|(u, v)| format!("{u}\t{v}\n")).collect();
+        std::fs::write(&path, text).expect("writes");
         let back = load_edge_list(
             &path,
             &LoadOptions {

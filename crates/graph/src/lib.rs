@@ -9,7 +9,7 @@
 //!   [`Csr`].
 //! - [`generators`]: seeded synthetic graph generators reproducing the
 //!   structural classes of the paper's Table 1 datasets (power-law community
-//!   graphs, batched small dense graphs, Erdős–Rényi, R-MAT).
+//!   graphs, batched small dense graphs, Erdős–Rényi, Barabási–Albert).
 //! - [`community`]: Louvain modularity-maximizing community detection
 //!   (Section 6.1, step 1 of node renumbering).
 //! - [`reorder`]: Reverse Cuthill–McKee traversal and the full

@@ -116,27 +116,6 @@ impl PartitionStats {
     }
 }
 
-/// Degree histogram in power-of-two buckets: bucket `i` counts nodes with
-/// degree in `[2^i, 2^(i+1))` (bucket 0 additionally holds degree 0).
-/// Useful for eyeballing the power-law property that drives the paper's
-/// workload-imbalance argument (Figure 2).
-pub fn degree_histogram_log2(graph: &Csr) -> Vec<usize> {
-    let mut buckets = Vec::new();
-    for v in 0..graph.num_nodes() as NodeId {
-        let d = graph.degree(v);
-        let b = if d <= 1 {
-            0
-        } else {
-            (usize::BITS - 1 - d.leading_zeros()) as usize
-        };
-        if b >= buckets.len() {
-            buckets.resize(b + 1, 0);
-        }
-        buckets[b] += 1;
-    }
-    buckets
-}
-
 /// Fraction of a node's edges whose endpoint lies within `window` ids of the
 /// node, averaged over edges. A cheap proxy for the spatial locality the
 /// renumbering pass (Section 6.1) tries to maximize.
@@ -219,11 +198,6 @@ mod tests {
             }
         );
         assert_eq!(s.coefficient_of_variation(), 0.0);
-        assert_eq!(
-            degree_histogram_log2(&g),
-            vec![1],
-            "one degree-0 node in bucket 0"
-        );
     }
 
     #[test]
@@ -235,7 +209,6 @@ mod tests {
                 assert_eq!(l, 1.0, "edgeless n={n} window={window}");
             }
         }
-        assert!(degree_histogram_log2(&crate::Csr::empty(0)).is_empty());
     }
 
     #[test]
@@ -263,18 +236,6 @@ mod tests {
         assert_eq!(s.count, 3);
         assert_eq!(s.max_size, 3);
         assert!((s.mean_size - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let g = GraphBuilder::new(5)
-            .star(0, &[1, 2, 3, 4])
-            .build()
-            .expect("valid");
-        let h = degree_histogram_log2(&g);
-        // Four leaves with degree 1 in bucket 0, the hub (degree 4) in bucket 2.
-        assert_eq!(h[0], 4);
-        assert_eq!(h[2], 1);
     }
 
     #[test]

@@ -1,76 +1,19 @@
-//! Mini-batch execution over batched Type II datasets.
+//! Component batches of batched Type II datasets.
 //!
 //! Type II inputs (Section 8.1.2) are unions of many small independent
-//! graphs "generally used for batched training or inference". Section 8.3
-//! compares against PyG on these because PyG's Mini-batch Handling is its
-//! strong suit. This module provides the same capability for the
-//! reproduction: split a block-diagonal dataset into batches of component
-//! graphs, run a model per batch, and aggregate outputs and metrics.
+//! graphs "generally used for batched training or inference". The serving
+//! layer splits such a block-diagonal dataset into its component graphs
+//! and stitches the components of one serving batch back together before
+//! pricing a forward pass.
 //!
 //! Because components occupy contiguous id ranges with no cross edges,
-//! batch extraction is a cheap CSR slice + index shift.
+//! extraction is a cheap CSR slice + index shift.
 
-use gnnadvisor_core::Result;
-use gnnadvisor_gpu::RunMetrics;
 use gnnadvisor_graph::{Csr, NodeId};
-use gnnadvisor_tensor::Matrix;
-
-/// One extracted batch: a self-contained graph over `node_range` of the
-/// parent dataset.
-#[derive(Debug, Clone)]
-pub struct Batch {
-    /// The batch's standalone graph (ids rebased to `0..len`).
-    pub graph: Csr,
-    /// The parent-node range `[start, end)` this batch covers.
-    pub node_range: (usize, usize),
-}
-
-/// Splits a block-diagonal graph into batches of at most `max_nodes`
-/// nodes, never splitting a component. `component_of` must be
-/// non-decreasing over node ids (the batched generator guarantees it).
-///
-/// # Panics
-///
-/// Panics if `component_of.len() != graph.num_nodes()` or a component
-/// exceeds `max_nodes`.
-pub fn split_batches(graph: &Csr, component_of: &[u32], max_nodes: usize) -> Vec<Batch> {
-    assert_eq!(
-        component_of.len(),
-        graph.num_nodes(),
-        "one component id per node"
-    );
-    let n = graph.num_nodes();
-    let mut batches = Vec::new();
-    let mut start = 0usize;
-    while start < n {
-        // Extend to as many whole components as fit.
-        let mut end = start;
-        while end < n {
-            // End of the component containing `end`.
-            let c = component_of[end];
-            let mut comp_end = end;
-            while comp_end < n && component_of[comp_end] == c {
-                comp_end += 1;
-            }
-            assert!(
-                comp_end - end <= max_nodes,
-                "component of {} nodes exceeds the {max_nodes}-node batch budget",
-                comp_end - end
-            );
-            if comp_end - start > max_nodes && end > start {
-                break;
-            }
-            end = comp_end;
-        }
-        batches.push(slice_range(graph, start, end));
-        start = end;
-    }
-    batches
-}
 
 /// Rebases the contiguous node slice `[start, end)` into a standalone
-/// CSR batch (valid only when no edge crosses the slice boundary).
-fn slice_range(graph: &Csr, start: usize, end: usize) -> Batch {
+/// CSR (valid only when no edge crosses the slice boundary).
+fn slice_range(graph: &Csr, start: usize, end: usize) -> Csr {
     let row_ptr_parent = graph.row_ptr();
     let base_edge = row_ptr_parent[start];
     let row_ptr: Vec<usize> = row_ptr_parent[start..=end]
@@ -84,21 +27,19 @@ fn slice_range(graph: &Csr, start: usize, end: usize) -> Batch {
             u - start as NodeId
         })
         .collect();
-    let g = Csr::from_raw(end - start, row_ptr, col_idx).expect("slice preserves invariants");
-    Batch {
-        graph: g,
-        node_range: (start, end),
-    }
+    Csr::from_raw(end - start, row_ptr, col_idx).expect("slice preserves invariants")
 }
 
-/// Splits a block-diagonal graph into one batch **per component** — the
-/// finest split [`split_batches`] can produce. The serving layer uses
-/// this to look up each request's input graph by component id.
+/// Splits a block-diagonal graph into one standalone graph **per
+/// component** (ids rebased to `0..len`). `component_of` must be
+/// non-decreasing over node ids (the batched generator guarantees it).
+/// The serving layer uses this to look up each request's input graph by
+/// component id.
 ///
 /// # Panics
 ///
 /// Panics if `component_of.len() != graph.num_nodes()`.
-pub fn component_batches(graph: &Csr, component_of: &[u32]) -> Vec<Batch> {
+pub fn component_batches(graph: &Csr, component_of: &[u32]) -> Vec<Csr> {
     assert_eq!(
         component_of.len(),
         graph.num_nodes(),
@@ -137,39 +78,10 @@ pub fn concat_block_diagonal<'a>(graphs: impl IntoIterator<Item = &'a Csr>) -> C
     Csr::from_raw(node_base, row_ptr, col_idx).expect("offset blocks preserve invariants")
 }
 
-/// Runs `forward` per batch and stitches outputs back into parent-node
-/// order, merging the simulated metrics.
-pub fn run_batched(
-    batches: &[Batch],
-    features: &Matrix,
-    out_dim: usize,
-    mut forward: impl FnMut(&Csr, &Matrix) -> Result<(Matrix, RunMetrics)>,
-) -> Result<(Matrix, RunMetrics)> {
-    let total_nodes = batches.last().map_or(0, |b| b.node_range.1);
-    let mut output = Matrix::zeros(total_nodes, out_dim);
-    let mut metrics = RunMetrics::default();
-    for batch in batches {
-        let (s, e) = batch.node_range;
-        let local = Matrix::from_fn(e - s, features.cols(), |r, c| features.get(s + r, c));
-        let (out, m) = forward(&batch.graph, &local)?;
-        assert_eq!(out.shape(), (e - s, out_dim), "per-batch output shape");
-        for v in s..e {
-            output.row_mut(v).copy_from_slice(out.row(v - s));
-        }
-        metrics.merge(m);
-    }
-    Ok((output, metrics))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::ModelExec;
-    use crate::gcn::Gcn;
-    use gnnadvisor_core::Framework;
-    use gnnadvisor_gpu::{Engine, GpuSpec};
     use gnnadvisor_graph::generators::{batched_graph, BatchedParams};
-    use gnnadvisor_tensor::init::random_features;
 
     fn dataset() -> (Csr, Vec<u32>) {
         let params = BatchedParams {
@@ -184,67 +96,25 @@ mod tests {
     #[test]
     fn batches_cover_components_exactly() {
         let (g, comp) = dataset();
-        let batches = split_batches(&g, &comp, 300);
-        assert!(batches.len() > 1);
+        let batches = component_batches(&g, &comp);
+        let components = comp.windows(2).filter(|w| w[0] != w[1]).count() + 1;
+        assert_eq!(batches.len(), components, "one batch per component");
         let mut covered = 0usize;
         let mut edges = 0usize;
         for b in &batches {
-            assert_eq!(b.node_range.0, covered);
-            assert!(b.graph.num_nodes() <= 300);
-            assert!(b.graph.is_symmetric());
-            covered = b.node_range.1;
-            edges += b.graph.num_edges();
+            let ids = &comp[covered..covered + b.num_nodes()];
+            assert!(ids.iter().all(|&c| c == ids[0]), "a batch is one component");
+            assert!(b.is_symmetric());
+            covered += b.num_nodes();
+            edges += b.num_edges();
         }
         assert_eq!(covered, g.num_nodes());
         assert_eq!(edges, g.num_edges(), "no cross-batch edges exist to lose");
     }
 
     #[test]
-    fn batched_forward_matches_whole_graph() {
-        let (g, comp) = dataset();
-        let feat_dim = 12;
-        let classes = 3;
-        let features = random_features(g.num_nodes(), feat_dim, 9);
-        let engine = Engine::new(GpuSpec::quadro_p6000());
-        let model = Gcn::paper_default(feat_dim, classes, 4);
-
-        // Whole-graph reference.
-        let exec = ModelExec::new(&engine, &g, Framework::Dgl, None);
-        let whole = model.forward(&exec, &features).expect("runs");
-
-        // Batched execution: block-diagonal structure means per-batch
-        // results must agree exactly with the whole-graph run.
-        let batches = split_batches(&g, &comp, 250);
-        let (out, metrics) = run_batched(&batches, &features, classes, |bg, bf| {
-            let exec = ModelExec::new(&engine, bg, Framework::Dgl, None);
-            let r = model.forward(&exec, bf)?;
-            Ok((r.output, r.metrics))
-        })
-        .expect("runs");
-        assert!(out.max_abs_diff(&whole.output) < 1e-4);
-        assert!(metrics.total_ms() > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch budget")]
-    fn oversized_component_rejected() {
-        let (g, comp) = dataset();
-        split_batches(&g, &comp, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch budget")]
-    fn max_nodes_below_any_single_component_rejected() {
-        // A budget of one node is smaller than every component in the
-        // dataset, so even the very first component cannot fit.
-        let (g, comp) = dataset();
-        split_batches(&g, &comp, 1);
-    }
-
-    #[test]
     fn empty_graph_yields_no_batches() {
         let g = Csr::from_raw(0, vec![0], vec![]).expect("valid");
-        assert!(split_batches(&g, &[], 10).is_empty());
         assert!(component_batches(&g, &[]).is_empty());
         let none: [&Csr; 0] = [];
         let rejoined = concat_block_diagonal(none);
@@ -269,11 +139,10 @@ mod tests {
         }
         let g = Csr::from_raw(n, row_ptr, col_idx).expect("valid");
         let comp = vec![0u32; n];
-        let batches = split_batches(&g, &comp, n);
+        let batches = component_batches(&g, &comp);
         assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].node_range, (0, n));
-        assert_eq!(batches[0].graph.num_edges(), g.num_edges());
-        assert_eq!(component_batches(&g, &comp).len(), 1);
+        assert_eq!(batches[0].num_nodes(), n);
+        assert_eq!(batches[0].num_edges(), g.num_edges());
     }
 
     #[test]
@@ -281,11 +150,7 @@ mod tests {
         let (g, comp) = dataset();
         let parts = component_batches(&g, &comp);
         assert!(parts.len() > 1);
-        for b in &parts {
-            let (s, e) = b.node_range;
-            assert_eq!(b.graph.num_nodes(), e - s);
-        }
-        let rejoined = concat_block_diagonal(parts.iter().map(|b| &b.graph));
+        let rejoined = concat_block_diagonal(&parts);
         assert_eq!(rejoined.num_nodes(), g.num_nodes());
         assert_eq!(rejoined.row_ptr(), g.row_ptr());
         assert_eq!(rejoined.col_idx(), g.col_idx());

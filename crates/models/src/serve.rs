@@ -20,7 +20,7 @@ use gnnadvisor_core::{CoreError, Result};
 use gnnadvisor_gpu::{BlockSink, GridConfig, Kernel};
 use gnnadvisor_graph::Csr;
 
-use crate::batch::{component_batches, concat_block_diagonal, Batch};
+use crate::batch::{component_batches, concat_block_diagonal};
 
 /// Bytes of one `f32` / one edge index.
 const WORD: usize = 4;
@@ -48,7 +48,7 @@ impl Kernel for OwnedSpmm {
 /// Plans the device work of GCN inference batches over a block-diagonal
 /// dataset (one component graph per request).
 pub struct GcnBatchExecutor {
-    components: Vec<Batch>,
+    components: Vec<Csr>,
     in_dim: usize,
     hidden_dim: usize,
     num_classes: usize,
@@ -105,7 +105,7 @@ impl BatchExecutor for GcnBatchExecutor {
                             self.components.len()
                         ),
                     })?;
-            graphs.push(&component.graph);
+            graphs.push(component);
         }
         let merged = concat_block_diagonal(graphs);
         let nodes = merged.num_nodes();

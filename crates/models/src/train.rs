@@ -106,20 +106,6 @@ pub struct StepResult {
     pub metrics: RunMetrics,
 }
 
-impl StepResult {
-    /// One-line epoch report: loss, accuracy, and where the step's
-    /// simulated cycles went (compute / DRAM / atomics / launch).
-    pub fn phase_summary(&self) -> String {
-        format!(
-            "loss {:.4}, acc {:.1}%, {:.4} ms — {}",
-            self.loss,
-            self.accuracy * 100.0,
-            self.metrics.total_ms(),
-            self.metrics.phases.report(),
-        )
-    }
-}
-
 /// A GCN under softmax-cross-entropy training with SGD.
 pub struct GcnTrainer {
     weights: Vec<Matrix>,
@@ -250,22 +236,6 @@ impl GcnTrainer {
                 *wv -= self.lr * gv;
             }
         }
-    }
-
-    /// Runs `epochs` full-batch SGD steps, returning every epoch's
-    /// [`StepResult`] in order — each carries the phase-attributed cycle
-    /// breakdown of its forward + backward pass, so training loops can
-    /// report per-epoch summaries via [`StepResult::phase_summary`].
-    pub fn train_epochs(
-        &mut self,
-        exec: &ModelExec<'_>,
-        features: &Matrix,
-        labels: &[usize],
-        epochs: usize,
-    ) -> Result<Vec<StepResult>> {
-        (0..epochs)
-            .map(|_| self.step(exec, features, labels))
-            .collect()
     }
 
     /// One SGD step on `(features, labels)`; labels index classes per
@@ -504,29 +474,8 @@ mod tests {
             .count();
         assert_eq!(agg_kernels, 8);
         assert!(r.metrics.total_ms() > 0.0);
-    }
-
-    #[test]
-    fn train_epochs_reports_phases_per_epoch() {
-        let (g, features, labels) = task(4);
-        let engine = Engine::new(GpuSpec::quadro_p6000());
-        let exec = ModelExec::new(&engine, &g, Framework::Dgl, None);
-        let mut trainer = GcnTrainer::new(&[16, 16, 4], 0.5, 3);
-        let epochs = trainer
-            .train_epochs(&exec, &features, &labels, 5)
-            .expect("trains");
-        assert_eq!(epochs.len(), 5);
-        for e in &epochs {
-            // The breakdown is an exact partition of the epoch's kernel
-            // cycles, and the summary is human-readable.
-            assert_eq!(e.metrics.phases.total_cycles(), e.metrics.total_cycles());
-            let s = e.phase_summary();
-            assert!(s.contains("loss") && s.contains("compute"), "{s}");
-        }
-        assert!(
-            epochs.last().expect("non-empty").loss < epochs[0].loss,
-            "loss must drop across epochs"
-        );
+        // The phase breakdown is an exact partition of the step's cycles.
+        assert_eq!(r.metrics.phases.total_cycles(), r.metrics.total_cycles());
     }
 
     #[test]

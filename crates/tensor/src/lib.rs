@@ -4,7 +4,7 @@
 //! kernels in `gnnadvisor-core`) with dense NN operations — the paper calls
 //! these DGEMM / MLP updates and notes they are "well-suited for GPU-based
 //! acceleration" via cuBLAS. This crate supplies the numerical side:
-//! a row-major [`Matrix`], a register-tiled [`gemm`] (plus [`gemm_tn`] /
+//! a row-major [`Matrix`], a register-tiled [`gemm()`] (plus [`gemm_tn`] /
 //! [`gemm_nt`] for transposed operands, through the same micro-kernel:
 //! the right operand packed into zero-padded 16-wide column panels, a
 //! 2 × 16 output tile kept in registers across k-blocks of up to 256

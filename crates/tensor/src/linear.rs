@@ -22,16 +22,6 @@ impl Linear {
         }
     }
 
-    /// Builds a layer from explicit parameters.
-    pub fn from_parts(weight: Matrix, bias: Vec<f32>) -> Self {
-        assert_eq!(
-            weight.cols(),
-            bias.len(),
-            "bias length must match output dim"
-        );
-        Self { weight, bias }
-    }
-
     /// Input dimensionality.
     pub fn in_dim(&self) -> usize {
         self.weight.rows()
@@ -69,7 +59,10 @@ mod tests {
     #[test]
     fn forward_shape_and_value() {
         let w = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 2.0]).unwrap();
-        let layer = Linear::from_parts(w, vec![1.0, -1.0]);
+        let layer = Linear {
+            weight: w,
+            bias: vec![1.0, -1.0],
+        };
         let x = Matrix::from_vec(1, 2, vec![3.0, 4.0]).unwrap();
         let y = layer.forward(&x, 1).unwrap();
         assert_eq!(y.as_slice(), &[4.0, 7.0]);
@@ -86,11 +79,5 @@ mod tests {
     fn flops_formula() {
         let layer = Linear::new(16, 8, 0);
         assert_eq!(layer.flops(10), 2 * 10 * 16 * 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "bias length")]
-    fn from_parts_checks_bias() {
-        Linear::from_parts(Matrix::zeros(2, 3), vec![0.0; 2]);
     }
 }

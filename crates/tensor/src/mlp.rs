@@ -32,11 +32,6 @@ impl Mlp {
         Self { layers }
     }
 
-    /// Number of linear layers.
-    pub fn depth(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Input dimensionality.
     pub fn in_dim(&self) -> usize {
         self.layers
@@ -77,7 +72,7 @@ mod tests {
     #[test]
     fn dims_chain() {
         let mlp = Mlp::new(&[8, 16, 4], 0);
-        assert_eq!(mlp.depth(), 2);
+        assert_eq!(mlp.layers.len(), 2);
         assert_eq!(mlp.in_dim(), 8);
         assert_eq!(mlp.out_dim(), 4);
     }

@@ -25,25 +25,6 @@ pub fn add_bias_inplace(m: &mut Matrix, bias: &[f32]) {
     }
 }
 
-/// Scales every element by `s`.
-pub fn scale_inplace(m: &mut Matrix, s: f32) {
-    for v in m.as_mut_slice() {
-        *v *= s;
-    }
-}
-
-/// `a += b`, element-wise.
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-pub fn add_inplace(a: &mut Matrix, b: &Matrix) {
-    assert_eq!(a.shape(), b.shape(), "shape mismatch in add_inplace");
-    for (x, y) in a.as_mut_slice().iter_mut().zip(b.as_slice()) {
-        *x += y;
-    }
-}
-
 /// `a += s * b`, element-wise (AXPY).
 ///
 /// # Panics
@@ -79,30 +60,12 @@ pub fn softmax_row_inplace(row: &mut [f32]) {
     }
 }
 
-/// Index of the maximum element of each row (prediction readout).
-pub fn argmax_rows(m: &Matrix) -> Vec<usize> {
-    (0..m.rows())
-        .map(|r| {
-            m.row(r)
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(i, _)| i)
-                .unwrap_or(0)
-        })
-        .collect()
-}
-
-/// L2 norm of the whole matrix, used by convergence checks in tests.
-pub fn frobenius_norm(m: &Matrix) -> f32 {
-    m.as_slice().iter().map(|v| v * v).sum::<f32>().sqrt()
-}
-
 /// Concatenates two matrices horizontally (`[a | b]`), as GraphSage does
 /// with the self and neighbor embeddings. Returns
-/// [`TensorError::ShapeMismatch`] if the row counts differ — serving
-/// paths reach this with externally shaped inputs, so a mismatch must
-/// surface as an error, not a process abort.
+/// [`TensorError::ShapeMismatch`](crate::TensorError::ShapeMismatch) if
+/// the row counts differ — serving paths reach this with externally
+/// shaped inputs, so a mismatch must surface as an error, not a process
+/// abort.
 pub fn hconcat(a: &Matrix, b: &Matrix) -> crate::Result<Matrix> {
     if a.rows() != b.rows() {
         return Err(crate::TensorError::ShapeMismatch {
@@ -154,12 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn argmax_picks_largest() {
-        let m = Matrix::from_vec(2, 3, vec![0.1, 0.9, 0.0, 3.0, 1.0, 2.0]).unwrap();
-        assert_eq!(argmax_rows(&m), vec![1, 0]);
-    }
-
-    #[test]
     fn axpy_accumulates() {
         let mut a = Matrix::from_vec(1, 2, vec![1.0, 2.0]).unwrap();
         let b = Matrix::from_vec(1, 2, vec![10.0, 10.0]).unwrap();
@@ -183,11 +140,5 @@ mod tests {
         let err = hconcat(&a, &b).expect_err("row mismatch");
         let crate::TensorError::ShapeMismatch { context } = err;
         assert!(context.contains("hconcat"), "{context}");
-    }
-
-    #[test]
-    fn frobenius_norm_known_value() {
-        let m = Matrix::from_vec(1, 2, vec![3.0, 4.0]).unwrap();
-        assert!((frobenius_norm(&m) - 5.0).abs() < 1e-6);
     }
 }

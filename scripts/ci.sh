@@ -13,6 +13,10 @@ echo "==> cargo clippy --workspace -- -D warnings -D deprecated"
 # dependency item) fails the build instead of lingering.
 cargo clippy --offline --workspace --all-targets -- -D warnings -D deprecated
 
+echo "==> cargo doc -D warnings"
+# A deleted or renamed item must not leave a dangling intra-doc link.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "==> cargo build --examples"
 cargo build --offline --workspace --examples
 
