@@ -2,16 +2,19 @@
 //! figures: kernel co-residency, replica goodput scaling, renumbering
 //! locality that decays under churn and a rebuild that wins it back
 //! (§6.1's locality argument, on a live graph), the pipelined mini-batch
-//! loop, and the two-tier tuner's calibration band.
+//! loop, the two-tier tuner's calibration band, retries under injected
+//! faults, and stream overlap in serving.
 //!
-//! Each test asserts its claim on the library report, checks the report is
-//! byte-identical at 1 and 4 simulation workers, and pins every simulated
-//! number the scenario produces with an FNV-1a hash over the f64 bits, so a
-//! change that moves one cycle of any scenario fails here even when the
-//! claim still holds.
+//! Each test asserts its claim on the library report. The tests of the
+//! first five scenarios also check the report is byte-identical at 1 and 4
+//! simulation workers and pin every simulated number the scenario produces
+//! with an FNV-1a hash over the f64 bits, so a change that moves one cycle
+//! of any scenario fails here even when the claim still holds; the retry
+//! and overlap tests check that two runs produce identical reports.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
+use gnnadvisor_bench::ExperimentConfig;
 use gnnadvisor_core::cluster::{
     assign_tenants, simulate_cluster, ClusterConfig, ClusterReport, RouterPolicy, TenantSpec,
 };
@@ -21,14 +24,16 @@ use gnnadvisor_core::dynamic::{
 };
 use gnnadvisor_core::input::{extract, AggOrder};
 use gnnadvisor_core::serving::{
-    generate_arrivals, ArrivalConfig, BatchPolicy, BatchWork, DeviceWork, DispatchedBatch,
-    QueuePolicy, RetryPolicy, ServingConfig,
+    generate_arrivals, simulate, ArrivalConfig, BatchPolicy, BatchWork, DeviceWork,
+    DispatchedBatch, QueuePolicy, RetryPolicy, ServingConfig, ServingReport,
 };
 use gnnadvisor_core::tuning::{
     aggregation_metrics, tune_two_tier, Estimator, EstimatorConfig, TwoTierConfig,
 };
 use gnnadvisor_core::RuntimeParams;
-use gnnadvisor_gpu::{Engine, GpuSpec, OpClass, StreamReport, StreamSim, Workload};
+use gnnadvisor_gpu::{
+    Engine, FaultConfig, FaultPlan, GpuSpec, OpClass, StreamReport, StreamSim, Workload,
+};
 use gnnadvisor_graph::generators::{
     barabasi_albert, batched_graph, community_graph, BatchedParams, CommunityParams,
 };
@@ -557,4 +562,142 @@ fn two_tier_winner_sits_within_the_calibration_band() {
     h.u64(outcome.fast_evals as u64);
     h.u64(outcome.memo_hits as u64);
     h.check("tuning", 0x95748f2b9946b03e);
+}
+
+/// Injected fault rate of the retry scenario: high enough that several
+/// batches fault, low enough that a small retry budget absorbs nearly all
+/// of them.
+const FAULT_RATE: f64 = 0.2;
+
+/// One served trace over a Type II batched dataset (many small independent
+/// graphs, the workload class the paper serves with mini-batching, §8.3)
+/// at scale 0.05: 96 requests in batches of up to four, with features wide
+/// enough that the H2D copies are heavy. A fresh engine per run, so every
+/// run under `faults` sees the identical fault sequence (the plan's op
+/// counter restarts).
+fn serve_batched(
+    streams: usize,
+    mean_interarrival_ms: f64,
+    retry: RetryPolicy,
+    faults: Option<FaultPlan>,
+) -> ServingReport {
+    let cfg = ExperimentConfig::at_scale(0.05);
+    let nodes = ((8_000.0 * (cfg.scale / 0.05)) as usize).clamp(800, 80_000);
+    let (graph, components) = batched_graph(
+        &BatchedParams {
+            num_nodes: nodes,
+            num_edges: nodes * 4,
+            mean_graph_size: 100,
+            graph_size_cv: 0.4,
+        },
+        cfg.seed.wrapping_add(31),
+    )
+    .expect("valid batched dataset");
+    let mut exec = GcnBatchExecutor::new(&graph, &components, 256, 64, 10);
+    let arrivals = generate_arrivals(&ArrivalConfig {
+        num_requests: 96,
+        mean_interarrival_ms,
+        num_components: exec.num_components(),
+        seed: cfg.seed.wrapping_add(7),
+    })
+    .expect("valid arrival config");
+    let serving = ServingConfig {
+        streams,
+        queue: QueuePolicy { capacity: 96 },
+        batch: BatchPolicy {
+            max_batch: 4,
+            max_delay_ms: 1.0,
+        },
+        retry,
+        deadline_ms: None,
+    };
+    let mut builder = Engine::builder(cfg.spec.clone());
+    if let Some(plan) = faults {
+        builder = builder.fault_plan(Arc::new(plan));
+    }
+    let engine = builder.build().expect("valid engine configuration");
+    simulate(&engine, &arrivals, &serving, &mut exec).expect("serving simulation runs")
+}
+
+/// The same trace with retries disabled (every faulted batch fails
+/// outright) and with a budget of three, under one seeded fault plan.
+fn retry_reports() -> [ServingReport; 2] {
+    let seed = ExperimentConfig::at_scale(0.05).seed;
+    [0usize, 3].map(|retries| {
+        let retry = RetryPolicy {
+            max_attempts: retries + 1,
+            backoff_base_ms: 0.25,
+            seed,
+            ..RetryPolicy::default()
+        };
+        let plan =
+            FaultPlan::new(FaultConfig::uniform(FAULT_RATE, seed)).expect("valid fault rate");
+        serve_batched(2, 0.05, retry, Some(plan))
+    })
+}
+
+/// Bounded retries with backoff restore goodput (in-deadline completions
+/// per second) when the device injects transfer failures, kernel
+/// slowdowns and timeouts.
+#[test]
+fn retries_recover_goodput_and_are_deterministic() {
+    let a = retry_reports();
+    let b = retry_reports();
+    assert_eq!(
+        format!("{a:?}"),
+        format!("{b:?}"),
+        "scenario must be deterministic"
+    );
+    let [no_retry, with_retry] = &a;
+    assert!(
+        no_retry.failed > 0,
+        "a {FAULT_RATE} fault rate must fail batches without retries"
+    );
+    assert!(with_retry.retries > 0);
+    assert!(with_retry.completed > no_retry.completed);
+    assert!(
+        with_retry.goodput_rps > no_retry.goodput_rps,
+        "retry goodput {} must beat no-retry goodput {}",
+        with_retry.goodput_rps,
+        no_retry.goodput_rps
+    );
+    let goodput_recovery = with_retry.goodput_rps / no_retry.goodput_rps.max(1e-12);
+    assert!(goodput_recovery > 1.0);
+}
+
+/// The same trace on 1 (the CUDA default-stream behaviour), 2 and 4
+/// streams, offered far above device capacity so batches pile up at the
+/// batcher and the schedule is device-limited, not arrival-limited.
+fn stream_reports() -> [ServingReport; 3] {
+    [1usize, 2, 4].map(|streams| serve_batched(streams, 0.005, RetryPolicy::default(), None))
+}
+
+/// Copy/compute overlap and SM co-residency shrink the makespan of a
+/// served trace without changing any per-batch cost.
+#[test]
+fn overlap_beats_serialized_and_is_deterministic() {
+    let a = stream_reports();
+    let b = stream_reports();
+    assert_eq!(
+        format!("{a:?}"),
+        format!("{b:?}"),
+        "scenario must be deterministic"
+    );
+    assert!(a.len() == 3);
+    let serialized = a[0].makespan_ms;
+    let best_overlapped = a[1..]
+        .iter()
+        .map(|r| r.makespan_ms)
+        .fold(f64::INFINITY, f64::min);
+    let overlap_speedup = serialized / best_overlapped.max(1e-12);
+    assert!(
+        overlap_speedup > 1.0,
+        "overlapped streams must beat serialized: {:?}",
+        a.iter().map(|r| r.makespan_ms).collect::<Vec<_>>()
+    );
+    // Overlap may only help: every multi-stream makespan is bounded by
+    // the serialized one.
+    for r in &a[1..] {
+        assert!(r.makespan_ms <= serialized);
+    }
 }

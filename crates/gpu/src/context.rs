@@ -18,7 +18,8 @@
 //! bit-identical at any parallelism (see `DESIGN.md`, "Parallel simulation
 //! model").
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::Mutex;
@@ -159,6 +160,34 @@ impl ShardSlot {
     }
 }
 
+/// Per-SM busy cycles, ordered for earliest-finish-time placement: each
+/// block goes to the least-busy SM, the lowest-indexed one on ties.
+#[derive(Debug, Default)]
+pub(crate) struct SmQueue {
+    /// Min-heap of `(busy cycles, SM index)`.
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+impl SmQueue {
+    /// Empties the queue and adds `num_sms` idle SMs.
+    pub(crate) fn reset(&mut self, num_sms: u32) {
+        self.heap.clear();
+        self.heap.extend((0..num_sms).map(|sm| Reverse((0, sm))));
+    }
+
+    /// Places a block of `cycles` on the least-busy SM; returns that SM.
+    pub(crate) fn place(&mut self, cycles: u64) -> u32 {
+        let mut least = self.heap.peek_mut().expect("num_sms > 0 by spec");
+        least.0 .0 += cycles;
+        least.0 .1
+    }
+
+    /// The busiest SM's cycles (0 with no SMs).
+    pub(crate) fn busiest(&self) -> u64 {
+        self.heap.iter().map(|r| r.0 .0).max().unwrap_or(0)
+    }
+}
+
 /// Reusable simulation state for one engine. See the module docs.
 #[derive(Debug, Default)]
 pub struct RunContext {
@@ -169,7 +198,7 @@ pub struct RunContext {
     /// Scratch map the merge phase sums per-shard hotspot rounds into.
     pub(crate) merged_hotspots: HotspotMap,
     /// Per-SM busy cycles for the greedy placement pass.
-    pub(crate) sm_busy: Vec<u64>,
+    pub(crate) sm_busy: SmQueue,
     /// Arena for the per-shard trace rows assembled during the merge;
     /// recycled across launches so tracing never allocates per launch.
     pub(crate) shard_traces: Vec<ShardTrace>,
@@ -199,8 +228,7 @@ impl RunContext {
             slot.totals = ShardTotals::default();
         }
         self.merged_hotspots.clear();
-        self.sm_busy.clear();
-        self.sm_busy.resize(spec.num_sms as usize, 0);
+        self.sm_busy.reset(spec.num_sms);
         self.shard_traces.clear();
         self.hot_blocks.clear();
     }
@@ -209,6 +237,30 @@ impl RunContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn sm_queue_places_like_the_linear_scan() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut queue = SmQueue::default();
+        for num_sms in [1u32, 2, 7, 30, 80] {
+            queue.reset(num_sms);
+            let mut busy = vec![0u64; num_sms as usize];
+            for _ in 0..2_000 {
+                // Few distinct costs, so busy times tie often.
+                let cycles = rng.gen_range(0..4u64) * 100;
+                let (sm, _) = busy
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, &t)| t)
+                    .expect("num_sms > 0");
+                busy[sm] += cycles;
+                assert_eq!(queue.place(cycles), sm as u32, "{num_sms} SMs");
+            }
+            assert_eq!(queue.busiest(), busy.iter().copied().max().unwrap_or(0));
+        }
+    }
 
     #[test]
     fn plan_is_a_function_of_the_launch_only() {

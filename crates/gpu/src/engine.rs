@@ -771,16 +771,11 @@ impl Engine {
             }
             // Earliest-finish-time greedy SM assignment.
             for &block_cycles in &slot.block_cycles {
-                let (sm, _) = sm_busy
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &t)| t)
-                    .expect("num_sms > 0 by spec");
-                sm_busy[sm] += block_cycles;
+                sm_busy.place(block_cycles);
             }
         }
 
-        let busiest = sm_busy.iter().copied().max().unwrap_or(0);
+        let busiest = sm_busy.busiest();
         // Device-wide floors.
         let device_bw_bound = ((totals.dram_read_bytes + totals.dram_write_bytes) as f64
             / self.spec.dram_bytes_per_cycle().max(1e-9)) as u64;

@@ -46,7 +46,7 @@ pub use dynamic::{
     generate_updates, DeltaCsr, GraphSnapshot, UpdateEvent, UpdateKind, UpdateStreamConfig,
 };
 pub use reorder::permutation::Permutation;
-pub use sample::{sample_block, sample_epoch, SampleConfig, SampleStrategy, SampledBlock};
+pub use sample::{sample_epoch, EpochSampler, SampleConfig, SampleStrategy, SampledBlock};
 
 /// Errors produced while constructing or transforming graphs.
 #[derive(Debug, Clone, PartialEq, Eq)]

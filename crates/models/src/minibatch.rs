@@ -9,7 +9,17 @@
 //! H2D copy for batch `k` is released the instant the host finishes
 //! preparing it and the two timelines overlap.
 //!
-//! [`train_minibatch`] runs both arms over identical batches:
+//! The host side runs that pipeline for real. Per epoch, a scoped producer
+//! thread streams the blocks from [`EpochSampler`] and transposes each
+//! one, handing it over through a channel that holds one batch, while the
+//! calling thread gathers features, trains, prices and schedules. So
+//! sampling batch `k+1` overlaps training batch `k`, and the host holds
+//! about two blocks at a time instead of an epoch's worth. An error on
+//! either side ends the epoch with that error, and neither thread is left
+//! blocked: the consumer's error drops the receiver, which fails the
+//! producer's next send.
+//!
+//! [`train_minibatch`] runs both simulated arms over identical batches:
 //!
 //! - **pipelined** — one [`StreamSim`] per epoch; batch `k`'s H2D is
 //!   enqueued with a release time at the host's cumulative preparation
@@ -45,11 +55,14 @@
 //! [`MiniBatchReport::render`] is byte-identical at any
 //! `GNNADVISOR_SIM_THREADS`.
 
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::thread;
+
 use gnnadvisor_core::kernels::spmm_dgl::{SpmmKernel, StackingKernel};
 use gnnadvisor_core::minibatch::HostCostModel;
 use gnnadvisor_core::{CoreError, Result};
 use gnnadvisor_gpu::{Engine, PricedOp, StreamSim, Workload};
-use gnnadvisor_graph::sample::{sample_epoch, SampleConfig, SampledBlock};
+use gnnadvisor_graph::sample::{EpochSampler, SampleConfig, SampledBlock};
 use gnnadvisor_graph::Csr;
 use gnnadvisor_tensor::Matrix;
 
@@ -329,82 +342,136 @@ pub fn train_minibatch(
         });
     }
 
-    let feat_dim = cfg.dims[0];
     let mut trainer = GcnTrainer::new(&cfg.dims, cfg.lr, cfg.seed);
-    let workers = engine.host_workers();
     let mut epochs = Vec::with_capacity(cfg.epochs);
     for epoch in 0..cfg.epochs {
-        let blocks = sample_epoch(graph, &cfg.sample, epoch as u64)?;
-        let mut pipelined = StreamSim::new(engine);
-        let stream = pipelined.stream();
-        let mut host_end_ms = 0.0f64;
-        let mut device_ms = 0.0f64;
-        let mut loss = 0.0f64;
-        let mut accuracy = 0.0f64;
-        for block in &blocks {
-            // Host prepares the batch: sample, slice, gather.
-            let phases = cfg.host.charge(
-                block.scanned_edges,
-                block.block.num_edges(),
-                block.gather_bytes(feat_dim),
-            )?;
-            host_end_ms += phases.total_ms();
-
-            // Real training numerics; the device work is priced below.
-            let bf = features.gather_rows(&block.nodes);
-            let bl: Vec<usize> = block.nodes[..block.num_seeds]
-                .iter()
-                .map(|&v| labels[v as usize])
-                .collect();
-            let transposed = block.block.transpose();
-            let step = trainer.train_block(block, &transposed, &bf, &bl, workers)?;
-            loss += step.loss;
-            accuracy += step.accuracy;
-
-            let ops = price_batch(&mut pipelined, block, &transposed, &cfg.dims)?;
-
-            // Serialized arm: the same batch alone on an idle device.
-            let mut solo = StreamSim::new(engine);
-            let solo_stream = solo.stream();
-            for op in &ops {
-                solo.enqueue_priced(solo_stream, op.clone(), 0)?;
-            }
-            device_ms += solo.run()?.makespan_ms;
-
-            // Pipelined arm: the batch's H2D is released the instant the
-            // host finishes preparing it; the device drains in FIFO order.
-            let release = engine.spec().ms_to_cycles(host_end_ms);
-            for (i, op) in ops.into_iter().enumerate() {
-                let not_before = if i == 0 { release } else { 0 };
-                pipelined.enqueue_priced(stream, op, not_before)?;
-            }
-        }
-        let report = pipelined.run()?;
-        let spec = engine.spec();
-        let spans: Vec<(f64, f64)> = report
-            .spans
-            .iter()
-            .map(|s| {
-                (
-                    spec.cycles_to_ms(s.start_cycles),
-                    spec.cycles_to_ms(s.end_cycles),
-                )
-            })
-            .collect();
-        let n_batches = blocks.len().max(1) as f64;
-        epochs.push(EpochStats {
-            epoch,
-            loss: loss / n_batches,
-            accuracy: accuracy / n_batches,
-            num_batches: blocks.len(),
-            host_ms: host_end_ms,
-            device_ms,
-            pipelined_ms: report.makespan_ms,
-            serialized_ms: host_end_ms + device_ms,
-            overlap_ms: overlap_with_host(&spans, host_end_ms),
-        });
+        // The producer samples and transposes batch k+1 while this thread
+        // trains batch k. Each side ends when the other hangs up: an error
+        // here drops the receiver, which fails the producer's next send.
+        let stats = thread::scope(|s| {
+            let (tx, rx) = mpsc::sync_channel(PREFETCH_DEPTH);
+            s.spawn(move || prepare_epoch(graph, &cfg.sample, epoch as u64, &tx));
+            train_epoch(engine, &mut trainer, features, labels, cfg, epoch, rx)
+        })?;
+        epochs.push(stats);
     }
     Ok(MiniBatchReport { epochs })
+}
+
+/// Prepared batches that may wait in the channel for the training
+/// thread; the producer blocks while it is full.
+const PREFETCH_DEPTH: usize = 1;
+
+/// A sampled batch and its transpose, ready to train.
+type PreparedBatch = Result<(SampledBlock, Csr)>;
+
+/// The producer side of [`train_minibatch`]: streams one epoch's blocks,
+/// each with its transpose, into `tx`. Stops after the first error or when
+/// the receiver is gone.
+fn prepare_epoch(graph: &Csr, sample: &SampleConfig, epoch: u64, tx: &SyncSender<PreparedBatch>) {
+    let sampler = match EpochSampler::new(graph, sample, epoch) {
+        Ok(sampler) => sampler,
+        Err(e) => {
+            // The consumer may already be gone; nothing is left to stop.
+            let _ = tx.send(Err(e.into()));
+            return;
+        }
+    };
+    for block in sampler {
+        let batch = block.map_err(CoreError::from).map(|b| {
+            let transposed = b.block.transpose();
+            (b, transposed)
+        });
+        let failed = batch.is_err();
+        if tx.send(batch).is_err() || failed {
+            return;
+        }
+    }
+}
+
+/// The consumer side of [`train_minibatch`]: trains, prices and schedules
+/// every batch `rx` yields, in order, and returns the epoch's stats.
+fn train_epoch(
+    engine: &Engine,
+    trainer: &mut GcnTrainer,
+    features: &Matrix,
+    labels: &[usize],
+    cfg: &MiniBatchConfig,
+    epoch: usize,
+    rx: Receiver<PreparedBatch>,
+) -> Result<EpochStats> {
+    let feat_dim = cfg.dims[0];
+    let workers = engine.host_workers();
+    let mut pipelined = StreamSim::new(engine);
+    let stream = pipelined.stream();
+    let mut host_end_ms = 0.0f64;
+    let mut device_ms = 0.0f64;
+    let mut loss = 0.0f64;
+    let mut accuracy = 0.0f64;
+    let mut num_batches = 0usize;
+    for batch in rx {
+        let (block, transposed) = batch?;
+        num_batches += 1;
+        // Host prepares the batch: sample, slice, gather.
+        let phases = cfg.host.charge(
+            block.scanned_edges,
+            block.block.num_edges(),
+            block.gather_bytes(feat_dim),
+        )?;
+        host_end_ms += phases.total_ms();
+
+        // Real training numerics; the device work is priced below.
+        let bf = features.gather_rows(&block.nodes);
+        let bl: Vec<usize> = block.nodes[..block.num_seeds]
+            .iter()
+            .map(|&v| labels[v as usize])
+            .collect();
+        let step = trainer.train_block(&block, &transposed, &bf, &bl, workers)?;
+        loss += step.loss;
+        accuracy += step.accuracy;
+
+        let ops = price_batch(&mut pipelined, &block, &transposed, &cfg.dims)?;
+
+        // Serialized arm: the same batch alone on an idle device.
+        let mut solo = StreamSim::new(engine);
+        let solo_stream = solo.stream();
+        for op in &ops {
+            solo.enqueue_priced(solo_stream, op.clone(), 0)?;
+        }
+        device_ms += solo.run()?.makespan_ms;
+
+        // Pipelined arm: the batch's H2D is released the instant the
+        // host finishes preparing it; the device drains in FIFO order.
+        let release = engine.spec().ms_to_cycles(host_end_ms);
+        for (i, op) in ops.into_iter().enumerate() {
+            let not_before = if i == 0 { release } else { 0 };
+            pipelined.enqueue_priced(stream, op, not_before)?;
+        }
+    }
+    let report = pipelined.run()?;
+    let spec = engine.spec();
+    let spans: Vec<(f64, f64)> = report
+        .spans
+        .iter()
+        .map(|s| {
+            (
+                spec.cycles_to_ms(s.start_cycles),
+                spec.cycles_to_ms(s.end_cycles),
+            )
+        })
+        .collect();
+    let n_batches = num_batches.max(1) as f64;
+    Ok(EpochStats {
+        epoch,
+        loss: loss / n_batches,
+        accuracy: accuracy / n_batches,
+        num_batches,
+        host_ms: host_end_ms,
+        device_ms,
+        pipelined_ms: report.makespan_ms,
+        serialized_ms: host_end_ms + device_ms,
+        overlap_ms: overlap_with_host(&spans, host_end_ms),
+    })
 }
 
 #[cfg(test)]
@@ -412,6 +479,7 @@ mod tests {
     use super::*;
     use gnnadvisor_gpu::GpuSpec;
     use gnnadvisor_graph::generators::{community_graph, CommunityParams};
+    use gnnadvisor_graph::sample::sample_epoch;
     use gnnadvisor_graph::Csr;
 
     fn task() -> (Csr, Matrix, Vec<usize>) {
@@ -546,5 +614,49 @@ mod tests {
             &cfg
         )
         .is_err());
+    }
+
+    /// Runs `train_minibatch` on a watchdog thread: a producer left
+    /// blocked on the channel would hang the call, and this fails instead.
+    fn train_within_deadline(
+        g: &Csr,
+        features: &Matrix,
+        labels: &[usize],
+        cfg: &MiniBatchConfig,
+    ) -> Result<MiniBatchReport> {
+        let (g, features, labels, cfg) =
+            (g.clone(), features.clone(), labels.to_vec(), cfg.clone());
+        let (done, outcome) = mpsc::channel();
+        thread::spawn(move || {
+            let engine = Engine::new(GpuSpec::quadro_p6000());
+            let _ = done.send(train_minibatch(&engine, &g, &features, &labels, &cfg));
+        });
+        outcome
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("train_minibatch must return, not leave a thread blocked")
+    }
+
+    #[test]
+    fn an_error_mid_epoch_ends_the_run_and_its_producer() {
+        let (g, features, mut labels) = task();
+        let cfg = config();
+        // The first seed of epoch 0's second batch gets an out-of-range
+        // label: batch 0 trains, batch 1 fails while the producer still
+        // has batches to hand over.
+        let blocks = sample_epoch(&g, &cfg.sample, 0).expect("samples");
+        assert!(blocks.len() > 3, "the producer must have batches left");
+        let classes = *cfg.dims.last().expect("non-empty dims");
+        labels[blocks[1].nodes[0] as usize] = classes;
+        let err = train_within_deadline(&g, &features, &labels, &cfg).expect_err("bad label");
+        assert!(
+            matches!(&err, CoreError::InvalidParams { reason } if reason.contains("out of range")),
+            "{err:?}"
+        );
+
+        // A sampler that fails before its first batch ends the run too.
+        let empty = Csr::empty(0);
+        let err = train_within_deadline(&empty, &Matrix::zeros(0, 16), &[], &cfg)
+            .expect_err("empty graph");
+        assert!(matches!(err, CoreError::Graph(_)), "{err:?}");
     }
 }

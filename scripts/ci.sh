@@ -125,15 +125,20 @@ dynamic_chaos() {
 }
 check_stable serve-dynamic-chaos dynamic_chaos "batch retries"
 
+# The train-minibatch smokes run under `timeout`: the sampling thread and
+# the training thread hand batches over a bounded channel, so a deadlock
+# between them would hang the run. The limit also covers a cold build.
 echo "==> train-minibatch smoke: report stable across runs and worker counts"
 minibatch() {
-  gnnadvisor train-minibatch --scale 0.02 --batch-size 96 --epochs 2 --fanout 6,3 > "$1"
+  timeout 600 cargo run --offline -q --bin gnnadvisor -- \
+    train-minibatch --scale 0.02 --batch-size 96 --epochs 2 --fanout 6,3 > "$1"
 }
 check_stable train-minibatch minibatch "total: pipelined" "overlap"
 
 echo "==> train-minibatch layer-wise smoke: report stable across runs and worker counts"
 minibatch_layer() {
-  gnnadvisor train-minibatch --scale 0.02 --batch-size 96 --epochs 2 --fanout 6,3 \
+  timeout 600 cargo run --offline -q --bin gnnadvisor -- \
+    train-minibatch --scale 0.02 --batch-size 96 --epochs 2 --fanout 6,3 \
     --strategy layer --budget 64 > "$1"
 }
 check_stable train-minibatch-layer minibatch_layer "strategy layer (budget 64)" "total: pipelined"
@@ -144,7 +149,7 @@ echo "==> train-minibatch row-parallel smoke: wide blocks stable across runs and
 # stdout come from the row-parallel numerics at 4 workers and from the
 # serial path at 1.
 minibatch_wide() {
-  cargo run --offline -q --release --bin gnnadvisor -- \
+  timeout 600 cargo run --offline -q --release --bin gnnadvisor -- \
     train-minibatch --scale 0.5 --batch-size 1024 --epochs 1 --fanout 10,5 --hidden 64 > "$1"
 }
 check_stable train-minibatch-wide minibatch_wide "dims \[96, 64, 10\]" "final: loss"
