@@ -15,7 +15,7 @@
 //! once from the config seed, so a `(config, seed)` pair replays
 //! bit-for-bit.
 
-use crate::{CoreError, Result};
+use crate::{splitmix64, CoreError, Result};
 
 /// Control policy of the autoscaler.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,14 +98,6 @@ pub struct ScaleEvent {
     pub from: usize,
     /// Active replicas after the step.
     pub to: usize,
-}
-
-/// SplitMix64 finalizer (the workspace's standard seeded draw).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The running controller.

@@ -47,7 +47,7 @@ pub use tenant::{
 use gnnadvisor_gpu::fault::FaultKind;
 use gnnadvisor_gpu::{Engine, GpuSpec};
 
-use crate::serving::ledger::{Class, RunningPercentile};
+use crate::serving::ledger::RunningPercentile;
 use crate::serving::runner::{Attempt, Fleet, Outcome, Placer};
 use crate::serving::{BatchExecutor, BatchPolicy, QueuePolicy, Request, RetryPolicy};
 use crate::{CoreError, Result};
@@ -385,20 +385,8 @@ pub fn simulate_cluster(
         outcomes.push(run.outcome);
     }
 
-    let mut tenant_arrivals = vec![0usize; tenants.len()];
-    for &t in tenant_of {
-        tenant_arrivals[t] += 1;
-    }
-    let classes = tenants
-        .iter()
-        .zip(&tenant_arrivals)
-        .zip(&plan.shed_per_tenant)
-        .map(|((spec, &arrivals), &shed)| Class {
-            deadline_ms: spec.deadline_ms,
-            arrivals,
-            shed,
-        })
-        .collect();
+    let classes = plan.classes(tenants, tenant_of);
+    let tenant_arrivals: Vec<usize> = classes.iter().map(|c| c.arrivals).collect();
     let mut ledger = fleet.close(classes)?;
     for (cb, outcome) in plan.batches.iter().zip(outcomes) {
         ledger.record(cb.tenant, &cb.batch, outcome);

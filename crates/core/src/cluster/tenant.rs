@@ -3,8 +3,10 @@
 //! A shared cluster serves several *tenants* — independent traffic
 //! classes with their own latency deadlines and a weight that says how
 //! much of the shared admission queue each one is entitled to under
-//! contention. The planner here generalizes the single-stream batcher
-//! ([`crate::serving::batcher`]) to that setting:
+//! contention. [`plan_cluster_batches`] is the workspace's one
+//! admission-and-batching planner: plain serving ([`crate::serving`])
+//! and dynamic serving ([`crate::dynamic`]) run it with a single tenant,
+//! which owns the whole queue, and the cluster runs it with the roster.
 //!
 //! - the admission queue's capacity is shared, but each tenant owns a
 //!   *guaranteed share* proportional to its weight (never below one
@@ -15,15 +17,19 @@
 //!   burst cannot starve a light tenant's trickle;
 //! - batches are tenant-pure (one tenant per batch — tenants may want
 //!   different models, priorities, or billing) and close under the shared
-//!   max-batch / max-delay triggers.
+//!   max-batch / max-delay triggers ([`BatchPolicy`]).
+//!
+//! With one tenant no eviction can happen (a lone tenant is never over
+//! its share), so the planner is a bounded FIFO that sheds at capacity.
 //!
 //! Everything is pure policy: trace in, per-tenant dispatch schedule and
 //! shed counts out. Ties break on the lowest tenant index, so the plan is
 //! deterministic for any input.
 
-use crate::serving::batcher::{BatchPolicy, DispatchedBatch, QueuePolicy};
-use crate::serving::Request;
-use crate::{CoreError, Result};
+use crate::serving::batcher::{validate_policies, validate_trace};
+use crate::serving::ledger::Class;
+use crate::serving::{BatchPolicy, DispatchedBatch, QueuePolicy, Request};
+use crate::{splitmix64, CoreError, Result};
 
 use std::collections::VecDeque;
 
@@ -74,14 +80,6 @@ pub fn validate_tenants(tenants: &[TenantSpec]) -> Result<()> {
     Ok(())
 }
 
-/// SplitMix64 finalizer (the workspace's standard seeded draw).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Assigns each request a tenant, drawn per-request in proportion to the
 /// tenant weights — a pure function of `(request id, seed)`, so the
 /// assignment replays bit-for-bit and is independent of trace slicing.
@@ -127,6 +125,28 @@ pub struct ClusterPlan {
     pub batches: Vec<ClusterBatch>,
     /// Requests rejected (or evicted) at admission, per tenant.
     pub shed_per_tenant: Vec<u64>,
+}
+
+impl ClusterPlan {
+    /// The latency ledger's classes, one per tenant in roster order: the
+    /// tenant's deadline, the requests `tenant_of` assigns it and how many
+    /// of them admission shed.
+    pub(crate) fn classes(&self, tenants: &[TenantSpec], tenant_of: &[usize]) -> Vec<Class> {
+        let mut arrivals = vec![0usize; tenants.len()];
+        for &t in tenant_of {
+            arrivals[t] += 1;
+        }
+        tenants
+            .iter()
+            .zip(arrivals)
+            .zip(&self.shed_per_tenant)
+            .map(|((spec, arrivals), &shed)| Class {
+                deadline_ms: spec.deadline_ms,
+                arrivals,
+                shed,
+            })
+            .collect()
+    }
 }
 
 /// Weighted-fair admission state over one shared capacity.
@@ -228,6 +248,8 @@ pub fn plan_cluster_batches(
     queue: &QueuePolicy,
     policy: &BatchPolicy,
 ) -> Result<ClusterPlan> {
+    validate_policies(queue, policy)?;
+    validate_trace(arrivals)?;
     validate_tenants(tenants)?;
     if tenant_of.len() != arrivals.len() {
         return Err(CoreError::Serving {
@@ -255,10 +277,6 @@ pub fn plan_cluster_batches(
             ),
         });
     }
-    // Reuse the single-tenant validation for the batch/queue policies.
-    crate::serving::plan_batches(&[], queue, policy)?;
-    crate::serving::batcher::validate_trace(arrivals)?;
-
     let mut adm = Admission::new(tenants, queue.capacity);
     let mut batches = Vec::new();
     for (request, &t) in arrivals.iter().zip(tenant_of) {

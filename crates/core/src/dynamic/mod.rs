@@ -13,10 +13,12 @@
 //!   interleaved with request arrivals on the simulated clock: every
 //!   update with `at_ms <=` a batch's dispatch instant is applied to the
 //!   live [`DeltaCsr`] before that batch plans;
-//! - each batch executes against a copy-on-write [`GraphSnapshot`] taken
-//!   at plan time, so in-flight work observes one consistent version
-//!   while updates keep applying — the report tags every batch with the
-//!   version it ran against;
+//! - each batch plans against the live graph materialized at plan time
+//!   ([`DeltaCsr::to_csr`], cached per version, so batches between two
+//!   updates share one materialization); the executor builds the batch's
+//!   device work from that CSR, so in-flight work observes one
+//!   consistent version while updates keep applying — the report tags
+//!   every batch with the version it ran against;
 //! - a [`RenumberPolicy`] watches the batches' kernel L2 hit-rate
 //!   through a sliding [`HitRateWindow`]; when the windowed rate sinks
 //!   below `watermark x` the baseline captured after the last rebuild,
@@ -28,7 +30,8 @@
 //! The arrival, admission, batching, retry and deadline machinery is the
 //! serving pipeline's: [`crate::serving`]'s round-robin loop runs every
 //! batch, and this module adds one step before each batch (apply the due
-//! updates, pin the snapshot) and one after it (the locality policy).
+//! updates, materialize the version) and one after it (the locality
+//! policy).
 //! Batches may round-robin across several replica engines (the cluster
 //! integration: replicated serving over one evolving graph). With one
 //! engine, no updates and no policy the report equals
@@ -54,7 +57,7 @@ use crate::tuning::params::RuntimeParams;
 use crate::workload::group::{partition_groups, NeighborGroup};
 use crate::{CoreError, Result};
 
-pub use gnnadvisor_graph::dynamic::{generate_updates, GraphSnapshot, UpdateStreamConfig};
+pub use gnnadvisor_graph::dynamic::{generate_updates, UpdateStreamConfig};
 
 /// One graph snapshot prepared for the GNNAdvisor aggregation.
 ///

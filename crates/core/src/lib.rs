@@ -50,6 +50,17 @@ pub use runtime::{Advisor, AdvisorConfig};
 pub use tuning::params::RuntimeParams;
 pub use workload::group::NeighborGroup;
 
+/// SplitMix64 finalizer: the seeded draw behind tenant assignment, retry
+/// jitter and the autoscaler's phase. It mirrors the fault plan's draw,
+/// so every seeded choice comes from the same well-mixed family.
+#[inline]
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// The unified error type of the runtime stack: one public enum with one
 /// variant per layer (graph, tensor, gpu, runtime params, serving), so no
 /// stringly-typed error crosses a crate boundary. The facade crate

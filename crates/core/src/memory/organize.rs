@@ -15,6 +15,10 @@
 //! Algorithm 1 with `thread_per_block` generalized to groups-per-block
 //! (each group occupies `dw` threads under dimension sharing).
 
+use gnnadvisor_gpu::{BlockResources, GpuSpec, DEFAULT_REGS_PER_THREAD};
+
+use crate::runtime::ResolvedLaunch;
+use crate::tuning::params::RuntimeParams;
 use crate::workload::group::NeighborGroup;
 
 /// The per-group shared-memory layout of one launch.
@@ -102,6 +106,51 @@ pub fn organize_shared(groups: &[NeighborGroup], groups_per_block: usize) -> Sha
         leader,
         max_slots,
         groups_per_block,
+    }
+}
+
+/// The launch shape of the GNNAdvisor aggregation over `groups` at
+/// dimensionality `dim` on `spec`: the one rule both the runtime and the
+/// tuner launch by.
+///
+/// Shared staging needs the Algorithm 1 layout of the worst block to fit
+/// the device's per-block shared memory. When it does not, the block is
+/// narrowed (`threads_per_block` halved, the layout rebuilt for the
+/// fewer groups per block) until it does. Below 128 threads, or below
+/// `dim_workers`, the extra block-dispatch overhead of the narrower
+/// launch outweighs what staging saves, so the kernel falls back to
+/// direct atomic accumulation with the original parameters instead.
+pub(crate) fn resolve_launch(
+    groups: &[NeighborGroup],
+    params: RuntimeParams,
+    dim: usize,
+    spec: &GpuSpec,
+) -> ResolvedLaunch {
+    if params.use_shared {
+        let mut narrowed = params;
+        loop {
+            let layout = organize_shared(groups, narrowed.groups_per_block());
+            let resources = BlockResources {
+                regs_per_thread: DEFAULT_REGS_PER_THREAD,
+                smem_bytes: layout.shared_bytes(dim),
+                threads: narrowed.threads_per_block,
+            };
+            if spec.occupancy_limit(&resources).is_launchable() {
+                return ResolvedLaunch {
+                    params: narrowed,
+                    layout: Some(layout),
+                };
+            }
+            let next = narrowed.threads_per_block / 2;
+            if next < 128 || next < narrowed.dim_workers {
+                break;
+            }
+            narrowed.threads_per_block = next;
+        }
+    }
+    ResolvedLaunch {
+        params,
+        layout: None,
     }
 }
 

@@ -10,13 +10,13 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use gnnadvisor_gpu::{BlockResources, Engine, GpuSpec, KernelMetrics, DEFAULT_REGS_PER_THREAD};
+use gnnadvisor_gpu::{Engine, GpuSpec, KernelMetrics};
 use gnnadvisor_graph::reorder::{renumber, RenumberConfig};
 use gnnadvisor_graph::{Csr, Permutation};
 
 use crate::input::{extract, AggOrder, InputInfo};
 use crate::kernels::advisor::AdvisorKernel;
-use crate::memory::organize::{organize_shared, SharedLayout};
+use crate::memory::organize::{organize_shared, resolve_launch, SharedLayout};
 use crate::tuning::model;
 use crate::tuning::params::RuntimeParams;
 use crate::tuning::two_tier::{aggregation_metrics, tune_two_tier, TwoTierConfig};
@@ -178,9 +178,9 @@ impl Advisor {
     /// e.g. after renumbering clusters many low-degree nodes into one
     /// block, inflating the slot count — the launch is re-shaped with a
     /// narrower block (halved `tpb`) until the layout fits, exactly as a
-    /// CUDA runtime would re-tune the launch configuration. Only if even a
-    /// 32-thread block cannot host one row does the kernel fall back to
-    /// direct atomic accumulation.
+    /// CUDA runtime would re-tune the launch configuration; below 128
+    /// threads the kernel falls back to direct atomic accumulation
+    /// instead (`memory::organize::resolve_launch` holds the rule).
     pub fn aggregate(&self, dim: usize) -> Result<KernelMetrics> {
         let resolved = self.resolved_launch(dim);
         let kernel = AdvisorKernel::new(
@@ -207,42 +207,14 @@ impl Advisor {
         if let Some(hit) = cache.get(&dim) {
             return Arc::clone(hit);
         }
-        let launch = Arc::new(self.resolve_launch(dim));
+        let launch = Arc::new(resolve_launch(
+            &self.groups,
+            self.params,
+            dim,
+            self.engine.spec(),
+        ));
         cache.insert(dim, Arc::clone(&launch));
         launch
-    }
-
-    fn resolve_launch(&self, dim: usize) -> ResolvedLaunch {
-        let spec = self.engine.spec();
-        if self.params.use_shared {
-            let mut params = self.params;
-            loop {
-                let layout = organize_shared(&self.groups, params.groups_per_block());
-                let resources = BlockResources {
-                    regs_per_thread: DEFAULT_REGS_PER_THREAD,
-                    smem_bytes: layout.shared_bytes(dim),
-                    threads: params.threads_per_block,
-                };
-                if spec.occupancy_limit(&resources).is_launchable() {
-                    return ResolvedLaunch {
-                        params,
-                        layout: Some(layout),
-                    };
-                }
-                let next = params.threads_per_block / 2;
-                // Below 128 threads the extra block-dispatch overhead of
-                // the narrower launch outweighs what staging saves, so
-                // fall back to direct atomic accumulation instead.
-                if next < 128 || next < params.dim_workers {
-                    break;
-                }
-                params.threads_per_block = next;
-            }
-        }
-        ResolvedLaunch {
-            params: self.params,
-            layout: None,
-        }
     }
 
     /// Prices the dense update `rows x in_dim · in_dim x out_dim`.
@@ -290,6 +262,7 @@ impl Advisor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gnnadvisor_gpu::{BlockResources, DEFAULT_REGS_PER_THREAD};
     use gnnadvisor_graph::generators::{community_graph, CommunityParams};
 
     fn graph() -> Csr {

@@ -3,16 +3,19 @@
 //! GNNAdvisor's runtime (the paper, Section 4) optimizes one forward pass
 //! at a time. This module layers an *inference server* on top of the same
 //! simulated device: an open-loop arrival process ([`arrivals`]) feeds a
-//! bounded admission queue ([`queue`]), a dynamic batcher coalesces
-//! waiting requests under a max-batch / max-delay policy ([`batcher`]),
-//! and the dispatched batches execute on concurrent simulated streams
+//! bounded admission queue, a dynamic batcher coalesces waiting requests
+//! under a max-batch / max-delay policy ([`batcher`]), and the dispatched
+//! batches execute on concurrent simulated streams
 //! ([`gnnadvisor_gpu::stream`]) so host↔device copies overlap compute and
 //! small kernels co-reside on the SMs.
 //!
 //! The split of responsibilities:
 //!
-//! - [`plan_batches`] is pure policy — trace in, dispatch schedule and
-//!   shed count out;
+//! - [`crate::cluster::plan_cluster_batches`] is pure policy — trace in,
+//!   dispatch schedule and shed count out. It is the one planner of every
+//!   serving entry point; plain serving runs it with a single tenant of
+//!   weight 1 and deadline [`ServingConfig::deadline_ms`], so admission is
+//!   a FIFO of `queue.capacity` slots that sheds when full;
 //! - [`BatchExecutor`] is the model-specific part (what device work one
 //!   batch costs), implemented by the model layer so this crate never
 //!   depends on it;
@@ -45,20 +48,17 @@
 pub mod arrivals;
 pub mod batcher;
 pub(crate) mod ledger;
-pub mod queue;
 pub mod retry;
 pub(crate) mod runner;
 
 pub use arrivals::{generate_arrivals, generate_mmpp_arrivals, ArrivalConfig, MmppConfig, Request};
-pub use batcher::{plan_batches, BatchPlan, BatchPolicy, DispatchedBatch, QueuePolicy};
-pub use queue::BoundedQueue;
+pub use batcher::{BatchPolicy, DispatchedBatch, QueuePolicy};
 pub use retry::RetryPolicy;
 
 use gnnadvisor_gpu::{Engine, Kernel, Workload};
 
-use crate::cluster::Placement;
+use crate::cluster::{plan_cluster_batches, Placement, TenantSpec};
 use crate::{CoreError, Result};
-use ledger::Class;
 use runner::{BatchRun, Fleet};
 
 /// One unit of device work an executor plans for a batch.
@@ -298,14 +298,20 @@ pub(crate) fn serve_round_robin<S: BatchSteps + ?Sized>(
         });
     }
     cfg.validate()?;
-    let plan = plan_batches(arrivals, &cfg.queue, &cfg.batch)?;
+    let tenants = [TenantSpec {
+        name: "all".into(),
+        weight: 1,
+        deadline_ms: cfg.deadline_ms,
+    }];
+    let tenant_of = vec![0; arrivals.len()];
+    let plan = plan_cluster_batches(arrivals, &tenant_of, &tenants, &cfg.queue, &cfg.batch)?;
 
     let mut fleet = Fleet::new(engines, cfg.streams);
     let slots = engines.len() * cfg.streams;
     let mut outcomes = Vec::with_capacity(plan.batches.len());
     let mut retries = 0u64;
-    for (i, batch) in plan.batches.iter().enumerate() {
-        let (work, release_ms) = steps.plan(i, batch)?;
+    for (i, cb) in plan.batches.iter().enumerate() {
+        let (work, release_ms) = steps.plan(i, &cb.batch)?;
         let mut slot = Placement {
             replica: i % slots / cfg.streams,
             stream: i % slots % cfg.streams,
@@ -313,16 +319,12 @@ pub(crate) fn serve_round_robin<S: BatchSteps + ?Sized>(
         let run = fleet.run_batch(i, &work, release_ms, &cfg.retry, &mut slot)?;
         retries += run.retries();
         outcomes.push(run.outcome);
-        steps.ran(i, batch, &run)?;
+        steps.ran(i, &cb.batch, &run)?;
     }
 
-    let mut ledger = fleet.close(vec![Class {
-        deadline_ms: cfg.deadline_ms,
-        arrivals: arrivals.len(),
-        shed: plan.shed,
-    }])?;
-    for (batch, outcome) in plan.batches.iter().zip(outcomes) {
-        ledger.record(0, batch, outcome);
+    let mut ledger = fleet.close(plan.classes(&tenants, &tenant_of))?;
+    for (cb, outcome) in plan.batches.iter().zip(outcomes) {
+        ledger.record(cb.tenant, &cb.batch, outcome);
     }
     Ok(ServingReport {
         retries,

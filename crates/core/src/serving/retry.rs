@@ -8,7 +8,7 @@
 //! — drawn from the policy's seed, not wall clock, so a faulted serving
 //! run replays bit-for-bit.
 
-use crate::{CoreError, Result};
+use crate::{splitmix64, CoreError, Result};
 
 /// How the server re-submits a batch whose device work faulted.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,15 +39,6 @@ impl Default for RetryPolicy {
             seed: 0,
         }
     }
-}
-
-/// SplitMix64 finalizer, mirroring the fault plan's draw so retry jitter
-/// and fault verdicts come from the same well-mixed family.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl RetryPolicy {

@@ -21,14 +21,12 @@
 
 use std::collections::HashMap;
 
-use gnnadvisor_gpu::{
-    BlockResources, Engine, GpuSpec, KernelMetrics, PhaseBreakdown, DEFAULT_REGS_PER_THREAD,
-};
+use gnnadvisor_gpu::{Engine, GpuSpec, KernelMetrics, PhaseBreakdown};
 use gnnadvisor_graph::Csr;
 
 use crate::input::InputInfo;
 use crate::kernels::advisor::AdvisorKernel;
-use crate::memory::organize::organize_shared;
+use crate::memory::organize::resolve_launch;
 use crate::tuning::analytic::AnalyticModel;
 use crate::tuning::estimator::{Estimator, EstimatorConfig};
 use crate::tuning::model;
@@ -253,11 +251,11 @@ fn key(p: &RuntimeParams) -> (usize, u32, u32, bool, bool) {
 }
 
 /// Full-simulation fitness for one aggregation candidate: re-partitions
-/// the graph at the candidate's group size, rebuilds the Algorithm 1
-/// shared layout (narrowing the block exactly like
-/// `Advisor::resolve_launch` when it overflows shared memory), and
-/// launches the event-level aggregation kernel. Returns `None` when the
-/// candidate cannot launch (infeasible grid).
+/// the graph at the candidate's group size, resolves its launch shape by
+/// the rule `Advisor::aggregate` launches by
+/// (`memory::organize::resolve_launch`), and launches the event-level
+/// aggregation kernel. Returns `None` when the candidate cannot launch
+/// (infeasible grid).
 pub fn aggregation_metrics(
     graph: &Csr,
     dim: usize,
@@ -265,30 +263,8 @@ pub fn aggregation_metrics(
     engine: &Engine,
 ) -> Option<KernelMetrics> {
     let groups = crate::workload::group::partition_groups(graph, params.group_size).ok()?;
-    let mut narrowed = *params;
-    let mut layout = None;
-    if narrowed.use_shared {
-        let spec = engine.spec();
-        loop {
-            let candidate = organize_shared(&groups, narrowed.groups_per_block());
-            let resources = BlockResources {
-                regs_per_thread: DEFAULT_REGS_PER_THREAD,
-                smem_bytes: candidate.shared_bytes(dim),
-                threads: narrowed.threads_per_block,
-            };
-            if spec.occupancy_limit(&resources).is_launchable() {
-                layout = Some(candidate);
-                break;
-            }
-            let next = narrowed.threads_per_block / 2;
-            if next < 128 || next < narrowed.dim_workers {
-                break;
-            }
-            narrowed.threads_per_block = next;
-        }
-    }
-    let launch_params = if layout.is_some() { narrowed } else { *params };
-    let kernel = AdvisorKernel::new(graph, &groups, layout.as_ref(), dim, launch_params);
+    let launch = resolve_launch(&groups, *params, dim, engine.spec());
+    let kernel = AdvisorKernel::new(graph, &groups, launch.layout.as_ref(), dim, launch.params);
     crate::submit::launch(engine, &kernel).ok()
 }
 

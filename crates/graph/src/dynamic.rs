@@ -1,32 +1,30 @@
 //! Dynamic-graph substrate: seeded update streams and an incrementally
-//! maintained CSR with copy-on-write snapshots.
+//! maintained CSR.
 //!
-//! Production graph serving (ROADMAP item 4) means the graph mutates
-//! while queries run: edges arrive and vanish, new nodes appear. This
-//! module provides the two graph-side pieces the dynamic serving runtime
-//! (`core::dynamic`) builds on:
+//! Production graph serving means the graph mutates while queries run:
+//! edges arrive and vanish, new nodes appear. This module provides the
+//! two graph-side pieces the dynamic serving runtime (`core::dynamic`)
+//! builds on:
 //!
 //! - [`generate_updates`]: an open-loop, seeded stream of edge
 //!   insert/delete and node-arrival events with a configurable churn
 //!   mix, timestamped by a Poisson process — the update-side twin of the
 //!   serving crate's arrival generators. Deterministic for a `(base
 //!   graph, config)` pair, independent of any thread count.
-//! - [`DeltaCsr`]: the base [`Csr`] plus an immutable *overlay* of
-//!   per-node added/deleted neighbor lists. Mutations copy-on-write the
-//!   overlay (`Arc::make_mut`), so a [`GraphSnapshot`] taken before a
-//!   mutation keeps observing the exact pre-mutation graph at zero copy
-//!   cost until a writer actually diverges. [`DeltaCsr::compact`] folds
-//!   the overlay back into a fresh base CSR; compaction never changes
-//!   query results (property-tested in `tests/dynamic_snapshots.rs`).
+//! - [`DeltaCsr`]: the base [`Csr`] plus an *overlay* of per-node
+//!   added/deleted neighbor lists, so a mutation costs a sorted insert
+//!   into one or two rows instead of a CSR rebuild.
+//!   [`DeltaCsr::to_csr`] materializes the current version as a plain
+//!   CSR, and [`DeltaCsr::compact`] folds the overlay back into a fresh
+//!   base; compaction never changes query results (property-tested in
+//!   `tests/dynamic_snapshots.rs`).
 //!
 //! Versioning: every *effective* mutation (one that changes the edge set
 //! or node count) bumps the version by one; no-op updates (inserting a
-//! present edge, deleting an absent one) leave it untouched. Snapshots
-//! carry the version they were taken at, which serving reports use to
-//! tag every batch with the graph it actually executed against.
+//! present edge, deleting an absent one) leave it untouched. Serving
+//! reports tag every batch with the version it executed against.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -309,7 +307,7 @@ pub fn generate_updates(base: &Csr, cfg: &UpdateStreamConfig) -> Result<Vec<Upda
     Ok(out)
 }
 
-/// The copy-on-write overlay: per-node sorted neighbor additions and
+/// The overlay: per-node sorted neighbor additions and
 /// deletions relative to the base CSR, plus appended (initially
 /// isolated) nodes. Directed entry counts keep `num_edges` O(1).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -390,16 +388,16 @@ impl Overlay {
     }
 }
 
-/// A CSR graph under mutation: an immutable base plus a copy-on-write
-/// delta overlay, with monotone versioning and O(1) snapshots.
+/// A CSR graph under mutation: an immutable base plus a delta overlay,
+/// with monotone versioning.
 ///
 /// Undirected semantics throughout — one `insert_edge(u, v)` adds both
 /// directed entries, matching the symmetric graphs the
 /// community/renumbering pipeline assumes.
 #[derive(Debug, Clone)]
 pub struct DeltaCsr {
-    base: Arc<Csr>,
-    overlay: Arc<Overlay>,
+    base: Csr,
+    overlay: Overlay,
     version: u64,
 }
 
@@ -414,8 +412,8 @@ impl DeltaCsr {
     /// the swap.
     pub fn with_version(base: Csr, version: u64) -> Self {
         Self {
-            base: Arc::new(base),
-            overlay: Arc::new(Overlay::default()),
+            base,
+            overlay: Overlay::default(),
             version,
         }
     }
@@ -476,8 +474,7 @@ impl DeltaCsr {
         if self.has_edge(u, v) {
             return Ok(false);
         }
-        let base = Arc::clone(&self.base);
-        let overlay = Arc::make_mut(&mut self.overlay);
+        let overlay = &mut self.overlay;
         for (a, b) in [(u, v), (v, u)] {
             // Undeleting a base edge and adding a new entry are distinct:
             // the former shrinks `dels`, the latter grows `adds`.
@@ -505,7 +502,6 @@ impl DeltaCsr {
                 overlay.added_entries += 1;
             }
         }
-        drop(base);
         self.version += 1;
         Ok(true)
     }
@@ -518,8 +514,7 @@ impl DeltaCsr {
         if !self.has_edge(u, v) {
             return Ok(false);
         }
-        let base = Arc::clone(&self.base);
-        let overlay = Arc::make_mut(&mut self.overlay);
+        let overlay = &mut self.overlay;
         for (a, b) in [(u, v), (v, u)] {
             // An overlay-added edge is retracted from `adds`; a base edge
             // is masked via `dels`.
@@ -549,7 +544,6 @@ impl DeltaCsr {
                 overlay.deleted_entries += 1;
             }
         }
-        drop(base);
         self.version += 1;
         Ok(true)
     }
@@ -557,77 +551,22 @@ impl DeltaCsr {
     /// Appends a new isolated node, returning its id; bumps the version.
     pub fn add_node(&mut self) -> NodeId {
         let id = self.num_nodes() as NodeId;
-        Arc::make_mut(&mut self.overlay).extra_nodes += 1;
+        self.overlay.extra_nodes += 1;
         self.version += 1;
         id
     }
 
-    /// Takes an O(1) consistent snapshot at the current version. The
-    /// snapshot keeps observing this exact graph no matter how many
-    /// mutations follow (writers copy the overlay on divergence).
-    pub fn snapshot(&self) -> GraphSnapshot {
-        GraphSnapshot {
-            base: Arc::clone(&self.base),
-            overlay: Arc::clone(&self.overlay),
-            version: self.version,
-        }
-    }
-
     /// Folds the overlay into a fresh base CSR. Queries and the version
-    /// are unaffected — compaction is pure representation maintenance;
-    /// outstanding snapshots keep their old base/overlay pair.
+    /// are unaffected — compaction is pure representation maintenance.
     pub fn compact(&mut self) {
         if self.overlay.is_empty() {
             return;
         }
-        let csr = self.snapshot().to_csr();
-        self.base = Arc::new(csr);
-        self.overlay = Arc::new(Overlay::default());
+        self.base = self.to_csr();
+        self.overlay = Overlay::default();
     }
 
     /// Materializes the current graph as a plain CSR (sorted rows).
-    pub fn to_csr(&self) -> Csr {
-        self.snapshot().to_csr()
-    }
-}
-
-/// An immutable, consistent view of a [`DeltaCsr`] at one version.
-/// Cheap to take and to clone (two `Arc`s); materialize with
-/// [`GraphSnapshot::to_csr`] when a kernel needs a contiguous CSR.
-#[derive(Debug, Clone)]
-pub struct GraphSnapshot {
-    base: Arc<Csr>,
-    overlay: Arc<Overlay>,
-    version: u64,
-}
-
-impl GraphSnapshot {
-    /// The version this snapshot was taken at.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Node count at snapshot time.
-    pub fn num_nodes(&self) -> usize {
-        self.base.num_nodes() + self.overlay.extra_nodes
-    }
-
-    /// Directed adjacency-entry count at snapshot time.
-    pub fn num_edges(&self) -> usize {
-        self.base.num_edges() + self.overlay.added_entries - self.overlay.deleted_entries
-    }
-
-    /// Merged sorted neighbor list of `v` at snapshot time.
-    pub fn neighbors_of(&self, v: NodeId) -> Vec<NodeId> {
-        self.overlay.neighbors_of(&self.base, v)
-    }
-
-    /// Whether the undirected edge `{u, v}` was live at snapshot time.
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.overlay.has_neighbor(&self.base, u, v)
-    }
-
-    /// Materializes the snapshot as a plain CSR with sorted rows.
     pub fn to_csr(&self) -> Csr {
         let n = self.num_nodes();
         let mut row_ptr = Vec::with_capacity(n + 1);
@@ -637,7 +576,7 @@ impl GraphSnapshot {
             self.overlay.append_row(&self.base, v, &mut col_idx);
             row_ptr.push(col_idx.len());
         }
-        Csr::from_raw(n, row_ptr, col_idx).expect("snapshot rows are sorted and in range")
+        Csr::from_raw(n, row_ptr, col_idx).expect("merged rows are sorted and in range")
     }
 }
 
@@ -714,28 +653,6 @@ mod tests {
             Err(GraphError::InvalidParameters { .. })
         ));
         assert_eq!(d.version(), 0, "rejected updates must not bump the version");
-    }
-
-    #[test]
-    fn snapshots_are_isolated_from_later_mutations() {
-        let mut d = DeltaCsr::new(small_base());
-        d.insert_edge(0, 4).expect("in range");
-        let snap = d.snapshot();
-        let frozen_edges = snap.num_edges();
-        let frozen_neighbors = snap.neighbors_of(0);
-        d.delete_edge(0, 4).expect("in range");
-        d.insert_edge(2, 5).expect("in range");
-        d.add_node();
-        assert_eq!(snap.version(), 1);
-        assert_eq!(snap.num_edges(), frozen_edges);
-        assert_eq!(snap.neighbors_of(0), frozen_neighbors);
-        assert!(
-            snap.has_edge(0, 4),
-            "snapshot must keep the pre-delete view"
-        );
-        assert!(!snap.has_edge(2, 5));
-        assert_eq!(snap.num_nodes(), 6);
-        assert_eq!(d.version(), 4);
     }
 
     #[test]

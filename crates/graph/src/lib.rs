@@ -19,8 +19,8 @@
 //! - [`sample`]: seeded neighbor fan-out and layer-wise sampling producing
 //!   per-mini-batch [`SampledBlock`] sub-CSRs for sampling-based training.
 //! - [`dynamic`]: seeded edge/node update streams and [`DeltaCsr`], an
-//!   incrementally maintained CSR with copy-on-write snapshots for serving
-//!   queries while the graph mutates.
+//!   incrementally maintained CSR for serving queries while the graph
+//!   mutates.
 //!
 //! All generators and algorithms are deterministic: given the same seed and
 //! input they produce byte-identical output, which the simulator upstream
@@ -42,9 +42,7 @@ pub mod stats;
 pub use builder::GraphBuilder;
 pub use coo::EdgeList;
 pub use csr::{Csr, NodeId};
-pub use dynamic::{
-    generate_updates, DeltaCsr, GraphSnapshot, UpdateEvent, UpdateKind, UpdateStreamConfig,
-};
+pub use dynamic::{generate_updates, DeltaCsr, UpdateEvent, UpdateKind, UpdateStreamConfig};
 pub use reorder::permutation::Permutation;
 pub use sample::{sample_epoch, EpochSampler, SampleConfig, SampleStrategy, SampledBlock};
 

@@ -1,23 +1,23 @@
-//! Property tests for `DeltaCsr` snapshot semantics.
+//! Property tests for `DeltaCsr` version semantics.
 //!
-//! The contract under test (ISSUE 8, satellite 3): for *any* interleaving
-//! of updates, snapshot reads, and compactions,
+//! The contract under test: for *any* interleaving of updates and
+//! compactions,
 //!
-//! - a snapshot taken at version `v` observes exactly
-//!   `base.edges ± applied deltas at v` — both the count and the full
-//!   adjacency — no matter how many mutations follow;
+//! - the live graph at version `v` — every row, every edge query and its
+//!   materialized snapshot (`to_csr`, what dynamic serving plans against)
+//!   — observes exactly `base.edges ± applied deltas at v`, both the count
+//!   and the full adjacency;
 //! - compaction is a no-op for query results (it only rebuilds the
 //!   representation).
 //!
 //! A plain `BTreeSet<(u, v)>` edge-set model is stepped alongside the
-//! `DeltaCsr`; frozen copies of the model at snapshot instants are the
-//! oracle for late snapshot reads.
+//! `DeltaCsr` and is the oracle after every step.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use gnnadvisor_graph::{Csr, DeltaCsr, GraphBuilder, GraphSnapshot, NodeId};
+use gnnadvisor_graph::{Csr, DeltaCsr, GraphBuilder, NodeId};
 
 /// One scripted step of the interleaving.
 #[derive(Debug, Clone)]
@@ -25,7 +25,6 @@ enum Step {
     Insert(u64, u64),
     Delete(u64, u64),
     AddNode,
-    Snapshot,
     Compact,
 }
 
@@ -34,11 +33,10 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
     // the step kind (weighted by range width) and the endpoints are
     // reduced modulo the live node count at apply time.
     proptest::collection::vec(
-        (0u8..11, 0u64..1000, 0u64..1000).prop_map(|(op, u, v)| match op {
+        (0u8..9, 0u64..1000, 0u64..1000).prop_map(|(op, u, v)| match op {
             0..=3 => Step::Insert(u, v),
             4..=6 => Step::Delete(u, v),
             7 => Step::AddNode,
-            8..=9 => Step::Snapshot,
             _ => Step::Compact,
         }),
         1..60,
@@ -60,23 +58,23 @@ fn model_edges(model: &BTreeSet<(NodeId, NodeId)>) -> usize {
     model.len() * 2
 }
 
-/// Asserts a snapshot agrees with a frozen model byte-for-byte (plain
+/// Asserts the live graph agrees with the model byte-for-byte (plain
 /// panicking asserts — the vendored proptest runs bodies as ordinary
 /// tests without shrinking).
-fn assert_snapshot_matches(
-    snap: &GraphSnapshot,
+fn assert_matches_model(
+    delta: &DeltaCsr,
     model: &BTreeSet<(NodeId, NodeId)>,
     nodes: usize,
     applied_adds: usize,
     applied_dels: usize,
     base_edges: usize,
 ) {
-    assert_eq!(snap.num_nodes(), nodes);
-    assert_eq!(snap.num_edges(), model_edges(model));
-    // The invariant as stated in the issue: edges at version v equal the
-    // base count plus applied inserts minus applied deletes (directed).
+    assert_eq!(delta.num_nodes(), nodes);
+    assert_eq!(delta.num_edges(), model_edges(model));
+    // Edges at version v equal the base count plus applied inserts minus
+    // applied deletes (directed).
     assert_eq!(
-        snap.num_edges(),
+        delta.num_edges(),
         base_edges + 2 * applied_adds - 2 * applied_dels
     );
     for v in 0..nodes as NodeId {
@@ -93,18 +91,18 @@ fn assert_snapshot_matches(
             })
             .collect();
         expected.sort_unstable();
-        assert_eq!(snap.neighbors_of(v), expected, "row {v} diverged");
+        assert_eq!(delta.neighbors_of(v), expected, "row {v} diverged");
     }
     // Materialization agrees with the row-by-row view.
-    let csr = snap.to_csr();
+    let csr = delta.to_csr();
     assert_eq!(csr.num_nodes(), nodes);
-    assert_eq!(csr.num_edges(), snap.num_edges());
+    assert_eq!(csr.num_edges(), delta.num_edges());
     assert!(csr.is_symmetric());
     for v in 0..nodes as NodeId {
-        assert_eq!(csr.neighbors(v), snap.neighbors_of(v), "csr row {v}");
+        assert_eq!(csr.neighbors(v), delta.neighbors_of(v), "csr row {v}");
         for u in 0..nodes as NodeId {
             let live = model.contains(&(u.min(v), u.max(v)));
-            assert_eq!(snap.has_edge(v, u), live, "edge {{{v}, {u}}}");
+            assert_eq!(delta.has_edge(v, u), live, "edge {{{v}, {u}}}");
         }
     }
 }
@@ -112,9 +110,10 @@ fn assert_snapshot_matches(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Any interleaving of updates, snapshots, and compactions preserves
-    /// `snapshot(v).edges == base.edges ± applied deltas at version v`,
-    /// snapshots stay frozen, and compaction never changes query results.
+    /// Any interleaving of updates and compactions preserves
+    /// `edges(v) == base.edges ± applied deltas at version v` in every
+    /// row, edge query and materialization, and compaction never changes
+    /// query results.
     #[test]
     fn snapshots_observe_exactly_their_version(
         n in 4usize..12,
@@ -133,16 +132,6 @@ proptest! {
         let mut nodes = n;
         let mut applied_adds = 0usize;
         let mut applied_dels = 0usize;
-
-        // Frozen (snapshot, model, counts) tuples, re-checked after every step.
-        struct Frozen {
-            snap: GraphSnapshot,
-            model: BTreeSet<(NodeId, NodeId)>,
-            nodes: usize,
-            adds: usize,
-            dels: usize,
-        }
-        let mut frozen: Vec<Frozen> = Vec::new();
 
         for step in steps {
             match step {
@@ -186,15 +175,6 @@ proptest! {
                     prop_assert_eq!(id as usize, nodes);
                     nodes += 1;
                 }
-                Step::Snapshot => {
-                    frozen.push(Frozen {
-                        snap: delta.snapshot(),
-                        model: model.clone(),
-                        nodes,
-                        adds: applied_adds,
-                        dels: applied_dels,
-                    });
-                }
                 Step::Compact => {
                     let version = delta.version();
                     let live = delta.to_csr();
@@ -204,13 +184,8 @@ proptest! {
                     prop_assert_eq!(delta.to_csr(), live, "compaction is a query no-op");
                 }
             }
-            // The live view always matches the live model...
-            prop_assert_eq!(delta.num_edges(), model_edges(&model));
-            prop_assert_eq!(delta.num_nodes(), nodes);
-            // ...and every frozen snapshot still matches its frozen model.
-            for f in &frozen {
-                assert_snapshot_matches(&f.snap, &f.model, f.nodes, f.adds, f.dels, base_edges);
-            }
+            // The live view matches the live model, row by row.
+            assert_matches_model(&delta, &model, nodes, applied_adds, applied_dels, base_edges);
         }
     }
 }

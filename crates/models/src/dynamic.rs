@@ -27,8 +27,7 @@ use gnnadvisor_core::serving::{BatchWork, DeviceWork, DispatchedBatch};
 use gnnadvisor_core::{CoreError, Result, RuntimeParams};
 use gnnadvisor_graph::Csr;
 
-/// Bytes of one `f32` / one edge index.
-const WORD: usize = 4;
+use crate::WORD;
 
 /// Plans the device work of GCN inference batches against versioned
 /// graph snapshots, modeling resident topology and per-version kernel

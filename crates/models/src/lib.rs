@@ -41,3 +41,7 @@ pub use minibatch::{train_minibatch, EpochStats, MiniBatchConfig, MiniBatchRepor
 pub use sage::GraphSage;
 pub use serve::GcnBatchExecutor;
 pub use train::GcnTrainer;
+
+/// Bytes of one `f32` / one edge index: what every device transfer the
+/// serving, dynamic and mini-batch executors plan is sized in.
+pub(crate) const WORD: usize = 4;

@@ -67,9 +67,7 @@ use gnnadvisor_graph::Csr;
 use gnnadvisor_tensor::Matrix;
 
 use crate::train::GcnTrainer;
-
-/// Bytes of one `f32` / one edge index.
-const WORD: usize = 4;
+use crate::WORD;
 
 /// Configuration of one mini-batch training run.
 #[derive(Debug, Clone)]

@@ -21,9 +21,7 @@ use gnnadvisor_gpu::{BlockSink, GridConfig, Kernel};
 use gnnadvisor_graph::Csr;
 
 use crate::batch::{component_batches, concat_block_diagonal};
-
-/// Bytes of one `f32` / one edge index.
-const WORD: usize = 4;
+use crate::WORD;
 
 /// A fused-SpMM aggregation kernel that owns its (batch-assembled) graph,
 /// so it can outlive the executor call that built it. Emits exactly what

@@ -84,6 +84,15 @@ serve() {
 }
 check_stable serve-sim serve "latency p50" "kernel occupancy"
 
+echo "==> serve-sim overload smoke: admission sheds, report stable across runs and worker counts"
+# A 4-slot queue against bursts of 8000 req/s: the planner must shed, so
+# the report needs a non-zero shed count.
+serve_overload() {
+  gnnadvisor serve-sim --requests 64 --rate 8000 --streams 2 --scale 0.02 \
+    --queue-cap 4 --batch-size 8 --max-delay-ms 0.5 > "$1"
+}
+check_stable serve-sim-overload serve_overload "requests shed  *[1-9]"
+
 echo "==> chaos smoke: faulted serve-sim stable across runs and worker counts"
 chaos() {
   gnnadvisor serve-sim --requests 32 --rate 4000 --streams 2 --scale 0.02 \
