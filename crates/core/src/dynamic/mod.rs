@@ -79,6 +79,13 @@ pub struct PreparedSnapshot {
 impl PreparedSnapshot {
     /// Partitions `graph` into neighbor groups and (when
     /// `params.use_shared`) organizes the shared-memory layout.
+    ///
+    /// Unlike every other GNNAdvisor launch, the layout is not checked
+    /// against the device by `memory::organize::resolve_launch`: nothing
+    /// here knows the `GpuSpec`, and the layout must be the same for
+    /// every embedding width. A layout over the per-block shared memory
+    /// (e.g. `serve-dynamic --classes 2000`) is not narrowed; its launch
+    /// fails with the engine's shared-memory error instead.
     pub fn prepare(graph: &Csr, params: RuntimeParams) -> Result<Arc<Self>> {
         params.validate()?;
         let groups = partition_groups(graph, params.group_size)?;

@@ -17,7 +17,6 @@
 
 use gnnadvisor_gpu::{BlockResources, GpuSpec, DEFAULT_REGS_PER_THREAD};
 
-use crate::runtime::ResolvedLaunch;
 use crate::tuning::params::RuntimeParams;
 use crate::workload::group::NeighborGroup;
 
@@ -109,9 +108,21 @@ pub fn organize_shared(groups: &[NeighborGroup], groups_per_block: usize) -> Sha
     }
 }
 
+/// The launch shape of one GNNAdvisor aggregation: the (possibly
+/// narrowed) runtime parameters plus the shared layout rebuilt for them,
+/// or `None` when the kernel falls back to direct atomic accumulation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResolvedLaunch {
+    /// Parameters of the launch, after any block narrowing.
+    pub params: RuntimeParams,
+    /// The shared layout staged by the launch (`None` = atomic fallback).
+    pub layout: Option<SharedLayout>,
+}
+
 /// The launch shape of the GNNAdvisor aggregation over `groups` at
-/// dimensionality `dim` on `spec`: the one rule both the runtime and the
-/// tuner launch by.
+/// dimensionality `dim` on `spec`: the one rule every aggregation launch
+/// with a device spec goes by (the runtime, the tuner's fitness and each
+/// multi-GPU device).
 ///
 /// Shared staging needs the Algorithm 1 layout of the worst block to fit
 /// the device's per-block shared memory. When it does not, the block is

@@ -13,12 +13,12 @@
 //! partition, so the halo — and with it the exchange traffic — shrinks,
 //! extending the paper's locality argument across device boundaries.
 
-use gnnadvisor_gpu::{BlockResources, Engine, GpuSpec, KernelMetrics, DEFAULT_REGS_PER_THREAD};
+use gnnadvisor_gpu::{Engine, GpuSpec, KernelMetrics};
 use gnnadvisor_graph::reorder::{renumber, RenumberConfig};
 use gnnadvisor_graph::{Csr, NodeId};
 
 use crate::kernels::advisor::AdvisorKernel;
-use crate::memory::organize::organize_shared;
+use crate::memory::organize::resolve_launch;
 use crate::tuning::params::RuntimeParams;
 use crate::workload::group::{partition_groups, NeighborGroup};
 use crate::{CoreError, Result};
@@ -158,14 +158,8 @@ pub fn run_multi_gpu_aggregation(
             });
             continue;
         }
-        let layout = organize_shared(&local, params.groups_per_block());
-        let resources = BlockResources {
-            regs_per_thread: DEFAULT_REGS_PER_THREAD,
-            smem_bytes: layout.shared_bytes(dim),
-            threads: params.threads_per_block,
-        };
-        let fits = params.use_shared && config.spec.occupancy_limit(&resources).is_launchable();
-        let kernel = AdvisorKernel::new(graph, &local, fits.then_some(&layout), dim, params);
+        let launch = resolve_launch(&local, params, dim, &config.spec);
+        let kernel = AdvisorKernel::new(graph, &local, launch.layout.as_ref(), dim, launch.params);
         per_gpu.push(crate::submit::launch(&engine, &kernel)?);
     }
 
@@ -195,6 +189,7 @@ pub fn run_multi_gpu_aggregation(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::organize::organize_shared;
     use gnnadvisor_graph::generators::{community_graph, CommunityParams};
     use gnnadvisor_graph::reorder::{renumber, RenumberConfig};
 
@@ -299,6 +294,65 @@ mod tests {
             shuffled_run.halo_bytes
         );
         assert!(ordered_run.exchange_ms < shuffled_run.exchange_ms);
+    }
+
+    #[test]
+    fn each_device_launches_the_shape_resolve_launch_gives() {
+        // Group size 32 leaves most nodes one group, so a 16-group block
+        // stages up to 16 distinct nodes: 64 KB at dim 1024, over the
+        // P6000's 48 KB per block. Such a device must narrow its block and
+        // keep staging, not fall back to atomics.
+        let params = CommunityParams {
+            num_nodes: 3_000,
+            num_edges: 30_000,
+            mean_community: 60,
+            community_size_cv: 0.3,
+            inter_fraction: 0.08,
+            shuffle_ids: true,
+        };
+        let g = community_graph(&params, 405).expect("valid").0;
+        let params = RuntimeParams {
+            group_size: 32,
+            ..base_params()
+        };
+        let dim = 1024;
+        let cfg = MultiGpuConfig {
+            num_gpus: 2,
+            ..Default::default()
+        };
+        let run = run_multi_gpu_aggregation(&g, dim, params, &cfg).expect("runs");
+
+        let groups = partition_groups(&g, params.group_size).expect("valid");
+        let ranges = partition_nodes(&g, cfg.num_gpus).expect("valid");
+        let engine = Engine::new(cfg.spec.clone());
+        let mut narrowed = 0;
+        for (device, &(lo, hi)) in ranges.iter().enumerate() {
+            let local: Vec<NeighborGroup> = groups
+                .iter()
+                .copied()
+                .filter(|grp| (lo..hi).contains(&(grp.node as usize)))
+                .collect();
+            let tuned = organize_shared(&local, params.groups_per_block());
+            let launch = resolve_launch(&local, params, dim, &cfg.spec);
+            if tuned.shared_bytes(dim) > cfg.spec.shared_mem_per_block {
+                assert!(
+                    launch.params.threads_per_block < params.threads_per_block
+                        && launch.layout.is_some(),
+                    "device {device}: an overflowing layout must narrow and stage"
+                );
+                narrowed += 1;
+            }
+            let kernel = AdvisorKernel::new(&g, &local, launch.layout.as_ref(), dim, launch.params);
+            assert_eq!(
+                run.per_gpu[device],
+                crate::submit::launch(&engine, &kernel).expect("launches"),
+                "device {device}: priced shape differs from the resolved one"
+            );
+        }
+        assert!(
+            narrowed > 0,
+            "no device overflowed: the test lost its subject"
+        );
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! [`Advisor::new`] wires the whole pipeline: extract input information,
 //! decide runtime parameters (user-supplied, analytical Modeling, or the
-//! evolutionary Estimating search), apply community-aware node renumbering,
-//! partition groups, and build the Algorithm 1 shared layout. After that,
-//! [`Advisor::aggregate`] launches the aggregation kernel for any embedding
-//! dimensionality and [`Advisor::update`] prices the dense update.
+//! evolutionary Estimating search), apply community-aware node renumbering
+//! and partition groups. After that, [`Advisor::aggregate`] launches the
+//! aggregation kernel for any embedding dimensionality, in the shape
+//! `memory::organize::resolve_launch` gives it (the Algorithm 1 layout,
+//! narrowed to fit), and [`Advisor::update`] prices the dense update.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -14,9 +15,9 @@ use gnnadvisor_gpu::{Engine, GpuSpec, KernelMetrics};
 use gnnadvisor_graph::reorder::{renumber, RenumberConfig};
 use gnnadvisor_graph::{Csr, Permutation};
 
-use crate::input::{extract, AggOrder, InputInfo};
+use crate::input::{extract, AggOrder};
 use crate::kernels::advisor::AdvisorKernel;
-use crate::memory::organize::{organize_shared, resolve_launch, SharedLayout};
+use crate::memory::organize::{resolve_launch, ResolvedLaunch};
 use crate::tuning::model;
 use crate::tuning::params::RuntimeParams;
 use crate::tuning::two_tier::{aggregation_metrics, tune_two_tier, TwoTierConfig};
@@ -92,31 +93,19 @@ impl Default for AdvisorConfig {
 /// let metrics = advisor.aggregate(16).unwrap();
 /// assert!(metrics.time_ms > 0.0);
 /// ```
-/// The launch shape `aggregate` actually uses for one embedding
-/// dimensionality: the (possibly narrowed) runtime parameters plus the
-/// shared layout rebuilt for them, or `None` when the kernel falls back
-/// to direct atomic accumulation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResolvedLaunch {
-    /// Parameters of the launch, after any block narrowing.
-    pub params: RuntimeParams,
-    /// The shared layout staged by the launch (`None` = atomic fallback).
-    pub layout: Option<SharedLayout>,
-}
-
 pub struct Advisor {
     engine: Engine,
     graph: Csr,
     permutation: Option<Permutation>,
     params: RuntimeParams,
-    input: InputInfo,
     groups: Vec<NeighborGroup>,
-    layout: SharedLayout,
     resolved: Mutex<BTreeMap<usize, Arc<ResolvedLaunch>>>,
 }
 
 impl Advisor {
-    /// Builds the runtime: extract → tune → renumber → partition → organize.
+    /// Builds the runtime: extract → tune → renumber → partition. The
+    /// Algorithm 1 layout is built per dimensionality at first launch
+    /// (see [`Advisor::resolved_launch`]).
     pub fn new(
         graph: &Csr,
         feat_dim: usize,
@@ -156,7 +145,6 @@ impl Advisor {
         };
 
         let groups = partition_groups(&graph, params.group_size)?;
-        let layout = organize_shared(&groups, params.groups_per_block());
         let engine = config.engine.unwrap_or_else(|| Engine::new(config.spec));
 
         Ok(Self {
@@ -164,9 +152,7 @@ impl Advisor {
             graph,
             permutation,
             params,
-            input,
             groups,
-            layout,
             resolved: Mutex::new(BTreeMap::new()),
         })
     }
@@ -197,8 +183,8 @@ impl Advisor {
     /// loop's outcome cached per dimensionality: repeated `aggregate`
     /// calls reuse the resolved shape instead of re-running Algorithm 1,
     /// and callers can inspect the parameters and layout that were really
-    /// launched (which [`Advisor::params`]/[`Advisor::layout`] — the
-    /// *tuned* shape — need not match after a reshape).
+    /// launched (which [`Advisor::params`] — the *tuned* shape — need not
+    /// match after a reshape).
     pub fn resolved_launch(&self, dim: usize) -> Arc<ResolvedLaunch> {
         let mut cache = self
             .resolved
@@ -227,11 +213,6 @@ impl Advisor {
         &self.params
     }
 
-    /// The extracted input information.
-    pub fn input(&self) -> &InputInfo {
-        &self.input
-    }
-
     /// The (possibly renumbered) execution graph.
     pub fn graph(&self) -> &Csr {
         &self.graph
@@ -248,11 +229,6 @@ impl Advisor {
         &self.groups
     }
 
-    /// The Algorithm 1 shared-memory layout.
-    pub fn layout(&self) -> &SharedLayout {
-        &self.layout
-    }
-
     /// The simulated device engine.
     pub fn engine(&self) -> &Engine {
         &self.engine
@@ -262,6 +238,7 @@ impl Advisor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::organize::organize_shared;
     use gnnadvisor_gpu::{BlockResources, DEFAULT_REGS_PER_THREAD};
     use gnnadvisor_graph::generators::{community_graph, CommunityParams};
 

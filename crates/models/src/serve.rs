@@ -14,6 +14,8 @@
 //!    DGL-style aggregation (stacking + fused SpMM) → d2h copy, all
 //!    enqueued on one simulated stream so independent batches overlap.
 
+use std::sync::Arc;
+
 use gnnadvisor_core::kernels::spmm_dgl::{SpmmKernel, StackingKernel};
 use gnnadvisor_core::serving::{BatchExecutor, BatchWork, DeviceWork, DispatchedBatch};
 use gnnadvisor_core::{CoreError, Result};
@@ -23,11 +25,11 @@ use gnnadvisor_graph::Csr;
 use crate::batch::{component_batches, concat_block_diagonal};
 use crate::WORD;
 
-/// A fused-SpMM aggregation kernel that owns its (batch-assembled) graph,
-/// so it can outlive the executor call that built it. Emits exactly what
-/// [`SpmmKernel`] emits.
+/// A fused-SpMM aggregation kernel that shares its (batch-assembled)
+/// graph, so it can outlive the executor call that built it and every
+/// layer's kernel reads one copy. Emits exactly what [`SpmmKernel`] emits.
 struct OwnedSpmm {
-    graph: Csr,
+    graph: Arc<Csr>,
     dim: usize,
 }
 
@@ -105,7 +107,7 @@ impl BatchExecutor for GcnBatchExecutor {
                     })?;
             graphs.push(component);
         }
-        let merged = concat_block_diagonal(graphs);
+        let merged = Arc::new(concat_block_diagonal(graphs));
         let nodes = merged.num_nodes();
         let edges = merged.num_edges();
 
@@ -124,7 +126,7 @@ impl BatchExecutor for GcnBatchExecutor {
                 nodes, out_dim,
             ))));
             ops.push(DeviceWork::Kernel(Box::new(OwnedSpmm {
-                graph: merged.clone(),
+                graph: Arc::clone(&merged),
                 dim: out_dim,
             })));
         }

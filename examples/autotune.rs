@@ -7,13 +7,10 @@
 //! ```
 
 use gnnadvisor_repro::core::input::{extract, AggOrder};
-use gnnadvisor_repro::core::kernels::advisor::AdvisorKernel;
-use gnnadvisor_repro::core::memory::organize::organize_shared;
 use gnnadvisor_repro::core::tuning::estimator::{Estimator, EstimatorConfig};
-use gnnadvisor_repro::core::tuning::model;
-use gnnadvisor_repro::core::workload::group::partition_groups;
+use gnnadvisor_repro::core::tuning::{aggregation_metrics, model};
 use gnnadvisor_repro::core::RuntimeParams;
-use gnnadvisor_repro::gpu::{BlockResources, Engine, GpuSpec, Workload, DEFAULT_REGS_PER_THREAD};
+use gnnadvisor_repro::gpu::{Engine, GpuSpec};
 use gnnadvisor_repro::graph::generators::{community_graph, CommunityParams};
 
 fn main() {
@@ -38,25 +35,10 @@ fn main() {
         input.alpha()
     );
 
-    // Profile-guided fitness: actually launch the kernel on the simulator.
+    // Profile-guided fitness: actually launch the kernel on the simulator,
+    // in the launch shape the runtime would use.
     let simulate = |p: &RuntimeParams| -> f64 {
-        let groups = match partition_groups(&graph, p.group_size) {
-            Ok(g) => g,
-            Err(_) => return f64::INFINITY,
-        };
-        let layout = organize_shared(&groups, p.groups_per_block());
-        let resources = BlockResources {
-            regs_per_thread: DEFAULT_REGS_PER_THREAD,
-            smem_bytes: layout.shared_bytes(16),
-            threads: p.threads_per_block,
-        };
-        let fits = spec.occupancy_limit(&resources).is_launchable();
-        let layout_ref = (p.use_shared && fits).then_some(&layout);
-        let kernel = AdvisorKernel::new(&graph, &groups, layout_ref, 16, *p);
-        engine
-            .submit(&mut engine.lock_context(), Workload::Kernel(&kernel))
-            .map(|m| m.time_ms())
-            .unwrap_or(f64::INFINITY)
+        aggregation_metrics(&graph, 16, p, &engine).map_or(f64::INFINITY, |m| m.time_ms)
     };
 
     // 1. Analytical Modeling (Eq. 2-4) over a coarse grid.

@@ -187,6 +187,19 @@ cmp "$out_dir/tune.a" "$out_dir/tune.sc" || {
   exit 1
 }
 
+echo "==> example smokes: multi-GPU and profile-guided tuning stable across runs and worker counts"
+# Both examples launch through the shared launch-shape rule
+# (memory::organize::resolve_launch), so running them, not only building
+# them, checks the per-device launches and the profile-guided fitness.
+multi_gpu_example() {
+  cargo run --offline -q --release --example multi_gpu > "$1"
+}
+check_stable multi-gpu multi_gpu_example "renumbered (ms)"
+autotune_example() {
+  cargo run --offline -q --release --example autotune > "$1"
+}
+check_stable autotune autotune_example "estimating (profile-guided)"
+
 echo "==> flag smoke: a foreign flag fails naming the command and the flag"
 # Each command takes only its own flags; run has no --replicas.
 if gnnadvisor run --dataset Cora --scale 0.05 --replicas 3 \
