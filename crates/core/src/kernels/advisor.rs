@@ -8,7 +8,6 @@
 //! block-level optimization disabled (the Figure 12c ablation), every group
 //! flushes straight to global memory with atomics.
 
-use gnnadvisor_gpu::kernel::WARP_SIZE;
 use gnnadvisor_gpu::{BlockSink, GridConfig, Kernel};
 use gnnadvisor_graph::Csr;
 
@@ -90,7 +89,6 @@ impl Kernel for AdvisorKernel<'_> {
         }
         let row_bytes = self.dim as u64 * F32;
         let teams_per_warp = self.plan.groups_per_warp() as usize;
-        let dw = self.plan.workers as usize;
 
         for (chunk_idx, warp_groups) in self.groups[s..e].chunks(teams_per_warp).enumerate() {
             let chunk_base = s + chunk_idx * teams_per_warp;
@@ -104,27 +102,18 @@ impl Kernel for AdvisorKernel<'_> {
             // Feature-row loads: each team reads its neighbors' rows with
             // `dw`-wide transactions on adjacent dimensions (Figure 6b).
             for g in warp_groups {
-                for &u in &self.graph.col_idx()[g.start as usize..g.end as usize] {
-                    sink.global_read_strided(
-                        arrays::FEAT_IN,
-                        u as u64 * row_bytes,
-                        row_bytes,
-                        self.plan.transactions_per_row(),
-                        self.plan.active_workers(),
-                    );
-                }
+                sink.global_read_rows(
+                    arrays::FEAT_IN,
+                    &self.graph.col_idx()[g.start as usize..g.end as usize],
+                    row_bytes,
+                    self.plan.transactions_per_row(),
+                    self.plan.active_workers(),
+                );
             }
             // Register accumulation: per-lane FMA work; lanes of one team
             // are balanced, teams differ only by group fill.
-            let mut lanes = [0u64; WARP_SIZE as usize];
-            for (t, g) in warp_groups.iter().enumerate() {
-                let work = self.plan.lane_cycles(g.len());
-                let active = self.plan.active_workers() as usize;
-                for lane in lanes.iter_mut().skip(t * dw).take(active) {
-                    *lane = work;
-                }
-            }
-            sink.compute_lanes(&lanes);
+            let (max, sum) = team_charge(&self.plan, warp_groups);
+            sink.compute_divergent(max, sum);
 
             match self.layout {
                 Some(layout) => {
@@ -164,12 +153,28 @@ impl Kernel for AdvisorKernel<'_> {
     }
 }
 
+/// The lane maximum and lane sum of one warp's register accumulation:
+/// each team puts `plan.lane_cycles(len)` on each of its
+/// `plan.active_workers()` lanes, so the warp is busy for its fullest
+/// group and does `active_workers` times the groups' total work.
+fn team_charge(plan: &DimensionPlan, warp_groups: &[NeighborGroup]) -> (u64, u64) {
+    let mut max = 0;
+    let mut sum = 0;
+    for g in warp_groups {
+        let work = plan.lane_cycles(g.len());
+        max = max.max(work);
+        sum += work;
+    }
+    (max, sum * plan.active_workers() as u64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::memory::organize::organize_shared;
     use crate::submit::launch;
     use crate::workload::group::partition_groups;
+    use gnnadvisor_gpu::kernel::WARP_SIZE;
     use gnnadvisor_gpu::{Engine, GpuSpec};
     use gnnadvisor_graph::generators::barabasi_albert;
 
@@ -242,6 +247,45 @@ mod tests {
         let a = launch(&engine, &AdvisorKernel::new(&g, &groups, None, 64, p)).expect("runs");
         let b = launch(&engine, &AdvisorKernel::new(&g, &groups, None, 64, p)).expect("runs");
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn team_charge_matches_the_lane_array() {
+        // The charge the kernel once built lane by lane: team `t` fills
+        // lanes `t * dw..` with its group's work, and the warp pays the
+        // lane max for the lane sum.
+        let lane_array = |plan: &DimensionPlan, warp_groups: &[NeighborGroup]| {
+            let mut lanes = [0u64; WARP_SIZE as usize];
+            let dw = plan.workers as usize;
+            for (t, g) in warp_groups.iter().enumerate() {
+                let work = plan.lane_cycles(g.len());
+                let active = plan.active_workers() as usize;
+                for lane in lanes.iter_mut().skip(t * dw).take(active) {
+                    *lane = work;
+                }
+            }
+            (lanes.iter().copied().max().unwrap_or(0), lanes.iter().sum())
+        };
+        let (_, groups) = setup(5);
+        for dw in [1, 2, 4, 8, 16, 32] {
+            // 7 dims leave lanes idle at wide teams; 130 is ragged at all.
+            for dim in [7, 64, 130] {
+                let plan = DimensionPlan::new(dw, dim);
+                let teams = plan.groups_per_warp() as usize;
+                // 101 groups: the last warp chunk is short unless a warp
+                // holds exactly one team.
+                let chunks = groups[..101].chunks(teams);
+                assert!(dw == 32 || chunks.len() * teams > 101);
+                for chunk in chunks {
+                    assert_eq!(
+                        team_charge(&plan, chunk),
+                        lane_array(&plan, chunk),
+                        "dw {dw}, dim {dim}, {} teams",
+                        chunk.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -78,15 +78,13 @@ impl Kernel for SagaChunkKernel<'_> {
 
             // Scatter pass: read each neighbor row, write an edge-value
             // buffer (SAGA materializes edge state between stages).
-            for &u in self.graph.neighbors(v) {
-                sink.global_read_strided(
-                    arrays::FEAT_IN,
-                    u as u64 * row_bytes,
-                    row_bytes,
-                    row_bytes.div_ceil(128),
-                    lanes_active,
-                );
-            }
+            sink.global_read_rows(
+                arrays::FEAT_IN,
+                self.graph.neighbors(v),
+                row_bytes,
+                row_bytes.div_ceil(128),
+                lanes_active,
+            );
             sink.global_write(
                 arrays::MSG_BUF,
                 row_start * row_bytes,

@@ -66,15 +66,13 @@ impl Kernel for SpmmKernel<'_> {
 
             // Stream neighbor rows: warp-wide coalesced reads, lanes sweep
             // dimensions. Lanes beyond D idle (useful = min(D, 32)).
-            for &u in self.graph.neighbors(v) {
-                sink.global_read_strided(
-                    arrays::FEAT_IN,
-                    u as u64 * row_bytes,
-                    row_bytes,
-                    row_bytes.div_ceil(128),
-                    lanes_active,
-                );
-            }
+            sink.global_read_rows(
+                arrays::FEAT_IN,
+                self.graph.neighbors(v),
+                row_bytes,
+                row_bytes.div_ceil(128),
+                lanes_active,
+            );
             // The warp's compute is its node's whole degree: no group
             // sizing, so the block's critical path is its max-degree row.
             sink.compute(

@@ -61,6 +61,8 @@ pub struct CommandProcessor {
     blocks_per_sm: u32,
     sms: Vec<SmSlot>,
     max_coresident: u32,
+    /// Scratch of [`CommandProcessor::admit`]: blocks placed per SM.
+    per_sm: Vec<u64>,
 }
 
 impl CommandProcessor {
@@ -79,6 +81,7 @@ impl CommandProcessor {
                 spec.num_sms as usize
             ],
             max_coresident: 0,
+            per_sm: Vec::new(),
         }
     }
 
@@ -109,17 +112,34 @@ impl CommandProcessor {
         demand: &BlockDemand,
         max_blocks: u64,
     ) -> Vec<(usize, u64)> {
-        let mut per_sm = vec![0u64; self.sms.len()];
+        self.admit(launch, demand, max_blocks).collect()
+    }
+
+    /// [`CommandProcessor::admit_up_to`] over scratch the processor keeps,
+    /// so the scheduler's per-instant admissions allocate nothing. Each
+    /// SM's resident count for `launch` is updated once per call.
+    pub(crate) fn admit(
+        &mut self,
+        launch: usize,
+        demand: &BlockDemand,
+        max_blocks: u64,
+    ) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.per_sm.clear();
+        self.per_sm.resize(self.sms.len(), 0);
         let mut remaining = max_blocks;
         while remaining > 0 {
             let mut placed_any = false;
-            for (sm, count) in per_sm.iter_mut().enumerate() {
+            for sm in 0..self.sms.len() {
                 if remaining == 0 {
                     break;
                 }
                 if self.fits(sm, demand) {
-                    self.admit_one(sm, launch, demand);
-                    *count += 1;
+                    let used = &mut self.sms[sm].used;
+                    used.regfile_bytes += demand.regfile_bytes;
+                    used.smem_bytes += demand.smem_bytes;
+                    used.warp_slots += demand.warp_slots;
+                    used.blocks += 1;
+                    self.per_sm[sm] += 1;
                     remaining -= 1;
                     placed_any = true;
                 }
@@ -128,22 +148,18 @@ impl CommandProcessor {
                 break;
             }
         }
-        per_sm
-            .into_iter()
+        for (sm, &count) in self.per_sm.iter().enumerate() {
+            if count > 0 {
+                let resident = &mut self.sms[sm].resident;
+                *resident.entry(launch).or_insert(0) += count;
+                self.max_coresident = self.max_coresident.max(resident.len() as u32);
+            }
+        }
+        self.per_sm
+            .iter()
             .enumerate()
-            .filter(|&(_, n)| n > 0)
-            .collect()
-    }
-
-    fn admit_one(&mut self, sm: usize, launch: usize, demand: &BlockDemand) {
-        debug_assert!(self.fits(sm, demand), "admission checked by caller");
-        let slot = &mut self.sms[sm];
-        slot.used.regfile_bytes += demand.regfile_bytes;
-        slot.used.smem_bytes += demand.smem_bytes;
-        slot.used.warp_slots += demand.warp_slots;
-        slot.used.blocks += 1;
-        *slot.resident.entry(launch).or_insert(0) += 1;
-        self.max_coresident = self.max_coresident.max(slot.resident.len() as u32);
+            .filter(|&(_, &count)| count > 0)
+            .map(|(sm, &count)| (sm, count))
     }
 
     /// Retires `count` blocks of `launch` from SM `sm`, returning every

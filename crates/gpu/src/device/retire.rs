@@ -47,15 +47,18 @@ impl RetirementQueue {
     /// Pops every retirement due at or before `now`, in (instant, push)
     /// order.
     pub fn pop_due(&mut self, now: u64) -> Vec<Retirement> {
-        let mut due = Vec::new();
-        while let Some(&Reverse((at, seq))) = self.heap.peek() {
-            if at > now {
-                break;
-            }
-            self.heap.pop();
-            due.push(self.entries[seq as usize]);
+        std::iter::from_fn(|| self.pop_next_due(now)).collect()
+    }
+
+    /// Pops the first retirement [`RetirementQueue::pop_due`] would
+    /// return, so the scheduler drains an instant without allocating.
+    pub(crate) fn pop_next_due(&mut self, now: u64) -> Option<Retirement> {
+        let &Reverse((at, seq)) = self.heap.peek()?;
+        if at > now {
+            return None;
         }
-        due
+        self.heap.pop();
+        Some(self.entries[seq as usize])
     }
 
     /// Whether no retirements are pending.

@@ -124,7 +124,7 @@ pub(crate) struct WarpAcc {
 /// (busy/useful sums, critical-path max over `busy + stall / hiding`) each
 /// stream over one or two homogeneous `u64` slices instead of striding
 /// through interleaved records, and `flush_warp` appends to flat arrays.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub(crate) struct BlockAcc {
     /// Per-warp issue-occupancy cycles, indexed by warp emission order.
     pub warp_busy: Vec<u64>,
@@ -156,6 +156,40 @@ impl BlockAcc {
         self.serialized_atomics = 0;
         self.shared_bytes = 0;
         self.syncs = 0;
+    }
+}
+
+/// The lines a batch of read calls touched, and the latency exposures
+/// they cost: each call that touches a line exposes one latency, a DRAM
+/// one when any of its lines missed and an L2 one otherwise.
+#[derive(Debug, Default, Clone, Copy)]
+struct LineReads {
+    hits: u64,
+    misses: u64,
+    /// Calls that touched at least one line.
+    exposures: u64,
+    /// Of those, calls that missed at least once.
+    missed: u64,
+}
+
+impl LineReads {
+    /// One read call that touched `hits + misses` lines.
+    #[inline(always)]
+    fn one(hits: u64, misses: u64) -> Self {
+        Self {
+            hits,
+            misses,
+            exposures: (hits + misses > 0) as u64,
+            missed: (misses > 0) as u64,
+        }
+    }
+
+    #[inline(always)]
+    fn add(&mut self, other: Self) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.exposures += other.exposures;
+        self.missed += other.missed;
     }
 }
 
@@ -202,13 +236,13 @@ impl<'a> BlockSink<'a> {
     }
 
     /// Starts a new warp; finalizes the previous one.
-    #[inline]
+    #[inline(always)]
     pub fn begin_warp(&mut self) {
         self.flush_warp();
         self.current = Some(WarpAcc::default());
     }
 
-    #[inline]
+    #[inline(always)]
     fn flush_warp(&mut self) {
         if let Some(w) = self.current.take() {
             self.acc.warp_busy.push(w.busy);
@@ -221,18 +255,15 @@ impl<'a> BlockSink<'a> {
         self.flush_warp();
     }
 
-    #[inline]
+    /// The open warp's accumulator. Opens a warp if none is, so simple
+    /// emitters can skip `begin_warp` for single-warp blocks.
+    #[inline(always)]
     fn warp(&mut self) -> &mut WarpAcc {
-        // Auto-open a warp so simple emitters can skip begin_warp for
-        // single-warp blocks.
-        if self.current.is_none() {
-            self.current = Some(WarpAcc::default());
-        }
-        self.current.as_mut().expect("just ensured")
+        self.current.get_or_insert_with(WarpAcc::default)
     }
 
     /// Charges `cycles` of uniform compute across `active_lanes` lanes.
-    #[inline]
+    #[inline(always)]
     pub fn compute(&mut self, cycles: u64, active_lanes: u32) {
         let w = self.warp();
         w.busy += cycles;
@@ -251,22 +282,50 @@ impl<'a> BlockSink<'a> {
         );
         let max = lane_cycles.iter().copied().max().unwrap_or(0);
         let sum: u64 = lane_cycles.iter().sum();
+        self.compute_divergent(max, sum);
+    }
+
+    /// [`BlockSink::compute_lanes`] for an emitter that knows its lanes'
+    /// maximum and sum without listing them: the warp is busy for
+    /// `max_lane_cycles` and does `lane_cycle_sum` useful lane-cycles.
+    #[inline(always)]
+    pub fn compute_divergent(&mut self, max_lane_cycles: u64, lane_cycle_sum: u64) {
         let w = self.warp();
-        w.busy += max;
-        w.useful += sum;
+        w.busy += max_lane_cycles;
+        w.useful += lane_cycle_sum;
     }
 
     /// Coalesced global read of `bytes` starting at `offset` within
     /// `array`: the warp touches `ceil(bytes / line)` transactions.
-    #[inline]
+    #[inline(always)]
     pub fn global_read(&mut self, array: ArrayId, offset: u64, bytes: u64) {
-        self.global_access(array, offset, bytes, false, true);
+        if bytes == 0 {
+            return;
+        }
+        let (hits, misses) = self.cache.access_range(array.base() + offset, bytes);
+        let reads = LineReads::one(hits, misses);
+        self.note_reads(reads, hits + misses, WARP_SIZE as u64);
     }
 
     /// Coalesced global write.
-    #[inline]
+    #[inline(always)]
     pub fn global_write(&mut self, array: ArrayId, offset: u64, bytes: u64) {
-        self.global_access(array, offset, bytes, true, true);
+        if bytes == 0 {
+            return;
+        }
+        let (hits, misses) = self.cache.access_range(array.base() + offset, bytes);
+        let transactions = hits + misses;
+        self.acc.dram_write_bytes += misses * self.cache.line_bytes();
+        self.acc.l2_hits += hits;
+        self.acc.l2_misses += misses;
+        let issue = self.spec.transaction_issue_cycles;
+        let l2 = self.spec.l2_latency_cycles;
+        let w = self.warp();
+        w.busy += transactions * issue;
+        w.useful += transactions * issue * WARP_SIZE as u64;
+        // Writes are fire-and-forget through the write buffer: one short
+        // exposure, the rest drains behind it.
+        w.stall += l2 / 2 + transactions.saturating_sub(1) * 2;
     }
 
     /// Uncoalesced global read: each lane touches its own address, issuing
@@ -294,7 +353,7 @@ impl<'a> BlockSink<'a> {
         // scattered access wastes 31/32 of every memory transaction, which
         // is exactly the coalescing penalty Section 5.4 optimizes away —
         // and it grows linearly with the embedding width.
-        self.note_read(hits, misses, hits + misses, 1);
+        self.note_reads(LineReads::one(hits, misses), hits + misses, 1);
     }
 
     /// Strided / team-width read: the warp reads `[offset, offset + bytes)`
@@ -304,7 +363,7 @@ impl<'a> BlockSink<'a> {
     /// adjacent dimensions needs `ceil(D / dw)` transactions per embedding
     /// row and utilizes `dw` lanes per transaction — `dw = 32` is fully
     /// coalesced, `dw = 1` wastes 31/32 of each transaction.
-    #[inline]
+    #[inline(always)]
     pub fn global_read_strided(
         &mut self,
         array: ArrayId,
@@ -313,71 +372,65 @@ impl<'a> BlockSink<'a> {
         transactions: u64,
         useful_lanes: u32,
     ) {
-        if bytes == 0 {
-            return;
-        }
-        let (hits, misses) = self.cache.access_range(array.base() + offset, bytes);
-        let line = self.cache.line_bytes();
-        self.acc.dram_read_bytes += misses * line;
-        self.acc.l2_hits += hits;
-        self.acc.l2_misses += misses;
-        let issue = self.spec.transaction_issue_cycles;
-        let l2 = self.spec.l2_latency_cycles;
-        let dram = self.spec.dram_latency_cycles;
-        let w = self.warp();
-        w.busy += transactions * issue;
-        w.useful += transactions * issue * useful_lanes.min(WARP_SIZE) as u64;
-        // One latency exposure per call; the row's line fetches pipeline.
-        let exposure = if misses > 0 {
-            dram
-        } else if hits > 0 {
-            l2
-        } else {
-            0
-        };
-        w.stall += exposure + (hits + misses).saturating_sub(1) * 4;
+        self.read_rows(array, [offset], bytes, transactions, useful_lanes);
     }
 
-    #[inline]
-    fn global_access(
+    /// Reads the `row_bytes`-wide rows `rows` of `array` (row `r` starts
+    /// at byte `r * row_bytes`), one [`BlockSink::global_read_strided`] per
+    /// row in a single call: a neighbour list's feature rows. Every row is
+    /// priced exactly as its own strided read would be.
+    #[inline(always)]
+    pub fn global_read_rows(
         &mut self,
         array: ArrayId,
-        offset: u64,
+        rows: &[u32],
+        row_bytes: u64,
+        transactions: u64,
+        useful_lanes: u32,
+    ) {
+        let offsets = rows.iter().map(|&r| r as u64 * row_bytes);
+        self.read_rows(array, offsets, row_bytes, transactions, useful_lanes);
+    }
+
+    /// Reads `bytes` at each of `offsets` within `array`, each read in
+    /// `transactions` transactions keeping `useful_lanes` lanes busy. The
+    /// cache walk is per row; the charge is summed over the rows.
+    #[inline(always)]
+    fn read_rows(
+        &mut self,
+        array: ArrayId,
+        offsets: impl IntoIterator<Item = u64>,
         bytes: u64,
-        write: bool,
-        _coalesced: bool,
+        transactions: u64,
+        useful_lanes: u32,
     ) {
         if bytes == 0 {
             return;
         }
-        let (hits, misses) = self.cache.access_range(array.base() + offset, bytes);
-        let transactions = hits + misses;
-        if write {
-            let line = self.cache.line_bytes();
-            self.acc.dram_write_bytes += misses * line;
-            self.acc.l2_hits += hits;
-            self.acc.l2_misses += misses;
-            let w_spec = (
-                self.spec.transaction_issue_cycles,
-                self.spec.l2_latency_cycles,
-            );
-            let w = self.warp();
-            w.busy += transactions * w_spec.0;
-            w.useful += transactions * w_spec.0 * WARP_SIZE as u64;
-            // Writes are fire-and-forget through the write buffer: one
-            // short exposure, the rest drains behind it.
-            w.stall += w_spec.1 / 2 + transactions.saturating_sub(1) * 2;
-        } else {
-            self.note_read(hits, misses, transactions, WARP_SIZE as u64);
+        let base = array.base();
+        let mut reads = LineReads::default();
+        for offset in offsets {
+            let (hits, misses) = self.cache.access_range(base + offset, bytes);
+            reads.add(LineReads::one(hits, misses));
         }
+        if reads.exposures == 0 {
+            return;
+        }
+        self.note_reads(
+            reads,
+            reads.exposures * transactions,
+            useful_lanes.min(WARP_SIZE) as u64,
+        );
     }
 
-    #[inline]
-    fn note_read(&mut self, hits: u64, misses: u64, transactions: u64, useful_lanes: u64) {
+    /// Charges reads that touched `reads`' lines in `transactions`
+    /// transactions, each keeping `useful_lanes` lanes busy.
+    #[inline(always)]
+    fn note_reads(&mut self, reads: LineReads, transactions: u64, useful_lanes: u64) {
         let line = self.cache.line_bytes();
-        self.acc.dram_read_bytes += misses * line;
-        self.acc.l2_hits += hits;
-        self.acc.l2_misses += misses;
+        self.acc.dram_read_bytes += reads.misses * line;
+        self.acc.l2_hits += reads.hits;
+        self.acc.l2_misses += reads.misses;
         let issue = self.spec.transaction_issue_cycles;
         let l2 = self.spec.l2_latency_cycles;
         let dram = self.spec.dram_latency_cycles;
@@ -387,14 +440,9 @@ impl<'a> BlockSink<'a> {
         // One read call exposes one latency: the call's line fetches are
         // independent and pipeline behind the first (a short per-line
         // drain models the memory pipe). Misses dominate the exposure.
-        let exposure = if misses > 0 {
-            dram
-        } else if hits > 0 {
-            l2
-        } else {
-            0
-        };
-        w.stall += exposure + (hits + misses).saturating_sub(1) * 4;
+        w.stall += reads.missed * dram
+            + (reads.exposures - reads.missed) * l2
+            + (reads.hits + reads.misses - reads.exposures) * 4;
     }
 
     /// Shared-memory access of `bytes` (read or write cost identical).
@@ -532,6 +580,117 @@ mod tests {
         assert_eq!(sink.acc.dram_read_bytes, 128);
         assert_eq!(sink.acc.warp_busy[0], spec.transaction_issue_cycles);
         assert_eq!(sink.acc.warp_stall[0], spec.dram_latency_cycles);
+    }
+
+    /// A strided read as priced before rows could be read as a slice:
+    /// the reference the slice form and the one-row form are held to.
+    fn strided_reference(
+        sink: &mut BlockSink<'_>,
+        offset: u64,
+        bytes: u64,
+        transactions: u64,
+        useful_lanes: u32,
+    ) {
+        if bytes == 0 {
+            return;
+        }
+        let (hits, misses) = sink.cache.access_range(ArrayId(3).base() + offset, bytes);
+        sink.acc.dram_read_bytes += misses * sink.cache.line_bytes();
+        sink.acc.l2_hits += hits;
+        sink.acc.l2_misses += misses;
+        let spec = sink.spec;
+        let w = sink.warp();
+        w.busy += transactions * spec.transaction_issue_cycles;
+        w.useful += transactions * spec.transaction_issue_cycles * useful_lanes.min(32) as u64;
+        let exposure = if misses > 0 {
+            spec.dram_latency_cycles
+        } else if hits > 0 {
+            spec.l2_latency_cycles
+        } else {
+            0
+        };
+        w.stall += exposure + (hits + misses).saturating_sub(1) * 4;
+    }
+
+    #[test]
+    fn row_slice_read_equals_per_row_strided_reads() {
+        // Pseudo-random neighbour lists with repeats (so rows both hit and
+        // miss), row widths from zero bytes to several lines, lane counts
+        // past the warp width, lists read before any warp is open, and
+        // empty lists: one slice call per list must leave the sink and
+        // the cache exactly where the per-row loop leaves them, and so
+        // must the per-row loop of the reference formula.
+        #[derive(Clone, Copy)]
+        enum Form {
+            Reference,
+            Strided,
+            Slice,
+        }
+        let mut state = 0x5EED_u64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) % bound
+        };
+        for row_bytes in [0u64, 4, 64, 128, 200, 512] {
+            let lists: Vec<Vec<u32>> = (0..40)
+                .map(|_| {
+                    let len = next(12) as usize;
+                    (0..len).map(|_| next(300) as u32).collect()
+                })
+                .collect();
+            assert!(lists.iter().any(Vec::is_empty));
+            let run = |form: Form| {
+                let (spec, mut cache, mut hot, mut acc) = harness();
+                let mut sink = BlockSink::new(&spec, &mut cache, &mut hot, &mut acc, 256);
+                for (i, rows) in lists.iter().enumerate() {
+                    // List 0 is read before any warp is open; a new warp
+                    // starts every third list.
+                    if i % 3 == 1 {
+                        sink.begin_warp();
+                    }
+                    let transactions = 1 + i as u64 % 4;
+                    let lanes = [1, 8, 32, 40][i % 4];
+                    let offset = |r: u32| r as u64 * row_bytes;
+                    match form {
+                        Form::Reference => {
+                            for &r in rows {
+                                strided_reference(
+                                    &mut sink,
+                                    offset(r),
+                                    row_bytes,
+                                    transactions,
+                                    lanes,
+                                );
+                            }
+                        }
+                        Form::Strided => {
+                            for &r in rows {
+                                sink.global_read_strided(
+                                    ArrayId(3),
+                                    offset(r),
+                                    row_bytes,
+                                    transactions,
+                                    lanes,
+                                );
+                            }
+                        }
+                        Form::Slice => {
+                            sink.global_read_rows(ArrayId(3), rows, row_bytes, transactions, lanes)
+                        }
+                    }
+                }
+                sink.finish();
+                (acc, cache.hits(), cache.misses())
+            };
+            let reference = run(Form::Reference);
+            assert_eq!(run(Form::Strided), reference, "row width {row_bytes} B");
+            assert_eq!(run(Form::Slice), reference, "row width {row_bytes} B");
+            if row_bytes > 0 {
+                assert!(reference.1 > 0 && reference.2 > 0, "rows both hit and miss");
+            }
+        }
     }
 
     #[test]

@@ -557,7 +557,7 @@ impl<'e> StreamSim<'e> {
 
                 // (a) Retire due block groups; completed kernels close
                 // their span after the launch-overhead teardown.
-                for r in rq.pop_due(now) {
+                while let Some(r) = rq.pop_next_due(now) {
                     let ak = &mut active[r.launch];
                     cp.retire(r.sm, r.launch, &ak.shape.demand, r.blocks);
                     resident_warps -= r.blocks * ak.shape.warps_per_block as u64;
@@ -599,7 +599,7 @@ impl<'e> StreamSim<'e> {
                 // the schedule has activated.
                 for &id in &admitting {
                     let ak = &mut active[id];
-                    let placed = cp.admit_up_to(id, &ak.shape.demand, ak.to_admit);
+                    let placed = cp.admit(id, &ak.shape.demand, ak.to_admit);
                     let mut admitted = 0u64;
                     for (sm, blocks) in placed {
                         admitted += blocks;

@@ -69,6 +69,17 @@ impl SpanKind {
             SpanKind::StreamCopy => "stream_copy",
         }
     }
+
+    /// Whether spans of this kind lie on the serial device stream, so
+    /// their cycles are a share of [`TraceRecorder::clock_cycles`]. Shard
+    /// and hotspot cycles are serial sums over blocks that ran in
+    /// parallel, and stream spans may overlap one another: neither is.
+    fn on_device_stream(&self) -> bool {
+        matches!(
+            self,
+            SpanKind::Kernel | SpanKind::LaunchOverhead | SpanKind::Gemm | SpanKind::Transfer
+        )
+    }
 }
 
 /// A typed argument value attached to a span.
@@ -403,18 +414,23 @@ impl TraceRecorder {
 
     /// A flamegraph-style text report: spans aggregated by category and
     /// name, sorted by total cycles (descending, name-tiebroken), with
-    /// percentages of the device-stream total. Deterministic byte-for-byte.
+    /// percentages of the device-stream total for the spans that lie on
+    /// the device stream; the others print `-` there (see
+    /// `SpanKind::on_device_stream`). Deterministic byte-for-byte.
     pub fn flame_report(&self) -> String {
-        // (category, name) -> (cycles, count), BTreeMap for stable order.
+        // (category, name) -> (cycles, count, on the device stream),
+        // BTreeMap for stable order.
         type SpanKey = (&'static str, String);
-        type SpanStat = (u64, u64);
+        type SpanStat = (u64, u64, bool);
         let st = self.lock();
         let total = st.clock_cycles.max(1);
         let mut agg: BTreeMap<SpanKey, SpanStat> = BTreeMap::new();
         for e in st.events.iter().filter(|e| !e.counter) {
-            let entry = agg
-                .entry((e.kind.label(), e.name.clone()))
-                .or_insert((0, 0));
+            let entry = agg.entry((e.kind.label(), e.name.clone())).or_insert((
+                0,
+                0,
+                e.kind.on_device_stream(),
+            ));
             entry.0 += e.dur_cycles;
             entry.1 += 1;
         }
@@ -431,19 +447,19 @@ impl TraceRecorder {
             "%",
             "count"
         );
-        for ((cat, name), (cycles, count)) in rows {
+        for ((cat, name), (cycles, count, on_stream)) in rows {
             let mut name = name;
             if name.len() > 44 {
                 name.truncate(41);
                 name.push_str("...");
             }
+            let share = if on_stream {
+                format!("{:>6.1}%", 100.0 * cycles as f64 / total as f64)
+            } else {
+                "-".into()
+            };
             out.push_str(&format!(
-                "{:<10} {:<44} {:>14} {:>6.1}% {:>7}\n",
-                cat,
-                name,
-                cycles,
-                100.0 * cycles as f64 / total as f64,
-                count
+                "{cat:<10} {name:<44} {cycles:>14} {share:>7} {count:>7}\n"
             ));
         }
         out
@@ -581,6 +597,96 @@ mod tests {
         assert!(big < small, "rows sorted by total cycles:\n{report}");
         assert!(report.contains("count"));
         assert_eq!(t.flame_report(), report, "report is deterministic");
+    }
+
+    #[test]
+    fn flame_report_percentages_never_exceed_the_stream() {
+        // Shards and hotspots whose serial sums over two launches exceed
+        // the whole stream, a GEMM, a transfer, and a stream schedule
+        // whose spans overlap: only device-stream rows carry a
+        // percentage, and every one printed is at most 100%.
+        let t = TraceRecorder::new();
+        let spec = GpuSpec::quadro_p6000();
+        let shard = |first_block| ShardTrace {
+            first_block,
+            num_blocks: 64,
+            cycles: 30_000,
+            l2_hits: 3,
+            l2_misses: 2,
+            dram_bytes: 256,
+        };
+        let hot = |block_id, shard| HotBlock {
+            block_id,
+            shard,
+            offset_cycles: 0,
+            cycles: 25_000,
+        };
+        for _ in 0..2 {
+            t.record_kernel(
+                &kernel_metrics("agg", 10_000),
+                &spec,
+                &[shard(0), shard(64)],
+                &[hot(3, 0), hot(70, 1)],
+            );
+        }
+        t.record_gemm(&kernel_metrics("gemm", 4_000));
+        t.record_transfer(
+            &TransferMetrics {
+                bytes: 4_096,
+                time_ms: 0.01,
+            },
+            &spec,
+        );
+        let span = |track| TraceEvent {
+            kind: SpanKind::StreamKernel,
+            name: "overlapped".into(),
+            start_cycles: 0,
+            dur_cycles: 8_000,
+            track,
+            args: Vec::new(),
+            counter: false,
+        };
+        t.record_stream_schedule((32..40).map(span).collect(), 8_000);
+        for kind in [
+            SpanKind::ShardChunk,
+            SpanKind::BlockHotspot,
+            SpanKind::StreamKernel,
+        ] {
+            let first = t
+                .events()
+                .into_iter()
+                .find(|e| e.kind == kind)
+                .expect("span");
+            let same: u64 = t
+                .events()
+                .iter()
+                .filter(|e| e.kind == kind && e.name == first.name)
+                .map(|e| e.dur_cycles)
+                .sum();
+            assert!(same > t.clock_cycles(), "{kind:?} row sums past the stream");
+        }
+        let report = t.flame_report();
+        let mut with_share = 0;
+        for row in report.lines().skip(2) {
+            let cat = row.split_whitespace().next().expect("category");
+            let share = row.split_whitespace().rev().nth(1).expect("share");
+            match share.strip_suffix('%') {
+                Some(pct) => {
+                    let pct: f64 = pct.parse().expect("a percentage");
+                    assert!(pct <= 100.0, "{pct}% in row {row:?}:\n{report}");
+                    assert!(["kernel", "launch", "gemm", "transfer"].contains(&cat));
+                    with_share += 1;
+                }
+                None => assert_eq!(share, "-", "row {row:?}"),
+            }
+        }
+        assert_eq!(
+            with_share, 4,
+            "kernel, launch, gemm and transfer:\n{report}"
+        );
+        for cat in ["shard", "hotspot", "stream_kernel"] {
+            assert!(report.contains(cat), "{cat} row:\n{report}");
+        }
     }
 
     #[test]

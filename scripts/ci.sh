@@ -31,6 +31,14 @@ echo "==> cargo test --release: numerics oracles, pins and the host pool"
 # optimized timing makes the interleavings they probe most likely.
 cargo test --release --offline -q -p gnnadvisor-tensor -p gnnadvisor-models -p gnnadvisor-gpu
 
+echo "==> cargo test --release: core pricing pins and oracles"
+# Kernel pricing leans on inlining (the cache's MRU check and the sink's
+# entry points are forced inline into every kernel's emitter), so the
+# pins and oracles that hold pricing bit for bit also run in the build the
+# benchmark runs.
+cargo test --release --offline -q -p gnnadvisor-core --test pricing_pins --test list_pricing \
+  --test priced_ops --test serving_oracles
+
 echo "==> benchmark smoke test"
 # The benchmark is a package of its own; its smoke test runs every
 # workload at tiny size, so an engine change that breaks the harness
