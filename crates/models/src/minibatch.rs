@@ -9,15 +9,22 @@
 //! H2D copy for batch `k` is released the instant the host finishes
 //! preparing it and the two timelines overlap.
 //!
-//! The host side runs that pipeline for real. Per epoch, a scoped producer
-//! thread streams the blocks from [`EpochSampler`] and transposes each
-//! one, handing it over through a channel that holds one batch, while the
-//! calling thread gathers features, trains, prices and schedules. So
-//! sampling batch `k+1` overlaps training batch `k`, and the host holds
-//! about two blocks at a time instead of an epoch's worth. An error on
-//! either side ends the epoch with that error, and neither thread is left
-//! blocked: the consumer's error drops the receiver, which fails the
-//! producer's next send.
+//! The host side runs that pipeline for real. Per epoch, the calling
+//! thread prepares the first batch itself — samples it from
+//! [`EpochSampler`], transposes it and prices its device work — then a
+//! scoped producer thread takes the started sampler and prepares every
+//! later batch the same way, handing each over through a channel that
+//! holds one batch, while the calling thread gathers features, trains
+//! and schedules. So preparing batch `k+1` overlaps training batch `k`,
+//! and the host holds about two blocks at a time instead of an epoch's
+//! worth. The pricing contexts live for the whole run and are lent to
+//! each epoch's producer; that first batch (the pipeline's prologue)
+//! sizes them on the calling thread, so the allocator does not keep them
+//! in a producer thread's own arena. An error on either side ends the
+//! epoch with that error, and neither thread is left blocked: the
+//! consumer's error drops the receiver, which fails the producer's next
+//! send. A batch whose pricing failed still trains before the pricing
+//! error is returned.
 //!
 //! [`train_minibatch`] runs both simulated arms over identical batches:
 //!
@@ -31,9 +38,12 @@
 //! Each batch's device work is priced **once**: one op list (H2D, then
 //! per layer the forward GEMM, stacking and SpMM, then the backward
 //! mirror over the block's transpose) is priced with one
-//! [`StreamSim::price_list`] call, enqueued on the pipelined timeline, and a clone
-//! of it on the batch's solo timeline. That list prices the same kernels
-//! as [`GcnTrainer::step_block`] with one difference: no DGL launch
+//! [`Engine::price_list`] call on the thread that prepared the batch,
+//! each repeated stacking kernel priced once (see `price_batch`). The
+//! training thread draws each op's fault verdict with [`StreamSim::draw`]
+//! in issue order, enqueues the ops on the pipelined timeline, and a
+//! clone of them on the batch's solo timeline. That list prices the same
+//! kernels as [`GcnTrainer::step_block`] with one difference: no DGL launch
 //! surcharge. `step_block` charges each aggregation through the DGL
 //! framework model, which adds `DGL_OPS_PER_LAYER - 2` (three) extra
 //! kernel-launch overheads to the SpMM for DGL's unfused framework ops;
@@ -55,13 +65,13 @@
 //! [`MiniBatchReport::render`] is byte-identical at any
 //! `GNNADVISOR_SIM_THREADS`.
 
-use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::mpsc::{self, SyncSender};
 use std::thread;
 
 use gnnadvisor_core::kernels::spmm_dgl::{SpmmKernel, StackingKernel};
 use gnnadvisor_core::minibatch::HostCostModel;
 use gnnadvisor_core::{CoreError, Result};
-use gnnadvisor_gpu::{Engine, PricedOp, StreamSim, Workload};
+use gnnadvisor_gpu::{CleanPrice, Engine, PricedOp, RunContext, StreamSim, Workload};
 use gnnadvisor_graph::sample::{EpochSampler, SampleConfig, SampledBlock};
 use gnnadvisor_graph::Csr;
 use gnnadvisor_tensor::Matrix;
@@ -212,23 +222,30 @@ impl MiniBatchReport {
     }
 }
 
-/// Prices one batch's device work once, in issue order: the H2D copy
+/// Prices one batch's device work, in issue order: the H2D copy
 /// (features + block topology), then per layer the forward GEMM and the
 /// DGL-style aggregation (stacking + fused SpMM over the block), then the
 /// backward mirror, last layer first (stacking + SpMM over `transposed`,
-/// the `dW` GEMM, and the `dH` GEMM below the first layer). The list is
-/// priced in one [`StreamSim::price_list`] call, so all of its kernels
-/// share one host pool job. Both arms of [`train_minibatch`] schedule this
+/// the `dW` GEMM, and the `dH` GEMM below the first layer). The prices
+/// are clean: the caller draws each op's fault verdict when it places it
+/// ([`StreamSim::draw`]). Both arms of [`train_minibatch`] schedule this
 /// one list, so each op is priced once per batch.
+///
+/// A layer's backward stacking kernel is its forward one, so the list
+/// handed to [`Engine::price_list`] (one host pool job, a context of
+/// `ctxs` per kernel) holds each workload once, `6L` for `L` layers
+/// instead of `7L`, and the repeated stacking price is cloned into its
+/// backward position.
 ///
 /// The list prices the same kernels as [`GcnTrainer::step_block`] but
 /// without the DGL launch surcharge (see the module docs).
 fn price_batch(
-    sim: &mut StreamSim<'_>,
+    engine: &Engine,
+    ctxs: &mut Vec<RunContext>,
     block: &SampledBlock,
     transposed: &Csr,
     dims: &[usize],
-) -> Result<Vec<PricedOp>> {
+) -> Result<Vec<CleanPrice>> {
     let g = &block.block;
     let n = g.num_nodes();
     let h2d = (n * dims[0] * WORD + (n + 1 + g.num_edges()) * WORD) as u64;
@@ -239,40 +256,49 @@ fn price_batch(
         .iter()
         .map(|&d| SpmmKernel::new(transposed, d))
         .collect();
-    // One H2D, three ops per forward layer, four per backward layer but
-    // the first (it has no dH GEMM).
-    let mut list = Vec::with_capacity(7 * layers.len());
-    list.push(Workload::Transfer { bytes: h2d });
+    // `distinct` holds each workload once; `issue[i]` is the position in
+    // `distinct` of the batch's i-th op. One H2D, three ops per forward
+    // layer, four per backward layer but the first (it has no dH GEMM),
+    // of which the stacking kernel repeats the forward's.
+    let mut distinct = Vec::with_capacity(6 * layers.len());
+    let mut issue = Vec::with_capacity(7 * layers.len());
+    let mut stacked_at = Vec::with_capacity(layers.len());
+    distinct.push(Workload::Transfer { bytes: h2d });
     // Forward: update-then-aggregate per layer.
     for (l, w) in dims.windows(2).enumerate() {
         let (in_dim, out_dim) = (w[0], w[1]);
-        list.push(Workload::Gemm {
+        distinct.push(Workload::Gemm {
             m: n,
             n: out_dim,
             k: in_dim,
         });
-        list.push(Workload::Kernel(&stacking[l]));
-        list.push(Workload::Kernel(&forward[l]));
+        stacked_at.push(distinct.len());
+        distinct.push(Workload::Kernel(&stacking[l]));
+        distinct.push(Workload::Kernel(&forward[l]));
     }
+    issue.extend(0..distinct.len());
     // Backward: transpose aggregation plus dW / dH GEMMs per layer.
     for (l, w) in dims.windows(2).enumerate().rev() {
         let (in_dim, out_dim) = (w[0], w[1]);
-        list.push(Workload::Kernel(&stacking[l]));
-        list.push(Workload::Kernel(&backward[l]));
-        list.push(Workload::Gemm {
+        issue.push(stacked_at[l]);
+        let first = distinct.len();
+        distinct.push(Workload::Kernel(&backward[l]));
+        distinct.push(Workload::Gemm {
             m: in_dim,
             n: out_dim,
             k: n,
         });
         if l > 0 {
-            list.push(Workload::Gemm {
+            distinct.push(Workload::Gemm {
                 m: n,
                 n: in_dim,
                 k: out_dim,
             });
         }
+        issue.extend(first..distinct.len());
     }
-    Ok(sim.price_list(&list)?)
+    let clean = engine.price_list(ctxs, &distinct)?;
+    Ok(issue.iter().map(|&i| clean[i].clone()).collect())
 }
 
 /// Length of the union of `spans` clipped to `[0, horizon_ms]` — how much
@@ -341,15 +367,27 @@ pub fn train_minibatch(
     }
 
     let mut trainer = GcnTrainer::new(&cfg.dims, cfg.lr, cfg.seed);
+    // Pricing contexts for the whole run, lent to each epoch's producer.
+    let mut ctxs = Vec::new();
     let mut epochs = Vec::with_capacity(cfg.epochs);
     for epoch in 0..cfg.epochs {
-        // The producer samples and transposes batch k+1 while this thread
-        // trains batch k. Each side ends when the other hangs up: an error
-        // here drops the receiver, which fails the producer's next send.
+        // The prologue: this thread prepares the epoch's first batch, so
+        // the contexts are first sized by its allocator, not by a
+        // producer's per-thread arena that would then hold them all run.
+        let mut sampler = EpochSampler::new(graph, &cfg.sample, epoch as u64)?;
+        let first = sampler
+            .next()
+            .map(|block| prepare_batch(engine, &mut ctxs, block, &cfg.dims))
+            .transpose()?;
+        // The producer prepares batch k+1 while this thread trains batch
+        // k. Each side ends when the other hangs up: an error here drops
+        // the receiver, which fails the producer's next send.
         let stats = thread::scope(|s| {
             let (tx, rx) = mpsc::sync_channel(PREFETCH_DEPTH);
-            s.spawn(move || prepare_epoch(graph, &cfg.sample, epoch as u64, &tx));
-            train_epoch(engine, &mut trainer, features, labels, cfg, epoch, rx)
+            let ctxs = &mut ctxs;
+            s.spawn(move || prepare_epoch(engine, sampler, ctxs, &cfg.dims, &tx));
+            let batches = first.into_iter().map(Ok).chain(rx);
+            train_epoch(engine, &mut trainer, features, labels, cfg, epoch, batches)
         })?;
         epochs.push(stats);
     }
@@ -360,35 +398,44 @@ pub fn train_minibatch(
 /// thread; the producer blocks while it is full.
 const PREFETCH_DEPTH: usize = 1;
 
-/// A sampled batch and its transpose, ready to train.
-type PreparedBatch = Result<(SampledBlock, Csr)>;
+/// A sampled batch, its transpose and the clean prices of its device
+/// work. A pricing error travels inside, so the batch still trains first.
+type PreparedBatch = Result<(SampledBlock, Csr, Result<Vec<CleanPrice>>)>;
 
-/// The producer side of [`train_minibatch`]: streams one epoch's blocks,
-/// each with its transpose, into `tx`. Stops after the first error or when
-/// the receiver is gone.
-fn prepare_epoch(graph: &Csr, sample: &SampleConfig, epoch: u64, tx: &SyncSender<PreparedBatch>) {
-    let sampler = match EpochSampler::new(graph, sample, epoch) {
-        Ok(sampler) => sampler,
-        Err(e) => {
-            // The consumer may already be gone; nothing is left to stop.
-            let _ = tx.send(Err(e.into()));
-            return;
-        }
-    };
+/// Transposes and prices one sampled block.
+fn prepare_batch(
+    engine: &Engine,
+    ctxs: &mut Vec<RunContext>,
+    block: gnnadvisor_graph::Result<SampledBlock>,
+    dims: &[usize],
+) -> PreparedBatch {
+    let block = block?;
+    let transposed = block.block.transpose();
+    let prices = price_batch(engine, ctxs, &block, &transposed, dims);
+    Ok((block, transposed, prices))
+}
+
+/// The producer side of [`train_minibatch`]: prepares the rest of an
+/// epoch's blocks into `tx`. Stops after the first error or when the
+/// receiver is gone.
+fn prepare_epoch(
+    engine: &Engine,
+    sampler: EpochSampler<'_>,
+    ctxs: &mut Vec<RunContext>,
+    dims: &[usize],
+    tx: &SyncSender<PreparedBatch>,
+) {
     for block in sampler {
-        let batch = block.map_err(CoreError::from).map(|b| {
-            let transposed = b.block.transpose();
-            (b, transposed)
-        });
-        let failed = batch.is_err();
+        let batch = prepare_batch(engine, ctxs, block, dims);
+        let failed = !matches!(batch, Ok((_, _, Ok(_))));
         if tx.send(batch).is_err() || failed {
             return;
         }
     }
 }
 
-/// The consumer side of [`train_minibatch`]: trains, prices and schedules
-/// every batch `rx` yields, in order, and returns the epoch's stats.
+/// The consumer side of [`train_minibatch`]: trains and schedules every
+/// batch of `batches`, in order, and returns the epoch's stats.
 fn train_epoch(
     engine: &Engine,
     trainer: &mut GcnTrainer,
@@ -396,7 +443,7 @@ fn train_epoch(
     labels: &[usize],
     cfg: &MiniBatchConfig,
     epoch: usize,
-    rx: Receiver<PreparedBatch>,
+    batches: impl Iterator<Item = PreparedBatch>,
 ) -> Result<EpochStats> {
     let feat_dim = cfg.dims[0];
     let workers = engine.host_workers();
@@ -407,8 +454,8 @@ fn train_epoch(
     let mut loss = 0.0f64;
     let mut accuracy = 0.0f64;
     let mut num_batches = 0usize;
-    for batch in rx {
-        let (block, transposed) = batch?;
+    for batch in batches {
+        let (block, transposed, prices) = batch?;
         num_batches += 1;
         // Host prepares the batch: sample, slice, gather.
         let phases = cfg.host.charge(
@@ -418,7 +465,7 @@ fn train_epoch(
         )?;
         host_end_ms += phases.total_ms();
 
-        // Real training numerics; the device work is priced below.
+        // Real training numerics; the device work was priced with the batch.
         let bf = features.gather_rows(&block.nodes);
         let bl: Vec<usize> = block.nodes[..block.num_seeds]
             .iter()
@@ -428,7 +475,8 @@ fn train_epoch(
         loss += step.loss;
         accuracy += step.accuracy;
 
-        let ops = price_batch(&mut pipelined, &block, &transposed, &cfg.dims)?;
+        // Each op's fault verdict is drawn in issue order.
+        let ops: Vec<PricedOp> = prices?.iter().map(|c| pipelined.draw(c)).collect();
 
         // Serialized arm: the same batch alone on an idle device.
         let mut solo = StreamSim::new(engine);
@@ -614,6 +662,87 @@ mod tests {
         .is_err());
     }
 
+    /// Prices the batch's full op list as issued, each op listed where it
+    /// runs (a layer's stacking kernel twice): the oracle the deduplicated
+    /// [`price_batch`] must equal.
+    fn price_issue_list(
+        engine: &Engine,
+        block: &SampledBlock,
+        transposed: &Csr,
+        dims: &[usize],
+    ) -> Vec<CleanPrice> {
+        let g = &block.block;
+        let n = g.num_nodes();
+        let h2d = (n * dims[0] * WORD + (n + 1 + g.num_edges()) * WORD) as u64;
+        let layers = &dims[1..];
+        let stacking: Vec<StackingKernel> =
+            layers.iter().map(|&d| StackingKernel::new(n, d)).collect();
+        let forward: Vec<SpmmKernel<'_>> = layers.iter().map(|&d| SpmmKernel::new(g, d)).collect();
+        let backward: Vec<SpmmKernel<'_>> = layers
+            .iter()
+            .map(|&d| SpmmKernel::new(transposed, d))
+            .collect();
+        let mut list = vec![Workload::Transfer { bytes: h2d }];
+        for (l, w) in dims.windows(2).enumerate() {
+            list.push(Workload::Gemm {
+                m: n,
+                n: w[1],
+                k: w[0],
+            });
+            list.push(Workload::Kernel(&stacking[l]));
+            list.push(Workload::Kernel(&forward[l]));
+        }
+        for (l, w) in dims.windows(2).enumerate().rev() {
+            list.push(Workload::Kernel(&stacking[l]));
+            list.push(Workload::Kernel(&backward[l]));
+            list.push(Workload::Gemm {
+                m: w[0],
+                n: w[1],
+                k: n,
+            });
+            if l > 0 {
+                list.push(Workload::Gemm {
+                    m: n,
+                    n: w[0],
+                    k: w[1],
+                });
+            }
+        }
+        assert_eq!(list.len(), 7 * layers.len());
+        engine.price_list(&mut Vec::new(), &list).expect("prices")
+    }
+
+    #[test]
+    fn deduplicated_pricing_equals_the_full_issue_list() {
+        let (g, _, _) = task();
+        let engine = Engine::new(GpuSpec::quadro_p6000());
+        let mut ctxs = Vec::new();
+        for (dims, fanouts) in [
+            (vec![16, 16, 4], vec![8, 4]),
+            (vec![16, 12, 8, 4], vec![8, 4, 2]),
+        ] {
+            let sample = SampleConfig {
+                batch_size: 96,
+                fanouts,
+                ..SampleConfig::default()
+            };
+            let blocks = sample_epoch(&g, &sample, 0).expect("samples");
+            let last = blocks.last().expect("non-empty epoch");
+            assert!(last.num_seeds < blocks[0].num_seeds, "short last block");
+            for block in [&blocks[0], last] {
+                let transposed = block.block.transpose();
+                let got =
+                    price_batch(&engine, &mut ctxs, block, &transposed, &dims).expect("prices");
+                assert_eq!(
+                    got,
+                    price_issue_list(&engine, block, &transposed, &dims),
+                    "dims {dims:?}, {} seeds",
+                    block.num_seeds
+                );
+            }
+        }
+    }
+
     /// Runs `train_minibatch` on a watchdog thread: a producer left
     /// blocked on the channel would hang the call, and this fails instead.
     fn train_within_deadline(
@@ -656,5 +785,26 @@ mod tests {
         let err = train_within_deadline(&empty, &Matrix::zeros(0, 16), &[], &cfg)
             .expect_err("empty graph");
         assert!(matches!(err, CoreError::Graph(_)), "{err:?}");
+    }
+
+    #[test]
+    fn an_error_in_the_prologue_batch_ends_the_run() {
+        let (g, features, mut labels) = task();
+        // One epoch, so only epoch 0's first batch can report the label.
+        let cfg = MiniBatchConfig {
+            epochs: 1,
+            ..config()
+        };
+        // The first seed of epoch 0's first batch, which the calling
+        // thread prepares before the producer starts, gets an
+        // out-of-range label.
+        let blocks = sample_epoch(&g, &cfg.sample, 0).expect("samples");
+        let classes = *cfg.dims.last().expect("non-empty dims");
+        labels[blocks[0].nodes[0] as usize] = classes;
+        let err = train_within_deadline(&g, &features, &labels, &cfg).expect_err("bad label");
+        assert!(
+            matches!(&err, CoreError::InvalidParams { reason } if reason.contains("out of range")),
+            "{err:?}"
+        );
     }
 }

@@ -164,10 +164,11 @@ echo "==> train-minibatch row-parallel smoke: wide blocks stable across runs and
 # Blocks of ~9k nodes at hidden 64: the block GEMMs and most aggregations
 # are several times tensor::par::MIN_WORK_PER_WORKER, so the losses on
 # stdout come from the row-parallel numerics at 4 workers and from the
-# serial path at 1.
+# serial path at 1. Two epochs, so the producer's pricing on the shared
+# pool crosses an epoch boundary with the run's pricing contexts.
 minibatch_wide() {
   timeout 600 cargo run --offline -q --release --bin gnnadvisor -- \
-    train-minibatch --scale 0.5 --batch-size 1024 --epochs 1 --fanout 10,5 --hidden 64 > "$1"
+    train-minibatch --scale 0.5 --batch-size 1024 --epochs 2 --fanout 10,5 --hidden 64 > "$1"
 }
 check_stable train-minibatch-wide minibatch_wide "dims \[96, 64, 10\]" "final: loss"
 
