@@ -6,6 +6,12 @@
 //! simulation workers, with every configuration checked for bit-identical
 //! metrics.
 //!
+//! A second table times the host aggregation numerics: GCN-normalized
+//! aggregation (`compute::aggregate_reference`, `Aggregation::GcnNorm`)
+//! of the artist Table-1 graph at scale 1.0, at the widths the
+//! full-graph GCN forward aggregates (16 and 12), on 1 and 2 host
+//! workers, with every worker count checked for bit-identical output.
+//!
 //! Timings land in `BENCH_sim.json` together with `host_cpus`, because the
 //! thread-scaling rows only show parallel speedup when the host actually
 //! has cores to scale onto. End-to-end host cost per workload is measured
@@ -19,11 +25,15 @@
 
 use std::time::Instant;
 
+use gnnadvisor_core::compute::{aggregate_reference, Aggregation};
+use gnnadvisor_datasets::table1_by_name;
 use gnnadvisor_gpu::kernel::WARP_SIZE;
 use gnnadvisor_gpu::{
     ArrayId, BlockSink, Engine, GpuSpec, GridConfig, Kernel, KernelMetrics, Workload,
     WorkloadMetrics,
 };
+use gnnadvisor_tensor::init::random_features;
+use gnnadvisor_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
 /// Fixed workload: 512 blocks of 8 warps each, mixing a sliding coalesced
@@ -107,13 +117,45 @@ struct BenchSim {
     threaded: Vec<ThreadRow>,
     /// Whether every worker count produced bit-identical metrics.
     deterministic: bool,
+    /// The host aggregation numerics.
+    host_aggregation: HostAggregation,
     /// How to read the numbers on this host.
     note: String,
+}
+
+/// The host aggregation table of `BENCH_sim.json`.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct HostAggregation {
+    /// The aggregated graph.
+    graph: String,
+    /// Timed calls per configuration (best is reported).
+    runs: usize,
+    /// One row per feature width and worker count.
+    rows: Vec<HostAggRow>,
+    /// Whether every worker count in `WORKER_COUNTS` produced bit-identical
+    /// output at every width.
+    deterministic: bool,
+}
+
+/// One host aggregation measurement.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct HostAggRow {
+    /// Feature width `d`.
+    dim: usize,
+    /// Host worker threads.
+    workers: usize,
+    /// Best-of-runs wall-clock of one aggregation call, milliseconds.
+    wall_ms: f64,
 }
 
 const LAUNCHES_PER_RUN: usize = 24;
 const RUNS: usize = 5;
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// Feature widths the full-graph GCN forward aggregates (hidden 16, then
+/// the artist graph's 12 classes).
+const HOST_AGG_DIMS: [usize; 2] = [16, 12];
+const HOST_AGG_WORKERS: [usize; 2] = [1, 2];
+const HOST_AGG_RUNS: usize = 15;
 
 /// One launch of `kernel` on the engine's own recycled context.
 fn launch(engine: &Engine, kernel: &SimWorkload) -> KernelMetrics {
@@ -132,6 +174,67 @@ fn time_engine(engine: &Engine, kernel: &SimWorkload, expect: &KernelMetrics) ->
         assert_eq!(&m, expect, "engine must be deterministic run-to-run");
     }
     start.elapsed().as_secs_f64() * 1e3
+}
+
+/// Times the host aggregation of the artist graph at every width in
+/// `HOST_AGG_DIMS` and worker count in `HOST_AGG_WORKERS`, interleaved,
+/// after checking that every worker count in `WORKER_COUNTS` gives the
+/// 1-worker output bit for bit.
+fn host_aggregation() -> HostAggregation {
+    let graph = table1_by_name("artist")
+        .expect("artist is a Table 1 dataset")
+        .generate(1.0)
+        .expect("artist generates")
+        .graph;
+    let aggregate = |features: &Matrix, workers: usize| {
+        aggregate_reference(&graph, features, Aggregation::GcnNorm, workers)
+    };
+    let inputs: Vec<Matrix> = HOST_AGG_DIMS
+        .iter()
+        .map(|&d| random_features(graph.num_nodes(), d, 7))
+        .collect();
+    let bits = |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|x| x.to_bits()).collect() };
+    let deterministic = inputs.iter().all(|features| {
+        let serial = bits(&aggregate(features, 1));
+        WORKER_COUNTS[1..]
+            .iter()
+            .all(|&w| bits(&aggregate(features, w)) == serial)
+    });
+    assert!(
+        deterministic,
+        "host aggregation must be bit-identical across worker counts"
+    );
+    let configs: Vec<(usize, &Matrix, usize)> = HOST_AGG_DIMS
+        .iter()
+        .zip(&inputs)
+        .flat_map(|(&d, f)| HOST_AGG_WORKERS.iter().map(move |&w| (d, f, w)))
+        .collect();
+    let mut best = vec![f64::INFINITY; configs.len()];
+    for _ in 0..HOST_AGG_RUNS {
+        for (slot, &(_, features, workers)) in best.iter_mut().zip(&configs) {
+            let start = Instant::now();
+            std::hint::black_box(aggregate(features, workers));
+            *slot = slot.min(start.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    HostAggregation {
+        graph: format!(
+            "artist (Table 1) at scale 1.0: {} nodes, {} edges; GcnNorm aggregation",
+            graph.num_nodes(),
+            graph.num_edges()
+        ),
+        runs: HOST_AGG_RUNS,
+        rows: configs
+            .iter()
+            .zip(best)
+            .map(|(&(dim, _, workers), wall_ms)| HostAggRow {
+                dim,
+                workers,
+                wall_ms,
+            })
+            .collect(),
+        deterministic,
+    }
 }
 
 fn main() {
@@ -226,6 +329,7 @@ fn main() {
         serial_wall_ms,
         threaded,
         deterministic,
+        host_aggregation: host_aggregation(),
         note: format!(
             "speedup_vs_serial is thread scaling and is bounded by host_cpus \
              (= {host_cpus} here, so worker counts above it cannot beat \
@@ -246,6 +350,16 @@ fn main() {
                 "{} workers {:.2} ms ({:.2}x)",
                 r.threads, r.wall_ms, r.speedup_vs_serial
             ))
+            .collect::<Vec<_>>()
+            .join(", "),
+    );
+    println!(
+        "host aggregation: {}",
+        result
+            .host_aggregation
+            .rows
+            .iter()
+            .map(|r| format!("d={} {} workers {:.2} ms", r.dim, r.workers, r.wall_ms))
             .collect::<Vec<_>>()
             .join(", "),
     );

@@ -14,6 +14,14 @@
 //! ([`gnnadvisor_tensor::par::for_each_row_chunk`]), and every row
 //! accumulates its neighbours in CSR order, so results are bitwise equal
 //! at any worker count.
+//!
+//! All three run through one row kernel, the host form of the paper's
+//! dimension-based workload sharing: a row's partial sums stay in a local
+//! fixed-width accumulator (registers, under optimization) while the
+//! kernel sweeps the row's columns in strips, and each strip is written
+//! to the output once.
+
+use std::ops::Range;
 
 use gnnadvisor_graph::{Csr, NodeId};
 use gnnadvisor_tensor::par::for_each_row_chunk;
@@ -55,25 +63,16 @@ pub fn aggregate_reference(
         graph.num_nodes(),
         "feature rows must match node count"
     );
-    let mean = match op {
-        Aggregation::GcnNorm => return gcn_rows(graph, features, workers, |v| graph.degree(v)),
-        Aggregation::Sum => false,
-        Aggregation::Mean => true,
+    let table;
+    let rule = match op {
+        Aggregation::Sum => Rule::Sum { mean: false },
+        Aggregation::Mean => Rule::Sum { mean: true },
+        Aggregation::GcnNorm => {
+            table = gcn_table(graph.num_nodes(), |v| graph.degree(v));
+            Rule::Gcn(&table)
+        }
     };
-    per_row(graph, features.cols(), workers, |v, row_out| {
-        for &u in graph.neighbors(v) {
-            for (o, &x) in row_out.iter_mut().zip(features.row(u as usize)) {
-                *o += x;
-            }
-        }
-        let deg = graph.degree(v);
-        if mean && deg > 0 {
-            let inv = 1.0 / deg as f32;
-            for o in row_out.iter_mut() {
-                *o *= inv;
-            }
-        }
-    })
+    aggregate_rows(graph, features, rule, workers)
 }
 
 /// Grouped aggregation: every group accumulates privately (one thread's
@@ -114,9 +113,7 @@ pub fn aggregate_grouped(
         match op {
             Aggregation::GcnNorm => {
                 let w = 1.0 / (graph.degree(v as NodeId) as f32 + 1.0);
-                // Cannot hold two &mut rows; copy the self feature first.
-                let self_row: Vec<f32> = features.row(v).to_vec();
-                for (o, x) in out.row_mut(v).iter_mut().zip(self_row) {
+                for (o, &x) in out.row_mut(v).iter_mut().zip(features.row(v)) {
                     *o += w * x;
                 }
             }
@@ -155,18 +152,7 @@ pub fn aggregate_weighted(
         "feature rows must match node count"
     );
     assert_eq!(weights.len(), graph.num_edges(), "one weight per CSR edge");
-    let row_ptr = graph.row_ptr();
-    let col_idx = graph.col_idx();
-    per_row(graph, features.cols(), workers, |v, row_out| {
-        let v = v as usize;
-        for e in row_ptr[v]..row_ptr[v + 1] {
-            let u = col_idx[e] as usize;
-            let w = weights[e];
-            for (o, &x) in row_out.iter_mut().zip(features.row(u)) {
-                *o += w * x;
-            }
-        }
-    })
+    aggregate_rows(graph, features, Rule::Weighted(weights), workers)
 }
 
 /// GCN-normalized aggregation over a sampled sub-block, with the
@@ -208,58 +194,158 @@ pub fn aggregate_gcn_block(
         graph.num_nodes(),
         "one normalization degree per node"
     );
-    gcn_rows(graph, features, workers, |v| degrees[v as usize])
+    let table = gcn_table(graph.num_nodes(), |v| degrees[v as usize]);
+    aggregate_rows(graph, features, Rule::Gcn(&table), workers)
 }
 
-/// Runs `row(v, out_v)` for every node over row chunks of a zeroed
-/// `num_nodes x d` output on up to `workers` threads; a call's work is
-/// `(edges + rows) · d` multiply-adds.
-fn per_row(
-    graph: &Csr,
-    d: usize,
-    workers: usize,
-    row: impl Fn(NodeId, &mut [f32]) + Sync,
-) -> Matrix {
-    let n = graph.num_nodes();
-    let mut out = Matrix::zeros(n, d);
-    for_each_row_chunk(
-        &mut out,
-        workers,
-        (graph.num_edges() + n) * d,
-        |rows, chunk| {
-            for (i, v) in rows.enumerate() {
-                row(v as NodeId, &mut chunk[i * d..(i + 1) * d]);
-            }
-        },
-    );
+/// Column-strip width of the row kernel. A `d`-wide output row is
+/// computed as `d / STRIP` strips of `STRIP` columns plus one tail strip
+/// of `d % STRIP` columns, each in one pass over the row's neighbours, so
+/// every `d` up to `STRIP` takes a single pass.
+const STRIP: usize = 32;
+
+/// What every output row of one call adds up.
+#[derive(Clone, Copy)]
+enum Rule<'a> {
+    /// `Σ x_u`; with `mean`, then times `1 / deg(v)` when `deg(v) > 0`.
+    Sum { mean: bool },
+    /// `Σ w[e] · x_u`, with the weights indexed by CSR edge position.
+    Weighted(&'a [f32]),
+    /// `Σ x_u / sqrt(dv · du) + x_v / dv`, with `dv = deg(v) + 1` read
+    /// from this per-node table.
+    Gcn(&'a [f32]),
+}
+
+/// The GCN table `deg(v) + 1` of every node under the normalization
+/// degrees `degree(v)`, as `f32`.
+fn gcn_table(n: usize, degree: impl Fn(NodeId) -> usize) -> Vec<f32> {
+    (0..n as NodeId).map(|v| degree(v) as f32 + 1.0).collect()
+}
+
+/// A call's work for [`for_each_row_chunk`]: `(edges + rows) · d`
+/// multiply-adds.
+fn work(graph: &Csr, d: usize) -> usize {
+    let work = (graph.num_edges() + graph.num_nodes()) * d;
+    #[cfg(test)]
+    let work = work.saturating_mul(tests::WORK_SCALE.with(std::cell::Cell::get));
+    work
+}
+
+/// Computes `rule` for every row of a `num_nodes x d` output, over row
+/// chunks on up to `workers` threads. Every row takes the row kernel
+/// [`rows`] for its tail width, whatever `d` is.
+fn aggregate_rows(graph: &Csr, features: &Matrix, rule: Rule<'_>, workers: usize) -> Matrix {
+    let d = features.cols();
+    let mut out = Matrix::zeros(graph.num_nodes(), d);
+    if d == 0 {
+        return out;
+    }
+    let call = Call {
+        graph,
+        x: features.as_slice(),
+        d,
+        rule,
+    };
+    let kernel = KERNELS[d % STRIP];
+    for_each_row_chunk(&mut out, workers, work(graph, d), |rows, chunk| {
+        kernel(&call, rows, chunk);
+    });
     out
 }
 
-/// GCN-normalized rows under the normalization degrees `degree(v)`: the
-/// per-row terms (`dv`, the self weight) are computed once per row, the
-/// neighbour weight `1 / sqrt(dv · du)` once per edge.
-fn gcn_rows(
-    graph: &Csr,
-    features: &Matrix,
-    workers: usize,
-    degree: impl Fn(NodeId) -> usize + Sync,
-) -> Matrix {
-    per_row(graph, features.cols(), workers, |v, row_out| {
-        let dv = degree(v) as f32 + 1.0;
-        for &u in graph.neighbors(v) {
-            let du = degree(u) as f32 + 1.0;
-            let w = 1.0 / (dv * du).sqrt();
-            for (o, &x) in row_out.iter_mut().zip(features.row(u as usize)) {
-                *o += w * x;
+/// One aggregation call's inputs.
+struct Call<'a> {
+    graph: &'a Csr,
+    /// The row-major `num_nodes x d` features.
+    x: &'a [f32],
+    d: usize,
+    rule: Rule<'a>,
+}
+
+/// The row kernel for one tail width.
+type RowKernel = fn(&Call<'_>, Range<usize>, &mut [f32]);
+
+/// [`rows`] for every tail width `d % STRIP`.
+const KERNELS: [RowKernel; STRIP] = [
+    rows::<0>, rows::<1>, rows::<2>, rows::<3>, rows::<4>, rows::<5>, rows::<6>, rows::<7>,
+    rows::<8>, rows::<9>, rows::<10>, rows::<11>, rows::<12>, rows::<13>, rows::<14>, rows::<15>,
+    rows::<16>, rows::<17>, rows::<18>, rows::<19>, rows::<20>, rows::<21>, rows::<22>, rows::<23>,
+    rows::<24>, rows::<25>, rows::<26>, rows::<27>, rows::<28>, rows::<29>, rows::<30>, rows::<31>,
+];
+
+/// The row kernel: writes the output rows `rows` into `out` (those rows,
+/// `d` columns each), where `d % STRIP == TAIL`. Each row is computed
+/// strip by strip, each strip by [`Call::strip`].
+fn rows<const TAIL: usize>(call: &Call<'_>, rows: Range<usize>, out: &mut [f32]) {
+    let full = call.d / STRIP * STRIP;
+    for (v, out_row) in rows.zip(out.chunks_exact_mut(call.d)) {
+        for c0 in (0..full).step_by(STRIP) {
+            call.strip::<STRIP>(v, c0, &mut out_row[c0..]);
+        }
+        if TAIL > 0 {
+            call.strip::<TAIL>(v, full, &mut out_row[full..]);
+        }
+    }
+}
+
+impl Call<'_> {
+    /// Columns `c0 .. c0 + W` of row `v`: accumulates in a local
+    /// `[f32; W]` (registers, under optimization) and writes `out[..W]`
+    /// once. Per element the order is fixed: the neighbours in CSR order,
+    /// then the row's own term, each weighted term a multiply then an
+    /// add.
+    #[inline(always)]
+    fn strip<const W: usize>(&self, v: usize, c0: usize, out: &mut [f32]) {
+        let cols = |u: usize| -> &[f32; W] {
+            self.x[u * self.d + c0..][..W]
+                .try_into()
+                .expect("a strip is W columns")
+        };
+        let row_ptr = self.graph.row_ptr();
+        let edges = row_ptr[v]..row_ptr[v + 1];
+        let neighbors = &self.graph.col_idx()[edges.clone()];
+        let mut acc = [0.0f32; W];
+        match self.rule {
+            Rule::Sum { mean } => {
+                for &u in neighbors {
+                    for (a, &x) in acc.iter_mut().zip(cols(u as usize)) {
+                        *a += x;
+                    }
+                }
+                if mean && !neighbors.is_empty() {
+                    let inv = 1.0 / neighbors.len() as f32;
+                    for a in &mut acc {
+                        *a *= inv;
+                    }
+                }
+            }
+            Rule::Weighted(weights) => {
+                for (&u, &w) in neighbors.iter().zip(&weights[edges]) {
+                    add_scaled(&mut acc, w, cols(u as usize));
+                }
+            }
+            Rule::Gcn(deg1) => {
+                let dv = deg1[v];
+                for &u in neighbors {
+                    let w = 1.0 / (dv * deg1[u as usize]).sqrt();
+                    add_scaled(&mut acc, w, cols(u as usize));
+                }
+                // Self-loop term of the renormalized adjacency (diagonal,
+                // so it is its own transpose and appears identically in
+                // both passes).
+                add_scaled(&mut acc, 1.0 / dv, cols(v));
             }
         }
-        // Self-loop term of the renormalized adjacency (diagonal, so it
-        // is its own transpose and appears identically in both passes).
-        let w = 1.0 / dv;
-        for (o, &x) in row_out.iter_mut().zip(features.row(v as usize)) {
-            *o += w * x;
-        }
-    })
+        out[..W].copy_from_slice(&acc);
+    }
+}
+
+/// `acc += w · x`, a multiply then an add per element.
+#[inline(always)]
+fn add_scaled<const W: usize>(acc: &mut [f32; W], w: f32, x: &[f32; W]) {
+    for (a, &x) in acc.iter_mut().zip(x) {
+        *a += w * x;
+    }
 }
 
 #[inline]
@@ -282,6 +368,243 @@ mod tests {
     use gnnadvisor_graph::GraphBuilder;
     use gnnadvisor_tensor::init::random_features;
     use gnnadvisor_tensor::par::MIN_WORK_PER_WORKER;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Factor on this thread's aggregation work, 1 unless a test
+        /// raises it through [`split_every_row_chunk`].
+        pub(super) static WORK_SCALE: Cell<usize> = const { Cell::new(1) };
+    }
+
+    /// Runs `f` with every aggregation's work scaled by
+    /// [`MIN_WORK_PER_WORKER`] on this thread, which lowers the per-worker
+    /// minimum to one multiply-add, so even tiny outputs split into one
+    /// row chunk per worker.
+    fn split_every_row_chunk<T>(f: impl FnOnce() -> T) -> T {
+        let previous = WORK_SCALE.with(|s| s.replace(MIN_WORK_PER_WORKER));
+        let out = f();
+        WORK_SCALE.with(|s| s.set(previous));
+        out
+    }
+
+    /// The oracle: a plain per-element triple loop (row, column, edge)
+    /// that adds the neighbours in CSR order, each scaled by
+    /// `weight(v, e, u)` (or not at all when `weight` is `None`), then
+    /// the row's own term `own(v)` times `x_v` when it has one, then
+    /// scales by `scale(v)` when it has one.
+    fn oracle(
+        graph: &Csr,
+        x: &Matrix,
+        weight: Option<&dyn Fn(usize, usize, usize) -> f32>,
+        own: &dyn Fn(usize) -> Option<f32>,
+        scale: &dyn Fn(usize) -> Option<f32>,
+    ) -> Matrix {
+        let (row_ptr, col_idx) = (graph.row_ptr(), graph.col_idx());
+        let mut out = Matrix::zeros(graph.num_nodes(), x.cols());
+        for v in 0..graph.num_nodes() {
+            let edges = row_ptr[v]..row_ptr[v + 1];
+            for c in 0..x.cols() {
+                let mut acc = 0.0f32;
+                for (e, &u) in edges.clone().zip(&col_idx[edges.clone()]) {
+                    let u = u as usize;
+                    acc += match weight {
+                        Some(weight) => weight(v, e, u) * x.get(u, c),
+                        None => x.get(u, c),
+                    };
+                }
+                if let Some(w) = own(v) {
+                    acc += w * x.get(v, c);
+                }
+                if let Some(s) = scale(v) {
+                    acc *= s;
+                }
+                out.set(v, c, acc);
+            }
+        }
+        out
+    }
+
+    /// Bit-for-bit equality, except that any NaN matches any NaN: Rust
+    /// leaves a NaN result's sign and payload unspecified, so which NaN
+    /// an operation returns may differ between two correct loops.
+    fn assert_same_bits(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        for (i, (&g, &w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}: element {i} is {g:?} ({:#x}), oracle {w:?} ({:#x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    /// Nodes of the oracle graph: at 2 and 4 workers the row chunks
+    /// (multiples of 8 rows) give every worker one, the last one short.
+    const ORACLE_NODES: usize = 90;
+
+    /// A directed graph of `n` nodes with a hub (node 3, out-degree ~n/2
+    /// and in-degree ~n/3), isolated nodes (5 and 40), and edges into the
+    /// last node, from a fixed LCG.
+    fn oracle_graph(n: usize) -> Csr {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |m: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % m
+        };
+        let isolated = |v: usize| v == 5 || v == 40;
+        let mut edges = vec![Vec::new(); n];
+        for (v, list) in edges.iter_mut().enumerate() {
+            if isolated(v) {
+                continue;
+            }
+            let degree = if v == 3 { n / 2 } else { next(6) };
+            for _ in 0..degree {
+                let u = next(n);
+                if !isolated(u) {
+                    list.push(u as NodeId);
+                }
+            }
+            if v % 3 == 0 && v != 3 {
+                list.push(3);
+            }
+            if v % 4 == 1 {
+                list.push((n - 1) as NodeId);
+            }
+        }
+        let mut row_ptr = vec![0];
+        let mut col_idx = Vec::new();
+        for list in edges {
+            col_idx.extend(list);
+            row_ptr.push(col_idx.len());
+        }
+        Csr::from_raw(n, row_ptr, col_idx).expect("valid")
+    }
+
+    /// `n x d` features of varied magnitude and sign, with NaN, ±inf and
+    /// -0.0 at scattered elements.
+    fn oracle_features(n: usize, d: usize) -> Matrix {
+        Matrix::from_fn(n, d, |r, c| match (r * 13 + c * 7) % 101 {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            3..=9 => -0.0,
+            k => (k as f32 - 50.0) * 0.37 + ((r * 31 + c * 17) % 29) as f32 * 1e-3 * (r + 1) as f32,
+        })
+    }
+
+    #[test]
+    fn every_aggregation_is_bitwise_the_per_element_oracle() {
+        let n = ORACLE_NODES;
+        let g = oracle_graph(n);
+        let gt = g.transpose();
+        assert!(g.neighbors(5).is_empty() && g.neighbors(40).is_empty());
+        assert!(g.neighbors(3).len() >= n / 3, "node 3 is a hub");
+        assert!(gt.degree((n - 1) as NodeId) > 0, "edges into the last node");
+        let weights: Vec<f32> = (0..g.num_edges())
+            .map(|e| match e % 11 {
+                0 => -0.0,
+                1 => 0.0,
+                k => k as f32 * 0.29 - 1.7,
+            })
+            .collect();
+        // Block-style degrees that differ from the graph's own.
+        let degrees: Vec<usize> = (0..n as NodeId)
+            .map(|v| g.degree(v) + v as usize % 3)
+            .collect();
+        let gcn_own = |deg: &dyn Fn(usize) -> usize, v: usize| Some(1.0 / (deg(v) as f32 + 1.0));
+        let gcn_edge = |deg: &dyn Fn(usize) -> usize, v: usize, u: usize| {
+            let (dv, du) = (deg(v) as f32 + 1.0, deg(u) as f32 + 1.0);
+            1.0 / (dv * du).sqrt()
+        };
+        let graph_deg = |v: usize| g.degree(v as NodeId);
+        let block_deg = |v: usize| degrees[v];
+        let none = |_: usize| None;
+        for d in 1..=70 {
+            let x = oracle_features(n, d);
+            let cases = [
+                ("sum", oracle(&g, &x, None, &none, &none)),
+                (
+                    "mean",
+                    oracle(&g, &x, None, &none, &|v| {
+                        let deg = g.degree(v as NodeId);
+                        (deg > 0).then(|| 1.0 / deg as f32)
+                    }),
+                ),
+                (
+                    "gcn",
+                    oracle(
+                        &g,
+                        &x,
+                        Some(&|v, _, u| gcn_edge(&graph_deg, v, u)),
+                        &|v| gcn_own(&graph_deg, v),
+                        &none,
+                    ),
+                ),
+                (
+                    "weighted",
+                    oracle(&g, &x, Some(&|_, e, _| weights[e]), &none, &none),
+                ),
+                (
+                    "block",
+                    oracle(
+                        &g,
+                        &x,
+                        Some(&|v, _, u| gcn_edge(&block_deg, v, u)),
+                        &|v| gcn_own(&block_deg, v),
+                        &none,
+                    ),
+                ),
+                (
+                    "block transposed",
+                    oracle(
+                        &gt,
+                        &x,
+                        Some(&|v, _, u| gcn_edge(&block_deg, v, u)),
+                        &|v| gcn_own(&block_deg, v),
+                        &none,
+                    ),
+                ),
+            ];
+            for workers in [1, 2, 4] {
+                let got = split_every_row_chunk(|| {
+                    [
+                        aggregate_reference(&g, &x, Aggregation::Sum, workers),
+                        aggregate_reference(&g, &x, Aggregation::Mean, workers),
+                        aggregate_reference(&g, &x, Aggregation::GcnNorm, workers),
+                        aggregate_weighted(&g, &x, &weights, workers),
+                        aggregate_gcn_block(&g, &degrees, &x, workers),
+                        aggregate_gcn_block(&gt, &degrees, &x, workers),
+                    ]
+                });
+                for ((what, want), got) in cases.iter().zip(&got) {
+                    assert_same_bits(got, want, &format!("{what}, d={d}, {workers} workers"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lowered_threshold_gives_every_worker_a_chunk() {
+        // The oracle test relies on its small outputs really splitting.
+        let g = oracle_graph(ORACLE_NODES);
+        for workers in [2, 4] {
+            let chunks = std::sync::Mutex::new(0);
+            let mut out = Matrix::zeros(ORACLE_NODES, 1);
+            split_every_row_chunk(|| {
+                for_each_row_chunk(&mut out, workers, work(&g, 1), |_, _| {
+                    *chunks.lock().unwrap() += 1;
+                })
+            });
+            assert_eq!(
+                chunks.into_inner().unwrap(),
+                workers,
+                "one chunk per worker"
+            );
+        }
+    }
 
     #[test]
     fn sum_on_path() {

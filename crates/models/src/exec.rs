@@ -14,9 +14,11 @@
 //! The numerics run row-parallel on the engine's
 //! [`Engine::host_workers`], bitwise equal at any worker count.
 //!
-//! When the advisor renumbers the graph, features flow in original node
-//! order; this module permutes them into execution order on entry and back
-//! on exit so callers never see renumbered ids.
+//! When the advisor renumbers the graph, only the simulated kernels run
+//! over the renumbered graph ([`ModelExec::aggregate_cost`] prices the
+//! advisor's graph). The numbers are computed over the original graph, in
+//! original node order, so nothing is permuted and callers never see
+//! renumbered ids.
 
 use gnnadvisor_core::compute::{aggregate_reference, Aggregation};
 use gnnadvisor_core::frameworks::{aggregate_with, Framework};

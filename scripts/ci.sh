@@ -30,6 +30,11 @@ echo "==> cargo test --release: numerics oracles, pins and the host pool"
 # concurrency tests and the concurrent-launch differential test, where
 # optimized timing makes the interleavings they probe most likely.
 cargo test --release --offline -q -p gnnadvisor-tensor -p gnnadvisor-models -p gnnadvisor-gpu
+# The aggregation row kernel keeps each row strip in registers only under
+# optimization too, so its per-element oracle (core's `compute` tests)
+# and the grouped-vs-reference properties run there as well.
+cargo test --release --offline -q -p gnnadvisor-core --lib compute::
+cargo test --release --offline -q -p gnnadvisor-repro --test properties
 
 echo "==> cargo test --release: core pricing pins and oracles"
 # Kernel pricing leans on inlining (the cache's MRU check and the sink's
