@@ -4,6 +4,11 @@
 //! strategy on a fixed mid-size graph — a regression harness for the
 //! runtime system itself. The simulated GPU milliseconds (the paper's
 //! numbers) come from the `src/bin` experiment binaries instead.
+//!
+//! `Advisor::aggregate` keeps each width's price after its first call, so
+//! timing it would time a lookup. The GNNAdvisor row therefore submits the
+//! advisor's kernel, in the shape `Advisor::resolved_launch` gives it,
+//! through `Engine::submit` like every baseline.
 
 use std::time::Duration;
 
@@ -11,8 +16,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use gnnadvisor_core::frameworks::{aggregate_with, Framework};
 use gnnadvisor_core::input::AggOrder;
+use gnnadvisor_core::kernels::advisor::AdvisorKernel;
 use gnnadvisor_core::runtime::{Advisor, AdvisorConfig};
-use gnnadvisor_gpu::{Engine, GpuSpec};
+use gnnadvisor_gpu::{Engine, GpuSpec, Workload};
 use gnnadvisor_graph::generators::{community_graph, CommunityParams};
 use gnnadvisor_graph::Csr;
 
@@ -46,9 +52,19 @@ fn bench_strategies(c: &mut Criterion) {
     group.sample_size(10);
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(2));
+    let resolved = advisor.resolved_launch(dim);
+    let kernel = AdvisorKernel::new(
+        advisor.graph(),
+        advisor.groups(),
+        resolved.layout.as_ref(),
+        dim,
+        resolved.params,
+    );
     group.bench_function("gnnadvisor", |b| {
         b.iter(|| {
-            aggregate_with(Framework::GnnAdvisor, &engine, &g, dim, Some(&advisor)).expect("runs")
+            engine
+                .submit(&mut engine.lock_context(), Workload::Kernel(&kernel))
+                .expect("runs")
         })
     });
     for fw in [

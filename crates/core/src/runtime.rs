@@ -7,11 +7,14 @@
 //! aggregation kernel for any embedding dimensionality, in the shape
 //! `memory::organize::resolve_launch` gives it (the Algorithm 1 layout,
 //! narrowed to fit), and [`Advisor::update`] prices the dense update.
+//! Like the paper's runtime, the advisor decides each launch once: the
+//! shape and, on an untraced engine, the fault-free price of each width
+//! are kept and reused by every later call.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use gnnadvisor_gpu::{Engine, GpuSpec, KernelMetrics};
+use gnnadvisor_gpu::{CleanPrice, Engine, GpuSpec, KernelMetrics, Workload};
 use gnnadvisor_graph::reorder::{renumber, RenumberConfig};
 use gnnadvisor_graph::{Csr, Permutation};
 
@@ -99,7 +102,14 @@ pub struct Advisor {
     permutation: Option<Permutation>,
     params: RuntimeParams,
     groups: Vec<NeighborGroup>,
-    resolved: Mutex<BTreeMap<usize, Arc<ResolvedLaunch>>>,
+    resolved: Mutex<BTreeMap<usize, Arc<PreparedLaunch>>>,
+}
+
+/// One width's launch, decided once: the shape `aggregate` uses and, once
+/// the first untraced call has priced it, its fault-free price.
+struct PreparedLaunch {
+    launch: Arc<ResolvedLaunch>,
+    clean: OnceLock<CleanPrice>,
 }
 
 impl Advisor {
@@ -167,16 +177,36 @@ impl Advisor {
     /// CUDA runtime would re-tune the launch configuration; below 128
     /// threads the kernel falls back to direct atomic accumulation
     /// instead (`memory::organize::resolve_launch` holds the rule).
+    ///
+    /// The launch is simulated once per `dim`: the first call on an
+    /// untraced engine keeps its fault-free price, and every later call
+    /// submits that price with [`Engine::submit_price`]. Each call still
+    /// draws its own fault verdict, so a fault plan sees the verdicts it
+    /// would see if every call were priced afresh, and the kept price is
+    /// never stretched. A pricing error is not kept. On a traced engine
+    /// every call is priced and traced afresh, so traces are unchanged.
     pub fn aggregate(&self, dim: usize) -> Result<KernelMetrics> {
-        let resolved = self.resolved_launch(dim);
+        let prepared = self.prepared(dim);
         let kernel = AdvisorKernel::new(
             &self.graph,
             &self.groups,
-            resolved.layout.as_ref(),
+            prepared.launch.layout.as_ref(),
             dim,
-            resolved.params,
+            prepared.launch.params,
         );
-        Ok(crate::submit::launch(&self.engine, &kernel)?)
+        if self.engine.tracer().is_some() {
+            return Ok(crate::submit::launch(&self.engine, &kernel)?);
+        }
+        let clean = match prepared.clean.get() {
+            Some(clean) => clean,
+            None => {
+                let clean = self
+                    .engine
+                    .price(&mut self.engine.lock_context(), Workload::Kernel(&kernel))?;
+                prepared.clean.get_or_init(|| clean)
+            }
+        };
+        Ok(self.engine.submit_price(clean)?.into_kernel())
     }
 
     /// The launch shape `aggregate(dim)` actually uses, with the narrowing
@@ -186,21 +216,27 @@ impl Advisor {
     /// launched (which [`Advisor::params`] — the *tuned* shape — need not
     /// match after a reshape).
     pub fn resolved_launch(&self, dim: usize) -> Arc<ResolvedLaunch> {
+        Arc::clone(&self.prepared(dim).launch)
+    }
+
+    /// The per-`dim` entry of the launch cache, resolved on first use.
+    fn prepared(&self, dim: usize) -> Arc<PreparedLaunch> {
         let mut cache = self
             .resolved
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if let Some(hit) = cache.get(&dim) {
-            return Arc::clone(hit);
-        }
-        let launch = Arc::new(resolve_launch(
-            &self.groups,
-            self.params,
-            dim,
-            self.engine.spec(),
-        ));
-        cache.insert(dim, Arc::clone(&launch));
-        launch
+        let prepared = cache.entry(dim).or_insert_with(|| {
+            Arc::new(PreparedLaunch {
+                launch: Arc::new(resolve_launch(
+                    &self.groups,
+                    self.params,
+                    dim,
+                    self.engine.spec(),
+                )),
+                clean: OnceLock::new(),
+            })
+        });
+        Arc::clone(prepared)
     }
 
     /// Prices the dense update `rows x in_dim · in_dim x out_dim`.
@@ -239,7 +275,10 @@ impl Advisor {
 mod tests {
     use super::*;
     use crate::memory::organize::organize_shared;
-    use gnnadvisor_gpu::{BlockResources, DEFAULT_REGS_PER_THREAD};
+    use gnnadvisor_gpu::{
+        BlockResources, FaultConfig, FaultKind, FaultPlan, GpuError, SpanKind, TraceRecorder,
+        WorkloadMetrics, DEFAULT_REGS_PER_THREAD,
+    };
     use gnnadvisor_graph::generators::{community_graph, CommunityParams};
 
     fn graph() -> Csr {
@@ -252,6 +291,26 @@ mod tests {
             shuffle_ids: true,
         };
         community_graph(&params, 33).expect("valid").0
+    }
+
+    /// Prices `adv`'s launch at `dim` afresh through `Engine::submit` on
+    /// `engine`, in the shape `aggregate(dim)` uses.
+    fn fresh_submit(
+        adv: &Advisor,
+        engine: &Engine,
+        dim: usize,
+    ) -> gnnadvisor_gpu::Result<KernelMetrics> {
+        let resolved = adv.resolved_launch(dim);
+        let kernel = AdvisorKernel::new(
+            adv.graph(),
+            adv.groups(),
+            resolved.layout.as_ref(),
+            dim,
+            resolved.params,
+        );
+        engine
+            .submit(&mut engine.lock_context(), Workload::Kernel(&kernel))
+            .map(WorkloadMetrics::into_kernel)
     }
 
     #[test]
@@ -473,15 +532,20 @@ mod tests {
                     assert_eq!(&resolved.params, adv.params(), "dim {dim}");
                 }
             }
-            // Repeated calls hit the cache (same Arc) and price the same.
+            // Repeated calls hit the cache (same Arc), and the second
+            // call, which submits the kept price, equals pricing the same
+            // kernel afresh.
             assert!(
                 Arc::ptr_eq(&resolved, &adv.resolved_launch(dim)),
                 "dim {dim}: resolution must be cached"
             );
+            let first = adv.aggregate(dim).expect("runs");
+            let second = adv.aggregate(dim).expect("runs");
+            assert_eq!(first, second, "dim {dim}");
             assert_eq!(
-                adv.aggregate(dim).expect("runs"),
-                adv.aggregate(dim).expect("runs"),
-                "dim {dim}"
+                second,
+                fresh_submit(&adv, adv.engine(), dim).expect("runs"),
+                "dim {dim}: the kept price drifted from a fresh submit"
             );
         }
         assert!(
@@ -507,5 +571,144 @@ mod tests {
         // count > 1; the aggregate call must still succeed via fallback.
         let m = adv.aggregate(8192).expect("fallback path runs");
         assert!(m.time_ms > 0.0);
+        assert!(
+            adv.resolved_launch(8192).layout.is_none(),
+            "dim 8192 must take the atomic fallback"
+        );
+        // The second call submits the kept price of the fallback launch.
+        let again = adv.aggregate(8192).expect("fallback path runs");
+        assert_eq!(again, m);
+        assert_eq!(again, fresh_submit(&adv, adv.engine(), 8192).expect("runs"));
+    }
+
+    #[test]
+    fn kept_prices_draw_the_same_faults_as_fresh_submits() {
+        let g = graph();
+        let spec = GpuSpec::quadro_p6000();
+        let clean = Advisor::new(
+            &g,
+            96,
+            16,
+            10,
+            AggOrder::UpdateThenAggregate,
+            AdvisorConfig::default(),
+        )
+        .expect("builds");
+        let clean_16 = clean.aggregate(16).expect("runs");
+        let config = FaultConfig {
+            kernel_slow_prob: 0.3,
+            kernel_slow_factor: 1.5,
+            kernel_timeout_prob: 0.15,
+            // The reset lands mid-sequence and kills whichever op crosses it.
+            device_reset_ms: Some(clean_16.time_ms * 20.0),
+            seed: 11,
+            ..FaultConfig::default()
+        };
+        let faulty = || {
+            Engine::builder(spec.clone())
+                .fault_plan(Arc::new(FaultPlan::new(config.clone()).expect("valid")))
+                .build()
+                .expect("valid")
+        };
+        // Engine A serves an advisor, which keeps one clean price per
+        // width; engine B submits the same kernels afresh every time.
+        let cached = Advisor::new(
+            &g,
+            96,
+            16,
+            10,
+            AggOrder::UpdateThenAggregate,
+            AdvisorConfig {
+                engine: Some(faulty()),
+                ..Default::default()
+            },
+        )
+        .expect("builds");
+        let fresh = faulty();
+        let outcome = |r: Result<KernelMetrics>| {
+            r.map_err(|e| match e {
+                crate::CoreError::Gpu(GpuError::Fault { kind, op }) => (kind, op),
+                other => panic!("unexpected error {other}"),
+            })
+        };
+        let dims: Vec<usize> = [16, 7, 16, 16, 7].repeat(10);
+        let mut slow_then_clean = 0;
+        let mut slowed_dims = Vec::new();
+        let mut kinds = Vec::new();
+        for (call, &dim) in dims.iter().enumerate() {
+            let a = outcome(cached.aggregate(dim));
+            let b = outcome(fresh_submit(&cached, &fresh, dim).map_err(Into::into));
+            assert_eq!(a, b, "call {call} at dim {dim}");
+            match a {
+                Ok(m) => {
+                    let clean_m = clean.aggregate(dim).expect("runs");
+                    if m.elapsed_cycles > clean_m.elapsed_cycles {
+                        slowed_dims.push(dim);
+                    } else {
+                        assert_eq!(
+                            m, clean_m,
+                            "call {call}: an unslowed call is the clean price"
+                        );
+                        if slowed_dims.contains(&dim) {
+                            slow_then_clean += 1;
+                        }
+                    }
+                }
+                Err((kind, op)) => {
+                    assert_eq!(op, clean.aggregate(dim).expect("runs").name);
+                    kinds.push(kind);
+                }
+            }
+        }
+        assert_eq!(
+            cached.engine().fault_plan().expect("attached").op_count(),
+            dims.len() as u64,
+            "every call draws exactly one verdict"
+        );
+        assert!(!slowed_dims.is_empty(), "no call was slowed");
+        assert!(
+            slow_then_clean > 0,
+            "a slowed call must be followed by a clean one at its width"
+        );
+        assert!(kinds.contains(&FaultKind::KernelTimeout), "{kinds:?}");
+        assert!(kinds.contains(&FaultKind::DeviceReset), "{kinds:?}");
+    }
+
+    #[test]
+    fn traced_advisor_traces_every_call() {
+        let g = graph();
+        let tracer = Arc::new(TraceRecorder::new());
+        let engine = Engine::builder(GpuSpec::quadro_p6000())
+            .tracer(Arc::clone(&tracer))
+            .build()
+            .expect("valid");
+        let adv = Advisor::new(
+            &g,
+            96,
+            16,
+            10,
+            AggOrder::UpdateThenAggregate,
+            AdvisorConfig {
+                engine: Some(engine),
+                ..Default::default()
+            },
+        )
+        .expect("builds");
+        let kernel_spans = || {
+            tracer
+                .events()
+                .iter()
+                .filter(|e| e.kind == SpanKind::Kernel)
+                .count()
+        };
+        tracer.clear();
+        let first = adv.aggregate(16).expect("runs");
+        let per_call = tracer.len();
+        assert_eq!(kernel_spans(), 1);
+        for call in 2..=3 {
+            assert_eq!(adv.aggregate(16).expect("runs"), first);
+            assert_eq!(tracer.len(), per_call * call, "call {call}");
+            assert_eq!(kernel_spans(), call, "call {call}");
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! Crate-internal shorthands over the typed submission API.
 //!
 //! Every device interaction in this crate goes through
-//! [`Engine::submit`]; these helpers only fold the recurring
+//! [`Engine::submit`], apart from the `Advisor`'s kept aggregation prices
+//! ([`Engine::submit_price`]); these helpers only fold the recurring
 //! lock-context / wrap-workload / unwrap-metrics dance into one call so
 //! pricing sites stay readable.
 

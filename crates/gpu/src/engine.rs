@@ -53,9 +53,11 @@
 //! Every way of putting work on the simulated device goes through one
 //! typed entry point: [`Engine::submit`] takes a [`Workload`] — a kernel
 //! launch, a roofline-priced GEMM, or a host↔device transfer — and returns
-//! [`WorkloadMetrics`]. It prices the workload fault-free, then draws its
-//! fault verdict; [`Engine::price_list`] is the pricing step alone, for a
-//! whole list. This uniform surface is what
+//! [`WorkloadMetrics`]. It prices the workload fault-free
+//! ([`Engine::price`]), then draws its fault verdict
+//! ([`Engine::submit_price`], which submits a kept [`CleanPrice`] again
+//! without simulating it); [`Engine::price_list`] is the pricing step
+//! alone, for a whole list. This uniform surface is what
 //! [`crate::stream::StreamSim`] enqueues onto simulated streams, and
 //! [`Engine::builder`] is the configuration surface.
 
@@ -464,42 +466,76 @@ impl Engine {
     /// Use [`Engine::lock_context`] for the engine's shared context, or an
     /// owned [`RunContext`] for isolation.
     ///
-    /// This is the one-op case of [`Engine::price_list`] followed by the
-    /// op's fault verdict: with a [`EngineBuilder::fault_plan`] attached,
-    /// the submission may come back as [`GpuError::Fault`]; the op still
+    /// This is [`Engine::price`] followed by [`Engine::submit_price`], plus
+    /// the trace: with a [`EngineBuilder::fault_plan`] attached, the
+    /// submission may come back as [`GpuError::Fault`]; the op still
     /// burned its priced time on the plan's simulated clock before failing.
+    /// Every call prices the workload afresh; a caller that submits one
+    /// launch repeatedly can keep its [`CleanPrice`] and submit that.
     pub fn submit(&self, ctx: &mut RunContext, workload: Workload<'_>) -> Result<WorkloadMetrics> {
-        let traced = self.tracer.is_some();
-        let clean = self.price_into(std::slice::from_mut(ctx), &[workload], traced)?;
-        let mut metrics = clean.into_iter().next().expect("one op priced").metrics;
-        let (fault, completes) = self.draw_verdict(&mut metrics);
+        let clean = self.price(ctx, workload)?;
         // An op that its verdict kills never completes, so its span is not
         // recorded; the trace stays a timeline of finished work. Slowed
         // ops are traced at their stretched timings.
-        if let (Some(tracer), true) = (&self.tracer, completes) {
-            match (&metrics, workload) {
+        self.settle(clean.metrics, |metrics| {
+            let Some(tracer) = &self.tracer else {
+                return;
+            };
+            match (metrics, workload) {
                 (WorkloadMetrics::Kernel(m), Workload::Kernel(_)) => {
                     tracer.record_kernel(m, &self.spec, &ctx.shard_traces, &ctx.hot_blocks)
                 }
                 (WorkloadMetrics::Kernel(m), _) => tracer.record_gemm(m),
                 (WorkloadMetrics::Transfer(m), _) => tracer.record_transfer(m, &self.spec),
             }
+        })
+    }
+
+    /// Prices one workload as if alone on a fault-free device, in `ctx`:
+    /// the one-op case of [`Engine::price_list`]. No fault verdict is
+    /// drawn. On a traced engine `ctx` keeps the launch's shard and
+    /// hotspot rows until it is next prepared.
+    pub fn price(&self, ctx: &mut RunContext, workload: Workload<'_>) -> Result<CleanPrice> {
+        let traced = self.tracer.is_some();
+        let mut clean = self.price_into(std::slice::from_mut(ctx), &[workload], traced)?;
+        Ok(clean.pop().expect("one op priced"))
+    }
+
+    /// Submits an op that is already priced: draws its fault verdict from
+    /// the engine's fault plan (if any) on a copy of `clean`, so a `Slow`
+    /// stretch never reaches the caller's price, and returns the op's
+    /// metrics or, on a `Fail` verdict, [`GpuError::Fault`] named after
+    /// the op. Each call consumes one verdict, exactly as
+    /// [`Engine::submit`] of the same workload would, and nothing is
+    /// simulated; nothing is traced either, so a traced caller submits the
+    /// workload itself. `clean` must have been priced by an engine with
+    /// this engine's [`GpuSpec`].
+    pub fn submit_price(&self, clean: &CleanPrice) -> Result<WorkloadMetrics> {
+        self.settle(clean.metrics.clone(), |_| ())
+    }
+
+    /// Draws one op's verdict into its clean `metrics`, hands the op to
+    /// `completed` unless its verdict kills it, and returns the op's
+    /// outcome: the one verdict path of [`Engine::submit`] and
+    /// [`Engine::submit_price`].
+    fn settle(
+        &self,
+        mut metrics: WorkloadMetrics,
+        completed: impl FnOnce(&WorkloadMetrics),
+    ) -> Result<WorkloadMetrics> {
+        let (fault, completes) = self.draw_verdict(&mut metrics);
+        if completes {
+            completed(&metrics);
         }
         match fault {
             Some(kind) => Err(GpuError::Fault {
                 kind,
-                op: Self::op_name(&workload),
+                op: match &metrics {
+                    WorkloadMetrics::Kernel(m) => m.name.clone(),
+                    WorkloadMetrics::Transfer(_) => "transfer".to_string(),
+                },
             }),
             None => Ok(metrics),
-        }
-    }
-
-    /// Short op label for fault errors and stream spans.
-    fn op_name(workload: &Workload<'_>) -> String {
-        match workload {
-            Workload::Kernel(kernel) => kernel.name().to_string(),
-            Workload::Gemm { m, n, k } => format!("gemm_{m}x{k}x{n}"),
-            Workload::Transfer { .. } => "transfer".to_string(),
         }
     }
 

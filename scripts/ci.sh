@@ -91,6 +91,14 @@ profile() {
 }
 check_stable profile profile
 
+echo "==> run gin smoke: repeated-width forward stable across runs and worker counts"
+# GIN aggregates at width 64 in four of its five layers, so one forward
+# submits the advisor's kept width-64 price three times.
+run_gin() {
+  gnnadvisor run --model gin --dataset Cora --scale 0.05 > "$1"
+}
+check_stable run-gin run_gin "GIN on Cora" "kernels: 15"
+
 echo "==> serve-sim smoke: report stable across runs and worker counts"
 serve() {
   gnnadvisor serve-sim --requests 32 --rate 4000 --streams 2 --scale 0.02 > "$1"
