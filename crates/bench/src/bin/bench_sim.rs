@@ -10,7 +10,13 @@
 //! aggregation (`compute::aggregate_reference`, `Aggregation::GcnNorm`)
 //! of the artist Table-1 graph at scale 1.0, at the widths the
 //! full-graph GCN forward aggregates (16 and 12), on 1 and 2 host
-//! workers, with every worker count checked for bit-identical output.
+//! workers, with every worker count checked for bit-identical output. It
+//! times each configuration twice: over the graph in its original order,
+//! and over the graph renamed by the paper's community-aware renumbering
+//! with each row's order kept (`Csr::relabel`), the order the GNNAdvisor
+//! GCN forward runs its numerics in. The renumbered output, gathered back
+//! into original order, is checked bit for bit against the original one;
+//! the gathers themselves are not timed.
 //!
 //! Timings land in `BENCH_sim.json` together with `host_cpus`, because the
 //! thread-scaling rows only show parallel speedup when the host actually
@@ -32,6 +38,8 @@ use gnnadvisor_gpu::{
     ArrayId, BlockSink, Engine, GpuSpec, GridConfig, Kernel, KernelMetrics, Workload,
     WorkloadMetrics,
 };
+use gnnadvisor_graph::reorder::{renumber, RenumberConfig};
+use gnnadvisor_graph::Csr;
 use gnnadvisor_tensor::init::random_features;
 use gnnadvisor_tensor::Matrix;
 use serde::{Deserialize, Serialize};
@@ -130,16 +138,20 @@ struct HostAggregation {
     graph: String,
     /// Timed calls per configuration (best is reported).
     runs: usize,
-    /// One row per feature width and worker count.
+    /// One row per row order, feature width and worker count.
     rows: Vec<HostAggRow>,
     /// Whether every worker count in `WORKER_COUNTS` produced bit-identical
-    /// output at every width.
+    /// output at every width, in both orders, and the renumbered output
+    /// gathered back equals the original one bit for bit.
     deterministic: bool,
 }
 
 /// One host aggregation measurement.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct HostAggRow {
+    /// `original` (the generated graph) or `renumbered` (renamed by the
+    /// community-aware renumbering, each row's order kept).
+    order: String,
     /// Feature width `d`.
     dim: usize,
     /// Host worker threads.
@@ -176,44 +188,59 @@ fn time_engine(engine: &Engine, kernel: &SimWorkload, expect: &KernelMetrics) ->
     start.elapsed().as_secs_f64() * 1e3
 }
 
-/// Times the host aggregation of the artist graph at every width in
-/// `HOST_AGG_DIMS` and worker count in `HOST_AGG_WORKERS`, interleaved,
-/// after checking that every worker count in `WORKER_COUNTS` gives the
-/// 1-worker output bit for bit.
+/// Times the host aggregation of the artist graph in both row orders at
+/// every width in `HOST_AGG_DIMS` and worker count in `HOST_AGG_WORKERS`,
+/// interleaved, after checking that every worker count in
+/// `WORKER_COUNTS` gives the 1-worker output bit for bit in both orders,
+/// and that the renumbered output gathered back is the original one.
 fn host_aggregation() -> HostAggregation {
     let graph = table1_by_name("artist")
         .expect("artist is a Table 1 dataset")
         .generate(1.0)
         .expect("artist generates")
         .graph;
-    let aggregate = |features: &Matrix, workers: usize| {
-        aggregate_reference(&graph, features, Aggregation::GcnNorm, workers)
+    let perm = renumber(&graph, &RenumberConfig::default())
+        .expect("artist renumbers")
+        .permutation;
+    let relabeled = graph.relabel(&perm).expect("one id per node");
+    let old_of_new = perm.inverse();
+    let aggregate = |g: &Csr, features: &Matrix, workers: usize| {
+        aggregate_reference(g, features, Aggregation::GcnNorm, workers)
     };
-    let inputs: Vec<Matrix> = HOST_AGG_DIMS
-        .iter()
-        .map(|&d| random_features(graph.num_nodes(), d, 7))
-        .collect();
     let bits = |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|x| x.to_bits()).collect() };
-    let deterministic = inputs.iter().all(|features| {
-        let serial = bits(&aggregate(features, 1));
-        WORKER_COUNTS[1..]
-            .iter()
-            .all(|&w| bits(&aggregate(features, w)) == serial)
-    });
+    // (order, graph, d, features in that order).
+    let mut inputs: Vec<(&str, &Csr, usize, Matrix)> = Vec::new();
+    let mut deterministic = true;
+    for &d in &HOST_AGG_DIMS {
+        let x = random_features(graph.num_nodes(), d, 7);
+        let rx = x.gather_rows(old_of_new.as_slice());
+        let serial = bits(&aggregate(&graph, &x, 1));
+        let renumbered = aggregate(&relabeled, &rx, 1);
+        deterministic &= bits(&renumbered.gather_rows(perm.as_slice())) == serial
+            && WORKER_COUNTS[1..].iter().all(|&w| {
+                bits(&aggregate(&graph, &x, w)) == serial
+                    && bits(&aggregate(&relabeled, &rx, w)) == bits(&renumbered)
+            });
+        inputs.push(("original", &graph, d, x));
+        inputs.push(("renumbered", &relabeled, d, rx));
+    }
     assert!(
         deterministic,
-        "host aggregation must be bit-identical across worker counts"
+        "host aggregation must be bit-identical across worker counts and row orders"
     );
-    let configs: Vec<(usize, &Matrix, usize)> = HOST_AGG_DIMS
+    let configs: Vec<(&str, &Csr, usize, &Matrix, usize)> = inputs
         .iter()
-        .zip(&inputs)
-        .flat_map(|(&d, f)| HOST_AGG_WORKERS.iter().map(move |&w| (d, f, w)))
+        .flat_map(|(order, g, d, x)| {
+            HOST_AGG_WORKERS
+                .iter()
+                .map(move |&w| (*order, *g, *d, x, w))
+        })
         .collect();
     let mut best = vec![f64::INFINITY; configs.len()];
     for _ in 0..HOST_AGG_RUNS {
-        for (slot, &(_, features, workers)) in best.iter_mut().zip(&configs) {
+        for (slot, &(_, g, _, features, workers)) in best.iter_mut().zip(&configs) {
             let start = Instant::now();
-            std::hint::black_box(aggregate(features, workers));
+            std::hint::black_box(aggregate(g, features, workers));
             *slot = slot.min(start.elapsed().as_secs_f64() * 1e3);
         }
     }
@@ -227,7 +254,8 @@ fn host_aggregation() -> HostAggregation {
         rows: configs
             .iter()
             .zip(best)
-            .map(|(&(dim, _, workers), wall_ms)| HostAggRow {
+            .map(|(&(order, _, dim, _, workers), wall_ms)| HostAggRow {
+                order: order.to_string(),
                 dim,
                 workers,
                 wall_ms,
@@ -359,7 +387,10 @@ fn main() {
             .host_aggregation
             .rows
             .iter()
-            .map(|r| format!("d={} {} workers {:.2} ms", r.dim, r.workers, r.wall_ms))
+            .map(|r| format!(
+                "{} d={} {} workers {:.2} ms",
+                r.order, r.dim, r.workers, r.wall_ms
+            ))
             .collect::<Vec<_>>()
             .join(", "),
     );

@@ -19,7 +19,9 @@
 //! dimension-based workload sharing: a row's partial sums stay in a local
 //! fixed-width accumulator (registers, under optimization) while the
 //! kernel sweeps the row's columns in strips, and each strip is written
-//! to the output once.
+//! to the output once. [`aggregate_gcn_relu`] folds the GCN's hidden-layer
+//! ReLU into that one write, so the activation costs no second pass over
+//! the output.
 
 use std::ops::Range;
 
@@ -69,8 +71,34 @@ pub fn aggregate_reference(
         Aggregation::Mean => Rule::Sum { mean: true },
         Aggregation::GcnNorm => {
             table = gcn_table(graph.num_nodes(), |v| graph.degree(v));
-            Rule::Gcn(&table)
+            Rule::Gcn {
+                deg1: &table,
+                relu: false,
+            }
         }
+    };
+    aggregate_rows(graph, features, rule, workers)
+}
+
+/// [`aggregate_reference`] with [`Aggregation::GcnNorm`], then a ReLU, in
+/// one pass: each strip's accumulator is clamped at zero just before its
+/// one write. The clamp is `if a < 0.0 { a = 0.0 }`, the rule of
+/// `gnnadvisor_tensor::ops::relu_inplace`, so NaN and `-0.0` pass
+/// through and the output is bitwise that of the two calls in sequence.
+///
+/// # Panics
+///
+/// Panics if `features.rows() != graph.num_nodes()`.
+pub fn aggregate_gcn_relu(graph: &Csr, features: &Matrix, workers: usize) -> Matrix {
+    assert_eq!(
+        features.rows(),
+        graph.num_nodes(),
+        "feature rows must match node count"
+    );
+    let table = gcn_table(graph.num_nodes(), |v| graph.degree(v));
+    let rule = Rule::Gcn {
+        deg1: &table,
+        relu: true,
     };
     aggregate_rows(graph, features, rule, workers)
 }
@@ -195,7 +223,11 @@ pub fn aggregate_gcn_block(
         "one normalization degree per node"
     );
     let table = gcn_table(graph.num_nodes(), |v| degrees[v as usize]);
-    aggregate_rows(graph, features, Rule::Gcn(&table), workers)
+    let rule = Rule::Gcn {
+        deg1: &table,
+        relu: false,
+    };
+    aggregate_rows(graph, features, rule, workers)
 }
 
 /// Column-strip width of the row kernel. A `d`-wide output row is
@@ -212,8 +244,8 @@ enum Rule<'a> {
     /// `Σ w[e] · x_u`, with the weights indexed by CSR edge position.
     Weighted(&'a [f32]),
     /// `Σ x_u / sqrt(dv · du) + x_v / dv`, with `dv = deg(v) + 1` read
-    /// from this per-node table.
-    Gcn(&'a [f32]),
+    /// from the per-node table `deg1`; with `relu`, then clamped at zero.
+    Gcn { deg1: &'a [f32], relu: bool },
 }
 
 /// The GCN table `deg(v) + 1` of every node under the normalization
@@ -324,7 +356,7 @@ impl Call<'_> {
                     add_scaled(&mut acc, w, cols(u as usize));
                 }
             }
-            Rule::Gcn(deg1) => {
+            Rule::Gcn { deg1, relu } => {
                 let dv = deg1[v];
                 for &u in neighbors {
                     let w = 1.0 / (dv * deg1[u as usize]).sqrt();
@@ -334,6 +366,13 @@ impl Call<'_> {
                 // so it is its own transpose and appears identically in
                 // both passes).
                 add_scaled(&mut acc, 1.0 / dv, cols(v));
+                if relu {
+                    for a in &mut acc {
+                        if *a < 0.0 {
+                            *a = 0.0;
+                        }
+                    }
+                }
             }
         }
         out[..W].copy_from_slice(&acc);
@@ -367,6 +406,7 @@ mod tests {
     use gnnadvisor_graph::generators::barabasi_albert;
     use gnnadvisor_graph::GraphBuilder;
     use gnnadvisor_tensor::init::random_features;
+    use gnnadvisor_tensor::ops::relu_inplace;
     use gnnadvisor_tensor::par::MIN_WORK_PER_WORKER;
     use std::cell::Cell;
 
@@ -524,6 +564,15 @@ mod tests {
         let none = |_: usize| None;
         for d in 1..=70 {
             let x = oracle_features(n, d);
+            let gcn = oracle(
+                &g,
+                &x,
+                Some(&|v, _, u| gcn_edge(&graph_deg, v, u)),
+                &|v| gcn_own(&graph_deg, v),
+                &none,
+            );
+            let mut gcn_relu = gcn.clone();
+            relu_inplace(&mut gcn_relu);
             let cases = [
                 ("sum", oracle(&g, &x, None, &none, &none)),
                 (
@@ -533,16 +582,8 @@ mod tests {
                         (deg > 0).then(|| 1.0 / deg as f32)
                     }),
                 ),
-                (
-                    "gcn",
-                    oracle(
-                        &g,
-                        &x,
-                        Some(&|v, _, u| gcn_edge(&graph_deg, v, u)),
-                        &|v| gcn_own(&graph_deg, v),
-                        &none,
-                    ),
-                ),
+                ("gcn", gcn),
+                ("gcn relu", gcn_relu),
                 (
                     "weighted",
                     oracle(&g, &x, Some(&|_, e, _| weights[e]), &none, &none),
@@ -574,6 +615,7 @@ mod tests {
                         aggregate_reference(&g, &x, Aggregation::Sum, workers),
                         aggregate_reference(&g, &x, Aggregation::Mean, workers),
                         aggregate_reference(&g, &x, Aggregation::GcnNorm, workers),
+                        aggregate_gcn_relu(&g, &x, workers),
                         aggregate_weighted(&g, &x, &weights, workers),
                         aggregate_gcn_block(&g, &degrees, &x, workers),
                         aggregate_gcn_block(&gt, &degrees, &x, workers),
@@ -725,6 +767,7 @@ mod tests {
                 aggregate_reference(&g, &f, Aggregation::Sum, workers),
                 aggregate_reference(&g, &f, Aggregation::Mean, workers),
                 aggregate_reference(&g, &f, Aggregation::GcnNorm, workers),
+                aggregate_gcn_relu(&g, &f, workers),
                 aggregate_weighted(&g, &f, &weights, workers),
                 aggregate_gcn_block(&g, &degrees, &f, workers),
             ]

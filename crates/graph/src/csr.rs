@@ -234,6 +234,30 @@ impl Csr {
         })
     }
 
+    /// Renames every node by `perm`, keeping each row's order: row
+    /// `perm.new_of(v)` lists `perm.new_of(u)` for each `u` in row `v`, in
+    /// that row's order. Unlike [`Csr::permute`] nothing is sorted, so a
+    /// sum over a row of the result adds its terms in the original order.
+    pub fn relabel(&self, perm: &Permutation) -> Result<Csr> {
+        if perm.len() != self.num_nodes {
+            return Err(GraphError::InvalidPermutation {
+                reason: "length mismatch with graph",
+            });
+        }
+        let mut row_ptr = Vec::with_capacity(self.num_nodes + 1);
+        let mut col_idx = Vec::with_capacity(self.col_idx.len());
+        row_ptr.push(0);
+        for &v in perm.inverse().as_slice() {
+            col_idx.extend(self.neighbors(v).iter().map(|&u| perm.new_of(u)));
+            row_ptr.push(col_idx.len());
+        }
+        Ok(Csr {
+            num_nodes: self.num_nodes,
+            row_ptr,
+            col_idx,
+        })
+    }
+
     /// RCM-style bandwidth: the maximum `|v - u|` over all edges `(v, u)`.
     /// Lower bandwidth after renumbering means neighbor embeddings live
     /// closer together in memory, which the cache model rewards.
@@ -342,6 +366,25 @@ mod tests {
         assert_eq!(p.neighbors(1), &[0, 2]);
         assert!(p.is_symmetric());
         assert_eq!(p.num_edges(), g.num_edges());
+    }
+
+    #[test]
+    fn relabel_keeps_each_row_in_order() {
+        // Unsorted rows with a duplicate edge and a self-loop.
+        let g = Csr::from_raw(3, vec![0, 3, 5, 6], vec![2, 0, 2, 2, 0, 1]).expect("valid");
+        let perm = Permutation::from_new_of_old(vec![1, 2, 0]).expect("valid");
+        let r = g.relabel(&perm).expect("valid");
+        assert_eq!(r.neighbors(1), &[0, 1, 0], "old row 0, renamed, unsorted");
+        assert_eq!(r.neighbors(2), &[0, 1], "old row 1");
+        assert_eq!(r.neighbors(0), &[2], "old row 2");
+        // Sorting each row gives `permute`.
+        let mut sorted = r.col_idx.clone();
+        for v in 0..3 {
+            sorted[r.row_ptr[v]..r.row_ptr[v + 1]].sort_unstable();
+        }
+        assert_eq!(sorted, g.permute(&perm).expect("valid").col_idx);
+        let short = Permutation::identity(2);
+        assert!(g.relabel(&short).is_err(), "length mismatch");
     }
 
     #[test]

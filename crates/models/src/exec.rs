@@ -14,19 +14,29 @@
 //! The numerics run row-parallel on the engine's
 //! [`Engine::host_workers`], bitwise equal at any worker count.
 //!
-//! When the advisor renumbers the graph, only the simulated kernels run
-//! over the renumbered graph ([`ModelExec::aggregate_cost`] prices the
-//! advisor's graph). The numbers are computed over the original graph, in
-//! original node order, so nothing is permuted and callers never see
-//! renumbered ids.
+//! When the advisor renumbers the graph, the simulated kernels run over
+//! the renumbered graph ([`ModelExec::aggregate_cost`] prices the
+//! advisor's graph), and so do the numerics of the update-first GCN
+//! forward ([`crate::Gcn::forward`]). It gathers its first GEMM's output
+//! into the renumbered order, aggregates over a CSR whose rows list the
+//! same neighbours in the same order, only renamed, and gathers its logits
+//! back. Every row sums the same terms in the same order, so the output is
+//! bitwise that of the original order; the gain is locality, since a row's
+//! neighbours now sit close together in memory. That CSR is built once, at
+//! the first forward that needs it. [`ModelExec::aggregate`] and every
+//! other public primitive keep the original node order, so callers never
+//! see renumbered ids.
 
-use gnnadvisor_core::compute::{aggregate_reference, Aggregation};
+use std::sync::OnceLock;
+
+use gnnadvisor_core::compute::{aggregate_gcn_relu, aggregate_reference, Aggregation};
 use gnnadvisor_core::frameworks::{aggregate_with, Framework};
 use gnnadvisor_core::runtime::Advisor;
-use gnnadvisor_core::Result;
+use gnnadvisor_core::{CoreError, Result};
 use gnnadvisor_gpu::{Engine, RunMetrics, Workload};
-use gnnadvisor_graph::Csr;
-use gnnadvisor_tensor::{Linear, Matrix};
+use gnnadvisor_graph::reorder::Permutation;
+use gnnadvisor_graph::{Csr, NodeId};
+use gnnadvisor_tensor::{Linear, Matrix, TensorError};
 
 /// Output of a full model forward pass.
 #[derive(Debug, Clone)]
@@ -45,6 +55,29 @@ pub struct ModelExec<'a> {
     advisor: Option<&'a Advisor>,
     /// Host threads for the numerics.
     workers: usize,
+    /// The advisor's row order, built at the first call that runs in it.
+    renumbered: OnceLock<Renumbered>,
+}
+
+/// The exec graph in the advisor's renumbered order ([`Csr::relabel`]:
+/// each row keeps its order, so a row's sum runs as in the original
+/// order), with both directions of the renaming.
+struct Renumbered {
+    graph: Csr,
+    /// `new_of_old[v]`: the row that holds node `v`.
+    new_of_old: Vec<NodeId>,
+    /// `old_of_new[r]`: the node that row `r` holds.
+    old_of_new: Vec<NodeId>,
+}
+
+impl Renumbered {
+    fn new(graph: &Csr, perm: &Permutation) -> Result<Self> {
+        Ok(Self {
+            graph: graph.relabel(perm)?,
+            new_of_old: perm.as_slice().to_vec(),
+            old_of_new: perm.inverse().as_slice().to_vec(),
+        })
+    }
 }
 
 impl<'a> ModelExec<'a> {
@@ -62,6 +95,7 @@ impl<'a> ModelExec<'a> {
             framework,
             advisor,
             workers: engine.host_workers(),
+            renumbered: OnceLock::new(),
         }
     }
 
@@ -89,26 +123,87 @@ impl<'a> ModelExec<'a> {
         op: Aggregation,
         metrics: &mut RunMetrics,
     ) -> Result<Matrix> {
-        if features.rows() != self.graph.num_nodes() {
-            // Typed error instead of the reference kernel's assert: model
-            // forwards sit on the serving path, where a shape mismatch
-            // must not abort the process.
-            return Err(gnnadvisor_core::CoreError::Tensor(
-                gnnadvisor_tensor::TensorError::ShapeMismatch {
-                    context: format!(
-                        "aggregate features have {} rows but the graph has {} nodes",
-                        features.rows(),
-                        self.graph.num_nodes()
-                    ),
-                },
-            ));
-        }
+        self.check_rows(features)?;
         self.aggregate_cost(features.cols(), metrics)?;
-        // Real numbers. The advisor's renumbered graph computes the same
-        // multiset of sums; we use the original graph so outputs stay in
-        // original node order (the permutation-invariance of aggregation is
-        // covered by tests).
         Ok(aggregate_reference(self.graph, features, op, self.workers))
+    }
+
+    /// A GCN aggregation ([`Aggregation::GcnNorm`]) of `features` *in the
+    /// row order* ([`ModelExec::to_row_order`]), followed by a ReLU when
+    /// `relu`, folded into the aggregation's one write per row strip.
+    /// Records the same simulated metrics as [`ModelExec::aggregate`].
+    pub(crate) fn aggregate_gcn(
+        &self,
+        features: &Matrix,
+        relu: bool,
+        metrics: &mut RunMetrics,
+    ) -> Result<Matrix> {
+        self.check_rows(features)?;
+        self.aggregate_cost(features.cols(), metrics)?;
+        let graph = match self.renumbered()? {
+            Some(r) => &r.graph,
+            None => self.graph,
+        };
+        Ok(if relu {
+            aggregate_gcn_relu(graph, features, self.workers)
+        } else {
+            aggregate_reference(graph, features, Aggregation::GcnNorm, self.workers)
+        })
+    }
+
+    /// Gathers `x` (original node order) into the row order the GCN
+    /// forward runs its numerics in: the advisor's renumbering under
+    /// GNNAdvisor, the original order otherwise (returned as is). The
+    /// renumbered graph is built at the first call that needs it.
+    pub(crate) fn to_row_order(&self, x: Matrix) -> Result<Matrix> {
+        self.check_rows(&x)?;
+        Ok(match self.renumbered()? {
+            Some(r) => x.gather_rows(&r.old_of_new),
+            None => x,
+        })
+    }
+
+    /// Gathers `x` from the row order back into original node order; the
+    /// inverse of [`ModelExec::to_row_order`].
+    pub(crate) fn to_node_order(&self, x: Matrix) -> Result<Matrix> {
+        self.check_rows(&x)?;
+        Ok(match self.renumbered()? {
+            Some(r) => x.gather_rows(&r.new_of_old),
+            None => x,
+        })
+    }
+
+    /// The advisor's renumbered graph when the numerics run in its order
+    /// (GNNAdvisor with a renumbering advisor), built at the first call.
+    fn renumbered(&self) -> Result<Option<&Renumbered>> {
+        let perm = match (self.framework, self.advisor) {
+            (Framework::GnnAdvisor, Some(adv)) => adv.permutation(),
+            _ => None,
+        };
+        let Some(perm) = perm else {
+            return Ok(None);
+        };
+        if let Some(built) = self.renumbered.get() {
+            return Ok(Some(built));
+        }
+        let built = Renumbered::new(self.graph, perm)?;
+        Ok(Some(self.renumbered.get_or_init(|| built)))
+    }
+
+    /// A typed error unless `x` has one row per graph node: model forwards
+    /// sit on the serving path, where a shape mismatch must not abort the
+    /// process.
+    fn check_rows(&self, x: &Matrix) -> Result<()> {
+        if x.rows() == self.graph.num_nodes() {
+            return Ok(());
+        }
+        Err(CoreError::Tensor(TensorError::ShapeMismatch {
+            context: format!(
+                "features have {} rows but the graph has {} nodes",
+                x.rows(),
+                self.graph.num_nodes()
+            ),
+        }))
     }
 
     /// Records the simulated kernel metrics of one aggregation at `dim`
@@ -131,19 +226,20 @@ impl<'a> ModelExec<'a> {
     /// Applies `layer` to `x` and records the simulated cost of its GEMM
     /// into `metrics`.
     pub fn update(&self, layer: &Linear, x: &Matrix, metrics: &mut RunMetrics) -> Result<Matrix> {
-        self.update_cost(x.rows(), layer.in_dim(), layer.out_dim(), metrics);
+        self.update_cost(x.rows(), layer.in_dim(), layer.out_dim(), metrics)?;
         Ok(layer.forward(x, self.workers)?)
     }
 
     /// Records the simulated cost of a dense `rows x in_dim -> out_dim`
-    /// update into `metrics`.
+    /// update into `metrics`. On an engine with a fault plan the GEMM can
+    /// draw a fault, returned as [`CoreError::Gpu`].
     pub fn update_cost(
         &self,
         rows: usize,
         in_dim: usize,
         out_dim: usize,
         metrics: &mut RunMetrics,
-    ) {
+    ) -> Result<()> {
         let engine = match (self.framework, self.advisor) {
             (Framework::GnnAdvisor, Some(adv)) => adv.engine(),
             _ => self.engine,
@@ -156,10 +252,10 @@ impl<'a> ModelExec<'a> {
                     n: out_dim,
                     k: in_dim,
                 },
-            )
-            .expect("gemm workloads are infallible")
+            )?
             .into_kernel();
         metrics.push_kernel(update);
+        Ok(())
     }
 }
 
@@ -220,12 +316,71 @@ mod tests {
     }
 
     #[test]
+    fn gemm_faults_come_back_as_typed_errors() {
+        use crate::{Gat, Gcn, GcnTrainer, Gin};
+        use gnnadvisor_core::CoreError;
+        use gnnadvisor_gpu::{FaultConfig, FaultKind, FaultPlan, GpuError};
+        use std::sync::Arc;
+
+        let g = barabasi_albert(300, 4, 12).expect("valid");
+        let f = random_features(300, 8, 5);
+        let labels: Vec<usize> = (0..300).map(|v| v % 4).collect();
+        // Whether a GEMM or an aggregation kernel draws the first fault
+        // depends on the plan's seed, so try several and require that
+        // every model sees a GEMM timeout among them.
+        let mut gemm_faults = [0usize; 4];
+        for seed in 0..16 {
+            let engine = || {
+                let config = FaultConfig {
+                    kernel_timeout_prob: 0.5,
+                    seed,
+                    ..FaultConfig::default()
+                };
+                Engine::builder(GpuSpec::quadro_p6000())
+                    .fault_plan(Arc::new(FaultPlan::new(config).expect("valid")))
+                    .build()
+                    .expect("valid")
+            };
+            let (e1, e2, e3, e4) = (engine(), engine(), engine(), engine());
+            let exec = |e| ModelExec::new(e, &g, Framework::Dgl, None);
+            let runs = [
+                Gcn::paper_default(8, 4, 1)
+                    .forward(&exec(&e1), &f)
+                    .map(drop),
+                Gin::paper_default(8, 4, 1)
+                    .forward(&exec(&e2), &f)
+                    .map(drop),
+                Gat::paper_default(8, 4, 1)
+                    .forward(&exec(&e3), &f)
+                    .map(drop),
+                GcnTrainer::new(&[8, 16, 4], 0.1, 1)
+                    .step(&exec(&e4), &f, &labels)
+                    .map(drop),
+            ];
+            for (model, run) in runs.into_iter().enumerate() {
+                match run {
+                    Ok(_) => {}
+                    Err(CoreError::Gpu(GpuError::Fault {
+                        kind: FaultKind::KernelTimeout,
+                        op,
+                    })) => gemm_faults[model] += usize::from(op.starts_with("gemm")),
+                    Err(e) => panic!("model {model}, fault seed {seed}: unexpected error {e}"),
+                }
+            }
+        }
+        assert!(
+            gemm_faults.iter().all(|&n| n > 0),
+            "every model returns a GEMM timeout for some seed: {gemm_faults:?}"
+        );
+    }
+
+    #[test]
     fn update_cost_accumulates() {
         let g = barabasi_albert(100, 3, 2).expect("valid");
         let engine = Engine::new(GpuSpec::quadro_p6000());
         let exec = ModelExec::new(&engine, &g, Framework::Dgl, None);
         let mut metrics = RunMetrics::default();
-        exec.update_cost(100, 64, 16, &mut metrics);
+        exec.update_cost(100, 64, 16, &mut metrics).expect("prices");
         assert_eq!(metrics.kernels.len(), 1);
         assert!(metrics.compute_ms > 0.0);
         // `update` charges the same GEMM and applies the layer.

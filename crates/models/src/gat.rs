@@ -159,7 +159,7 @@ impl Gat {
         let mut h = features.clone();
         for (l, layer) in self.layers.iter().enumerate() {
             // Dense update.
-            exec.update_cost(n, layer.weight.rows(), layer.weight.cols(), &mut metrics);
+            exec.update_cost(n, layer.weight.rows(), layer.weight.cols(), &mut metrics)?;
             let z = gemm_par(&h, &layer.weight, exec.host_workers())?;
             // Attention coefficients: numerics + simulated passes.
             let weights = Self::attention_weights(graph, &z, layer);

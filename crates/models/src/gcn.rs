@@ -70,26 +70,40 @@ impl Gcn {
     /// ordering is purely a performance optimization — frameworks that lack
     /// it (Section 8.3) compute identical numbers but pay for aggregation
     /// at the full input dimensionality.
+    ///
+    /// The update-first path runs in the exec's row order: under a
+    /// renumbering advisor, only the first GEMM's output is gathered into
+    /// the renumbered order and only the logits are gathered back. The
+    /// GEMMs, the aggregations and the ReLU each compute a row from that
+    /// row's own inputs, so the output is bitwise that of the original
+    /// order. Each hidden layer's ReLU is folded into its aggregation.
     pub fn forward(&self, exec: &ModelExec<'_>, features: &Matrix) -> Result<ForwardResult> {
         let mut metrics = RunMetrics::default();
-        let reduce_first = exec.framework().reduces_before_aggregation();
+        let last = self.layers.len() - 1;
+        if exec.framework().reduces_before_aggregation() {
+            // Update first: dimension reduction before aggregation.
+            let reduced = exec.update(&self.layers[0], features, &mut metrics)?;
+            let mut h = exec.to_row_order(reduced)?;
+            for (l, layer) in self.layers.iter().enumerate() {
+                if l > 0 {
+                    h = exec.update(layer, &h, &mut metrics)?;
+                }
+                h = exec.aggregate_gcn(&h, l < last, &mut metrics)?;
+            }
+            let output = exec.to_node_order(h)?;
+            return Ok(ForwardResult { output, metrics });
+        }
+        // Aggregate at the full input dimensionality, then update.
         // Layer 0 reads the input in place; later layers own their input.
         let mut h: Option<Matrix> = None;
         for (l, layer) in self.layers.iter().enumerate() {
             let input = h.as_ref().unwrap_or(features);
-            let mut agg = if reduce_first {
-                // Update first: dimension reduction before aggregation.
-                let reduced = exec.update(layer, input, &mut metrics)?;
-                exec.aggregate(&reduced, Aggregation::GcnNorm, &mut metrics)?
-            } else {
-                // Aggregate at the full input dimensionality, then update.
-                let gathered = exec.aggregate(input, Aggregation::GcnNorm, &mut metrics)?;
-                exec.update(layer, &gathered, &mut metrics)?
-            };
-            if l + 1 < self.layers.len() {
-                relu_inplace(&mut agg);
+            let gathered = exec.aggregate(input, Aggregation::GcnNorm, &mut metrics)?;
+            let mut updated = exec.update(layer, &gathered, &mut metrics)?;
+            if l < last {
+                relu_inplace(&mut updated);
             }
-            h = Some(agg);
+            h = Some(updated);
         }
         let output = h.expect("a GCN has at least one layer");
         Ok(ForwardResult { output, metrics })

@@ -84,13 +84,13 @@ impl Gin {
                 mlp.in_dim(),
                 GIN_HIDDEN.min(mlp.in_dim().max(1)),
                 &mut metrics,
-            );
+            )?;
             exec.update_cost(
                 n,
                 GIN_HIDDEN.min(mlp.in_dim().max(1)),
                 mlp.out_dim(),
                 &mut metrics,
-            );
+            )?;
             let mut out = mlp.forward(&agg, exec.host_workers())?;
             if l + 1 < self.mlps.len() {
                 relu_inplace(&mut out);

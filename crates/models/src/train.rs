@@ -53,13 +53,20 @@ fn validate_labels(labels: &[usize], expected: usize, classes: usize) -> Result<
     Ok(())
 }
 
-/// Charges the simulated cost of an `m x k -> m x n` GEMM.
-fn charge_gemm(engine: &Engine, m: usize, n: usize, k: usize, metrics: &mut RunMetrics) {
+/// Charges the simulated cost of an `m x k -> m x n` GEMM; on an engine
+/// with a fault plan it can draw a fault, returned as [`CoreError::Gpu`].
+fn charge_gemm(
+    engine: &Engine,
+    m: usize,
+    n: usize,
+    k: usize,
+    metrics: &mut RunMetrics,
+) -> Result<()> {
     let kernel = engine
-        .submit(&mut engine.lock_context(), Workload::Gemm { m, n, k })
-        .expect("gemm workloads are infallible")
+        .submit(&mut engine.lock_context(), Workload::Gemm { m, n, k })?
         .into_kernel();
     metrics.push_kernel(kernel);
+    Ok(())
 }
 
 /// Softmax cross-entropy over the first `labels.len()` rows of `logits`,
@@ -160,7 +167,7 @@ impl GcnTrainer {
         let n = features.rows();
         self.forward_with(features, exec.host_workers(), |l, z| {
             let w = &self.weights[l];
-            exec.update_cost(n, w.rows(), w.cols(), metrics);
+            exec.update_cost(n, w.rows(), w.cols(), metrics)?;
             exec.aggregate(z, Aggregation::GcnNorm, metrics)
         })
     }
@@ -262,9 +269,9 @@ impl GcnTrainer {
             let (rows, cols) = self.weights[l].shape();
             let d_z = exec.aggregate(d_h, Aggregation::GcnNorm, &mut metrics)?;
             // dW = H_in^T dZ and dH_in = dZ W^T (two GEMMs).
-            exec.update_cost(rows, n, cols, &mut metrics);
+            exec.update_cost(rows, n, cols, &mut metrics)?;
             if l > 0 {
-                exec.update_cost(n, cols, rows, &mut metrics);
+                exec.update_cost(n, cols, rows, &mut metrics)?;
             }
             Ok(d_z)
         })?;
@@ -382,7 +389,7 @@ impl GcnTrainer {
         let n = g.num_nodes();
         let mut metrics = RunMetrics::default();
         for w in &self.weights {
-            charge_gemm(engine, n, w.cols(), w.rows(), &mut metrics);
+            charge_gemm(engine, n, w.cols(), w.rows(), &mut metrics)?;
             metrics.merge(aggregate_with(Framework::Dgl, engine, g, w.cols(), None)?);
         }
         for (l, w) in self.weights.iter().enumerate().rev() {
@@ -394,9 +401,9 @@ impl GcnTrainer {
                 cols,
                 None,
             )?);
-            charge_gemm(engine, rows, cols, n, &mut metrics);
+            charge_gemm(engine, rows, cols, n, &mut metrics)?;
             if l > 0 {
-                charge_gemm(engine, n, rows, cols, &mut metrics);
+                charge_gemm(engine, n, rows, cols, &mut metrics)?;
             }
         }
         Ok(metrics)

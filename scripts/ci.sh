@@ -26,9 +26,11 @@ cargo test --offline --workspace -q
 echo "==> cargo test --release: numerics oracles, pins and the host pool"
 # The GEMM micro-kernel keeps its output tile in registers only under
 # optimization, the build the benchmark runs, so the exact-contract
-# oracles and the numerics pins run there too; so do the host pool's
-# concurrency tests and the concurrent-launch differential test, where
-# optimized timing makes the interleavings they probe most likely.
+# oracles, the numerics pins and the renumbered GCN forward's oracle
+# (`-p gnnadvisor-models` runs `renumbered_forward.rs`) run there too;
+# so do the host pool's concurrency tests and the concurrent-launch
+# differential test, where optimized timing makes the interleavings they
+# probe most likely.
 cargo test --release --offline -q -p gnnadvisor-tensor -p gnnadvisor-models -p gnnadvisor-gpu
 # The aggregation row kernel keeps each row strip in registers only under
 # optimization too, so its per-element oracle (core's `compute` tests)
