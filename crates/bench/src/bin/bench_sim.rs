@@ -18,9 +18,16 @@
 //! into original order, is checked bit for bit against the original one;
 //! the gathers themselves are not timed.
 //!
+//! A third table times the full-graph GCN forward's two GEMMs at the
+//! artist graph's shapes (`50515 x 100 . 100 x 16`, then the ReLU'd
+//! hidden `50515 x 16 . 16 x 12`) on 1 and 2 host workers, with every
+//! worker count checked for bit-identical output.
+//!
 //! Timings land in `BENCH_sim.json` together with `host_cpus`, because the
 //! thread-scaling rows only show parallel speedup when the host actually
-//! has cores to scale onto. End-to-end host cost per workload is measured
+//! has cores to scale onto, and `host_body`, the compiled body of the host
+//! kernels this CPU runs (`avx2` or `baseline`, see
+//! `gnnadvisor_tensor::simd`). End-to-end host cost per workload is measured
 //! by the repository benchmark (`benchmark/`), not here, and the simulated
 //! scenarios (co-residency, cluster, dynamic, mini-batch, tuning) are
 //! tests in `crates/bench/tests/scenarios.rs`.
@@ -41,7 +48,9 @@ use gnnadvisor_gpu::{
 use gnnadvisor_graph::reorder::{renumber, RenumberConfig};
 use gnnadvisor_graph::Csr;
 use gnnadvisor_tensor::init::random_features;
-use gnnadvisor_tensor::Matrix;
+use gnnadvisor_tensor::ops::relu_inplace;
+use gnnadvisor_tensor::simd::Body;
+use gnnadvisor_tensor::{gemm_par, Matrix};
 use serde::{Deserialize, Serialize};
 
 /// Fixed workload: 512 blocks of 8 warps each, mixing a sliding coalesced
@@ -116,6 +125,9 @@ struct BenchSim {
     runs: usize,
     /// CPUs visible to this process; thread-scaling rows are bounded by it.
     host_cpus: usize,
+    /// The compiled body the host GEMM and aggregation kernels run on
+    /// this CPU: `avx2` or `baseline`.
+    host_body: String,
     /// Worker counts not timed because the host has too few CPUs to let
     /// them win (counts above `host_cpus`, except the serial row).
     skipped_worker_counts: Vec<usize>,
@@ -127,6 +139,8 @@ struct BenchSim {
     deterministic: bool,
     /// The host aggregation numerics.
     host_aggregation: HostAggregation,
+    /// The full-graph forward's host GEMMs.
+    host_gemm: HostGemm,
     /// How to read the numbers on this host.
     note: String,
 }
@@ -157,6 +171,32 @@ struct HostAggRow {
     /// Host worker threads.
     workers: usize,
     /// Best-of-runs wall-clock of one aggregation call, milliseconds.
+    wall_ms: f64,
+}
+
+/// The host GEMM table of `BENCH_sim.json`.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct HostGemm {
+    /// The timed products.
+    shapes: String,
+    /// Timed calls per configuration (best is reported).
+    runs: usize,
+    /// One row per shape and worker count.
+    rows: Vec<HostGemmRow>,
+    /// Whether every worker count in `WORKER_COUNTS` produced bit-identical
+    /// output for every shape.
+    deterministic: bool,
+}
+
+/// One host GEMM measurement of `m x k . k x n`.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct HostGemmRow {
+    m: usize,
+    k: usize,
+    n: usize,
+    /// Host worker threads.
+    workers: usize,
+    /// Best-of-runs wall-clock of one product, milliseconds.
     wall_ms: f64,
 }
 
@@ -265,6 +305,65 @@ fn host_aggregation() -> HostAggregation {
     }
 }
 
+/// Times the full-graph GCN forward's two GEMMs at the artist graph's
+/// shapes for every worker count in `HOST_AGG_WORKERS`, interleaved, after
+/// checking that every worker count in `WORKER_COUNTS` gives the 1-worker
+/// product bit for bit.
+fn host_gemm() -> HostGemm {
+    let spec = table1_by_name("artist").expect("artist is a Table 1 dataset");
+    let (n, feat, hidden, classes) = (spec.num_nodes, spec.feat_dim, 16, spec.num_classes);
+    let x = random_features(n, feat, 7);
+    let w1 = random_features(feat, hidden, 8);
+    let w2 = random_features(hidden, classes, 9);
+    // The second GEMM's left operand is the ReLU'd hidden layer, about
+    // half exact zeros, as in the forward.
+    let mut h = gemm_par(&x, &w1, 1).expect("shapes agree");
+    relu_inplace(&mut h);
+    let products = [(&x, &w1), (&h, &w2)];
+    let bits = |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|x| x.to_bits()).collect() };
+    let deterministic = products.iter().all(|&(a, b)| {
+        let serial = bits(&gemm_par(a, b, 1).expect("shapes agree"));
+        WORKER_COUNTS[1..]
+            .iter()
+            .all(|&w| bits(&gemm_par(a, b, w).expect("shapes agree")) == serial)
+    });
+    assert!(
+        deterministic,
+        "host GEMMs must be bit-identical across worker counts"
+    );
+    let configs: Vec<(&Matrix, &Matrix, usize)> = products
+        .iter()
+        .flat_map(|&(a, b)| HOST_AGG_WORKERS.iter().map(move |&w| (a, b, w)))
+        .collect();
+    let mut best = vec![f64::INFINITY; configs.len()];
+    for _ in 0..HOST_AGG_RUNS {
+        for (slot, &(a, b, workers)) in best.iter_mut().zip(&configs) {
+            let start = Instant::now();
+            std::hint::black_box(gemm_par(a, b, workers).expect("shapes agree"));
+            *slot = slot.min(start.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    HostGemm {
+        shapes: format!(
+            "artist (Table 1) GCN forward: {n} x {feat} . {feat} x {hidden}, \
+             then the ReLU'd {n} x {hidden} . {hidden} x {classes}"
+        ),
+        runs: HOST_AGG_RUNS,
+        rows: configs
+            .iter()
+            .zip(best)
+            .map(|(&(a, b, workers), wall_ms)| HostGemmRow {
+                m: a.rows(),
+                k: a.cols(),
+                n: b.cols(),
+                workers,
+                wall_ms,
+            })
+            .collect(),
+        deterministic,
+    }
+}
+
 fn main() {
     let kernel = SimWorkload { blocks: 512 };
     // Detect host parallelism once: worker counts beyond it cannot beat
@@ -353,11 +452,13 @@ fn main() {
         launches_per_run: LAUNCHES_PER_RUN,
         runs: RUNS,
         host_cpus,
+        host_body: Body::detect().name().to_string(),
         skipped_worker_counts,
         serial_wall_ms,
         threaded,
         deterministic,
         host_aggregation: host_aggregation(),
+        host_gemm: host_gemm(),
         note: format!(
             "speedup_vs_serial is thread scaling and is bounded by host_cpus \
              (= {host_cpus} here, so worker counts above it cannot beat \
@@ -390,6 +491,20 @@ fn main() {
             .map(|r| format!(
                 "{} d={} {} workers {:.2} ms",
                 r.order, r.dim, r.workers, r.wall_ms
+            ))
+            .collect::<Vec<_>>()
+            .join(", "),
+    );
+    println!(
+        "host gemm ({} body): {}",
+        result.host_body,
+        result
+            .host_gemm
+            .rows
+            .iter()
+            .map(|r| format!(
+                "{}x{}x{} {} workers {:.2} ms",
+                r.m, r.k, r.n, r.workers, r.wall_ms
             ))
             .collect::<Vec<_>>()
             .join(", "),

@@ -22,11 +22,22 @@
 //! to the output once. [`aggregate_gcn_relu`] folds the GCN's hidden-layer
 //! ReLU into that one write, so the activation costs no second pass over
 //! the output.
+//!
+//! The row kernel is one source compiled twice
+//! ([`gnnadvisor_tensor::simd`]): for baseline x86-64 and for AVX2, where
+//! a 16-wide strip is two 8-lane registers instead of four 4-lane ones.
+//! A call picks its body once, on the calling thread, and every row chunk
+//! runs it; each tail width's entry in the kernel table enters its body's
+//! frame itself, so the whole kernel is compiled for that frame. The
+//! bodies give the same bits, because each element's operations and their
+//! order are fixed by the source; FMA stays disabled, since a fused
+//! multiply-add rounds once where a weighted term rounds twice.
 
 use std::ops::Range;
 
 use gnnadvisor_graph::{Csr, NodeId};
 use gnnadvisor_tensor::par::for_each_row_chunk;
+use gnnadvisor_tensor::simd::{Body, Kernel};
 use gnnadvisor_tensor::Matrix;
 
 use crate::workload::group::NeighborGroup;
@@ -265,7 +276,8 @@ fn work(graph: &Csr, d: usize) -> usize {
 
 /// Computes `rule` for every row of a `num_nodes x d` output, over row
 /// chunks on up to `workers` threads. Every row takes the row kernel
-/// [`rows`] for its tail width, whatever `d` is.
+/// [`Rows`] for its tail width, whatever `d` is, in the body [`body`]
+/// picks here, on the calling thread.
 fn aggregate_rows(graph: &Csr, features: &Matrix, rule: Rule<'_>, workers: usize) -> Matrix {
     let d = features.cols();
     let mut out = Matrix::zeros(graph.num_nodes(), d);
@@ -278,11 +290,21 @@ fn aggregate_rows(graph: &Csr, features: &Matrix, rule: Rule<'_>, workers: usize
         d,
         rule,
     };
-    let kernel = KERNELS[d % STRIP];
+    let (kernel, body) = (KERNELS[d % STRIP], body());
     for_each_row_chunk(&mut out, workers, work(graph, d), |rows, chunk| {
-        kernel(&call, rows, chunk);
+        kernel(body, &call, rows, chunk);
     });
     out
+}
+
+/// The body a call runs: [`Body::detect`], unless a test forces the
+/// baseline on this thread.
+fn body() -> Body {
+    #[cfg(test)]
+    if tests::BASELINE.with(std::cell::Cell::get) {
+        return Body::baseline();
+    }
+    Body::detect()
 }
 
 /// One aggregation call's inputs.
@@ -294,10 +316,12 @@ struct Call<'a> {
     rule: Rule<'a>,
 }
 
-/// The row kernel for one tail width.
-type RowKernel = fn(&Call<'_>, Range<usize>, &mut [f32]);
+/// The row kernel for one tail width, run in the given body.
+type RowKernel = fn(Body, &Call<'_>, Range<usize>, &mut [f32]);
 
-/// [`rows`] for every tail width `d % STRIP`.
+/// [`rows`] for every tail width `d % STRIP`. Each entry enters its
+/// body's frame itself, so the frame holds the whole kernel for its
+/// tail width.
 const KERNELS: [RowKernel; STRIP] = [
     rows::<0>, rows::<1>, rows::<2>, rows::<3>, rows::<4>, rows::<5>, rows::<6>, rows::<7>,
     rows::<8>, rows::<9>, rows::<10>, rows::<11>, rows::<12>, rows::<13>, rows::<14>, rows::<15>,
@@ -305,17 +329,34 @@ const KERNELS: [RowKernel; STRIP] = [
     rows::<24>, rows::<25>, rows::<26>, rows::<27>, rows::<28>, rows::<29>, rows::<30>, rows::<31>,
 ];
 
+/// Runs the row kernel [`Rows`] for tail width `TAIL` in `body`.
+fn rows<const TAIL: usize>(body: Body, call: &Call<'_>, rows: Range<usize>, out: &mut [f32]) {
+    body.run(Rows::<TAIL> { call, rows, out });
+}
+
 /// The row kernel: writes the output rows `rows` into `out` (those rows,
 /// `d` columns each), where `d % STRIP == TAIL`. Each row is computed
 /// strip by strip, each strip by [`Call::strip`].
-fn rows<const TAIL: usize>(call: &Call<'_>, rows: Range<usize>, out: &mut [f32]) {
-    let full = call.d / STRIP * STRIP;
-    for (v, out_row) in rows.zip(out.chunks_exact_mut(call.d)) {
-        for c0 in (0..full).step_by(STRIP) {
-            call.strip::<STRIP>(v, c0, &mut out_row[c0..]);
-        }
-        if TAIL > 0 {
-            call.strip::<TAIL>(v, full, &mut out_row[full..]);
+struct Rows<'a, 'b, const TAIL: usize> {
+    call: &'a Call<'a>,
+    rows: Range<usize>,
+    out: &'b mut [f32],
+}
+
+impl<const TAIL: usize> Kernel for Rows<'_, '_, TAIL> {
+    type Output = ();
+
+    #[inline(always)]
+    fn compute(self) {
+        let Rows { call, rows, out } = self;
+        let full = call.d / STRIP * STRIP;
+        for (v, out_row) in rows.zip(out.chunks_exact_mut(call.d)) {
+            for c0 in (0..full).step_by(STRIP) {
+                call.strip::<STRIP>(v, c0, &mut out_row[c0..]);
+            }
+            if TAIL > 0 {
+                call.strip::<TAIL>(v, full, &mut out_row[full..]);
+            }
         }
     }
 }
@@ -414,6 +455,26 @@ mod tests {
         /// Factor on this thread's aggregation work, 1 unless a test
         /// raises it through [`split_every_row_chunk`].
         pub(super) static WORK_SCALE: Cell<usize> = const { Cell::new(1) };
+    }
+
+    thread_local! {
+        /// Whether aggregations on this thread take the baseline body,
+        /// false unless a test sets it through [`for_each_body`].
+        pub(super) static BASELINE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Runs `f` once per body this CPU has, the detected one first, with
+    /// every aggregation on this thread taking that body, and passes the
+    /// body's name. The body is picked on the calling thread, so this
+    /// covers the pool helpers the row chunks run on.
+    fn for_each_body(mut f: impl FnMut(&str)) {
+        let detected = Body::detect();
+        f(detected.name());
+        if detected != Body::baseline() {
+            let previous = BASELINE.with(|b| b.replace(true));
+            f(Body::baseline().name());
+            BASELINE.with(|b| b.set(previous));
+        }
     }
 
     /// Runs `f` with every aggregation's work scaled by
@@ -609,22 +670,25 @@ mod tests {
                     ),
                 ),
             ];
-            for workers in [1, 2, 4] {
-                let got = split_every_row_chunk(|| {
-                    [
-                        aggregate_reference(&g, &x, Aggregation::Sum, workers),
-                        aggregate_reference(&g, &x, Aggregation::Mean, workers),
-                        aggregate_reference(&g, &x, Aggregation::GcnNorm, workers),
-                        aggregate_gcn_relu(&g, &x, workers),
-                        aggregate_weighted(&g, &x, &weights, workers),
-                        aggregate_gcn_block(&g, &degrees, &x, workers),
-                        aggregate_gcn_block(&gt, &degrees, &x, workers),
-                    ]
-                });
-                for ((what, want), got) in cases.iter().zip(&got) {
-                    assert_same_bits(got, want, &format!("{what}, d={d}, {workers} workers"));
+            for_each_body(|body| {
+                for workers in [1, 2, 4] {
+                    let got = split_every_row_chunk(|| {
+                        [
+                            aggregate_reference(&g, &x, Aggregation::Sum, workers),
+                            aggregate_reference(&g, &x, Aggregation::Mean, workers),
+                            aggregate_reference(&g, &x, Aggregation::GcnNorm, workers),
+                            aggregate_gcn_relu(&g, &x, workers),
+                            aggregate_weighted(&g, &x, &weights, workers),
+                            aggregate_gcn_block(&g, &degrees, &x, workers),
+                            aggregate_gcn_block(&gt, &degrees, &x, workers),
+                        ]
+                    });
+                    for ((what, want), got) in cases.iter().zip(&got) {
+                        let at = format!("{what}, d={d}, {workers} workers, {body} body");
+                        assert_same_bits(got, want, &at);
+                    }
                 }
-            }
+            });
         }
     }
 
@@ -781,6 +845,35 @@ mod tests {
         for workers in 2..=5 {
             assert_eq!(bits(&run(workers)), serial, "{workers} workers");
         }
+    }
+
+    #[test]
+    fn both_bodies_give_identical_bits_on_a_four_worker_split() {
+        // The forward's widths (16 and 12) and one with full strips and a
+        // tail (45), each output split into 4 row chunks. The features are
+        // finite (with signed zeros), so no NaN's unspecified bits show.
+        let g = oracle_graph(ORACLE_NODES);
+        let run = || -> Vec<Vec<u32>> {
+            [16, 12, 45]
+                .into_iter()
+                .flat_map(|d| {
+                    let x = Matrix::from_fn(ORACLE_NODES, d, |r, c| match (r * 13 + c * 7) % 17 {
+                        0 => -0.0,
+                        k => (k as f32 - 8.0) * 0.37 + (r * 31 + c * 17) as f32 * 1e-4,
+                    });
+                    split_every_row_chunk(|| {
+                        [
+                            aggregate_reference(&g, &x, Aggregation::GcnNorm, 4),
+                            aggregate_gcn_relu(&g, &x, 4),
+                        ]
+                    })
+                })
+                .map(|m| m.as_slice().iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        let mut outputs = Vec::new();
+        for_each_body(|_| outputs.push(run()));
+        assert!(outputs.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]

@@ -133,7 +133,7 @@ pub fn run_saga_layer(
         let h2d = (end - start) as u64 * row_bytes
             + (chunk_edges as u64 * row_bytes).min(graph.num_nodes() as u64 * row_bytes)
             + chunk_edges as u64 * 4;
-        run.push_transfer(crate::submit::transfer(engine, h2d));
+        run.push_transfer(crate::submit::transfer(engine, h2d)?);
 
         let kernel = SagaChunkKernel::new(graph, start, end, dim);
         run.push_kernel(crate::submit::launch(engine, &kernel)?);
@@ -142,7 +142,7 @@ pub fn run_saga_layer(
         run.push_transfer(crate::submit::transfer(
             engine,
             (end - start) as u64 * row_bytes,
-        ));
+        )?);
         start = end;
     }
     Ok(run)
@@ -152,8 +152,10 @@ pub fn run_saga_layer(
 mod tests {
     use super::*;
     use crate::submit::launch;
-    use gnnadvisor_gpu::GpuSpec;
+    use crate::CoreError;
+    use gnnadvisor_gpu::{FaultConfig, FaultKind, FaultPlan, GpuError, GpuSpec};
     use gnnadvisor_graph::generators::barabasi_albert;
+    use std::sync::Arc;
 
     #[test]
     fn chunking_covers_all_nodes() {
@@ -164,6 +166,27 @@ mod tests {
         assert_eq!(run.kernels.len(), 10);
         assert!(run.transfer_ms > 0.0);
         assert!(run.compute_ms > 0.0);
+    }
+
+    #[test]
+    fn a_failed_transfer_is_a_typed_error() {
+        let g = barabasi_albert(1000, 4, 8).expect("valid");
+        let plan = FaultPlan::new(FaultConfig {
+            transfer_fail_prob: 1.0,
+            seed: 3,
+            ..FaultConfig::default()
+        })
+        .expect("valid");
+        let engine = Engine::builder(GpuSpec::quadro_p6000())
+            .fault_plan(Arc::new(plan))
+            .build()
+            .expect("valid");
+        match run_saga_layer(&engine, &g, 32, 100 * 32 * 4) {
+            Err(CoreError::Gpu(GpuError::Fault { kind, .. })) => {
+                assert_eq!(kind, FaultKind::TransferFailure);
+            }
+            other => panic!("expected a transfer failure, got {other:?}"),
+        }
     }
 
     #[test]

@@ -240,8 +240,12 @@ impl Advisor {
     }
 
     /// Prices the dense update `rows x in_dim · in_dim x out_dim`.
-    pub fn update(&self, rows: usize, in_dim: usize, out_dim: usize) -> KernelMetrics {
-        crate::submit::gemm(&self.engine, rows, out_dim, in_dim)
+    ///
+    /// # Errors
+    ///
+    /// [`crate::CoreError::Gpu`] when the engine's fault plan fails the GEMM.
+    pub fn update(&self, rows: usize, in_dim: usize, out_dim: usize) -> Result<KernelMetrics> {
+        Ok(crate::submit::gemm(&self.engine, rows, out_dim, in_dim)?)
     }
 
     /// The chosen runtime parameters.
@@ -328,7 +332,7 @@ mod tests {
         adv.params().validate().expect("tuned params valid");
         let m = adv.aggregate(16).expect("aggregation runs");
         assert!(m.time_ms > 0.0);
-        let u = adv.update(g.num_nodes(), 96, 16);
+        let u = adv.update(g.num_nodes(), 96, 16).expect("update runs");
         assert!(u.time_ms > 0.0);
     }
 
@@ -672,6 +676,40 @@ mod tests {
         );
         assert!(kinds.contains(&FaultKind::KernelTimeout), "{kinds:?}");
         assert!(kinds.contains(&FaultKind::DeviceReset), "{kinds:?}");
+    }
+
+    #[test]
+    fn a_faulted_update_is_a_typed_error() {
+        let g = graph();
+        let engine = Engine::builder(GpuSpec::quadro_p6000())
+            .fault_plan(Arc::new(
+                FaultPlan::new(FaultConfig {
+                    kernel_timeout_prob: 1.0,
+                    seed: 5,
+                    ..FaultConfig::default()
+                })
+                .expect("valid"),
+            ))
+            .build()
+            .expect("valid");
+        let adv = Advisor::new(
+            &g,
+            96,
+            16,
+            10,
+            AggOrder::UpdateThenAggregate,
+            AdvisorConfig {
+                engine: Some(engine),
+                ..Default::default()
+            },
+        )
+        .expect("builds");
+        match adv.update(g.num_nodes(), 96, 16) {
+            Err(crate::CoreError::Gpu(GpuError::Fault { kind, .. })) => {
+                assert_eq!(kind, FaultKind::KernelTimeout);
+            }
+            other => panic!("expected a kernel timeout, got {other:?}"),
+        }
     }
 
     #[test]

@@ -18,18 +18,23 @@ pub(crate) fn launch(
         .map(WorkloadMetrics::into_kernel)
 }
 
-/// Prices one roofline GEMM on the engine's shared context.
-pub(crate) fn gemm(engine: &Engine, m: usize, n: usize, k: usize) -> KernelMetrics {
+/// Prices one roofline GEMM on the engine's shared context. Under a
+/// fault plan the GEMM can draw a fault, which comes back as the error.
+pub(crate) fn gemm(
+    engine: &Engine,
+    m: usize,
+    n: usize,
+    k: usize,
+) -> gnnadvisor_gpu::Result<KernelMetrics> {
     engine
         .submit(&mut engine.lock_context(), Workload::Gemm { m, n, k })
-        .expect("gemm workloads are infallible")
-        .into_kernel()
+        .map(WorkloadMetrics::into_kernel)
 }
 
-/// Prices one host↔device copy on the engine's shared context.
-pub(crate) fn transfer(engine: &Engine, bytes: u64) -> TransferMetrics {
+/// Prices one host↔device copy on the engine's shared context. Under a
+/// fault plan the copy can draw a fault, which comes back as the error.
+pub(crate) fn transfer(engine: &Engine, bytes: u64) -> gnnadvisor_gpu::Result<TransferMetrics> {
     engine
         .submit(&mut engine.lock_context(), Workload::Transfer { bytes })
-        .expect("transfer workloads are infallible")
-        .into_transfer()
+        .map(WorkloadMetrics::into_transfer)
 }

@@ -302,14 +302,20 @@ mod tests {
         let mut engines_seen: Vec<*const GpuSpec> = Vec::new();
         let fitness = |p: &RuntimeParams, e: &Engine| {
             engines_seen.push(e.spec() as *const GpuSpec);
-            gemm(e, 1_000, p.threads_per_block as usize, 16).time_ms
+            gemm(e, 1_000, p.threads_per_block as usize, 16)
+                .expect("fault-free")
+                .time_ms
         };
         let a = est.tune_profiled(fitness);
         assert!(
             engines_seen.windows(2).all(|w| w[0] == w[1]),
             "every candidate must be scored on the same engine"
         );
-        let b = est.tune_profiled(|p, e| gemm(e, 1_000, p.threads_per_block as usize, 16).time_ms);
+        let b = est.tune_profiled(|p, e| {
+            gemm(e, 1_000, p.threads_per_block as usize, 16)
+                .expect("fault-free")
+                .time_ms
+        });
         assert_eq!(a, b, "profiled search is deterministic given the seed");
     }
 

@@ -25,11 +25,20 @@
 //! triple loop's order whatever tile, panel, k-block or row chunk the
 //! element lands in, so the result is bitwise equal to it at any worker
 //! count. [`gemm`] and [`gemm_into`] are the one-worker calls.
+//!
+//! The row-chunk kernel is one source compiled twice ([`crate::simd`]):
+//! for baseline x86-64 and for AVX2, where the 16-wide tile rows fill
+//! two 8-lane registers instead of four 4-lane ones. A call picks its
+//! body once, on the calling thread, and every chunk runs it. The bodies
+//! give the same bits, because each element's operations and their order
+//! are fixed by the source; FMA stays disabled, since a fused
+//! multiply-add rounds once where the contract rounds twice.
 
 use std::ops::Range;
 
 use crate::matrix::Matrix;
 use crate::par::for_each_row_chunk;
+use crate::simd::{Body, Kernel};
 use crate::{Result, TensorError};
 
 /// Columns of a packed panel of the right operand, and of an output tile.
@@ -185,6 +194,7 @@ impl Panels {
     }
 
     /// Rows `ks` of the panel that starts at output column `col`.
+    #[inline(always)]
     fn block(&self, col: usize, ks: Range<usize>) -> &[[f32; PANEL]] {
         let base = col / PANEL * self.k;
         &self.data[base + ks.start..base + ks.end]
@@ -226,11 +236,45 @@ impl<'a> Left<'a> {
 }
 
 /// Accumulates `left · panels` onto `out` over row chunks on up to
-/// `workers` threads.
+/// `workers` threads, each chunk in the body [`Body::detect`] picks here,
+/// on the calling thread.
 fn multiply(left: Left<'_>, panels: &Panels, out: &mut Matrix, workers: usize) {
     let (m, n) = out.shape();
-    let k = panels.k;
-    for_each_row_chunk(out, workers, m * k * n, |rows, chunk| {
+    let body = Body::detect();
+    for_each_row_chunk(out, workers, m * panels.k * n, |rows, chunk| {
+        body.run(Chunk {
+            left,
+            panels,
+            rows,
+            chunk,
+            n,
+        });
+    });
+}
+
+/// One row chunk of a product: the rows `rows` of the output, `n`
+/// columns each, held in `chunk`.
+struct Chunk<'a, 'b> {
+    left: Left<'a>,
+    panels: &'a Panels,
+    rows: Range<usize>,
+    chunk: &'b mut [f32],
+    n: usize,
+}
+
+impl Kernel for Chunk<'_, '_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn compute(self) {
+        let Chunk {
+            left,
+            panels,
+            rows,
+            chunk,
+            n,
+        } = self;
+        let k = panels.k;
         for k0 in (0..k).step_by(K_BLOCK) {
             let ks = k0..(k0 + K_BLOCK).min(k);
             // Whole tiles, then the rows left over one at a time.
@@ -250,7 +294,7 @@ fn multiply(left: Left<'_>, panels: &Panels, out: &mut Matrix, workers: usize) {
                 }
             }
         }
-    });
+    }
 }
 
 /// Adds the products over the k-block `ks` to the `R × PANEL` tile of
@@ -344,6 +388,7 @@ pub fn gemm_naive(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 mod tests {
     use super::*;
     use crate::par::tests::with_min_work;
+    use crate::simd::tests::{for_each_body, with_baseline};
 
     #[test]
     fn small_known_product() {
@@ -532,7 +577,8 @@ mod tests {
 
     /// Checks `gemm`, `gemm_into` onto `start`, `gemm_tn` and `gemm_nt`
     /// against [`gemm_reference`] bit for bit at 1..=5 workers, with no
-    /// per-worker minimum so every shape splits.
+    /// per-worker minimum so every shape splits, in every body this CPU
+    /// has.
     fn assert_exact(a: &Matrix, b: &Matrix, start: &Matrix) {
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
         let mut from_zero = Matrix::zeros(m, n);
@@ -541,27 +587,33 @@ mod tests {
         gemm_reference(a, b, &mut from_start);
         let (want_zero, want_start) = (exact_bits(&from_zero), exact_bits(&from_start));
         let (at, bt) = (a.transpose(), b.transpose());
-        with_min_work(0, || {
-            for workers in 1..=5 {
-                let at_shape = format!("{m}x{k}x{n} at {workers} workers");
-                let got = gemm_par(a, b, workers).unwrap();
-                assert_eq!(exact_bits(&got), want_zero, "gemm {at_shape}");
+        for_each_body(|body| {
+            with_min_work(0, || {
+                for workers in 1..=5 {
+                    let at_shape = format!("{m}x{k}x{n} at {workers} workers, {body} body");
+                    let got = gemm_par(a, b, workers).unwrap();
+                    assert_eq!(exact_bits(&got), want_zero, "gemm {at_shape}");
+                    let mut into = start.clone();
+                    gemm_into_par(a, b, &mut into, workers).unwrap();
+                    assert_eq!(exact_bits(&into), want_start, "gemm_into {at_shape}");
+                    let got = gemm_tn(&at, b, workers).unwrap();
+                    assert_eq!(exact_bits(&got), want_zero, "gemm_tn {at_shape}");
+                    let got = gemm_nt(a, &bt, workers).unwrap();
+                    assert_eq!(exact_bits(&got), want_zero, "gemm_nt {at_shape}");
+                }
                 let mut into = start.clone();
-                gemm_into_par(a, b, &mut into, workers).unwrap();
-                assert_eq!(exact_bits(&into), want_start, "gemm_into {at_shape}");
-                let got = gemm_tn(&at, b, workers).unwrap();
-                assert_eq!(exact_bits(&got), want_zero, "gemm_tn {at_shape}");
-                let got = gemm_nt(a, &bt, workers).unwrap();
-                assert_eq!(exact_bits(&got), want_zero, "gemm_nt {at_shape}");
-            }
-            let mut into = start.clone();
-            gemm_into(a, b, &mut into).unwrap();
-            assert_eq!(exact_bits(&into), want_start, "gemm_into {m}x{k}x{n}");
-            assert_eq!(
-                exact_bits(&gemm(a, b).unwrap()),
-                want_zero,
-                "gemm {m}x{k}x{n}"
-            );
+                gemm_into(a, b, &mut into).unwrap();
+                assert_eq!(
+                    exact_bits(&into),
+                    want_start,
+                    "gemm_into {m}x{k}x{n}, {body} body"
+                );
+                assert_eq!(
+                    exact_bits(&gemm(a, b).unwrap()),
+                    want_zero,
+                    "gemm {m}x{k}x{n}, {body} body"
+                );
+            });
         });
     }
 
@@ -668,6 +720,25 @@ mod tests {
             let start = Matrix::from_fn(m, n, |r, c| pick(r, c, salt ^ 0xAAAA));
             assert_exact(&a, &b, &start);
         }
+    }
+
+    #[test]
+    fn both_bodies_give_identical_bits_on_a_four_worker_split() {
+        // The forward's shapes, cut down: a 100-deep product into 16
+        // columns, then 16 deep into 12, over 4 row chunks of a ReLU'd
+        // (zero-heavy) left operand.
+        let x = mixed_operand(203, 100, 11);
+        let w1 = mixed_operand(100, 16, 12);
+        let w2 = mixed_operand(16, 12, 13);
+        let forward = || {
+            with_min_work(0, || {
+                let mut h = gemm_par(&x, &w1, 4).unwrap();
+                h.as_mut_slice().iter_mut().for_each(|v| *v = v.max(0.0));
+                let logits = gemm_par(&h, &w2, 4).unwrap();
+                (bits(&h), bits(&logits), bits(&gemm_tn(&x, &h, 4).unwrap()))
+            })
+        };
+        assert_eq!(with_baseline(forward), forward());
     }
 
     #[test]

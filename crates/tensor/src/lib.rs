@@ -28,6 +28,11 @@
 //! lands in, so results are bitwise equal at any worker count;
 //! calls below [`par::MIN_WORK_PER_WORKER`] per worker stay on the
 //! calling thread. [`gemm()`] and [`gemm_into`] are the one-worker calls.
+//!
+//! [`simd`] compiles the GEMM micro-kernel (and `gnnadvisor-core`'s host
+//! aggregation row kernel) twice from one source, for baseline x86-64 and
+//! for AVX2, and runs the AVX2 body where the CPU has it; the outputs are
+//! bitwise equal across CPU feature levels, as across worker counts.
 
 #![deny(unsafe_code)]
 
@@ -38,6 +43,7 @@ pub mod matrix;
 pub mod mlp;
 pub mod ops;
 pub mod par;
+pub mod simd;
 
 pub use gemm::{gemm, gemm_into, gemm_nt, gemm_par, gemm_tn};
 pub use linear::Linear;
