@@ -23,6 +23,13 @@
 //! hidden `50515 x 16 . 16 x 12`) on 1 and 2 host workers, with every
 //! worker count checked for bit-identical output.
 //!
+//! A fourth table times `Advisor::new` on the artist graph at scale 1.0
+//! under two-tier tuning: each set-up stage on its own (tuning; Louvain,
+//! per-community RCM, the whole `renumber`, and `Csr::permute`) and the
+//! advisor's overlapped total, in which `renumber` runs on a scoped
+//! thread while the calling thread tunes. The advisor is checked against
+//! the stages' own outputs.
+//!
 //! Timings land in `BENCH_sim.json` together with `host_cpus`, because the
 //! thread-scaling rows only show parallel speedup when the host actually
 //! has cores to scale onto, and `host_body`, the compiled body of the host
@@ -39,13 +46,17 @@
 use std::time::Instant;
 
 use gnnadvisor_core::compute::{aggregate_reference, Aggregation};
+use gnnadvisor_core::input::{extract, AggOrder};
+use gnnadvisor_core::runtime::{Advisor, AdvisorConfig, TuneStrategy};
+use gnnadvisor_core::tuning::{aggregation_metrics, tune_two_tier, TwoTierConfig};
 use gnnadvisor_datasets::table1_by_name;
 use gnnadvisor_gpu::kernel::WARP_SIZE;
 use gnnadvisor_gpu::{
     ArrayId, BlockSink, Engine, GpuSpec, GridConfig, Kernel, KernelMetrics, Workload,
     WorkloadMetrics,
 };
-use gnnadvisor_graph::reorder::{renumber, RenumberConfig};
+use gnnadvisor_graph::community::{louvain, LouvainConfig};
+use gnnadvisor_graph::reorder::{rcm_by_community, renumber, RenumberConfig};
 use gnnadvisor_graph::Csr;
 use gnnadvisor_tensor::init::random_features;
 use gnnadvisor_tensor::ops::relu_inplace;
@@ -141,6 +152,8 @@ struct BenchSim {
     host_aggregation: HostAggregation,
     /// The full-graph forward's host GEMMs.
     host_gemm: HostGemm,
+    /// `Advisor::new`'s set-up stages and its overlapped total.
+    advisor_setup: AdvisorSetup,
     /// How to read the numbers on this host.
     note: String,
 }
@@ -200,6 +213,30 @@ struct HostGemmRow {
     wall_ms: f64,
 }
 
+/// The set-up table of `BENCH_sim.json`: best-of-runs wall-clock of each
+/// stage of `Advisor::new` on its own, and of the advisor itself.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct AdvisorSetup {
+    /// The graph and the tuning strategy.
+    graph: String,
+    /// Timed runs per stage (best is reported).
+    runs: usize,
+    /// Two-tier tuning on the input graph, milliseconds.
+    tune_ms: f64,
+    /// Louvain community detection, milliseconds.
+    louvain_ms: f64,
+    /// RCM within every community (`rcm_by_community`), milliseconds.
+    rcm_ms: f64,
+    /// Applying the permutation (`Csr::permute`), milliseconds.
+    permute_ms: f64,
+    /// The whole `renumber` (Louvain, RCM, the permutation): what the
+    /// advisor runs on its thread beside tuning, milliseconds.
+    renumber_ms: f64,
+    /// The whole `Advisor::new` (tuning overlapped with renumbering, then
+    /// partitioning), milliseconds.
+    advisor_new_ms: f64,
+}
+
 const LAUNCHES_PER_RUN: usize = 24;
 const RUNS: usize = 5;
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -208,6 +245,9 @@ const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const HOST_AGG_DIMS: [usize; 2] = [16, 12];
 const HOST_AGG_WORKERS: [usize; 2] = [1, 2];
 const HOST_AGG_RUNS: usize = 15;
+/// GCN hidden width and timed runs of the set-up table.
+const SETUP_HIDDEN: usize = 16;
+const SETUP_RUNS: usize = 5;
 
 /// One launch of `kernel` on the engine's own recycled context.
 fn launch(engine: &Engine, kernel: &SimWorkload) -> KernelMetrics {
@@ -364,6 +404,110 @@ fn host_gemm() -> HostGemm {
     }
 }
 
+/// Times `Advisor::new` on the artist graph at scale 1.0 under two-tier
+/// tuning, and each of its stages on its own, interleaved, after checking
+/// that the advisor's parameters and permutation are the stages' own.
+fn advisor_setup() -> AdvisorSetup {
+    let spec = table1_by_name("artist").expect("artist is a Table 1 dataset");
+    let graph = spec.generate(1.0).expect("artist generates").graph;
+    let gpu = GpuSpec::quadro_p6000();
+    let tuning = TwoTierConfig::default();
+    let build = || {
+        Advisor::new(
+            &graph,
+            spec.feat_dim,
+            SETUP_HIDDEN,
+            spec.num_classes,
+            AggOrder::UpdateThenAggregate,
+            AdvisorConfig {
+                spec: gpu.clone(),
+                tune: TuneStrategy::TwoTier(tuning),
+                ..Default::default()
+            },
+        )
+        .expect("artist advisor builds")
+    };
+    let input = extract(
+        &graph,
+        spec.feat_dim,
+        SETUP_HIDDEN,
+        spec.num_classes,
+        AggOrder::UpdateThenAggregate,
+    );
+    let dim = input.aggregation_dim();
+    let tune = || {
+        tune_two_tier(&input, &gpu, &tuning, |p, e| {
+            aggregation_metrics(&graph, dim, p, e)
+        })
+        .best
+    };
+    let detect = || louvain(&graph, &LouvainConfig::default());
+    let renumbered = || renumber(&graph, &RenumberConfig::default()).expect("artist renumbers");
+
+    let advisor = build();
+    let params = tune();
+    let detected = detect();
+    let perm = renumbered().permutation;
+    assert_eq!(
+        advisor.params(),
+        &params,
+        "the advisor tunes as the tuner does"
+    );
+    assert_eq!(
+        advisor.permutation(),
+        params.renumber.then_some(&perm),
+        "the advisor renumbers as renumber does"
+    );
+
+    let time = |best: &mut f64, f: &mut dyn FnMut()| {
+        let start = Instant::now();
+        f();
+        *best = best.min(start.elapsed().as_secs_f64() * 1e3);
+    };
+    let mut best = [f64::INFINITY; 6];
+    for _ in 0..SETUP_RUNS {
+        let [tune_ms, louvain_ms, rcm_ms, permute_ms, renumber_ms, new_ms] = &mut best;
+        time(tune_ms, &mut || {
+            std::hint::black_box(tune());
+        });
+        time(louvain_ms, &mut || {
+            std::hint::black_box(detect());
+        });
+        time(rcm_ms, &mut || {
+            std::hint::black_box(rcm_by_community(
+                &graph,
+                &detected.community_of,
+                detected.num_communities,
+            ));
+        });
+        time(permute_ms, &mut || {
+            std::hint::black_box(graph.permute(&perm).expect("one id per node"));
+        });
+        time(renumber_ms, &mut || {
+            std::hint::black_box(renumbered());
+        });
+        time(new_ms, &mut || {
+            std::hint::black_box(build());
+        });
+    }
+    let [tune_ms, louvain_ms, rcm_ms, permute_ms, renumber_ms, advisor_new_ms] = best;
+    AdvisorSetup {
+        graph: format!(
+            "artist (Table 1) at scale 1.0: {} nodes, {} edges; two-tier tuning, \
+             GCN hidden {SETUP_HIDDEN}",
+            graph.num_nodes(),
+            graph.num_edges()
+        ),
+        runs: SETUP_RUNS,
+        tune_ms,
+        louvain_ms,
+        rcm_ms,
+        permute_ms,
+        renumber_ms,
+        advisor_new_ms,
+    }
+}
+
 fn main() {
     let kernel = SimWorkload { blocks: 512 };
     // Detect host parallelism once: worker counts beyond it cannot beat
@@ -459,6 +603,7 @@ fn main() {
         deterministic,
         host_aggregation: host_aggregation(),
         host_gemm: host_gemm(),
+        advisor_setup: advisor_setup(),
         note: format!(
             "speedup_vs_serial is thread scaling and is bounded by host_cpus \
              (= {host_cpus} here, so worker counts above it cannot beat \
@@ -508,5 +653,16 @@ fn main() {
             ))
             .collect::<Vec<_>>()
             .join(", "),
+    );
+    let setup = &result.advisor_setup;
+    println!(
+        "advisor set-up: tune {:.1} ms, louvain {:.1} ms, rcm {:.1} ms, permute {:.1} ms, \
+         renumber {:.1} ms, Advisor::new {:.1} ms",
+        setup.tune_ms,
+        setup.louvain_ms,
+        setup.rcm_ms,
+        setup.permute_ms,
+        setup.renumber_ms,
+        setup.advisor_new_ms
     );
 }

@@ -1,10 +1,11 @@
 //! The end-to-end GNNAdvisor runtime (Figure 1).
 //!
 //! [`Advisor::new`] wires the whole pipeline: extract input information,
-//! decide runtime parameters (user-supplied, analytical Modeling, or the
-//! evolutionary Estimating search), apply community-aware node renumbering
-//! and partition groups. After that, [`Advisor::aggregate`] launches the
-//! aggregation kernel for any embedding dimensionality, in the shape
+//! then decide runtime parameters (user-supplied, analytical Modeling, or
+//! the evolutionary Estimating search) while community-aware node
+//! renumbering runs beside it on a scoped thread, then partition groups.
+//! After that, [`Advisor::aggregate`] launches the aggregation kernel for
+//! any embedding dimensionality, in the shape
 //! `memory::organize::resolve_launch` gives it (the Algorithm 1 layout,
 //! narrowed to fit), and [`Advisor::update`] prices the dense update.
 //! Like the paper's runtime, the advisor decides each launch once: the
@@ -17,8 +18,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 use gnnadvisor_gpu::{CleanPrice, Engine, GpuSpec, KernelMetrics, Workload};
 use gnnadvisor_graph::reorder::{renumber, RenumberConfig};
 use gnnadvisor_graph::{Csr, Permutation};
+use gnnadvisor_tensor::par::MIN_WORK_PER_WORKER;
 
-use crate::input::{extract, AggOrder};
+use crate::input::{extract, AggOrder, InputInfo};
 use crate::kernels::advisor::AdvisorKernel;
 use crate::memory::organize::{resolve_launch, ResolvedLaunch};
 use crate::tuning::model;
@@ -113,9 +115,32 @@ struct PreparedLaunch {
 }
 
 impl Advisor {
-    /// Builds the runtime: extract → tune → renumber → partition. The
-    /// Algorithm 1 layout is built per dimensionality at first launch
+    /// Builds the runtime: extract, then tune ∥ renumber, then partition.
+    /// The Algorithm 1 layout is built per dimensionality at first launch
     /// (see [`Advisor::resolved_launch`]).
+    ///
+    /// Tuning prices its candidates on the input graph, and renumbering
+    /// (Louvain, then RCM within each community) reads only that graph, so
+    /// neither needs the other's output. On a graph of at least
+    /// [`MIN_WORK_PER_WORKER`] adjacency entries, renumbering runs on one
+    /// scoped thread while the calling thread tunes, so tuning's engine
+    /// launches keep the host pool's workers. It runs unless
+    /// `config.renumber` forces it off, and its result is dropped when the
+    /// final parameters do not renumber. Below that size a helper costs
+    /// more than it saves, and renumbering follows tuning, only when the
+    /// parameters ask for it. Both stages are pure functions of the input,
+    /// so the advisor is the same either way. The permutation is applied
+    /// ([`Csr::permute`]) on the calling thread after the join, so the
+    /// graph the advisor keeps is allocated there: memory a thread frees
+    /// stays in that thread's malloc arena, where the caller cannot reuse
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// A tuning error ([`crate::CoreError::InvalidParams`] for invalid
+    /// manual parameters) wins over a renumbering error, which surfaces
+    /// only when the renumbered graph is used. A panic on the renumbering
+    /// thread is re-raised on the caller.
     pub fn new(
         graph: &Csr,
         feat_dim: usize,
@@ -126,20 +151,19 @@ impl Advisor {
     ) -> Result<Self> {
         let input = extract(graph, feat_dim, hidden_dim, num_classes, agg_order);
 
-        let mut params = match &config.tune {
-            TuneStrategy::ModelOnly => model::decide(&input, &config.spec),
-            TuneStrategy::TwoTier(cfg) => {
-                let dim = input.aggregation_dim();
-                tune_two_tier(&input, &config.spec, cfg, |p, e| {
-                    aggregation_metrics(graph, dim, p, e)
-                })
-                .best
-            }
-            TuneStrategy::Manual(p) => {
-                p.validate()?;
-                *p
-            }
-        };
+        let overlap = config.renumber != Some(false) && graph.num_edges() >= MIN_WORK_PER_WORKER;
+        let (tuned, renumbered) = std::thread::scope(|scope| {
+            let renumbering =
+                overlap.then(|| scope.spawn(|| renumber(graph, &RenumberConfig::default())));
+            let tuned = tune(&input, &config.tune, &config.spec, graph);
+            let renumbered = renumbering.map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            });
+            (tuned, renumbered)
+        });
+        let mut params = tuned?;
         if let Some(r) = config.renumber {
             params.renumber = r;
         }
@@ -148,7 +172,7 @@ impl Advisor {
         }
 
         let (graph, permutation) = if params.renumber {
-            let r = renumber(graph, &RenumberConfig::default())?;
+            let r = renumbered.unwrap_or_else(|| renumber(graph, &RenumberConfig::default()))?;
             (graph.permute(&r.permutation)?, Some(r.permutation))
         } else {
             (graph.clone(), None)
@@ -273,6 +297,30 @@ impl Advisor {
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
+}
+
+/// Decides the runtime parameters under `strategy`, pricing on `graph`,
+/// before any override.
+fn tune(
+    input: &InputInfo,
+    strategy: &TuneStrategy,
+    spec: &GpuSpec,
+    graph: &Csr,
+) -> Result<RuntimeParams> {
+    Ok(match strategy {
+        TuneStrategy::ModelOnly => model::decide(input, spec),
+        TuneStrategy::TwoTier(cfg) => {
+            let dim = input.aggregation_dim();
+            tune_two_tier(input, spec, cfg, |p, e| {
+                aggregation_metrics(graph, dim, p, e)
+            })
+            .best
+        }
+        TuneStrategy::Manual(p) => {
+            p.validate()?;
+            *p
+        }
+    })
 }
 
 #[cfg(test)]

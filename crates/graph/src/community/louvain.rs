@@ -12,7 +12,12 @@
 //! The hot loops touch flat arrays only: the weighted graph is CSR-shaped,
 //! and neighbour-community weights accumulate in a dense per-community
 //! scratch array with a touched-list that is scanned in ascending
-//! community id, so no lookup hashes.
+//! community id, so no lookup hashes. Level 0 is a view of the input: on a
+//! graph without self loops it borrows the CSR's arrays and reads every
+//! weight as 1, so the finest level copies no adjacency and stores no
+//! weights. Only aggregated levels own their arrays.
+
+use std::borrow::Cow;
 
 use crate::csr::{Csr, NodeId};
 
@@ -51,25 +56,45 @@ pub struct LouvainResult {
     pub levels: usize,
 }
 
-/// Weighted graph used internally for aggregated levels, stored CSR-shaped.
-struct WeightedGraph {
+/// The weighted graph one level works on, stored CSR-shaped. Level 0 of a
+/// graph without self loops is a view: it borrows the input's `row_ptr`
+/// and `col_idx` and reads every weight as 1. Level 0 of a graph with self
+/// loops copies the rows without them, still with unit weights. Aggregated
+/// levels own every array.
+struct WeightedGraph<'g> {
     /// Row offsets into `nbr` and `w` (length `num_nodes + 1`).
-    offsets: Vec<usize>,
+    offsets: Cow<'g, [usize]>,
     /// Neighbour ids per row; self loops live in `self_loop` instead.
-    nbr: Vec<u32>,
-    /// Weight per `nbr` entry. Every weight counts unit edges, so it is
-    /// strictly positive.
-    w: Vec<f64>,
-    /// Self-loop weight per node (intra-community weight after aggregation).
-    self_loop: Vec<f64>,
+    nbr: Cow<'g, [u32]>,
+    /// Weight per `nbr` entry, `None` when every weight is 1 (level 0).
+    /// Every weight counts unit edges, so it is strictly positive.
+    w: Option<Vec<f64>>,
+    /// Self-loop weight per node (intra-community weight after
+    /// aggregation), `None` when there are none.
+    self_loop: Option<Vec<f64>>,
     /// Total edge weight counting both directions plus 2x self loops
     /// (`2m` in modularity formulas).
     total_weight: f64,
 }
 
-impl WeightedGraph {
-    fn from_csr(graph: &Csr) -> Self {
+impl<'g> WeightedGraph<'g> {
+    /// Level 0 of `graph`: every edge has weight 1. Adding the literal 1.0
+    /// gives the same sums, in the same order, as reading it from a
+    /// weight array, so every level's arithmetic is unchanged by the view.
+    fn level0(graph: &'g Csr) -> Self {
+        let total_weight = graph.num_edges() as f64;
         let n = graph.num_nodes();
+        let has_self_loops = (0..n as NodeId).any(|v| graph.neighbors(v).contains(&v));
+        let forced = owned_level0();
+        if !has_self_loops && !forced {
+            return Self {
+                offsets: Cow::Borrowed(graph.row_ptr()),
+                nbr: Cow::Borrowed(graph.col_idx()),
+                w: None,
+                self_loop: None,
+                total_weight,
+            };
+        }
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0);
         let mut nbr = Vec::with_capacity(graph.num_edges());
@@ -84,40 +109,77 @@ impl WeightedGraph {
             }
             offsets.push(nbr.len());
         }
-        let w = vec![1.0; nbr.len()];
+        let w = forced.then(|| vec![1.0; nbr.len()]);
         Self {
-            offsets,
-            nbr,
+            offsets: Cow::Owned(offsets),
+            nbr: Cow::Owned(nbr),
             w,
-            self_loop,
-            total_weight: graph.num_edges() as f64,
+            self_loop: Some(self_loop),
+            total_weight,
         }
     }
 
     fn num_nodes(&self) -> usize {
-        self.self_loop.len()
+        self.offsets.len() - 1
+    }
+
+    fn self_loop(&self, v: usize) -> f64 {
+        self.self_loop.as_ref().map_or(0.0, |own| own[v])
     }
 
     /// `(neighbour, weight)` pairs of `v` in row order.
-    fn edges(&self, v: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
+    fn edges(&self, v: usize) -> Edges<'_> {
         let row = self.offsets[v]..self.offsets[v + 1];
-        self.nbr[row.clone()]
-            .iter()
-            .copied()
-            .zip(self.w[row].iter().copied())
+        let nbr = self.nbr[row.clone()].iter();
+        match &self.w {
+            None => Edges::Unit(nbr),
+            Some(w) => Edges::Weighted(nbr.zip(w[row].iter())),
+        }
     }
 
     /// Weighted degree per node (including self-loop both ways, matching
     /// `2m` bookkeeping).
     fn weighted_degrees(&self) -> Vec<f64> {
         (0..self.num_nodes())
-            .map(|v| {
-                self.w[self.offsets[v]..self.offsets[v + 1]]
-                    .iter()
-                    .sum::<f64>()
-                    + 2.0 * self.self_loop[v]
-            })
+            .map(|v| self.edges(v).map(|(_, w)| w).sum::<f64>() + 2.0 * self.self_loop(v))
             .collect()
+    }
+}
+
+/// Whether level 0 is built owned, with explicit unit weights and a
+/// self-loop array, as every level was before level 0 became a view.
+/// False unless a test sets it through `tests::with_owned_level0`.
+fn owned_level0() -> bool {
+    #[cfg(test)]
+    if tests::OWNED_LEVEL0.with(std::cell::Cell::get) {
+        return true;
+    }
+    false
+}
+
+/// One row's `(neighbour, weight)` pairs: unit weights or a weight array.
+/// `fold` (and so `for_each` and `sum`) matches once per row, not once
+/// per edge.
+enum Edges<'a> {
+    Unit(std::slice::Iter<'a, u32>),
+    Weighted(std::iter::Zip<std::slice::Iter<'a, u32>, std::slice::Iter<'a, f64>>),
+}
+
+impl Iterator for Edges<'_> {
+    type Item = (u32, f64);
+
+    fn next(&mut self) -> Option<(u32, f64)> {
+        match self {
+            Edges::Unit(nbr) => nbr.next().map(|&u| (u, 1.0)),
+            Edges::Weighted(edges) => edges.next().map(|(&u, &w)| (u, w)),
+        }
+    }
+
+    fn fold<B, F: FnMut(B, (u32, f64)) -> B>(self, init: B, mut f: F) -> B {
+        match self {
+            Edges::Unit(nbr) => nbr.fold(init, |acc, &u| f(acc, (u, 1.0))),
+            Edges::Weighted(edges) => edges.fold(init, |acc, (&u, &w)| f(acc, (u, w))),
+        }
     }
 }
 
@@ -172,7 +234,7 @@ pub fn louvain(graph: &Csr, config: &LouvainConfig) -> LouvainResult {
             levels: 0,
         };
     }
-    let mut wg = WeightedGraph::from_csr(graph);
+    let mut wg = WeightedGraph::level0(graph);
     let mut scratch = CommunityWeights::new(n);
     // community_of maps original nodes to current-level communities.
     let mut community_of: Vec<u32> = (0..n as u32).collect();
@@ -210,7 +272,7 @@ pub fn louvain(graph: &Csr, config: &LouvainConfig) -> LouvainResult {
 /// Phase 1: greedy local moving. Returns (assignment over current-level
 /// nodes, whether any move happened).
 fn local_moving(
-    wg: &WeightedGraph,
+    wg: &WeightedGraph<'_>,
     config: &LouvainConfig,
     scratch: &mut CommunityWeights,
 ) -> (Vec<u32>, bool) {
@@ -227,9 +289,8 @@ fn local_moving(
         for v in 0..n {
             let current = assign[v];
             let k_v = node_degree[v];
-            for (u, w) in wg.edges(v) {
-                scratch.add(assign[u as usize], w);
-            }
+            wg.edges(v)
+                .for_each(|(u, w)| scratch.add(assign[u as usize], w));
             // Remove v from its community.
             sigma_tot[current as usize] -= k_v;
 
@@ -266,11 +327,11 @@ fn local_moving(
 /// Phase 2: collapse communities into super-nodes. `assign` must already be
 /// dense over `0..num_comm`.
 fn aggregate(
-    wg: &WeightedGraph,
+    wg: &WeightedGraph<'_>,
     assign: &[u32],
     num_comm: usize,
     scratch: &mut CommunityWeights,
-) -> WeightedGraph {
+) -> WeightedGraph<'static> {
     let (start, members) = bucket_by_community(assign, num_comm);
     let mut offsets = Vec::with_capacity(num_comm + 1);
     offsets.push(0);
@@ -280,8 +341,8 @@ fn aggregate(
     for (c, own) in self_loop.iter_mut().enumerate() {
         for &v in &members[start[c]..start[c + 1]] {
             let v = v as usize;
-            *own += wg.self_loop[v];
-            for (u, wu) in wg.edges(v) {
+            *own += wg.self_loop(v);
+            wg.edges(v).for_each(|(u, wu)| {
                 let cu = assign[u as usize];
                 if cu as usize == c {
                     // Each intra edge appears twice (symmetric adj); self-loop
@@ -290,7 +351,7 @@ fn aggregate(
                 } else {
                     scratch.add(cu, wu);
                 }
-            }
+            });
         }
         scratch.drain_sorted(|cu, wu| {
             nbr.push(cu);
@@ -302,13 +363,13 @@ fn aggregate(
     // floating-point value whatever order the rows were built in.
     let total_weight = (0..wg.num_nodes()).fold(0.0, |total, v| {
         wg.edges(v)
-            .fold(total + 2.0 * wg.self_loop[v], |total, (_, wu)| total + wu)
+            .fold(total + 2.0 * wg.self_loop(v), |total, (_, wu)| total + wu)
     });
     WeightedGraph {
-        offsets,
-        nbr,
-        w,
-        self_loop,
+        offsets: Cow::Owned(offsets),
+        nbr: Cow::Owned(nbr),
+        w: Some(w),
+        self_loop: Some(self_loop),
         total_weight,
     }
 }
@@ -358,7 +419,91 @@ fn densify(assign: &[u32]) -> (Vec<u32>, usize) {
 mod tests {
     use super::*;
     use crate::generators::{community_graph, CommunityParams};
-    use crate::GraphBuilder;
+    use crate::{EdgeList, GraphBuilder};
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Whether level 0 on this thread is built owned, false unless a
+        /// test sets it through [`with_owned_level0`].
+        pub(super) static OWNED_LEVEL0: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Runs `f` with level 0 built owned, with explicit unit weights.
+    fn with_owned_level0<T>(f: impl FnOnce() -> T) -> T {
+        let previous = OWNED_LEVEL0.with(|o| o.replace(true));
+        let out = f();
+        OWNED_LEVEL0.with(|o| o.set(previous));
+        out
+    }
+
+    /// Everything a run reports, with the modularity as raw bits.
+    fn outcome(r: &LouvainResult) -> (Vec<u32>, usize, usize, u64) {
+        (
+            r.community_of.clone(),
+            r.num_communities,
+            r.levels,
+            r.modularity.to_bits(),
+        )
+    }
+
+    /// A random symmetric graph; `loops` adds self loops, and without
+    /// `dedup` repeated edges stay as parallel entries.
+    fn arb_symmetric() -> impl Strategy<Value = Csr> {
+        (
+            2usize..=60,
+            proptest::collection::vec((0u32..60, 0u32..60), 0..240),
+            0u8..4,
+        )
+            .prop_map(|(n, raw, kind)| {
+                let (loops, dedup) = (kind & 1 == 1, kind & 2 == 2);
+                let mut el = EdgeList::new(n);
+                for (u, v) in raw {
+                    let (u, v) = (u % n as u32, v % n as u32);
+                    if u != v || loops {
+                        el.push_undirected(u, v);
+                    }
+                }
+                if dedup {
+                    el.dedup();
+                }
+                el.into_csr().expect("bounded ids")
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The level-0 view (or, with self loops, the unit-weight copy)
+        /// reports exactly what the owned, explicitly weighted level 0
+        /// reports: partition, levels and modularity bits.
+        #[test]
+        fn level0_view_matches_the_owned_level(g in arb_symmetric()) {
+            let config = LouvainConfig::default();
+            let owned = with_owned_level0(|| louvain(&g, &config));
+            prop_assert_eq!(outcome(&louvain(&g, &config)), outcome(&owned));
+        }
+
+        /// The same on planted-community graphs, which aggregate over
+        /// several levels.
+        #[test]
+        fn level0_view_matches_the_owned_level_on_communities(seed in 0u64..1_000) {
+            let params = CommunityParams {
+                num_nodes: 300,
+                num_edges: 3_000,
+                mean_community: 20,
+                community_size_cv: 0.5,
+                inter_fraction: 0.1,
+                shuffle_ids: true,
+            };
+            let (g, _) = community_graph(&params, seed).expect("valid");
+            let config = LouvainConfig::default();
+            let owned = with_owned_level0(|| louvain(&g, &config));
+            let viewed = louvain(&g, &config);
+            prop_assert!(viewed.levels >= 2, "levels {}", viewed.levels);
+            prop_assert_eq!(outcome(&viewed), outcome(&owned));
+        }
+    }
 
     #[test]
     fn two_cliques_separate() {

@@ -337,46 +337,17 @@ impl Overlay {
     /// `v`'s row of `base` (empty for appended nodes) and its sorted
     /// additions and deletions.
     fn parts<'a>(&'a self, base: &'a Csr, v: NodeId) -> (&'a [NodeId], &'a [NodeId], &'a [NodeId]) {
-        let base_row: &[NodeId] = if (v as usize) < base.num_nodes() {
-            base.neighbors(v)
-        } else {
-            &[]
-        };
         let adds = self.adds.get(&v).map_or(&[][..], Vec::as_slice);
         let dels = self.dels.get(&v).map_or(&[][..], Vec::as_slice);
-        (base_row, adds, dels)
+        (base_row(base, v), adds, dels)
     }
 
     /// Merged sorted neighbor list of `v` over `base`.
     fn neighbors_of(&self, base: &Csr, v: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.append_row(base, v, &mut out);
-        out
-    }
-
-    /// Appends `v`'s merged sorted neighbor list over `base` to `out`.
-    fn append_row(&self, base: &Csr, v: NodeId, out: &mut Vec<NodeId>) {
         let (base_row, adds, dels) = self.parts(base, v);
-        if adds.is_empty() && dels.is_empty() {
-            out.extend_from_slice(base_row);
-            return;
-        }
-        out.reserve(base_row.len() + adds.len() - dels.len().min(base_row.len()));
-        // Merge two sorted runs, filtering deleted base entries.
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < base_row.len() || j < adds.len() {
-            let take_base = j >= adds.len() || (i < base_row.len() && base_row[i] <= adds[j]);
-            if take_base {
-                let u = base_row[i];
-                i += 1;
-                if dels.binary_search(&u).is_err() {
-                    out.push(u);
-                }
-            } else {
-                out.push(adds[j]);
-                j += 1;
-            }
-        }
+        let mut out = Vec::new();
+        merge_row(base_row, adds, dels, &mut out);
+        out
     }
 
     /// Whether `u` is in `v`'s merged row over `base`, by binary search
@@ -385,6 +356,40 @@ impl Overlay {
         let (base_row, adds, dels) = self.parts(base, v);
         adds.binary_search(&u).is_ok()
             || (base_row.binary_search(&u).is_ok() && dels.binary_search(&u).is_err())
+    }
+}
+
+/// `v`'s row of `base`, empty for appended nodes.
+fn base_row(base: &Csr, v: NodeId) -> &[NodeId] {
+    if (v as usize) < base.num_nodes() {
+        base.neighbors(v)
+    } else {
+        &[]
+    }
+}
+
+/// Appends the sorted merge of `base_row` and `adds`, without the entries
+/// of `dels`, to `out`.
+fn merge_row(base_row: &[NodeId], adds: &[NodeId], dels: &[NodeId], out: &mut Vec<NodeId>) {
+    if adds.is_empty() && dels.is_empty() {
+        out.extend_from_slice(base_row);
+        return;
+    }
+    out.reserve(base_row.len() + adds.len() - dels.len().min(base_row.len()));
+    // Merge two sorted runs, filtering deleted base entries.
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < base_row.len() || j < adds.len() {
+        let take_base = j >= adds.len() || (i < base_row.len() && base_row[i] <= adds[j]);
+        if take_base {
+            let u = base_row[i];
+            i += 1;
+            if dels.binary_search(&u).is_err() {
+                out.push(u);
+            }
+        } else {
+            out.push(adds[j]);
+            j += 1;
+        }
     }
 }
 
@@ -567,13 +572,20 @@ impl DeltaCsr {
     }
 
     /// Materializes the current graph as a plain CSR (sorted rows).
+    ///
+    /// The overlay's maps are walked in key order beside the rows, so a
+    /// row costs no map lookup.
     pub fn to_csr(&self) -> Csr {
         let n = self.num_nodes();
         let mut row_ptr = Vec::with_capacity(n + 1);
         let mut col_idx = Vec::with_capacity(self.num_edges());
         row_ptr.push(0usize);
+        let mut adds = self.overlay.adds.iter().peekable();
+        let mut dels = self.overlay.dels.iter().peekable();
         for v in 0..n as NodeId {
-            self.overlay.append_row(&self.base, v, &mut col_idx);
+            let adds = adds.next_if(|&(&u, _)| u == v).map_or(&[][..], |(_, r)| r);
+            let dels = dels.next_if(|&(&u, _)| u == v).map_or(&[][..], |(_, r)| r);
+            merge_row(base_row(&self.base, v), adds, dels, &mut col_idx);
             row_ptr.push(col_idx.len());
         }
         Csr::from_raw(n, row_ptr, col_idx).expect("merged rows are sorted and in range")
@@ -610,6 +622,40 @@ mod tests {
         assert_eq!(d.version(), 2);
         assert!(!d.delete_edge(0, 5).expect("in range"));
         assert_eq!(d.version(), 2);
+    }
+
+    /// `to_csr` walks the overlay in key order beside the rows; edits on
+    /// the first row, the last base row and appended rows (the last one
+    /// included) land in the right rows.
+    #[test]
+    fn to_csr_merges_edits_on_the_first_last_and_appended_rows() {
+        let mut d = DeltaCsr::new(small_base());
+        let (a, b) = (d.add_node(), d.add_node());
+        assert_eq!((a, b), (6, 7));
+        assert!(d.insert_edge(0, b).expect("in range"));
+        assert!(d.insert_edge(5, a).expect("in range"));
+        assert!(d.insert_edge(0, 5).expect("in range"));
+        assert!(d.delete_edge(0, 1).expect("in range"));
+        assert!(d.delete_edge(4, 5).expect("in range"));
+        assert!(d.insert_edge(a, b).expect("in range"));
+        let expected = GraphBuilder::new(8)
+            .undirected_edge(0, 2)
+            .undirected_edge(1, 2)
+            .undirected_edge(3, 4)
+            .undirected_edge(0, 7)
+            .undirected_edge(5, 6)
+            .undirected_edge(0, 5)
+            .undirected_edge(6, 7)
+            .build()
+            .expect("valid");
+        let csr = d.to_csr();
+        assert_eq!(csr, expected);
+        for v in 0..8 {
+            assert_eq!(csr.neighbors(v), d.neighbors_of(v).as_slice(), "row {v}");
+        }
+        assert_eq!(csr.neighbors(0), &[2, 5, 7]);
+        assert_eq!(csr.neighbors(5), &[0, 6]);
+        assert_eq!(csr.neighbors(7), &[0, 6]);
     }
 
     #[test]

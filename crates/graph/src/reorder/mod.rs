@@ -7,4 +7,4 @@ pub mod renumber;
 
 pub use permutation::Permutation;
 pub use rcm::rcm_order;
-pub use renumber::{renumber, RenumberConfig, RenumberResult};
+pub use renumber::{rcm_by_community, renumber, RenumberConfig, RenumberResult};

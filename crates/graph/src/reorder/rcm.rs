@@ -19,24 +19,30 @@ use crate::csr::{Csr, NodeId};
 /// entries do not change it, and each node is emitted once.
 pub fn rcm_order(graph: &Csr, subset: &[NodeId]) -> Vec<NodeId> {
     // Sorted, deduplicated copy of the subset: membership is a binary
-    // search, and a node's position here is its subset-local index. Local
-    // indices ascend with node ids, so `(degree, index)` keys sort exactly
-    // like `(degree, id)` keys.
+    // search, and a node's position here is its subset-local index.
     let mut members = subset.to_vec();
     members.sort_unstable();
     members.dedup();
+    rcm_order_sorted(graph, &members, |u| members.binary_search(&u).ok())
+}
+
+/// [`rcm_order`] of `members`, which must be ascending and duplicate-free.
+/// `local(u)` is `u`'s position in `members`, or `None` when `u` is not a
+/// member, so a caller that already knows every node's position answers
+/// membership without a search. Local indices ascend with node ids, so
+/// `(degree, index)` keys sort exactly like `(degree, id)` keys.
+pub(crate) fn rcm_order_sorted(
+    graph: &Csr,
+    members: &[NodeId],
+    local: impl Fn(NodeId) -> Option<usize>,
+) -> Vec<NodeId> {
     // Subset-local adjacency, CSR-shaped: one membership test per edge,
     // and a row's length is the node's within-subset degree.
     let mut offsets = Vec::with_capacity(members.len() + 1);
     offsets.push(0);
     let mut adj: Vec<usize> = Vec::new();
-    for &v in &members {
-        adj.extend(
-            graph
-                .neighbors(v)
-                .iter()
-                .filter_map(|u| members.binary_search(u).ok()),
-        );
+    for &v in members {
+        adj.extend(graph.neighbors(v).iter().filter_map(|&u| local(u)));
         offsets.push(adj.len());
     }
     let key = |i: usize| (offsets[i + 1] - offsets[i], i);

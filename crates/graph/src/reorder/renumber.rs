@@ -14,8 +14,8 @@
 
 use crate::community::louvain::bucket_by_community;
 use crate::community::{louvain, LouvainConfig};
-use crate::csr::Csr;
-use crate::reorder::rcm::rcm_order;
+use crate::csr::{Csr, NodeId};
+use crate::reorder::rcm::rcm_order_sorted;
 use crate::{Permutation, Result};
 
 /// Configuration for the renumbering pipeline.
@@ -44,17 +44,10 @@ pub struct RenumberResult {
 /// Runs the Section 6.1 pipeline on a symmetric graph.
 pub fn renumber(graph: &Csr, config: &RenumberConfig) -> Result<RenumberResult> {
     let detected = louvain(graph, &config.louvain);
-
-    // Louvain's dense ids follow first appearance, so bucketing by id lists
-    // communities by their minimum original id, each in ascending id order.
-    let (start, members) = bucket_by_community(&detected.community_of, detected.num_communities);
     let order = if config.skip_rcm {
-        members
+        bucket_by_community(&detected.community_of, detected.num_communities).1
     } else {
-        start
-            .windows(2)
-            .flat_map(|bounds| rcm_order(graph, &members[bounds[0]..bounds[1]]))
-            .collect()
+        rcm_by_community(graph, &detected.community_of, detected.num_communities)
     };
     let permutation = Permutation::from_order(order)?;
     Ok(RenumberResult {
@@ -63,6 +56,35 @@ pub fn renumber(graph: &Csr, config: &RenumberConfig) -> Result<RenumberResult> 
         num_communities: detected.num_communities,
         modularity: detected.modularity,
     })
+}
+
+/// Steps 2 and 3 for a partition: the new-id order that lists the
+/// communities in ascending id, each in RCM order ([`rcm_order`] of its
+/// members). `community_of` must be dense over `0..num_communities`.
+/// Louvain's dense ids follow first appearance, so for its partition the
+/// communities come by their minimum original id.
+///
+/// [`rcm_order`]: crate::reorder::rcm_order
+pub fn rcm_by_community(graph: &Csr, community_of: &[u32], num_communities: usize) -> Vec<NodeId> {
+    // Each community's members in ascending id.
+    let (start, members) = bucket_by_community(community_of, num_communities);
+    // Each node's position in its community's member list, so RCM tests
+    // membership and finds local indices without a search.
+    let mut local = vec![0u32; graph.num_nodes()];
+    for bounds in start.windows(2) {
+        for (i, &v) in members[bounds[0]..bounds[1]].iter().enumerate() {
+            local[v as usize] = i as u32;
+        }
+    }
+    start
+        .windows(2)
+        .enumerate()
+        .flat_map(|(c, bounds)| {
+            rcm_order_sorted(graph, &members[bounds[0]..bounds[1]], |u| {
+                (community_of[u as usize] as usize == c).then(|| local[u as usize] as usize)
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -128,6 +150,27 @@ mod tests {
             "RCM should not hurt near-window locality: rcm={} plain={}",
             locality_score(&g_full, w),
             locality_score(&g_norcm, w)
+        );
+    }
+
+    /// The order is each community's `rcm_order`, communities by their
+    /// minimum id: the per-node local index answers membership exactly as
+    /// `rcm_order`'s search does.
+    #[test]
+    fn order_is_rcm_order_per_community() {
+        let g = latent_community_graph(5);
+        let r = renumber(&g, &RenumberConfig::default()).expect("valid");
+        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); r.num_communities];
+        for v in 0..g.num_nodes() as NodeId {
+            members[r.community_of[v as usize] as usize].push(v);
+        }
+        let order: Vec<NodeId> = members
+            .iter()
+            .flat_map(|community| crate::reorder::rcm_order(&g, community))
+            .collect();
+        assert_eq!(
+            r.permutation,
+            Permutation::from_order(order).expect("valid")
         );
     }
 

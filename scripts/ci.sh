@@ -30,8 +30,11 @@ echo "==> cargo test --release: numerics oracles, pins and the host pool"
 # (`-p gnnadvisor-models` runs `renumbered_forward.rs`) run there too;
 # so do the host pool's concurrency tests and the concurrent-launch
 # differential test, where optimized timing makes the interleavings they
-# probe most likely.
+# probe most likely. For the same reason the advisor's overlap oracle
+# (`Advisor::new` renumbers on a scoped thread while it tunes, held equal
+# to the sequential pipeline) runs there too.
 cargo test --release --offline -q -p gnnadvisor-tensor -p gnnadvisor-models -p gnnadvisor-gpu
+cargo test --release --offline -q -p gnnadvisor-core --test advisor_overlap
 # The aggregation row kernel keeps each row strip in registers only under
 # optimization too, so its per-element oracle (core's `compute` tests)
 # and the grouped-vs-reference properties run there as well.
