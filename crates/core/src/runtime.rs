@@ -130,10 +130,10 @@ impl Advisor {
     /// more than it saves, and renumbering follows tuning, only when the
     /// parameters ask for it. Both stages are pure functions of the input,
     /// so the advisor is the same either way. The permutation is applied
-    /// ([`Csr::permute`]) on the calling thread after the join, so the
-    /// graph the advisor keeps is allocated there: memory a thread frees
-    /// stays in that thread's malloc arena, where the caller cannot reuse
-    /// it.
+    /// ([`Csr::relabel`]: each row in the input's order, only renamed) on
+    /// the calling thread after the join, so the graph the advisor keeps is
+    /// allocated there: memory a thread frees stays in that thread's malloc
+    /// arena, where the caller cannot reuse it.
     ///
     /// # Errors
     ///
@@ -173,7 +173,7 @@ impl Advisor {
 
         let (graph, permutation) = if params.renumber {
             let r = renumbered.unwrap_or_else(|| renumber(graph, &RenumberConfig::default()))?;
-            (graph.permute(&r.permutation)?, Some(r.permutation))
+            (graph.relabel(&r.permutation)?, Some(r.permutation))
         } else {
             (graph.clone(), None)
         };
@@ -277,7 +277,9 @@ impl Advisor {
         &self.params
     }
 
-    /// The (possibly renumbered) execution graph.
+    /// The execution graph: the input, or under renumbering the input
+    /// relabelled by [`Advisor::permutation`] ([`Csr::relabel`]), each row
+    /// in the input's order.
     pub fn graph(&self) -> &Csr {
         &self.graph
     }
@@ -332,6 +334,7 @@ mod tests {
         WorkloadMetrics, DEFAULT_REGS_PER_THREAD,
     };
     use gnnadvisor_graph::generators::{community_graph, CommunityParams};
+    use gnnadvisor_graph::NodeId;
 
     fn graph() -> Csr {
         let params = CommunityParams {
@@ -403,6 +406,32 @@ mod tests {
             &g,
             "shuffled community graph must actually be renumbered"
         );
+    }
+
+    #[test]
+    fn renumbered_graph_keeps_each_row_in_input_order() {
+        let g = graph();
+        let adv = Advisor::new(
+            &g,
+            96,
+            16,
+            10,
+            AggOrder::UpdateThenAggregate,
+            AdvisorConfig {
+                renumber: Some(true),
+                ..Default::default()
+            },
+        )
+        .expect("builds");
+        let perm = adv.permutation().expect("renumbers");
+        assert_eq!(adv.graph(), &g.relabel(perm).expect("valid"));
+        for v in 0..g.num_nodes() as NodeId {
+            let renamed: Vec<NodeId> = g.neighbors(v).iter().map(|&u| perm.new_of(u)).collect();
+            assert_eq!(adv.graph().neighbors(perm.new_of(v)), renamed, "node {v}");
+        }
+        // The input's rows are sorted and renaming unsorts them, so a
+        // graph whose rows were sorted after renaming would fail above.
+        assert!(g.is_sorted() && !adv.graph().is_sorted());
     }
 
     #[test]

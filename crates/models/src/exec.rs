@@ -17,25 +17,22 @@
 //! When the advisor renumbers the graph, the simulated kernels run over
 //! the renumbered graph ([`ModelExec::aggregate_cost`] prices the
 //! advisor's graph), and so do the numerics of the update-first GCN
-//! forward ([`crate::Gcn::forward`]). It gathers its first GEMM's output
-//! into the renumbered order, aggregates over a CSR whose rows list the
-//! same neighbours in the same order, only renamed, and gathers its logits
-//! back. Every row sums the same terms in the same order, so the output is
-//! bitwise that of the original order; the gain is locality, since a row's
-//! neighbours now sit close together in memory. That CSR is built once, at
-//! the first forward that needs it. [`ModelExec::aggregate`] and every
-//! other public primitive keep the original node order, so callers never
-//! see renumbered ids.
-
-use std::sync::OnceLock;
+//! forward ([`crate::Gcn::forward`]). It scatters its first GEMM's output
+//! into the renumbered order, aggregates over the advisor's graph
+//! ([`Advisor::graph`]: each row lists the same neighbours in the same
+//! order, only renamed), and gathers its logits back. Every row sums the
+//! same terms in the same order, so the output is bitwise that of the
+//! original order; the gain is locality, since a row's neighbours now sit
+//! close together in memory. [`ModelExec::aggregate`] and every other
+//! public primitive keep the original node order, so callers never see
+//! renumbered ids.
 
 use gnnadvisor_core::compute::{aggregate_gcn_relu, aggregate_reference, Aggregation};
 use gnnadvisor_core::frameworks::{aggregate_with, Framework};
 use gnnadvisor_core::runtime::Advisor;
 use gnnadvisor_core::{CoreError, Result};
 use gnnadvisor_gpu::{Engine, RunMetrics, Workload};
-use gnnadvisor_graph::reorder::Permutation;
-use gnnadvisor_graph::{Csr, NodeId};
+use gnnadvisor_graph::{Csr, Permutation};
 use gnnadvisor_tensor::{Linear, Matrix, TensorError};
 
 /// Output of a full model forward pass.
@@ -55,29 +52,6 @@ pub struct ModelExec<'a> {
     advisor: Option<&'a Advisor>,
     /// Host threads for the numerics.
     workers: usize,
-    /// The advisor's row order, built at the first call that runs in it.
-    renumbered: OnceLock<Renumbered>,
-}
-
-/// The exec graph in the advisor's renumbered order ([`Csr::relabel`]:
-/// each row keeps its order, so a row's sum runs as in the original
-/// order), with both directions of the renaming.
-struct Renumbered {
-    graph: Csr,
-    /// `new_of_old[v]`: the row that holds node `v`.
-    new_of_old: Vec<NodeId>,
-    /// `old_of_new[r]`: the node that row `r` holds.
-    old_of_new: Vec<NodeId>,
-}
-
-impl Renumbered {
-    fn new(graph: &Csr, perm: &Permutation) -> Result<Self> {
-        Ok(Self {
-            graph: graph.relabel(perm)?,
-            new_of_old: perm.as_slice().to_vec(),
-            old_of_new: perm.inverse().as_slice().to_vec(),
-        })
-    }
 }
 
 impl<'a> ModelExec<'a> {
@@ -95,7 +69,6 @@ impl<'a> ModelExec<'a> {
             framework,
             advisor,
             workers: engine.host_workers(),
-            renumbered: OnceLock::new(),
         }
     }
 
@@ -140,10 +113,7 @@ impl<'a> ModelExec<'a> {
     ) -> Result<Matrix> {
         self.check_rows(features)?;
         self.aggregate_cost(features.cols(), metrics)?;
-        let graph = match self.renumbered()? {
-            Some(r) => &r.graph,
-            None => self.graph,
-        };
+        let graph = self.renumbered().map_or(self.graph, |(graph, _)| graph);
         Ok(if relu {
             aggregate_gcn_relu(graph, features, self.workers)
         } else {
@@ -151,14 +121,17 @@ impl<'a> ModelExec<'a> {
         })
     }
 
-    /// Gathers `x` (original node order) into the row order the GCN
+    /// Scatters `x` (original node order) into the row order the GCN
     /// forward runs its numerics in: the advisor's renumbering under
-    /// GNNAdvisor, the original order otherwise (returned as is). The
-    /// renumbered graph is built at the first call that needs it.
+    /// GNNAdvisor, the original order otherwise (returned as is).
     pub(crate) fn to_row_order(&self, x: Matrix) -> Result<Matrix> {
         self.check_rows(&x)?;
-        Ok(match self.renumbered()? {
-            Some(r) => x.gather_rows(&r.old_of_new),
+        Ok(match self.renumbered() {
+            Some((_, perm)) => Matrix::from_vec(
+                x.rows(),
+                x.cols(),
+                perm.permute_rows(x.as_slice(), x.cols()),
+            )?,
             None => x,
         })
     }
@@ -167,27 +140,19 @@ impl<'a> ModelExec<'a> {
     /// inverse of [`ModelExec::to_row_order`].
     pub(crate) fn to_node_order(&self, x: Matrix) -> Result<Matrix> {
         self.check_rows(&x)?;
-        Ok(match self.renumbered()? {
-            Some(r) => x.gather_rows(&r.new_of_old),
+        Ok(match self.renumbered() {
+            Some((_, perm)) => x.gather_rows(perm.as_slice()),
             None => x,
         })
     }
 
-    /// The advisor's renumbered graph when the numerics run in its order
-    /// (GNNAdvisor with a renumbering advisor), built at the first call.
-    fn renumbered(&self) -> Result<Option<&Renumbered>> {
-        let perm = match (self.framework, self.advisor) {
-            (Framework::GnnAdvisor, Some(adv)) => adv.permutation(),
+    /// The advisor's renumbered graph and its permutation when the numerics
+    /// run in its order (GNNAdvisor with a renumbering advisor).
+    fn renumbered(&self) -> Option<(&Csr, &Permutation)> {
+        match (self.framework, self.advisor) {
+            (Framework::GnnAdvisor, Some(adv)) => adv.permutation().map(|p| (adv.graph(), p)),
             _ => None,
-        };
-        let Some(perm) = perm else {
-            return Ok(None);
-        };
-        if let Some(built) = self.renumbered.get() {
-            return Ok(Some(built));
         }
-        let built = Renumbered::new(self.graph, perm)?;
-        Ok(Some(self.renumbered.get_or_init(|| built)))
     }
 
     /// A typed error unless `x` has one row per graph node: model forwards
