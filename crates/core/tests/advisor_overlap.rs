@@ -2,7 +2,7 @@
 //! scoped thread (on graphs of at least `MIN_WORK_PER_WORKER` adjacency
 //! entries). Both stages are pure functions of the input graph, so the
 //! advisor must equal a sequential reference that calls the tuner,
-//! `renumber`, `Csr::permute` and `partition_groups` directly, under every
+//! `renumber`, `Csr::relabel` and `partition_groups` directly, under every
 //! strategy and renumber override, on either side of the size threshold.
 
 use gnnadvisor_core::input::{extract, AggOrder};
@@ -76,10 +76,10 @@ fn built(adv: &Advisor) -> Built {
     )
 }
 
-/// `g` renumbered and permuted, sequentially.
+/// `g` renumbered and relabelled, sequentially.
 fn renumbered(g: &Csr) -> (Csr, Permutation) {
     let r = renumber(g, &RenumberConfig::default()).expect("renumbers");
-    (g.permute(&r.permutation).expect("permutes"), r.permutation)
+    (g.relabel(&r.permutation).expect("relabels"), r.permutation)
 }
 
 /// The sequential pipeline: tune, apply the override, take `renumbered`

@@ -280,14 +280,14 @@ fn skewed_graph_aggregations_price_byte_identically() {
     check(
         |t| aggregation_pins(0, t),
         &[
-            ("GNNAdvisor", 0xd2f3c4b0f5a03cf2),
+            ("GNNAdvisor", 0xd8d9efa31120c042),
             ("DGL", 0x387f25048430e003),
             ("PyG", 0x5826cac4409a65b4),
             ("GunRock", 0xc0568092e6b9b662),
             ("NeuGraph", 0xf2f8631834680db5),
             ("node-centric", 0xc9e346985b9bb899),
             ("edge-centric", 0xeeba6b58878ec0b8),
-            ("GNNAdvisor/no-shared", 0x50f35b4aa4ea6c43),
+            ("GNNAdvisor/no-shared", 0xb2692f23ed9c73c0),
         ],
     );
 }
@@ -297,14 +297,14 @@ fn regular_graph_aggregations_price_byte_identically() {
     check(
         |t| aggregation_pins(1, t),
         &[
-            ("GNNAdvisor", 0x2eb6ab4e7486f3df),
+            ("GNNAdvisor", 0x23d3087876431854),
             ("DGL", 0x676ef4626410efdd),
             ("PyG", 0x592833b05e450747),
             ("GunRock", 0x369df27b63072204),
             ("NeuGraph", 0x1531d578fdda8a82),
             ("node-centric", 0x5979b993e28045e9),
             ("edge-centric", 0xf6346ff7f76d13dd),
-            ("GNNAdvisor/no-shared", 0xd5530767a8c3f6d7),
+            ("GNNAdvisor/no-shared", 0xa7de946ae0513d30),
         ],
     );
 }
@@ -396,6 +396,6 @@ fn traced_launch_writes_byte_identical_chrome_trace() {
             h.bytes(tracer.to_chrome_json().as_bytes());
             vec![("chrome-trace".to_string(), h.0)]
         },
-        &[("chrome-trace", 0xeac5bbc55c3d0225)],
+        &[("chrome-trace", 0x11e169e457375c21)],
     );
 }
