@@ -203,35 +203,14 @@ impl Csr {
     /// Applies a node permutation, producing the renumbered graph.
     ///
     /// `perm.new_of(v)` gives the new id of old node `v`. The result has the
-    /// same edge multiset modulo renaming, with sorted neighbor lists.
+    /// same edge multiset modulo renaming, with sorted neighbor lists: it is
+    /// [`Csr::relabel`] with each row then sorted.
     pub fn permute(&self, perm: &Permutation) -> Result<Csr> {
-        if perm.len() != self.num_nodes {
-            return Err(GraphError::InvalidPermutation {
-                reason: "length mismatch with graph",
-            });
+        let mut out = self.relabel(perm)?;
+        for bounds in out.row_ptr.windows(2) {
+            out.col_idx[bounds[0]..bounds[1]].sort_unstable();
         }
-        let mut deg = vec![0usize; self.num_nodes];
-        for v in 0..self.num_nodes as NodeId {
-            deg[perm.new_of(v) as usize] = self.degree(v);
-        }
-        let mut row_ptr = vec![0usize; self.num_nodes + 1];
-        for v in 0..self.num_nodes {
-            row_ptr[v + 1] = row_ptr[v] + deg[v];
-        }
-        let mut col_idx = vec![0 as NodeId; self.col_idx.len()];
-        for v in 0..self.num_nodes as NodeId {
-            let nv = perm.new_of(v) as usize;
-            let out = &mut col_idx[row_ptr[nv]..row_ptr[nv] + deg[nv]];
-            for (slot, &u) in out.iter_mut().zip(self.neighbors(v)) {
-                *slot = perm.new_of(u);
-            }
-            out.sort_unstable();
-        }
-        Ok(Csr {
-            num_nodes: self.num_nodes,
-            row_ptr,
-            col_idx,
-        })
+        Ok(out)
     }
 
     /// Renames every node by `perm`, keeping each row's order: row
