@@ -23,9 +23,6 @@ use crate::{Permutation, Result};
 pub struct RenumberConfig {
     /// Louvain settings for the community step.
     pub louvain: LouvainConfig,
-    /// Skip the RCM step and order nodes within a community by original id
-    /// (ablation knob; the full pipeline leaves this `false`).
-    pub skip_rcm: bool,
 }
 
 /// Output of the renumbering pipeline.
@@ -44,11 +41,7 @@ pub struct RenumberResult {
 /// Runs the Section 6.1 pipeline on a symmetric graph.
 pub fn renumber(graph: &Csr, config: &RenumberConfig) -> Result<RenumberResult> {
     let detected = louvain(graph, &config.louvain);
-    let order = if config.skip_rcm {
-        bucket_by_community(&detected.community_of, detected.num_communities).1
-    } else {
-        rcm_by_community(graph, &detected.community_of, detected.num_communities)
-    };
+    let order = rcm_by_community(graph, &detected.community_of, detected.num_communities);
     let permutation = Permutation::from_order(order)?;
     Ok(RenumberResult {
         permutation,
@@ -134,16 +127,11 @@ mod tests {
     fn rcm_step_tightens_within_community_order() {
         let g = latent_community_graph(3);
         let full = renumber(&g, &RenumberConfig::default()).expect("valid");
-        let no_rcm = renumber(
-            &g,
-            &RenumberConfig {
-                skip_rcm: true,
-                ..Default::default()
-            },
-        )
-        .expect("valid");
+        // The same communities, each in ascending original id.
+        let plain = bucket_by_community(&full.community_of, full.num_communities).1;
+        let no_rcm = Permutation::from_order(plain).expect("valid");
         let g_full = g.permute(&full.permutation).expect("valid");
-        let g_norcm = g.permute(&no_rcm.permutation).expect("valid");
+        let g_norcm = g.permute(&no_rcm).expect("valid");
         let w = 32;
         assert!(
             locality_score(&g_full, w) >= locality_score(&g_norcm, w) * 0.98,
@@ -215,32 +203,26 @@ mod tests {
     fn isolated_nodes_keep_the_permutation_total() {
         use crate::GraphBuilder;
         // Nodes 6..10 never touch an edge; node 3 sits between two
-        // communities; both RCM paths are exercised.
-        for skip_rcm in [false, true] {
-            let g = GraphBuilder::new(10)
-                .clique(&[0, 1, 2])
-                .path(&[3, 4, 5])
-                .build()
-                .expect("valid");
-            let cfg = RenumberConfig {
-                skip_rcm,
-                ..Default::default()
-            };
-            let r = renumber(&g, &cfg).expect("isolated nodes must renumber");
-            assert_eq!(r.permutation.len(), 10, "permutation must be total");
-            assert_eq!(r.community_of.len(), 10);
-            let inv = r.permutation.inverse();
-            for v in 0..10 as NodeId {
-                assert_eq!(
-                    inv.new_of(r.permutation.new_of(v)),
-                    v,
-                    "node {v} must round-trip (skip_rcm={skip_rcm})"
-                );
-            }
-            let p = g.permute(&r.permutation).expect("valid");
-            assert_eq!(p.num_edges(), g.num_edges());
-            assert!(p.is_symmetric());
+        // communities.
+        let g = GraphBuilder::new(10)
+            .clique(&[0, 1, 2])
+            .path(&[3, 4, 5])
+            .build()
+            .expect("valid");
+        let r = renumber(&g, &RenumberConfig::default()).expect("isolated nodes must renumber");
+        assert_eq!(r.permutation.len(), 10, "permutation must be total");
+        assert_eq!(r.community_of.len(), 10);
+        let inv = r.permutation.inverse();
+        for v in 0..10 as NodeId {
+            assert_eq!(
+                inv.new_of(r.permutation.new_of(v)),
+                v,
+                "node {v} must round-trip"
+            );
         }
+        let p = g.permute(&r.permutation).expect("valid");
+        assert_eq!(p.num_edges(), g.num_edges());
+        assert!(p.is_symmetric());
     }
 
     /// Degenerate inputs stay total and finite: a fully edgeless graph
