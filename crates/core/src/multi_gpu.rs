@@ -402,7 +402,7 @@ mod tests {
         let manual = run_multi_gpu_aggregation(&ordered, 32, base_params(), &cfg).expect("runs");
         assert_eq!(
             auto.halo_bytes, manual.halo_bytes,
-            "renumber=true must permute exactly like the single-device runtime"
+            "renumber=true must renumber exactly like the single-device runtime"
         );
         let ignored = run_multi_gpu_aggregation(&g, 32, base_params(), &cfg).expect("runs");
         assert!(

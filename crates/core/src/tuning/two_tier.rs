@@ -137,7 +137,7 @@ pub fn tune_two_tier(
     let mut engine_evals = 0usize;
     // Engine results are memoized too: a finalist that served as a probe
     // is never re-simulated.
-    let mut engine_cache: HashMap<RuntimeParams, (f64, Option<PhaseBreakdown>)> = HashMap::new();
+    let mut engine_cache: HashMap<RuntimeParams, f64> = HashMap::new();
 
     // Tier 0: calibration probes.
     let mut measured: Vec<(RuntimeParams, PhaseBreakdown)> = Vec::new();
@@ -145,11 +145,11 @@ pub fn tune_two_tier(
         engine_evals += 1;
         match run(&p, &engine) {
             Some(m) => {
-                engine_cache.insert(p, (m.time_ms, Some(m.phases)));
+                engine_cache.insert(p, m.time_ms);
                 measured.push((p, m.phases));
             }
             None => {
-                engine_cache.insert(p, (f64::INFINITY, None));
+                engine_cache.insert(p, f64::INFINITY);
             }
         }
     }
@@ -195,12 +195,12 @@ pub fn tune_two_tier(
     // Tier 2: verify the finalists on the engine.
     let mut finalists: Vec<Finalist> = Vec::new();
     for (p, fast_us) in shortlist {
-        let engine_ms = if let Some(&(ms, _)) = engine_cache.get(&p) {
+        let engine_ms = if let Some(&ms) = engine_cache.get(&p) {
             ms
         } else {
             engine_evals += 1;
             let ms = run(&p, &engine).map_or(f64::INFINITY, |m| m.time_ms);
-            engine_cache.insert(p, (ms, None));
+            engine_cache.insert(p, ms);
             ms
         };
         finalists.push(Finalist {
