@@ -25,7 +25,7 @@
 //!
 //! A fourth table times `Advisor::new` on the artist graph at scale 1.0
 //! under two-tier tuning: each set-up stage on its own (tuning; Louvain,
-//! per-community RCM, the whole `renumber`, and `Csr::permute`) and the
+//! per-community RCM, the whole `renumber`, and `Csr::relabel`) and the
 //! advisor's overlapped total, in which `renumber` runs on a scoped
 //! thread while the calling thread tunes. The advisor is checked against
 //! the stages' own outputs.
@@ -227,8 +227,8 @@ struct AdvisorSetup {
     louvain_ms: f64,
     /// RCM within every community (`rcm_by_community`), milliseconds.
     rcm_ms: f64,
-    /// Applying the permutation (`Csr::permute`), milliseconds.
-    permute_ms: f64,
+    /// Applying the permutation (`Csr::relabel`), milliseconds.
+    relabel_ms: f64,
     /// The whole `renumber` (Louvain, RCM, the permutation): what the
     /// advisor runs on its thread beside tuning, milliseconds.
     renumber_ms: f64,
@@ -466,7 +466,7 @@ fn advisor_setup() -> AdvisorSetup {
     };
     let mut best = [f64::INFINITY; 6];
     for _ in 0..SETUP_RUNS {
-        let [tune_ms, louvain_ms, rcm_ms, permute_ms, renumber_ms, new_ms] = &mut best;
+        let [tune_ms, louvain_ms, rcm_ms, relabel_ms, renumber_ms, new_ms] = &mut best;
         time(tune_ms, &mut || {
             std::hint::black_box(tune());
         });
@@ -480,8 +480,8 @@ fn advisor_setup() -> AdvisorSetup {
                 detected.num_communities,
             ));
         });
-        time(permute_ms, &mut || {
-            std::hint::black_box(graph.permute(&perm).expect("one id per node"));
+        time(relabel_ms, &mut || {
+            std::hint::black_box(graph.relabel(&perm).expect("one id per node"));
         });
         time(renumber_ms, &mut || {
             std::hint::black_box(renumbered());
@@ -490,7 +490,7 @@ fn advisor_setup() -> AdvisorSetup {
             std::hint::black_box(build());
         });
     }
-    let [tune_ms, louvain_ms, rcm_ms, permute_ms, renumber_ms, advisor_new_ms] = best;
+    let [tune_ms, louvain_ms, rcm_ms, relabel_ms, renumber_ms, advisor_new_ms] = best;
     AdvisorSetup {
         graph: format!(
             "artist (Table 1) at scale 1.0: {} nodes, {} edges; two-tier tuning, \
@@ -502,7 +502,7 @@ fn advisor_setup() -> AdvisorSetup {
         tune_ms,
         louvain_ms,
         rcm_ms,
-        permute_ms,
+        relabel_ms,
         renumber_ms,
         advisor_new_ms,
     }
@@ -656,12 +656,12 @@ fn main() {
     );
     let setup = &result.advisor_setup;
     println!(
-        "advisor set-up: tune {:.1} ms, louvain {:.1} ms, rcm {:.1} ms, permute {:.1} ms, \
+        "advisor set-up: tune {:.1} ms, louvain {:.1} ms, rcm {:.1} ms, relabel {:.1} ms, \
          renumber {:.1} ms, Advisor::new {:.1} ms",
         setup.tune_ms,
         setup.louvain_ms,
         setup.rcm_ms,
-        setup.permute_ms,
+        setup.relabel_ms,
         setup.renumber_ms,
         setup.advisor_new_ms
     );

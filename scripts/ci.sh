@@ -104,6 +104,14 @@ run_gin() {
 }
 check_stable run-gin run_gin "GIN on Cora" "kernels: 15"
 
+echo "==> compare smoke: every strategy's price stable across runs and worker counts"
+# The advisor prices over its renumbered graph, next to every baseline
+# over the input graph.
+compare() {
+  gnnadvisor compare --dataset artist --scale 0.05 > "$1"
+}
+check_stable compare compare "GNNAdvisor" "edge-centric"
+
 echo "==> serve-sim smoke: report stable across runs and worker counts"
 serve() {
   gnnadvisor serve-sim --requests 32 --rate 4000 --streams 2 --scale 0.02 > "$1"
