@@ -120,20 +120,21 @@ impl Permutation {
             .all(|(i, &v)| i as NodeId == v)
     }
 
-    /// Permutes the rows of a row-major matrix in one pass: row `old` of the
-    /// input lands at row `new_of(old)` of the output. `row_len` is the
-    /// number of elements per row.
+    /// Permutes the rows of a row-major matrix: row `old` of the input
+    /// lands at row `new_of(old)` of the output. `row_len` is the number of
+    /// elements per row. The output is written in order, one row copy per
+    /// row, read through the inverse: gathering rows is cheaper than
+    /// scattering them into a zeroed buffer.
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != self.len() * row_len`.
-    pub fn permute_rows<T: Copy + Default>(&self, data: &[T], row_len: usize) -> Vec<T> {
+    pub fn permute_rows<T: Copy>(&self, data: &[T], row_len: usize) -> Vec<T> {
         assert_eq!(data.len(), self.len() * row_len, "matrix shape mismatch");
-        let mut out = vec![T::default(); data.len()];
-        for old in 0..self.len() {
-            let new = self.new_of_old[old] as usize;
-            out[new * row_len..(new + 1) * row_len]
-                .copy_from_slice(&data[old * row_len..(old + 1) * row_len]);
+        let mut out = Vec::with_capacity(data.len());
+        for old in self.inverse().new_of_old {
+            let old = old as usize;
+            out.extend_from_slice(&data[old * row_len..(old + 1) * row_len]);
         }
         out
     }
