@@ -334,7 +334,6 @@ mod tests {
         WorkloadMetrics, DEFAULT_REGS_PER_THREAD,
     };
     use gnnadvisor_graph::generators::{community_graph, CommunityParams};
-    use gnnadvisor_graph::NodeId;
 
     fn graph() -> Csr {
         let params = CommunityParams {
@@ -425,12 +424,8 @@ mod tests {
         .expect("builds");
         let perm = adv.permutation().expect("renumbers");
         assert_eq!(adv.graph(), &g.relabel(perm).expect("valid"));
-        for v in 0..g.num_nodes() as NodeId {
-            let renamed: Vec<NodeId> = g.neighbors(v).iter().map(|&u| perm.new_of(u)).collect();
-            assert_eq!(adv.graph().neighbors(perm.new_of(v)), renamed, "node {v}");
-        }
         // The input's rows are sorted and renaming unsorts them, so a
-        // graph whose rows were sorted after renaming would fail above.
+        // graph whose rows were sorted after renaming fails above.
         assert!(g.is_sorted() && !adv.graph().is_sorted());
     }
 
