@@ -15,8 +15,8 @@ use gnnadvisor_core::kernels::node_centric::NodeCentricKernel;
 use gnnadvisor_core::kernels::spmm_dgl::SpmmKernel;
 use gnnadvisor_core::{Advisor, AdvisorConfig, AggOrder, Framework};
 use gnnadvisor_gpu::{
-    Engine, GpuSpec, KernelMetrics, OpClass, OpSpan, PhaseBreakdown, StreamReport, StreamSim,
-    TraceRecorder, TransferMetrics, Workload, WorkloadMetrics,
+    Engine, Enqueued, GpuSpec, KernelMetrics, OpClass, OpSpan, PhaseBreakdown, StreamId,
+    StreamReport, StreamSim, TraceRecorder, TransferMetrics, Workload, WorkloadMetrics,
 };
 use gnnadvisor_graph::generators::{community_graph, CommunityParams};
 use gnnadvisor_graph::Csr;
@@ -375,6 +375,53 @@ fn two_stream_schedule_prices_byte_identically() {
             vec![("streams".to_string(), h.0)]
         },
         &[("streams", 0x5ef43d27eecd8d83)],
+    );
+}
+
+/// Prices `workload` alone on `e` and places it on `stream` of `sim`,
+/// released at `release`.
+fn place(
+    e: &Engine,
+    sim: &mut StreamSim<'_>,
+    stream: StreamId,
+    workload: Workload<'_>,
+    release: u64,
+) -> Enqueued {
+    let clean = e.price(&mut e.lock_context(), workload).expect("prices");
+    sim.enqueue_priced(stream, sim.draw(&clean), release)
+        .expect("enqueues")
+}
+
+#[test]
+fn two_stream_priced_schedule_prices_byte_identically() {
+    check(
+        |t| {
+            let g = graph(0);
+            let e = engine(t);
+            let spmm = SpmmKernel::new(&g, DIM);
+            let node = NodeCentricKernel::new(&g, DIM, 256);
+            let mut sim = StreamSim::new(&e);
+            let (s0, s1) = (sim.stream(), sim.stream());
+            let gemm = Workload::Gemm {
+                m: 2_000,
+                n: 16,
+                k: 96,
+            };
+            let enqueued = [
+                place(&e, &mut sim, s0, Workload::Transfer { bytes: 1 << 20 }, 0),
+                place(&e, &mut sim, s0, Workload::Kernel(&spmm), 0),
+                place(&e, &mut sim, s1, gemm, 0),
+                place(&e, &mut sim, s1, Workload::Kernel(&node), 0),
+                place(&e, &mut sim, s0, Workload::Kernel(&spmm), 50_000),
+            ];
+            let mut h = Fnv::new();
+            for op in &enqueued {
+                hash_workload(&mut h, &op.metrics);
+            }
+            hash_report(&mut h, &sim.run().expect("schedule runs"));
+            vec![("priced-streams".to_string(), h.0)]
+        },
+        &[("priced-streams", 0x924abddeb19b5ae7)],
     );
 }
 
