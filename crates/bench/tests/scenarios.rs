@@ -107,8 +107,11 @@ fn coresidency(sim_threads: usize) -> (StreamReport, f64) {
     let mut standalone_ms = 0.0;
     for _ in 0..2 {
         let s = sim.stream();
-        let (_, m) = sim.enqueue(s, gemm).expect("valid stream");
-        standalone_ms += m.time_ms();
+        let clean = engine
+            .price(&mut engine.lock_context(), gemm)
+            .expect("prices");
+        let placed = sim.enqueue_priced(s, sim.draw(&clean), 0);
+        standalone_ms += placed.expect("valid stream").metrics.time_ms();
     }
     (sim.run().expect("schedule commits"), standalone_ms)
 }

@@ -12,7 +12,8 @@
 //! - under a fault plan with slowdowns, failures and a device reset,
 //!   drawing verdicts for the clean prices (the serving runner's retries,
 //!   which stop at the first fault, and the mini-batch loop's full lists)
-//!   equals `StreamSim::price` called op by op on a twin engine;
+//!   equals `Engine::price` called op by op on a twin engine, each op
+//!   drawn as it is priced;
 //! - both hold at 1, 2 and 4 sim threads, and from four threads at once,
 //!   where the busy host pool runs some lists on the caller alone.
 
@@ -25,7 +26,7 @@ use gnnadvisor_core::workload::partition_groups;
 use gnnadvisor_core::{NeighborGroup, RuntimeParams};
 use gnnadvisor_gpu::{
     Engine, Enqueued, FaultConfig, FaultKind, FaultPlan, GpuSpec, Kernel, KernelMetrics, OpClass,
-    RunContext, StreamReport, StreamSim, Workload, WorkloadMetrics,
+    PricedOp, RunContext, StreamReport, StreamSim, Workload, WorkloadMetrics,
 };
 use gnnadvisor_graph::generators::{community_graph, CommunityParams};
 use gnnadvisor_graph::Csr;
@@ -192,7 +193,6 @@ fn report_bits(r: &StreamReport) -> Vec<u64> {
             match s.class {
                 OpClass::Kernel => 0,
                 OpClass::Copy => 1,
-                OpClass::Event => 2,
             },
             s.start_cycles,
             s.end_cycles,
@@ -252,10 +252,15 @@ type Drawn = (
     Vec<u64>,
 );
 
+/// Prices `workload` alone on `e` and draws its verdict in `sim`.
+fn price_alone(e: &Engine, sim: &StreamSim<'_>, workload: Workload<'_>) -> PricedOp {
+    sim.draw(&e.price(&mut RunContext::new(), workload).expect("valid op"))
+}
+
 /// Prices `list` once and draws verdicts for it over `rounds` attempts
 /// (each stops at its first fault, as the serving runner does), then
-/// draws one full list through `StreamSim::price_list` (the mini-batch
-/// loop). The twin engine does the same by pricing op by op.
+/// prices one full list again with `Engine::price_list` and draws it (the
+/// mini-batch loop). The twin engine does the same by pricing op by op.
 fn faulted_check(threads: usize, list: &[Workload<'_>], config: &FaultConfig) -> Drawn {
     const ROUNDS: usize = 6;
     let run = |listed: bool| -> Drawn {
@@ -268,17 +273,20 @@ fn faulted_check(threads: usize, list: &[Workload<'_>], config: &FaultConfig) ->
         } else {
             Vec::new()
         };
+        let draw = |sim: &StreamSim<'_>, i: usize| {
+            if listed {
+                sim.draw(&clean[i])
+            } else {
+                price_alone(&e, sim, list[i])
+            }
+        };
         let mut out = Vec::new();
         for round in 0..ROUNDS {
             let release = round as u64 * 50_000;
-            for (i, &w) in list.iter().enumerate() {
-                let enq = if listed {
-                    let op = sim.draw(&clean[i]);
-                    sim.enqueue_priced(s0, op, release)
-                } else {
-                    sim.try_enqueue_at(s0, w, release)
-                }
-                .expect("valid op");
+            for i in 0..list.len() {
+                let enq = sim
+                    .enqueue_priced(s0, draw(&sim, i), release)
+                    .expect("valid op");
                 let fault = enq.fault;
                 out.push((i, enqueued_bits(&enq)));
                 if fault.is_some() {
@@ -286,12 +294,11 @@ fn faulted_check(threads: usize, list: &[Workload<'_>], config: &FaultConfig) ->
                 }
             }
         }
-        let ops = if listed {
-            sim.price_list(list).expect("valid list")
+        let ops: Vec<PricedOp> = if listed {
+            let again = e.price_list(&mut ctxs, list).expect("valid list");
+            again.iter().map(|c| sim.draw(c)).collect()
         } else {
-            list.iter()
-                .map(|&w| sim.price(w).expect("valid op"))
-                .collect()
+            list.iter().map(|&w| price_alone(&e, &sim, w)).collect()
         };
         for (i, op) in ops.into_iter().enumerate() {
             out.push((

@@ -1,10 +1,11 @@
-//! Differential test: pricing an op and placing it are two steps.
+//! Differential test: pricing an op and placing it are separate steps.
 //!
-//! `StreamSim::try_enqueue_at` is `price` followed by `enqueue_priced`.
-//! These tests build a mixed kernel/GEMM/transfer list with release times
-//! over three streams and check that pricing every op up front and then
-//! placing it — in the same simulator, or as a clone in another one —
-//! commits a schedule bitwise equal to enqueueing each workload directly,
+//! An op reaches a schedule as `Engine::price`, then `StreamSim::draw`
+//! (its fault verdict), then `StreamSim::enqueue_priced`. These tests
+//! build a mixed kernel/GEMM/transfer list with release times over three
+//! streams and check that pricing every op up front and then placing it —
+//! in the same simulator, or as a clone in another one — commits a
+//! schedule bitwise equal to placing each op as soon as it is priced,
 //! with and without a fault plan on the engine. A last test checks that
 //! a kernel alone on a single stream reports what a standalone
 //! `Engine::submit` does.
@@ -103,7 +104,6 @@ fn bits(r: &StreamReport) -> Vec<u64> {
             match s.class {
                 OpClass::Kernel => 0,
                 OpClass::Copy => 1,
-                OpClass::Event => 2,
             },
             s.start_cycles,
             s.end_cycles,
@@ -113,10 +113,15 @@ fn bits(r: &StreamReport) -> Vec<u64> {
     out
 }
 
+/// Prices `workload` on `e` and draws its verdict in `sim`.
+fn price(e: &Engine, sim: &StreamSim<'_>, workload: Workload<'_>) -> PricedOp {
+    sim.draw(&e.price(&mut e.lock_context(), workload).expect("prices"))
+}
+
 /// How the list reaches the schedule.
 #[derive(Clone, Copy)]
 enum Arm {
-    /// One `try_enqueue_at` per op.
+    /// Each op placed as soon as it is priced.
     Direct,
     /// Price every op, then place each in the same simulator.
     PricedFirst,
@@ -138,22 +143,19 @@ fn schedule(arm: Arm, faults: bool) -> (Vec<Enqueued>, StreamReport) {
     let enqueued: Vec<Enqueued> = match arm {
         Arm::Direct => list
             .into_iter()
-            .map(|(s, w, at)| sim.try_enqueue_at(streams[s], w, at))
+            .map(|(s, w, at)| sim.enqueue_priced(streams[s], price(&e, &sim, w), at))
             .collect::<Result<_, _>>()
             .expect("enqueues"),
         Arm::PricedFirst | Arm::Cloned => {
-            let mut pricer = StreamSim::new(&e);
+            let pricer = StreamSim::new(&e);
+            let drawer = match arm {
+                Arm::Cloned => &pricer,
+                _ => &sim,
+            };
             let priced: Vec<(usize, PricedOp, u64)> = list
                 .into_iter()
-                .map(|(s, w, at)| {
-                    let sim = match arm {
-                        Arm::Cloned => &mut pricer,
-                        _ => &mut sim,
-                    };
-                    sim.price(w).map(|op| (s, op, at))
-                })
-                .collect::<Result<_, _>>()
-                .expect("prices");
+                .map(|(s, w, at)| (s, price(&e, drawer, w), at))
+                .collect();
             priced
                 .into_iter()
                 .map(|(s, op, at)| {
@@ -204,7 +206,7 @@ fn placing_on_a_foreign_stream_is_a_typed_error() {
     let mut sim = StreamSim::new(&e);
     let s = sim.stream();
     let mut other = StreamSim::new(&e);
-    let op = other.price(Workload::Kernel(&spmm)).expect("prices");
+    let op = price(&e, &other, Workload::Kernel(&spmm));
     assert!(matches!(
         other.enqueue_priced(s, op.clone(), 0),
         Err(GpuError::UnknownStream { id: 0 })
@@ -214,8 +216,8 @@ fn placing_on_a_foreign_stream_is_a_typed_error() {
 
 #[test]
 fn a_lone_kernel_on_one_stream_is_a_standalone_submit() {
-    // The other half of the stream model's contract: pricing on a
-    // stream is `Engine::submit`. Alone on a single stream, a kernel
+    // The other half of the stream model's contract: a price placed on a
+    // stream reports what `Engine::submit` does. Alone on a single stream, a kernel
     // reports the standalone metrics in every field and spans the
     // standalone time. The scheduler runs a launch as `waves` rounds of
     // equal blocks, each `ceil(body / waves)` cycles, so a multi-wave
@@ -243,7 +245,9 @@ fn a_lone_kernel_on_one_stream_is_a_standalone_submit() {
         let standalone = e.submit(&mut e.lock_context(), workload).expect("submits");
         let mut sim = StreamSim::new(&e);
         let s = sim.stream();
-        let enqueued = sim.try_enqueue_at(s, workload, 0).expect("enqueues");
+        let enqueued = sim
+            .enqueue_priced(s, price(&e, &sim, workload), 0)
+            .expect("enqueues");
         let report = sim.run().expect("schedule runs");
         assert_eq!(enqueued.metrics, standalone);
         assert_eq!(format!("{:?}", enqueued.metrics), format!("{standalone:?}"));

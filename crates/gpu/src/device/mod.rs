@@ -15,8 +15,9 @@
 //!   every resource the group pinned. Under- or over-returning panics —
 //!   the conservation invariant is enforced, not assumed.
 //!
-//! [`crate::stream::StreamSim`] drives both from its event loop; tests
-//! and proptests drive them directly to check the admission invariant
+//! [`crate::stream::StreamSim::run`] drives both from its discrete-event
+//! loop over the priced ops placed on its streams; tests and proptests
+//! drive them directly to check the admission invariant
 //! (at every instant, per-SM usage ≤ spec limits) without a scheduler in
 //! the way.
 

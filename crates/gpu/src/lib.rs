@@ -47,7 +47,7 @@ pub use kernel::{ArrayId, BlockSink, GridConfig, Kernel};
 pub use metrics::{HitRateWindow, KernelMetrics, Limiter, PhaseBreakdown, RunMetrics};
 pub use spec::{BlockResources, BlocksPerSm, GpuSpec, DEFAULT_REGS_PER_THREAD};
 pub use stream::{
-    Enqueued, EventId, OpClass, OpHandle, OpSpan, PricedOp, StreamId, StreamReport, StreamSim,
+    Enqueued, OpClass, OpHandle, OpSpan, PricedOp, StreamId, StreamReport, StreamSim,
 };
 pub use trace::{ArgValue, SpanKind, TraceEvent, TraceRecorder};
 pub use transfer::TransferMetrics;
@@ -82,14 +82,10 @@ pub enum GpuError {
         /// The offending stream id.
         id: usize,
     },
-    /// An operation referenced an event id this simulator never issued.
-    UnknownEvent {
-        /// The offending event id.
-        id: usize,
-    },
-    /// The stream schedule cannot make progress: every remaining stream
-    /// head waits on an event whose `record_event` never becomes
-    /// schedulable (a wait-before-record cycle).
+    /// The stream schedule cannot make progress: ops remain, but none can
+    /// ever start — for example a kernel whose block needs more of an SM
+    /// than the simulator's spec has (a price drawn into a simulator over
+    /// a smaller device), so no block is ever admitted.
     StreamDeadlock {
         /// One blocked stream id (the lowest, for determinism).
         stream: usize,
@@ -123,12 +119,11 @@ impl core::fmt::Display for GpuError {
                 write!(f, "invalid engine configuration: {reason}")
             }
             GpuError::UnknownStream { id } => write!(f, "unknown stream id {id}"),
-            GpuError::UnknownEvent { id } => write!(f, "unknown event id {id}"),
             GpuError::StreamDeadlock { stream } => {
                 write!(
                     f,
-                    "stream schedule deadlocked: stream {stream} waits on an event \
-                     that can never be recorded"
+                    "stream schedule deadlocked: stream {stream} holds an op that can \
+                     never start (a kernel block no SM of the device can admit)"
                 )
             }
             GpuError::Fault { kind, op } => {

@@ -1,12 +1,11 @@
-//! Simulated CUDA-style streams and events on the simulated clock.
+//! Simulated CUDA-style streams on the simulated clock.
 //!
 //! The serial [`Engine`] answers "how long does this kernel take alone?";
 //! this module answers "how long does a *mix* take when issued onto
 //! concurrent streams?" — the question serving workloads ask. A
-//! [`StreamSim`] borrows an engine, prices every enqueued [`Workload`]
-//! through the engine's deterministic cost model at enqueue time, and then
-//! schedules the priced ops with a serial discrete-event loop that models
-//! the overlap machinery of a real device:
+//! [`StreamSim`] borrows an engine and schedules ops the engine has
+//! already priced with a serial discrete-event loop that models the
+//! overlap machinery of a real device:
 //!
 //! - **Per-stream FIFO**: ops on one stream execute in enqueue order,
 //!   never overlapping each other.
@@ -23,18 +22,15 @@
 //!   shapes fit co-reside on the *same* SM (true kernel co-residency); a
 //!   kernel that finds no free slots trickles in as earlier blocks
 //!   retire.
-//! - **Events**: [`StreamSim::record_event`] marks a point in one
-//!   stream's FIFO; [`StreamSim::wait_event`] gates another stream on it
-//!   (cross-stream dependencies without coupling whole streams).
 //!
-//! Pricing and placement are separable: [`StreamSim::price`] turns a
-//! workload into a [`PricedOp`] and [`StreamSim::enqueue_priced`] places
-//! it, so a caller that schedules the same work on several timelines
-//! prices it once and enqueues clones. Pricing splits once more: the
-//! engine prices fault-free ([`Engine::price_list`] returns a
-//! [`CleanPrice`]) and [`StreamSim::draw`] draws the op's fault verdict,
-//! so a caller that retries the same work prices it once and draws a
-//! fresh verdict per attempt.
+//! The simulator prices nothing itself. Work reaches it one way: the
+//! engine prices a list fault-free ([`Engine::price_list`] returns one
+//! [`CleanPrice`] per op), [`StreamSim::draw`] draws an op's fault
+//! verdict into a [`PricedOp`], and [`StreamSim::enqueue_priced`] places
+//! it on a stream with a release time. A caller that retries the same work
+//! prices it once and draws a fresh verdict per attempt; a caller that
+//! schedules the same work on several timelines places clones of one
+//! `PricedOp`.
 //!
 //! The event loop advances the clock from instant to instant; at each
 //! instant it retires due blocks, admits waiting blocks in kernel
@@ -44,7 +40,7 @@
 //! that become schedulable at the same cycle commit in
 //! **lowest-stream-id order**, even when the copy engine and an SM slot
 //! free at the same cycle. The schedule is a pure function
-//! of the enqueued ops: pricing is worker-count-invariant and the
+//! of the placed ops: pricing is worker-count-invariant and the
 //! scheduler is serial, so reports and traces are byte-identical at any
 //! `GNNADVISOR_SIM_THREADS` value.
 //!
@@ -59,9 +55,8 @@
 //! recorded as overlapping [`SpanKind::StreamKernel`] /
 //! [`SpanKind::StreamCopy`] spans, one chrome lane per stream.
 
-use crate::context::RunContext;
 use crate::device::{BlockDemand, CommandProcessor, Retirement, RetirementQueue};
-use crate::engine::{CleanPrice, Engine, Workload, WorkloadMetrics};
+use crate::engine::{CleanPrice, Engine, WorkloadMetrics};
 use crate::fault::FaultKind;
 use crate::trace::{ArgValue, SpanKind, TraceEvent, STREAM_TRACK_BASE};
 use crate::{GpuError, Result};
@@ -76,10 +71,6 @@ impl StreamId {
         self.0
     }
 }
-
-/// Identifies one simulated event of a [`StreamSim`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(usize);
 
 /// Handle to one enqueued op: its stream and position in that stream's
 /// FIFO. Use it to look up completion times in the [`StreamReport`].
@@ -98,8 +89,6 @@ pub enum OpClass {
     Kernel,
     /// A host↔device transfer occupying the copy engine.
     Copy,
-    /// An event record or wait (zero duration).
-    Event,
 }
 
 /// One op's placement on the committed schedule.
@@ -109,7 +98,7 @@ pub struct OpSpan {
     pub stream: StreamId,
     /// The op's position in its stream's FIFO.
     pub index: usize,
-    /// Display name (kernel name, `copy <n> B`, `record`/`wait`).
+    /// Display name (kernel name or `copy <n> B`).
     pub name: String,
     /// What kind of op this was.
     pub class: OpClass,
@@ -119,11 +108,11 @@ pub struct OpSpan {
     /// Scheduled end on the simulated clock, cycles. For kernels this is
     /// the last block retirement plus the launch-overhead teardown.
     pub end_cycles: u64,
-    /// Achieved occupancy over the span for kernels, `0.0` for copies and
-    /// events: time-averaged resident warps of this kernel over the
-    /// device's total warp slots, across the span's execution window
-    /// (start to last retirement). A kernel squeezed in next to another
-    /// kernel's blocks reports the share it actually held.
+    /// Achieved occupancy over the span for kernels, `0.0` for copies:
+    /// time-averaged resident warps of this kernel over the device's total
+    /// warp slots, across the span's execution window (start to last
+    /// retirement). A kernel squeezed in next to another kernel's blocks
+    /// reports the share it actually held.
     pub occupancy: f64,
     /// The injected fault that killed this op, if any. A faulted op still
     /// occupies its resources for its full `[start, end)` window — the
@@ -192,17 +181,13 @@ struct KernelShape {
     launch_cycles: u64,
 }
 
-/// The priced, schedulable form of one enqueued op.
+/// The priced, schedulable form of one placed op.
 #[derive(Debug, Clone)]
 enum OpKind {
     /// Admits `shape.blocks` blocks through the command processor.
     Kernel(KernelShape),
     /// Occupies the copy engine for `cycles`.
     Copy { cycles: u64 },
-    /// Marks the event complete when reached in the stream's FIFO.
-    Record { event: usize },
-    /// Blocks the stream until the event completes.
-    Wait { event: usize },
 }
 
 #[derive(Debug, Clone)]
@@ -212,7 +197,7 @@ struct Op {
     /// Earliest permitted start on the simulated clock (a release time —
     /// serving uses it to pin batches to their dispatch instants).
     not_before: u64,
-    /// The injected fault this op dies with, drawn at enqueue time.
+    /// The injected fault this op dies with, drawn before placement.
     fault: Option<FaultKind>,
 }
 
@@ -232,16 +217,16 @@ struct ActiveKernel {
     first_admit: Option<u64>,
 }
 
-/// One workload priced by [`StreamSim::price`] and not yet placed on a
-/// stream: its schedulable shape, its standalone metrics and its fault
-/// verdict. [`StreamSim::enqueue_priced`] places it; cloning it places the
-/// same priced work on several schedules without pricing it again.
+/// One op drawn by [`StreamSim::draw`] from a [`CleanPrice`] and not yet
+/// placed on a stream: its schedulable shape, its standalone metrics and
+/// its fault verdict. [`StreamSim::enqueue_priced`] places it; cloning it
+/// places the same priced work on several schedules without pricing it
+/// again.
 ///
-/// A `PricedOp` carries the fault verdict drawn when it was priced: with
-/// a fault plan on the engine, the verdict is consumed from the plan's
-/// sequence at [`StreamSim::price`] (or [`StreamSim::draw`]), and every
-/// schedule the op (or a clone of it) is enqueued on sees that same
-/// verdict.
+/// A `PricedOp` carries the fault verdict drawn for it: with a fault plan
+/// on the engine, the verdict is consumed from the plan's sequence at
+/// [`StreamSim::draw`], and every schedule the op (or a clone of it) is
+/// placed on sees that same verdict.
 #[derive(Debug, Clone)]
 pub struct PricedOp {
     kind: OpKind,
@@ -250,11 +235,11 @@ pub struct PricedOp {
     fault: Option<FaultKind>,
 }
 
-/// What [`StreamSim::try_enqueue_at`] committed: the op's handle, its
+/// What [`StreamSim::enqueue_priced`] committed: the op's handle, its
 /// standalone metrics, and — with a fault plan attached to the engine —
 /// whether the op is doomed to fail on the schedule. The fault is known
-/// at enqueue time (verdicts are drawn in submission order), so callers
-/// can plan retries before running the schedule.
+/// before the schedule runs (verdicts are drawn in [`StreamSim::draw`]
+/// order), so callers can plan retries before running it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Enqueued {
     /// Handle for completion-time lookups in the [`StreamReport`].
@@ -271,23 +256,15 @@ pub struct Enqueued {
 #[derive(Debug)]
 pub struct StreamSim<'e> {
     engine: &'e Engine,
-    /// Private pricing contexts, one per kernel of the longest list priced
-    /// so far, so enqueue-time pricing neither contends with nor perturbs
-    /// the engine's shared context users.
-    ctxs: Vec<RunContext>,
     streams: Vec<Vec<Op>>,
-    /// `Some(record op issued)` per created event.
-    event_recorded: Vec<bool>,
 }
 
 impl<'e> StreamSim<'e> {
-    /// A simulator with no streams over `engine`'s cost model.
+    /// A simulator with no streams over `engine`'s device.
     pub fn new(engine: &'e Engine) -> Self {
         Self {
             engine,
-            ctxs: Vec::new(),
             streams: Vec::new(),
-            event_recorded: Vec::new(),
         }
     }
 
@@ -295,64 +272,6 @@ impl<'e> StreamSim<'e> {
     pub fn stream(&mut self) -> StreamId {
         self.streams.push(Vec::new());
         StreamId(self.streams.len() - 1)
-    }
-
-    /// Enqueues a workload on `stream`, pricing it through the engine
-    /// immediately (ops are priced as if alone on the device; the
-    /// scheduler arbitrates only *when* their blocks run). Returns the
-    /// op's handle and its standalone metrics.
-    pub fn enqueue(
-        &mut self,
-        stream: StreamId,
-        workload: Workload<'_>,
-    ) -> Result<(OpHandle, WorkloadMetrics)> {
-        self.enqueue_at(stream, workload, 0)
-    }
-
-    /// [`StreamSim::enqueue`] with a release time: the op may not start
-    /// before `not_before_cycles` on the simulated clock, even if its
-    /// stream is idle earlier.
-    pub fn enqueue_at(
-        &mut self,
-        stream: StreamId,
-        workload: Workload<'_>,
-        not_before_cycles: u64,
-    ) -> Result<(OpHandle, WorkloadMetrics)> {
-        self.try_enqueue_at(stream, workload, not_before_cycles)
-            .map(|e| (e.handle, e.metrics))
-    }
-
-    /// [`StreamSim::enqueue_at`] exposing the op's enqueue-time fault
-    /// verdict (always `None` without a fault plan on the engine):
-    /// [`StreamSim::price`] followed by [`StreamSim::enqueue_priced`].
-    pub fn try_enqueue_at(
-        &mut self,
-        stream: StreamId,
-        workload: Workload<'_>,
-        not_before_cycles: u64,
-    ) -> Result<Enqueued> {
-        // An unknown stream fails before pricing draws a fault verdict.
-        self.check_stream(stream)?;
-        let op = self.price(workload)?;
-        self.enqueue_priced(stream, op, not_before_cycles)
-    }
-
-    /// Prices a workload through the engine as if alone on the device,
-    /// drawing its fault verdict from the engine's fault plan (if any),
-    /// without placing it on a stream: [`StreamSim::price_list`] of the
-    /// one-op list.
-    pub fn price(&mut self, workload: Workload<'_>) -> Result<PricedOp> {
-        let mut ops = self.price_list(&[workload])?;
-        Ok(ops.pop().expect("one op priced"))
-    }
-
-    /// Prices every workload of `list` with [`Engine::price_list`] (one
-    /// host pool job for all its kernels), then draws each op's fault
-    /// verdict in list order with [`StreamSim::draw`]. Equal to calling
-    /// [`StreamSim::price`] on each workload in turn.
-    pub fn price_list(&mut self, list: &[Workload<'_>]) -> Result<Vec<PricedOp>> {
-        let clean = self.engine.price_list(&mut self.ctxs, list)?;
-        Ok(clean.iter().map(|c| self.draw(c)).collect())
     }
 
     /// Draws the fault verdict of one clean-priced op from the engine's
@@ -405,125 +324,61 @@ impl<'e> StreamSim<'e> {
         }
     }
 
-    /// Places an op priced by [`StreamSim::price`] on `stream`, released
-    /// at `not_before_cycles`. The op must have been priced by a
-    /// simulator over the same engine.
+    /// Places an op drawn by [`StreamSim::draw`] on `stream`, released at
+    /// `not_before_cycles`: it may not start earlier on the simulated
+    /// clock, even if its stream is idle. The op must have been drawn by a
+    /// simulator over an engine with this engine's spec.
     pub fn enqueue_priced(
         &mut self,
         stream: StreamId,
         op: PricedOp,
         not_before_cycles: u64,
     ) -> Result<Enqueued> {
-        self.check_stream(stream)?;
+        let fifo = self
+            .streams
+            .get_mut(stream.0)
+            .ok_or(GpuError::UnknownStream { id: stream.0 })?;
         let PricedOp {
             kind,
             name,
             metrics,
             fault,
         } = op;
-        let handle = self.push_op(
-            stream,
-            Op {
-                kind,
-                name,
-                not_before: not_before_cycles,
-                fault,
-            },
-        );
+        fifo.push(Op {
+            kind,
+            name,
+            not_before: not_before_cycles,
+            fault,
+        });
         Ok(Enqueued {
-            handle,
+            handle: OpHandle {
+                stream,
+                index: fifo.len() - 1,
+            },
             metrics,
             fault,
         })
     }
 
-    /// Creates an event. It completes when a [`StreamSim::record_event`]
-    /// op for it is reached in its stream's FIFO.
-    pub fn event(&mut self) -> EventId {
-        self.event_recorded.push(false);
-        EventId(self.event_recorded.len() - 1)
-    }
-
-    /// Enqueues a record op for `event` on `stream`: the event completes
-    /// once every op enqueued on `stream` before this point has finished.
-    pub fn record_event(&mut self, stream: StreamId, event: EventId) -> Result<OpHandle> {
-        self.check_stream(stream)?;
-        let recorded = self
-            .event_recorded
-            .get_mut(event.0)
-            .ok_or(GpuError::UnknownEvent { id: event.0 })?;
-        if *recorded {
-            return Err(GpuError::InvalidConfig {
-                reason: format!("event {} recorded twice", event.0),
-            });
-        }
-        *recorded = true;
-        Ok(self.push_op(
-            stream,
-            Op {
-                kind: OpKind::Record { event: event.0 },
-                name: format!("record e{}", event.0),
-                not_before: 0,
-                fault: None,
-            },
-        ))
-    }
-
-    /// Enqueues a wait op on `stream`: subsequent ops of the stream may
-    /// not start until `event` completes.
-    pub fn wait_event(&mut self, stream: StreamId, event: EventId) -> Result<OpHandle> {
-        self.check_stream(stream)?;
-        if event.0 >= self.event_recorded.len() {
-            return Err(GpuError::UnknownEvent { id: event.0 });
-        }
-        Ok(self.push_op(
-            stream,
-            Op {
-                kind: OpKind::Wait { event: event.0 },
-                name: format!("wait e{}", event.0),
-                not_before: 0,
-                fault: None,
-            },
-        ))
-    }
-
-    fn check_stream(&self, stream: StreamId) -> Result<()> {
-        if stream.0 < self.streams.len() {
-            Ok(())
-        } else {
-            Err(GpuError::UnknownStream { id: stream.0 })
-        }
-    }
-
-    fn push_op(&mut self, stream: StreamId, op: Op) -> OpHandle {
-        let fifo = &mut self.streams[stream.0];
-        fifo.push(op);
-        OpHandle {
-            stream,
-            index: fifo.len() - 1,
-        }
-    }
-
-    /// Schedules every enqueued op and returns the committed timeline.
+    /// Schedules every placed op and returns the committed timeline.
     ///
     /// Discrete-event loop over the device core: at each instant the loop
     /// (a) retires due block groups through the [`RetirementQueue`],
     /// returning their SM resources, (b) admits waiting blocks through
     /// the [`CommandProcessor`] in kernel activation order, and (c)
     /// commits every stream head whose dependencies (FIFO order, release
-    /// time, event completion, copy-engine availability) are met,
-    /// scanning streams in ascending id — heads that become schedulable
-    /// at the same cycle therefore commit in lowest-stream-id order. The
-    /// clock then advances to the next retirement, release, event, or
-    /// copy-engine instant. Consumes the simulator — one `StreamSim` is
-    /// one schedule.
+    /// time, copy-engine availability) are met, scanning streams in
+    /// ascending id — heads that become schedulable at the same cycle
+    /// therefore commit in lowest-stream-id order. The clock then advances
+    /// to the next retirement, release, or copy-engine instant. Consumes
+    /// the simulator — one `StreamSim` is one schedule.
     ///
     /// # Errors
     ///
-    /// [`GpuError::StreamDeadlock`] when no head is schedulable but ops
-    /// remain (every remaining head waits on an event whose record op
-    /// sits behind another blocked wait, or was never enqueued). The
-    /// reported stream is the lowest blocked id.
+    /// [`GpuError::StreamDeadlock`] when ops remain but nothing can ever
+    /// happen again: an active kernel's block needs more of an SM than the
+    /// spec has, so it is never admitted and its stream never advances.
+    /// The reported stream is the lowest blocked id.
     pub fn run(self) -> Result<StreamReport> {
         let spec = self.engine.spec();
         let num_streams = self.streams.len();
@@ -534,7 +389,6 @@ impl<'e> StreamSim<'e> {
         /// Sentinel for "a kernel of this stream is still in flight".
         const IN_FLIGHT: u64 = u64::MAX;
         let mut stream_ready = vec![0u64; num_streams];
-        let mut event_time: Vec<Option<u64>> = vec![None; self.event_recorded.len()];
         let mut copy_free = 0u64;
         let mut cp = CommandProcessor::new(spec);
         let mut rq = RetirementQueue::new();
@@ -634,14 +488,6 @@ impl<'e> StreamSim<'e> {
                         continue;
                     }
                     match op.kind {
-                        OpKind::Record { event } => {
-                            event_time[event] = Some(now);
-                        }
-                        OpKind::Wait { event } => {
-                            if event_time[event].is_none_or(|t| t > now) {
-                                continue;
-                            }
-                        }
                         OpKind::Copy { cycles } => {
                             if copy_free > now {
                                 continue;
@@ -659,9 +505,6 @@ impl<'e> StreamSim<'e> {
                                 fault: op.fault,
                             });
                             stream_ready[s] = now + cycles;
-                            next_op[s] += 1;
-                            changed = true;
-                            continue;
                         }
                         OpKind::Kernel(shape) => {
                             // Activation: the launch joins the admission
@@ -678,23 +521,8 @@ impl<'e> StreamSim<'e> {
                             });
                             admitting.push(active.len() - 1);
                             stream_ready[s] = IN_FLIGHT;
-                            next_op[s] += 1;
-                            changed = true;
-                            continue;
                         }
                     }
-                    // Record / satisfied Wait: zero-duration event op.
-                    spans.push(OpSpan {
-                        stream: StreamId(s),
-                        index: next_op[s],
-                        name: op.name.clone(),
-                        class: OpClass::Event,
-                        start_cycles: now,
-                        end_cycles: now,
-                        occupancy: 0.0,
-                        fault: None,
-                    });
-                    stream_ready[s] = now;
                     next_op[s] += 1;
                     changed = true;
                 }
@@ -709,7 +537,7 @@ impl<'e> StreamSim<'e> {
 
             // Advance the clock to the next instant anything can happen:
             // a block retirement, a release time, a stream becoming
-            // ready, a recorded event, or the copy engine freeing.
+            // ready, or the copy engine freeing.
             let mut next_time: Option<u64> = rq.next_at();
             for s in 0..num_streams {
                 if stream_ready[s] == IN_FLIGHT {
@@ -723,11 +551,10 @@ impl<'e> StreamSim<'e> {
                     Some(dep)
                 } else {
                     match op.kind {
-                        OpKind::Wait { event } => event_time[event].filter(|&t| t > now),
                         OpKind::Copy { .. } => (copy_free > now).then_some(copy_free),
-                        // A ready kernel or record would have committed
-                        // in the fixpoint above.
-                        OpKind::Kernel(_) | OpKind::Record { .. } => None,
+                        // A ready kernel would have committed in the
+                        // fixpoint above.
+                        OpKind::Kernel(_) => None,
                     }
                 };
                 if let Some(t) = candidate {
@@ -735,8 +562,10 @@ impl<'e> StreamSim<'e> {
                 }
             }
             let Some(t) = next_time else {
+                // Nothing retires, so an in-flight kernel has blocks that
+                // no SM can ever admit.
                 let stream = (0..num_streams)
-                    .find(|&s| next_op[s] < self.streams[s].len())
+                    .find(|&s| stream_ready[s] == IN_FLIGHT || next_op[s] < self.streams[s].len())
                     .expect("ops remain, so some stream is blocked");
                 return Err(GpuError::StreamDeadlock { stream });
             };
@@ -762,11 +591,10 @@ impl<'e> StreamSim<'e> {
             let events: Vec<TraceEvent> = report
                 .spans
                 .iter()
-                .filter(|span| span.class != OpClass::Event)
                 .map(|span| TraceEvent {
                     kind: match span.class {
                         OpClass::Copy => SpanKind::StreamCopy,
-                        _ => SpanKind::StreamKernel,
+                        OpClass::Kernel => SpanKind::StreamKernel,
                     },
                     name: span.name.clone(),
                     start_cycles: span.start_cycles,
@@ -800,12 +628,28 @@ impl<'e> StreamSim<'e> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Workload, GEMM_BLOCK_RESOURCES};
     use crate::spec::GpuSpec;
     use crate::trace::TraceRecorder;
     use std::sync::Arc;
 
     fn engine() -> Engine {
         Engine::new(GpuSpec::quadro_p6000())
+    }
+
+    /// Prices `workload` on the simulator's engine, draws its verdict and
+    /// places it on `stream`, released at `at`.
+    fn place(
+        sim: &mut StreamSim<'_>,
+        stream: StreamId,
+        workload: Workload<'_>,
+        at: u64,
+    ) -> Enqueued {
+        let clean = sim
+            .engine
+            .price(&mut sim.engine.lock_context(), workload)
+            .unwrap();
+        sim.enqueue_priced(stream, sim.draw(&clean), at).unwrap()
     }
 
     /// A GEMM sized to `blocks` thread blocks (the roofline model assigns
@@ -825,11 +669,9 @@ mod tests {
         let e = engine();
         let mut sim = StreamSim::new(&e);
         let s = sim.stream();
-        let (a, _) = sim.enqueue(s, gemm_with_blocks(4)).unwrap();
-        let (b, _) = sim.enqueue(s, gemm_with_blocks(4)).unwrap();
-        let (c, _) = sim
-            .enqueue(s, Workload::Transfer { bytes: 1 << 20 })
-            .unwrap();
+        let a = place(&mut sim, s, gemm_with_blocks(4), 0).handle;
+        let b = place(&mut sim, s, gemm_with_blocks(4), 0).handle;
+        let c = place(&mut sim, s, Workload::Transfer { bytes: 1 << 20 }, 0).handle;
         let report = sim.run().unwrap();
         // Ops on one stream execute in order, back to back.
         let spans = &report.spans;
@@ -848,7 +690,11 @@ mod tests {
         let e = engine();
         let mut sim = StreamSim::new(&e);
         let s = sim.stream();
-        let (h, m) = sim.enqueue(s, gemm_with_blocks(30)).unwrap();
+        let Enqueued {
+            handle: h,
+            metrics: m,
+            ..
+        } = place(&mut sim, s, gemm_with_blocks(30), 0);
         let report = sim.run().unwrap();
         // First admission at 0, last retirement + launch teardown at the
         // standalone elapsed time: the single-kernel timings of the old
@@ -867,20 +713,16 @@ mod tests {
         // Serialized: one stream runs copy then kernel.
         let mut serial = StreamSim::new(&e);
         let s = serial.stream();
-        serial
-            .enqueue(s, Workload::Transfer { bytes: 64 << 20 })
-            .unwrap();
-        serial.enqueue(s, gemm_with_blocks(30)).unwrap();
+        place(&mut serial, s, Workload::Transfer { bytes: 64 << 20 }, 0);
+        place(&mut serial, s, gemm_with_blocks(30), 0);
         let serial = serial.run().unwrap();
 
         // Overlapped: copy and kernel on independent streams.
         let mut overlap = StreamSim::new(&e);
         let s0 = overlap.stream();
         let s1 = overlap.stream();
-        overlap
-            .enqueue(s0, Workload::Transfer { bytes: 64 << 20 })
-            .unwrap();
-        overlap.enqueue(s1, gemm_with_blocks(30)).unwrap();
+        place(&mut overlap, s0, Workload::Transfer { bytes: 64 << 20 }, 0);
+        place(&mut overlap, s1, gemm_with_blocks(30), 0);
         let overlap = overlap.run().unwrap();
 
         assert!(
@@ -905,12 +747,8 @@ mod tests {
         let mut sim = StreamSim::new(&e);
         let s0 = sim.stream();
         let s1 = sim.stream();
-        let (a, _) = sim
-            .enqueue(s0, Workload::Transfer { bytes: 32 << 20 })
-            .unwrap();
-        let (b, _) = sim
-            .enqueue(s1, Workload::Transfer { bytes: 32 << 20 })
-            .unwrap();
+        let a = place(&mut sim, s0, Workload::Transfer { bytes: 32 << 20 }, 0).handle;
+        let b = place(&mut sim, s1, Workload::Transfer { bytes: 32 << 20 }, 0).handle;
         let report = sim.run().unwrap();
         let (a_span, b_span) = (
             report.spans.iter().find(|s| s.stream == a.stream).unwrap(),
@@ -927,8 +765,8 @@ mod tests {
         // Two device-filling kernels (60 blocks = 2 per SM x 30 SMs).
         let mut big = StreamSim::new(&e);
         let (b0, b1) = (big.stream(), big.stream());
-        let (_, m) = big.enqueue(b0, gemm_with_blocks(60)).unwrap();
-        big.enqueue(b1, gemm_with_blocks(60)).unwrap();
+        let m = place(&mut big, b0, gemm_with_blocks(60), 0).metrics;
+        place(&mut big, b1, gemm_with_blocks(60), 0);
         let big = big.run().unwrap();
         let one = m.into_kernel().elapsed_cycles;
         // The second kernel's blocks admit the instant the first's
@@ -943,8 +781,8 @@ mod tests {
         // hosts one block of each, and the makespan is a single kernel's.
         let mut half = StreamSim::new(&e);
         let (h0, h1) = (half.stream(), half.stream());
-        let (_, m) = half.enqueue(h0, gemm_with_blocks(30)).unwrap();
-        half.enqueue(h1, gemm_with_blocks(30)).unwrap();
+        let m = place(&mut half, h0, gemm_with_blocks(30), 0).metrics;
+        place(&mut half, h1, gemm_with_blocks(30), 0);
         let half = half.run().unwrap();
         assert_eq!(
             half.makespan_cycles,
@@ -960,8 +798,8 @@ mod tests {
         // Two one-block kernels fit side by side too.
         let mut small = StreamSim::new(&e);
         let (s0, s1) = (small.stream(), small.stream());
-        let (_, m) = small.enqueue(s0, gemm_with_blocks(1)).unwrap();
-        small.enqueue(s1, gemm_with_blocks(1)).unwrap();
+        let m = place(&mut small, s0, gemm_with_blocks(1), 0).metrics;
+        place(&mut small, s1, gemm_with_blocks(1), 0);
         let small = small.run().unwrap();
         assert_eq!(
             small.makespan_cycles,
@@ -981,8 +819,7 @@ mod tests {
         let demands = [20usize, 15, 10, 5, 25, 1, 30, 8];
         for (i, &d) in demands.iter().enumerate() {
             let s = sim.stream();
-            sim.enqueue_at(s, gemm_with_blocks(d), (i as u64) * 1_000)
-                .unwrap();
+            place(&mut sim, s, gemm_with_blocks(d), (i as u64) * 1_000);
         }
         let report = sim.run().unwrap();
         // The admission invariant, observed end to end: peak device-wide
@@ -1011,8 +848,8 @@ mod tests {
         // Two device-filling kernels released at the same instant: both
         // heads are schedulable at cycle 0 and contend for every block
         // slot. The lowest stream id must win the device.
-        let (_, m) = sim.enqueue_at(s1, gemm_with_blocks(60), 0).unwrap();
-        sim.enqueue_at(s0, gemm_with_blocks(60), 0).unwrap();
+        let m = place(&mut sim, s1, gemm_with_blocks(60), 0).metrics;
+        place(&mut sim, s0, gemm_with_blocks(60), 0);
         let report = sim.run().unwrap();
         let one = m.into_kernel().elapsed_cycles;
         assert_eq!(report.spans[0].stream, s0, "lowest stream commits first");
@@ -1038,10 +875,8 @@ mod tests {
         let s3 = sim.stream();
         // Blockers: a copy holding the copy engine and a device-filling
         // kernel holding every SM block slot.
-        let (_, copy_m) = sim
-            .enqueue(s2, Workload::Transfer { bytes: 32 << 20 })
-            .unwrap();
-        let (_, kernel_m) = sim.enqueue(s3, gemm_with_blocks(60)).unwrap();
+        let copy_m = place(&mut sim, s2, Workload::Transfer { bytes: 32 << 20 }, 0).metrics;
+        let kernel_m = place(&mut sim, s3, gemm_with_blocks(60), 0).metrics;
         let copy_frees = e.spec().ms_to_cycles(copy_m.time_ms());
         let sm_frees = kernel_m.into_kernel().elapsed_cycles - e.spec().kernel_launch_cycles;
         // Followers released at the instant both resources are free (the
@@ -1049,10 +884,8 @@ mod tests {
         // copy on stream 1 and a follow-up kernel on stream 0, both
         // schedulable at exactly `t`.
         let t = copy_frees.max(sm_frees);
-        let (k, _) = sim.enqueue_at(s0, gemm_with_blocks(60), t).unwrap();
-        let (c, _) = sim
-            .enqueue_at(s1, Workload::Transfer { bytes: 1 << 20 }, t)
-            .unwrap();
+        let k = place(&mut sim, s0, gemm_with_blocks(60), t).handle;
+        let c = place(&mut sim, s1, Workload::Transfer { bytes: 1 << 20 }, t).handle;
         let report = sim.run().unwrap();
         let kernel_span = report
             .spans
@@ -1079,41 +912,11 @@ mod tests {
     }
 
     #[test]
-    fn events_order_across_streams() {
-        let e = engine();
-        let mut sim = StreamSim::new(&e);
-        let producer = sim.stream();
-        let consumer = sim.stream();
-        let (prod_op, _) = sim.enqueue(producer, gemm_with_blocks(10)).unwrap();
-        let done = sim.event();
-        sim.record_event(producer, done).unwrap();
-        sim.wait_event(consumer, done).unwrap();
-        let (cons_op, _) = sim.enqueue(consumer, gemm_with_blocks(10)).unwrap();
-        let report = sim.run().unwrap();
-        let produced = report
-            .spans
-            .iter()
-            .find(|s| s.stream == prod_op.stream && s.index == prod_op.index)
-            .unwrap()
-            .end_cycles;
-        let consumer_span = report
-            .spans
-            .iter()
-            .find(|s| s.stream == cons_op.stream && s.index == cons_op.index)
-            .unwrap();
-        assert!(
-            consumer_span.start_cycles >= produced,
-            "consumer started at {} before the producer finished at {produced}",
-            consumer_span.start_cycles
-        );
-    }
-
-    #[test]
     fn release_times_hold_work_back() {
         let e = engine();
         let mut sim = StreamSim::new(&e);
         let s = sim.stream();
-        let (h, _) = sim.enqueue_at(s, gemm_with_blocks(2), 1_000_000).unwrap();
+        let h = place(&mut sim, s, gemm_with_blocks(2), 1_000_000).handle;
         let report = sim.run().unwrap();
         let span = report
             .spans
@@ -1124,60 +927,36 @@ mod tests {
     }
 
     #[test]
-    fn wait_before_record_cycle_deadlocks() {
-        let e = engine();
-        let mut sim = StreamSim::new(&e);
-        let a = sim.stream();
-        let b = sim.stream();
-        let ea = sim.event();
-        let eb = sim.event();
-        // a waits for eb before recording ea; b waits for ea before
-        // recording eb: classic cross-wait cycle.
-        sim.wait_event(a, eb).unwrap();
-        sim.record_event(a, ea).unwrap();
-        sim.wait_event(b, ea).unwrap();
-        sim.record_event(b, eb).unwrap();
-        let err = sim.run().unwrap_err();
-        assert_eq!(err, GpuError::StreamDeadlock { stream: 0 });
-    }
-
-    #[test]
-    fn wait_on_never_recorded_event_deadlocks() {
-        let e = engine();
-        let mut sim = StreamSim::new(&e);
-        let idle = sim.stream();
-        let blocked = sim.stream();
-        // The event exists but no stream ever records it; work queued
-        // behind the wait must surface as a deadlock on the waiting
-        // stream, not hang or get scheduled.
-        let never = sim.event();
-        sim.enqueue(idle, gemm_with_blocks(2)).unwrap();
-        sim.wait_event(blocked, never).unwrap();
-        sim.enqueue(blocked, gemm_with_blocks(2)).unwrap();
-        let err = sim.run().unwrap_err();
-        assert_eq!(err, GpuError::StreamDeadlock { stream: blocked.0 });
-    }
-
-    #[test]
     fn invalid_handles_are_rejected() {
         let e = engine();
         let mut sim = StreamSim::new(&e);
-        let s = sim.stream();
-        let ev = sim.event();
-        let other = StreamId(7);
+        sim.stream();
+        let clean = e.price(&mut e.lock_context(), gemm_with_blocks(1)).unwrap();
         assert_eq!(
-            sim.enqueue(other, gemm_with_blocks(1)).unwrap_err(),
+            sim.enqueue_priced(StreamId(7), sim.draw(&clean), 0)
+                .unwrap_err(),
             GpuError::UnknownStream { id: 7 }
         );
-        assert_eq!(
-            sim.wait_event(s, EventId(9)).unwrap_err(),
-            GpuError::UnknownEvent { id: 9 }
-        );
-        sim.record_event(s, ev).unwrap();
-        assert!(matches!(
-            sim.record_event(s, ev).unwrap_err(),
-            GpuError::InvalidConfig { .. }
-        ));
+    }
+
+    #[test]
+    fn a_block_no_sm_can_admit_deadlocks() {
+        // The GEMM's blocks stage 48 KiB of shared memory; a device whose
+        // SMs hold less never admits one, so the schedule can never finish.
+        let spec = GpuSpec {
+            shared_mem_per_sm: 32 * 1024,
+            ..GpuSpec::quadro_p6000()
+        };
+        assert!(GEMM_BLOCK_RESOURCES.smem_bytes > spec.shared_mem_per_sm);
+        let e = Engine::new(spec);
+        let mut sim = StreamSim::new(&e);
+        let copies = sim.stream();
+        let stuck = sim.stream();
+        place(&mut sim, copies, Workload::Transfer { bytes: 1 << 20 }, 0);
+        place(&mut sim, stuck, gemm_with_blocks(4), 0);
+        let err = sim.run().unwrap_err();
+        assert_eq!(err, GpuError::StreamDeadlock { stream: stuck.0 });
+        assert!(err.to_string().contains("can never start"), "{err}");
     }
 
     #[test]
@@ -1193,15 +972,10 @@ mod tests {
             let mut sim = StreamSim::new(&e);
             let s0 = sim.stream();
             let s1 = sim.stream();
-            sim.enqueue(s0, Workload::Transfer { bytes: 8 << 20 })
-                .unwrap();
-            sim.enqueue(s0, gemm_with_blocks(12)).unwrap();
-            let ev = sim.event();
-            sim.record_event(s0, ev).unwrap();
-            sim.wait_event(s1, ev).unwrap();
-            sim.enqueue(s1, gemm_with_blocks(25)).unwrap();
-            sim.enqueue(s1, Workload::Transfer { bytes: 4 << 20 })
-                .unwrap();
+            place(&mut sim, s0, Workload::Transfer { bytes: 8 << 20 }, 0);
+            place(&mut sim, s0, gemm_with_blocks(12), 0);
+            place(&mut sim, s1, gemm_with_blocks(25), 0);
+            place(&mut sim, s1, Workload::Transfer { bytes: 4 << 20 }, 0);
             let report = sim.run().unwrap();
             (report, tracer.to_chrome_json())
         };
@@ -1230,11 +1004,9 @@ mod tests {
             .unwrap();
         let mut sim = StreamSim::new(&e);
         let s = sim.stream();
-        let doomed = sim
-            .try_enqueue_at(s, Workload::Transfer { bytes: 32 << 20 }, 0)
-            .unwrap();
+        let doomed = place(&mut sim, s, Workload::Transfer { bytes: 32 << 20 }, 0);
         assert_eq!(doomed.fault, Some(FaultKind::TransferFailure));
-        let clean = sim.try_enqueue_at(s, gemm_with_blocks(4), 0).unwrap();
+        let clean = place(&mut sim, s, gemm_with_blocks(4), 0);
         assert_eq!(clean.fault, None);
         let report = sim.run().unwrap();
         let copy = &report.spans[0];
@@ -1260,9 +1032,8 @@ mod tests {
         let mut sim = StreamSim::new(&e);
         let s0 = sim.stream();
         let s1 = sim.stream();
-        sim.enqueue(s0, Workload::Transfer { bytes: 64 << 20 })
-            .unwrap();
-        sim.enqueue(s1, gemm_with_blocks(30)).unwrap();
+        place(&mut sim, s0, Workload::Transfer { bytes: 64 << 20 }, 0);
+        place(&mut sim, s1, gemm_with_blocks(30), 0);
         let report = sim.run().unwrap();
         // Pricing must not leak device-stream spans; only the committed
         // schedule is recorded, and the clock advances by the makespan.

@@ -11,9 +11,23 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use gnnadvisor_gpu::{
-    BlockDemand, BlockResources, CommandProcessor, Engine, GpuSpec, Retirement, RetirementQueue,
-    StreamSim, Workload,
+    BlockDemand, BlockResources, CommandProcessor, Engine, Enqueued, GpuSpec, Retirement,
+    RetirementQueue, StreamId, StreamSim, Workload,
 };
+
+/// Prices `workload` on `e` and places it on `stream` of `sim`, released
+/// at `at`.
+fn place(
+    e: &Engine,
+    sim: &mut StreamSim<'_>,
+    stream: StreamId,
+    workload: Workload<'_>,
+    at: u64,
+) -> Enqueued {
+    let clean = e.price(&mut e.lock_context(), workload).expect("prices");
+    sim.enqueue_priced(stream, sim.draw(&clean), at)
+        .expect("valid stream")
+}
 
 /// A randomly shaped launch: block resources plus a grid size.
 #[derive(Debug, Clone)]
@@ -134,12 +148,11 @@ proptest! {
             let mut sim = StreamSim::new(&e);
             for &(blocks, release) in &grids {
                 let s = sim.stream();
-                sim.enqueue_at(s, Workload::Gemm { m: blocks * 64, n: 64, k: 256 }, release)
-                    .expect("valid stream");
+                place(&e, &mut sim, s, Workload::Gemm { m: blocks * 64, n: 64, k: 256 }, release);
             }
             if let Some(bytes) = copy_bytes {
                 let s = sim.stream();
-                sim.enqueue(s, Workload::Transfer { bytes }).expect("valid stream");
+                place(&e, &mut sim, s, Workload::Transfer { bytes }, 0);
             }
             sim.run().expect("no deadlock in straight-line work")
         };
