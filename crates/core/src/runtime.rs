@@ -9,8 +9,8 @@
 //! `memory::organize::resolve_launch` gives it (the Algorithm 1 layout,
 //! narrowed to fit), and [`Advisor::update`] prices the dense update.
 //! Like the paper's runtime, the advisor decides each launch once: the
-//! shape and, on an untraced engine, the fault-free price of each width
-//! are kept and reused by every later call.
+//! shape and the fault-free price of each width are kept and reused by
+//! every later call.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -108,7 +108,7 @@ pub struct Advisor {
 }
 
 /// One width's launch, decided once: the shape `aggregate` uses and, once
-/// the first untraced call has priced it, its fault-free price.
+/// the first call has priced it, its fault-free price.
 struct PreparedLaunch {
     launch: Arc<ResolvedLaunch>,
     clean: OnceLock<CleanPrice>,
@@ -202,28 +202,26 @@ impl Advisor {
     /// threads the kernel falls back to direct atomic accumulation
     /// instead (`memory::organize::resolve_launch` holds the rule).
     ///
-    /// The launch is simulated once per `dim`: the first call on an
-    /// untraced engine keeps its fault-free price, and every later call
-    /// submits that price with [`Engine::submit_price`]. Each call still
-    /// draws its own fault verdict, so a fault plan sees the verdicts it
-    /// would see if every call were priced afresh, and the kept price is
-    /// never stretched. A pricing error is not kept. On a traced engine
-    /// every call is priced and traced afresh, so traces are unchanged.
+    /// The launch is simulated once per `dim`: the first call keeps its
+    /// fault-free price, and every call submits that price with
+    /// [`Engine::submit_price`]. Each call still draws its own fault
+    /// verdict, so a fault plan sees the verdicts it would see if every
+    /// call were priced afresh, and the kept price is never stretched. On
+    /// a traced engine the price keeps the launch's trace rows, so every
+    /// call records what a fresh submit would. A pricing error is not
+    /// kept.
     pub fn aggregate(&self, dim: usize) -> Result<KernelMetrics> {
         let prepared = self.prepared(dim);
-        let kernel = AdvisorKernel::new(
-            &self.graph,
-            &self.groups,
-            prepared.launch.layout.as_ref(),
-            dim,
-            prepared.launch.params,
-        );
-        if self.engine.tracer().is_some() {
-            return Ok(crate::submit::launch(&self.engine, &kernel)?);
-        }
         let clean = match prepared.clean.get() {
             Some(clean) => clean,
             None => {
+                let kernel = AdvisorKernel::new(
+                    &self.graph,
+                    &self.groups,
+                    prepared.launch.layout.as_ref(),
+                    dim,
+                    prepared.launch.params,
+                );
                 let clean = self
                     .engine
                     .price(&mut self.engine.lock_context(), Workload::Kernel(&kernel))?;

@@ -27,7 +27,6 @@ use std::sync::Mutex;
 use crate::cache::SetAssocCache;
 use crate::kernel::BlockAcc;
 use crate::spec::GpuSpec;
-use crate::trace::{HotBlock, ShardTrace};
 
 /// Smallest chunk worth simulating in its own shard: below this, shard
 /// caches fragment cross-block locality for no wall-clock win.
@@ -199,12 +198,6 @@ pub struct RunContext {
     pub(crate) merged_hotspots: HotspotMap,
     /// Per-SM busy cycles for the greedy placement pass.
     pub(crate) sm_busy: SmQueue,
-    /// Arena for the per-shard trace rows assembled during the merge;
-    /// recycled across launches so tracing never allocates per launch.
-    pub(crate) shard_traces: Vec<ShardTrace>,
-    /// Arena for the top-K hottest-block records, recycled like
-    /// `shard_traces`.
-    pub(crate) hot_blocks: Vec<HotBlock>,
 }
 
 impl RunContext {
@@ -229,8 +222,6 @@ impl RunContext {
         }
         self.merged_hotspots.clear();
         self.sm_busy.reset(spec.num_sms);
-        self.shard_traces.clear();
-        self.hot_blocks.clear();
     }
 }
 

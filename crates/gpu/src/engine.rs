@@ -50,16 +50,16 @@
 //!
 //! # Submission API
 //!
-//! Every way of putting work on the simulated device goes through one
-//! typed entry point: [`Engine::submit`] takes a [`Workload`] — a kernel
-//! launch, a roofline-priced GEMM, or a host↔device transfer — and returns
-//! [`WorkloadMetrics`]. It prices the workload fault-free
-//! ([`Engine::price`]), then draws its fault verdict
-//! ([`Engine::submit_price`], which submits a kept [`CleanPrice`] again
-//! without simulating it); [`Engine::price_list`] is the pricing step
-//! alone, for a whole list. This uniform surface is what
-//! [`crate::stream::StreamSim`] enqueues onto simulated streams, and
-//! [`Engine::builder`] is the configuration surface.
+//! Work is priced once and submitted as a price. [`Engine::price`] and
+//! [`Engine::price_list`] take [`Workload`]s — a kernel launch, a
+//! roofline-priced GEMM, or a host↔device transfer — and return their
+//! fault-free [`CleanPrice`]s. [`Engine::submit_price`] submits one on the
+//! serial device stream: it draws the op's fault verdict, records its
+//! trace spans and returns its [`WorkloadMetrics`], without simulating it
+//! again. [`Engine::submit`] is the two in sequence. The other way to use
+//! a price is to place it on simulated streams
+//! ([`crate::stream::StreamSim::draw`]). [`Engine::builder`] is the
+//! configuration surface.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -114,8 +114,8 @@ pub fn parse_sim_threads(raw: &str) -> core::result::Result<usize, String> {
     }
 }
 
-/// One unit of device work, submitted through [`Engine::submit`] (and
-/// enqueued onto simulated streams by [`crate::stream::StreamSim`]).
+/// One unit of device work, priced by [`Engine::price`] or
+/// [`Engine::price_list`] (or priced and submitted by [`Engine::submit`]).
 #[derive(Clone, Copy)]
 pub enum Workload<'a> {
     /// A kernel launch simulated at block granularity.
@@ -208,22 +208,49 @@ impl WorkloadMetrics {
 }
 
 /// A workload priced as if alone on a fault-free device: its standalone
-/// metrics and, for a kernel or GEMM, the block shape the stream scheduler
-/// admits. [`Engine::price_list`] returns these; no fault verdict has been
-/// drawn for one until [`crate::StreamSim::draw`] places it, so one clean
-/// price serves every attempt of an op on any engine with an equal
-/// [`GpuSpec`].
+/// metrics, which kind of workload it was and, for a kernel or GEMM, the
+/// block shape the stream scheduler admits. A kernel priced on a traced
+/// engine also keeps the shard and hotspot rows its trace records.
+/// [`Engine::price`] and [`Engine::price_list`] return these; no fault
+/// verdict has been drawn for one until [`Engine::submit_price`] submits
+/// it or [`crate::StreamSim::draw`] places it, so one clean price serves
+/// every attempt of an op on any engine with an equal [`GpuSpec`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CleanPrice {
     pub(crate) metrics: WorkloadMetrics,
-    /// Per-block demand of a kernel or GEMM; `None` for a transfer.
-    pub(crate) resources: Option<BlockResources>,
+    kind: PriceKind,
+}
+
+/// What a [`CleanPrice`] priced.
+#[derive(Debug, Clone, PartialEq)]
+enum PriceKind {
+    /// A kernel launch: its per-block demand and, when priced on a traced
+    /// engine, its trace rows (one per shard, and its hottest blocks;
+    /// both empty otherwise).
+    Kernel {
+        resources: BlockResources,
+        shards: Vec<ShardTrace>,
+        hot_blocks: Vec<HotBlock>,
+    },
+    /// A roofline GEMM, in blocks of [`GEMM_BLOCK_RESOURCES`].
+    Gemm,
+    /// A host↔device transfer.
+    Transfer,
 }
 
 impl CleanPrice {
     /// The op's standalone, fault-free metrics.
     pub fn metrics(&self) -> &WorkloadMetrics {
         &self.metrics
+    }
+
+    /// Per-block demand of a kernel or GEMM; `None` for a transfer.
+    pub(crate) fn resources(&self) -> Option<BlockResources> {
+        match self.kind {
+            PriceKind::Kernel { resources, .. } => Some(resources),
+            PriceKind::Gemm => Some(GEMM_BLOCK_RESOURCES),
+            PriceKind::Transfer => None,
+        }
     }
 }
 
@@ -452,80 +479,61 @@ impl Engine {
     }
 
     /// Locks and returns the engine's own (shared) [`RunContext`], for
-    /// passing to [`Engine::submit`]. Clones of the engine share this
-    /// context; holding the guard across submissions recycles its
-    /// allocations without re-locking.
+    /// passing to [`Engine::price`] or [`Engine::submit`]. Clones of the
+    /// engine share this context; holding the guard across submissions
+    /// recycles its allocations without re-locking.
     pub fn lock_context(&self) -> std::sync::MutexGuard<'_, RunContext> {
         self.ctx.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Submits one typed [`Workload`] — kernel launch, GEMM, or transfer —
-    /// and returns its [`WorkloadMetrics`]. The context is fully
-    /// re-prepared per submission, so any context yields identical
-    /// results; reusing one across submissions just recycles allocations.
-    /// Use [`Engine::lock_context`] for the engine's shared context, or an
+    /// and returns its [`WorkloadMetrics`]: [`Engine::price`] followed by
+    /// [`Engine::submit_price`]. The context is fully re-prepared per
+    /// submission, so any context yields identical results; reusing one
+    /// across submissions just recycles allocations. Use
+    /// [`Engine::lock_context`] for the engine's shared context, or an
     /// owned [`RunContext`] for isolation.
     ///
-    /// This is [`Engine::price`] followed by [`Engine::submit_price`], plus
-    /// the trace: with a [`EngineBuilder::fault_plan`] attached, the
-    /// submission may come back as [`GpuError::Fault`]; the op still
-    /// burned its priced time on the plan's simulated clock before failing.
     /// Every call prices the workload afresh; a caller that submits one
     /// launch repeatedly can keep its [`CleanPrice`] and submit that.
     pub fn submit(&self, ctx: &mut RunContext, workload: Workload<'_>) -> Result<WorkloadMetrics> {
-        let clean = self.price(ctx, workload)?;
-        // An op that its verdict kills never completes, so its span is not
-        // recorded; the trace stays a timeline of finished work. Slowed
-        // ops are traced at their stretched timings.
-        self.settle(clean.metrics, |metrics| {
-            let Some(tracer) = &self.tracer else {
-                return;
-            };
-            match (metrics, workload) {
-                (WorkloadMetrics::Kernel(m), Workload::Kernel(_)) => {
-                    tracer.record_kernel(m, &self.spec, &ctx.shard_traces, &ctx.hot_blocks)
-                }
-                (WorkloadMetrics::Kernel(m), _) => tracer.record_gemm(m),
-                (WorkloadMetrics::Transfer(m), _) => tracer.record_transfer(m, &self.spec),
-            }
-        })
+        self.submit_price(&self.price(ctx, workload)?)
     }
 
     /// Prices one workload as if alone on a fault-free device, in `ctx`:
     /// the one-op case of [`Engine::price_list`]. No fault verdict is
-    /// drawn. On a traced engine `ctx` keeps the launch's shard and
-    /// hotspot rows until it is next prepared.
+    /// drawn.
     pub fn price(&self, ctx: &mut RunContext, workload: Workload<'_>) -> Result<CleanPrice> {
-        let traced = self.tracer.is_some();
-        let mut clean = self.price_into(std::slice::from_mut(ctx), &[workload], traced)?;
+        let mut clean = self.price_into(std::slice::from_mut(ctx), &[workload])?;
         Ok(clean.pop().expect("one op priced"))
     }
 
-    /// Submits an op that is already priced: draws its fault verdict from
-    /// the engine's fault plan (if any) on a copy of `clean`, so a `Slow`
+    /// Submits an op that is already priced on the serial device stream,
+    /// without simulating it again. Draws its fault verdict from the
+    /// engine's fault plan (if any) on a copy of `clean`, so a `Slow`
     /// stretch never reaches the caller's price, and returns the op's
     /// metrics or, on a `Fail` verdict, [`GpuError::Fault`] named after
-    /// the op. Each call consumes one verdict, exactly as
-    /// [`Engine::submit`] of the same workload would, and nothing is
-    /// simulated; nothing is traced either, so a traced caller submits the
-    /// workload itself. `clean` must have been priced by an engine with
-    /// this engine's [`GpuSpec`].
+    /// the op; the op still burned its priced time on the plan's simulated
+    /// clock before failing. Each call consumes one verdict. On a traced
+    /// engine a completed op is recorded at its (possibly stretched)
+    /// timings, a kernel with the trace rows kept in `clean`; an op that
+    /// its verdict kills never completes, so nothing is recorded and the
+    /// trace stays a timeline of finished work. `clean` must have been
+    /// priced by an engine with this engine's [`GpuSpec`].
     pub fn submit_price(&self, clean: &CleanPrice) -> Result<WorkloadMetrics> {
-        self.settle(clean.metrics.clone(), |_| ())
-    }
-
-    /// Draws one op's verdict into its clean `metrics`, hands the op to
-    /// `completed` unless its verdict kills it, and returns the op's
-    /// outcome: the one verdict path of [`Engine::submit`] and
-    /// [`Engine::submit_price`].
-    fn settle(
-        &self,
-        mut metrics: WorkloadMetrics,
-        completed: impl FnOnce(&WorkloadMetrics),
-    ) -> Result<WorkloadMetrics> {
+        let mut metrics = clean.metrics.clone();
         let (fault, completes) = self.draw_verdict(&mut metrics);
-        if completes {
-            completed(&metrics);
+        if let (Some(tracer), true) = (&self.tracer, completes) {
+            match (&metrics, &clean.kind) {
+                (
+                    WorkloadMetrics::Kernel(m),
+                    PriceKind::Kernel {
+                        shards, hot_blocks, ..
+                    },
+                ) => tracer.record_kernel(m, &self.spec, shards, hot_blocks),
+                (WorkloadMetrics::Kernel(m), _) => tracer.record_gemm(m),
+                (WorkloadMetrics::Transfer(m), _) => tracer.record_transfer(m, &self.spec),
+            }
         }
         match fault {
             Some(kind) => Err(GpuError::Fault {
@@ -541,8 +549,8 @@ impl Engine {
 
     /// Prices every workload of `list` as if alone on a fault-free device
     /// and returns their [`CleanPrice`]s in list order. No fault verdict
-    /// is drawn and nothing is traced: [`crate::StreamSim::draw`] draws an
-    /// op's verdict when it is placed.
+    /// is drawn and nothing is recorded: [`Engine::submit_price`] or
+    /// [`crate::StreamSim::draw`] draws an op's verdict when it is used.
     ///
     /// Every kernel launch of the list is simulated in **one** host pool
     /// job whose units are the list's `(kernel, shard)` pairs, each kernel
@@ -567,17 +575,15 @@ impl Engine {
         if ctxs.len() < kernels {
             ctxs.resize_with(kernels, RunContext::new);
         }
-        self.price_into(ctxs, list, false)
+        self.price_into(ctxs, list)
     }
 
     /// [`Engine::price_list`] over at least one context per kernel of
-    /// `list`. With `gather_trace`, each kernel's context keeps its shard
-    /// and hotspot trace rows for the caller to record.
+    /// `list`.
     fn price_into(
         &self,
         ctxs: &mut [RunContext],
         list: &[Workload<'_>],
-        gather_trace: bool,
     ) -> Result<Vec<CleanPrice>> {
         let kernels: Vec<&dyn Kernel> = list
             .iter()
@@ -586,23 +592,18 @@ impl Engine {
                 _ => None,
             })
             .collect();
-        let mut launched = self
-            .launch_kernels(ctxs, &kernels, gather_trace)?
-            .into_iter();
+        let mut launched = self.launch_kernels(ctxs, &kernels)?.into_iter();
         Ok(list
             .iter()
             .map(|w| match *w {
-                Workload::Kernel(k) => CleanPrice {
-                    metrics: WorkloadMetrics::Kernel(launched.next().expect("one per kernel")),
-                    resources: Some(k.block_resources()),
-                },
+                Workload::Kernel(_) => launched.next().expect("one per kernel"),
                 Workload::Gemm { m, n, k } => CleanPrice {
                     metrics: WorkloadMetrics::Kernel(self.price_gemm(m, n, k)),
-                    resources: Some(GEMM_BLOCK_RESOURCES),
+                    kind: PriceKind::Gemm,
                 },
                 Workload::Transfer { bytes } => CleanPrice {
                     metrics: WorkloadMetrics::Transfer(transfer(&self.spec, bytes)),
-                    resources: None,
+                    kind: PriceKind::Transfer,
                 },
             })
             .collect())
@@ -640,15 +641,14 @@ impl Engine {
     }
 
     /// Simulates kernel launches `kernels[i]` into `ctxs[i]`, all in one
-    /// pool job, and returns their metrics in order. Each context is fully
+    /// pool job, and returns their prices in order. Each context is fully
     /// re-prepared first, so any contexts yield identical results; passing
     /// the same ones across calls just recycles their allocations.
     fn launch_kernels(
         &self,
         ctxs: &mut [RunContext],
         kernels: &[&dyn Kernel],
-        gather_trace: bool,
-    ) -> Result<Vec<KernelMetrics>> {
+    ) -> Result<Vec<CleanPrice>> {
         let mut launches = Vec::with_capacity(kernels.len());
         let mut units = 0;
         for &kernel in kernels {
@@ -720,20 +720,15 @@ impl Engine {
         Ok(ctxs
             .iter_mut()
             .zip(&launches)
-            .map(|(ctx, launch)| self.merge(ctx, launch, gather_trace))
+            .map(|(ctx, launch)| self.merge(ctx, launch))
             .collect())
     }
 
-    /// Merges one launch's simulated shards into its metrics. Counter
-    /// totals are plain sums and hotspot rounds add per line, so shard
-    /// order cannot matter; SM placement walks the per-shard block costs
-    /// in dispatch order, exactly like the serial loop.
-    fn merge(
-        &self,
-        ctx: &mut RunContext,
-        launch: &Launch<'_>,
-        gather_trace: bool,
-    ) -> KernelMetrics {
+    /// Merges one launch's simulated shards into its price. Counter totals
+    /// are plain sums and hotspot rounds add per line, so shard order
+    /// cannot matter; SM placement walks the per-shard block costs in
+    /// dispatch order, exactly like the serial loop.
+    fn merge(&self, ctx: &mut RunContext, launch: &Launch<'_>) -> CleanPrice {
         let Launch {
             kernel,
             grid,
@@ -745,8 +740,6 @@ impl Engine {
             shards,
             merged_hotspots,
             sm_busy,
-            shard_traces,
-            hot_blocks,
         } = ctx;
         let mut totals = KernelMetrics {
             name: kernel.name().to_string(),
@@ -757,9 +750,10 @@ impl Engine {
         let mut serialized_atomics_total = 0u64;
         // Per-shard spans and launch-wide hotspot blocks, gathered only
         // when tracing: both derive from per-shard state that is already
-        // worker-count-invariant, so traced timelines are too. Their
-        // buffers live in the context (emptied by `prepare`) so repeated
-        // launches recycle the allocations.
+        // worker-count-invariant, so traced timelines are too.
+        let gather_trace = self.tracer.is_some();
+        let mut shard_traces = Vec::new();
+        let mut hot_blocks: Vec<HotBlock> = Vec::new();
         for (shard_idx, slot) in shards[..plan.num_shards].iter_mut().enumerate() {
             let slot = slot.get_mut().unwrap_or_else(|p| p.into_inner());
             if gather_trace {
@@ -872,7 +866,14 @@ impl Engine {
         };
         totals.sm_efficiency = (feed_eff.min(1.0) * warp_eff).clamp(0.0, 1.0);
 
-        totals
+        CleanPrice {
+            metrics: WorkloadMetrics::Kernel(totals),
+            kind: PriceKind::Kernel {
+                resources: *resources,
+                shards: shard_traces,
+                hot_blocks,
+            },
+        }
     }
 
     /// Simulates one contiguous chunk of blocks against its shard's private
@@ -1335,6 +1336,62 @@ mod tests {
         }
         // Run-to-run stability at a fixed thread count too.
         assert_eq!(trace_of(Some(4)), trace_of(Some(4)));
+    }
+
+    #[test]
+    fn submitting_a_kept_price_traces_like_a_fresh_submit() {
+        let traced = || {
+            let tracer = std::sync::Arc::new(crate::trace::TraceRecorder::new());
+            let e = Engine::builder(GpuSpec::quadro_p6000())
+                .sim_threads(2)
+                .tracer(std::sync::Arc::clone(&tracer))
+                .build()
+                .unwrap();
+            (e, tracer)
+        };
+        let kernel = Windowed { blocks: 320 };
+        let other = Windowed { blocks: 40 };
+        for workload in [
+            Workload::Kernel(&kernel),
+            Workload::Gemm {
+                m: 256,
+                n: 32,
+                k: 64,
+            },
+            Workload::Transfer { bytes: 1 << 20 },
+        ] {
+            let (fresh, fresh_trace) = traced();
+            let (kept, kept_trace) = traced();
+            let clean = kept.price(&mut kept.lock_context(), workload).unwrap();
+            assert!(kept_trace.is_empty(), "pricing records nothing");
+            for _ in 0..2 {
+                // Another launch through the shared context between the
+                // pricing and each submission.
+                for e in [&fresh, &kept] {
+                    e.submit(&mut e.lock_context(), Workload::Kernel(&other))
+                        .unwrap();
+                }
+                let want = fresh.submit(&mut fresh.lock_context(), workload).unwrap();
+                assert_eq!(kept.submit_price(&clean).unwrap(), want, "{workload:?}");
+                assert_eq!(
+                    kept_trace.to_chrome_json(),
+                    fresh_trace.to_chrome_json(),
+                    "{workload:?}"
+                );
+            }
+        }
+        // The kernel's rows were kept: one span per shard of its launch.
+        let (e, tracer) = traced();
+        let clean = e
+            .price(&mut e.lock_context(), Workload::Kernel(&kernel))
+            .unwrap();
+        e.submit_price(&clean).unwrap();
+        let shards = tracer
+            .events()
+            .iter()
+            .filter(|ev| ev.kind == crate::trace::SpanKind::ShardChunk)
+            .count();
+        assert!(shards > 1, "{shards} shard spans");
     }
 
     #[test]

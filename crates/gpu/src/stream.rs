@@ -286,7 +286,7 @@ impl<'e> StreamSim<'e> {
         let mut metrics = clean.metrics.clone();
         let (fault, _) = self.engine.draw_verdict(&mut metrics);
         let spec = self.engine.spec();
-        let (kind, name) = match (&metrics, clean.resources) {
+        let (kind, name) = match (&metrics, clean.resources()) {
             (WorkloadMetrics::Kernel(m), Some(resources)) => {
                 // Split the standalone body over the waves the launch
                 // needs alone: occupancy_limit blocks per SM at a time.

@@ -133,7 +133,7 @@ struct TraceState {
 }
 
 /// Per-shard data the engine hands over for one traced launch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ShardTrace {
     /// First block of the shard's chunk (dispatch order).
     pub first_block: usize,
@@ -150,7 +150,7 @@ pub(crate) struct ShardTrace {
 }
 
 /// A warp-imbalance hotspot: one of the launch's costliest blocks.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct HotBlock {
     /// Global block id (dispatch order).
     pub block_id: usize,
