@@ -96,6 +96,14 @@ profile() {
 }
 check_stable profile profile
 
+echo "==> profile gin smoke: kept-price trace bytes stable across runs and worker counts"
+# GIN's repeated width-64 layers make the traced engine submit the
+# advisor's kept price, which records the trace rows kept with it.
+profile_gin() {
+  gnnadvisor profile --model gin --dataset Cora --scale 0.05 --trace-out "$1" >/dev/null
+}
+check_stable profile-gin profile_gin
+
 echo "==> run gin smoke: repeated-width forward stable across runs and worker counts"
 # GIN aggregates at width 64 in four of its five layers, so one forward
 # submits the advisor's kept width-64 price three times.

@@ -601,8 +601,9 @@ fn analyze(opts: &CliOptions) -> CliResult {
         r.num_communities,
         r.modularity,
         ds.graph.mean_edge_span(),
+        // A sum over edges, which row order cannot change: relabel, no sort.
         ds.graph
-            .permute(&r.permutation)
+            .relabel(&r.permutation)
             .map(|g| g.mean_edge_span())
             .unwrap_or(f64::NAN),
         node_imbalance,
