@@ -199,8 +199,8 @@ fn renumbered_gcn_forward_is_bitwise_the_original_order() {
             (Framework::Dgl, None),
         ] {
             let exec = ModelExec::new(&e, &g, fw, adv);
-            // Twice: the first forward builds the renumbered graph, the
-            // second reuses it.
+            // Twice: the advisor built its renumbered graph at set-up,
+            // and a second forward on the same exec gives the same bits.
             for pass in 0..2 {
                 let got = model.forward(&exec, &x).expect("forwards").output;
                 let what = format!("{} at {workers} workers, pass {pass}", fw.name());
