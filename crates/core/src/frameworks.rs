@@ -7,9 +7,9 @@
 //! lives in [`crate::runtime::Advisor`]; [`aggregate_with`] dispatches over
 //! all of them so the bench harness can sweep frameworks uniformly.
 
-use gnnadvisor_gpu::{Engine, RunMetrics};
+use gnnadvisor_gpu::{Engine, GpuSpec, KernelMetrics, RunMetrics};
 use gnnadvisor_graph::Csr;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::kernels::advance_gunrock::{AdvanceKernel, LAUNCHES_PER_ADVANCE};
 use crate::kernels::edge_centric::EdgeCentricKernel;
@@ -21,7 +21,7 @@ use crate::runtime::Advisor;
 use crate::Result;
 
 /// The execution strategies under comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Framework {
     /// GNNAdvisor (this paper).
     GnnAdvisor,
@@ -69,6 +69,24 @@ impl Framework {
 /// epilogue each launch separately).
 pub const DGL_OPS_PER_LAYER: u64 = 5;
 
+/// Adds DGL's unfused-launch surcharge to an SpMM priced on its own. DGL's
+/// dataflow executes aggregation as several framework ops (degree-norm
+/// coefficients, message transform, reduce, epilogue), each its own kernel
+/// launch; the stacking kernel and the SpMM are two of the
+/// [`DGL_OPS_PER_LAYER`], so the other three launches land on the SpMM.
+/// GNNAdvisor fuses the whole phase into one.
+pub fn add_dgl_launch_surcharge(spec: &GpuSpec, spmm: &mut KernelMetrics) {
+    add_launches(spec, spmm, DGL_OPS_PER_LAYER - 2);
+}
+
+/// Charges `launches` extra kernel-launch overheads to `metrics`.
+fn add_launches(spec: &GpuSpec, metrics: &mut KernelMetrics, launches: u64) {
+    let extra = spec.kernel_launch_cycles * launches;
+    metrics.elapsed_cycles += extra;
+    metrics.phases.launch_cycles += extra;
+    metrics.time_ms = spec.cycles_to_ms(metrics.elapsed_cycles);
+}
+
 /// Default NeuGraph chunk budget: a fixed share of device memory for
 /// resident chunk features (NeuGraph's streaming granularity).
 pub const NEUGRAPH_CHUNK_BUDGET: u64 = 64 * 1024 * 1024;
@@ -95,14 +113,7 @@ pub fn aggregate_with(
                 &StackingKernel::new(graph.num_nodes(), dim),
             )?);
             let mut spmm = crate::submit::launch(engine, &SpmmKernel::new(graph, dim))?;
-            // DGL's dataflow executes aggregation as several framework ops
-            // (degree-norm coefficients, message transform, reduce,
-            // epilogue), each its own kernel launch; GNNAdvisor fuses the
-            // whole phase into one.
-            let extra = engine.spec().kernel_launch_cycles * (DGL_OPS_PER_LAYER - 2);
-            spmm.elapsed_cycles += extra;
-            spmm.phases.launch_cycles += extra;
-            spmm.time_ms = engine.spec().cycles_to_ms(spmm.elapsed_cycles);
+            add_dgl_launch_surcharge(engine.spec(), &mut spmm);
             run.push_kernel(spmm);
         }
         Framework::Pyg => {
@@ -116,16 +127,12 @@ pub fn aggregate_with(
             )?);
         }
         Framework::Gunrock => {
-            let metrics = crate::submit::launch(engine, &AdvanceKernel::new(graph, dim))?;
+            let mut advance = crate::submit::launch(engine, &AdvanceKernel::new(graph, dim))?;
             // GunRock's scalar operators advance one dimension at a time:
             // each of the D passes launches its operator pipeline.
-            let extra =
-                engine.spec().kernel_launch_cycles * (dim as u64 * LAUNCHES_PER_ADVANCE as u64 - 1);
-            let mut m = metrics;
-            m.elapsed_cycles += extra;
-            m.phases.launch_cycles += extra;
-            m.time_ms = engine.spec().cycles_to_ms(m.elapsed_cycles);
-            run.push_kernel(m);
+            let launches = dim as u64 * LAUNCHES_PER_ADVANCE as u64 - 1;
+            add_launches(engine.spec(), &mut advance, launches);
+            run.push_kernel(advance);
         }
         Framework::Neugraph => {
             run.merge(run_saga_layer(engine, graph, dim, NEUGRAPH_CHUNK_BUDGET)?);
@@ -151,7 +158,6 @@ mod tests {
     use super::*;
     use crate::input::AggOrder;
     use crate::runtime::AdvisorConfig;
-    use gnnadvisor_gpu::GpuSpec;
     use gnnadvisor_graph::generators::{community_graph, CommunityParams};
 
     fn setup() -> (Csr, Engine) {

@@ -42,13 +42,10 @@
 //! each repeated stacking kernel priced once (see `price_batch`). The
 //! training thread draws each op's fault verdict with [`StreamSim::draw`]
 //! in issue order, enqueues the ops on the pipelined timeline, and a
-//! clone of them on the batch's solo timeline. That list prices the same
-//! kernels as [`GcnTrainer::step_block`] with one difference: no DGL launch
-//! surcharge. `step_block` charges each aggregation through the DGL
-//! framework model, which adds `DGL_OPS_PER_LAYER - 2` (three) extra
-//! kernel-launch overheads to the SpMM for DGL's unfused framework ops;
-//! the stream timeline schedules the stacking and SpMM kernels at their
-//! standalone price, without those launches.
+//! clone of them on the batch's solo timeline. [`GcnTrainer::step_block`]
+//! charges the same list after its H2D copy, with DGL's unfused-launch
+//! surcharge added on top of each SpMM; the stream timeline schedules the
+//! stacking and SpMM kernels at their standalone price.
 //!
 //! Real numerics ride along: every batch is trained for real through
 //! [`GcnTrainer::train_block`] — `step_block`'s numerics (per-block
@@ -229,17 +226,15 @@ impl MiniBatchReport {
 /// the `dW` GEMM, and the `dH` GEMM below the first layer). The prices
 /// are clean: the caller draws each op's fault verdict when it places it
 /// ([`StreamSim::draw`]). Both arms of [`train_minibatch`] schedule this
-/// one list, so each op is priced once per batch.
+/// one list, so each op is priced once per batch, and
+/// [`GcnTrainer::step_block`] charges it after the H2D copy.
 ///
 /// A layer's backward stacking kernel is its forward one, so the list
 /// handed to [`Engine::price_list`] (one host pool job, a context of
 /// `ctxs` per kernel) holds each workload once, `6L` for `L` layers
 /// instead of `7L`, and the repeated stacking price is cloned into its
 /// backward position.
-///
-/// The list prices the same kernels as [`GcnTrainer::step_block`] but
-/// without the DGL launch surcharge (see the module docs).
-fn price_batch(
+pub(crate) fn price_batch(
     engine: &Engine,
     ctxs: &mut Vec<RunContext>,
     block: &SampledBlock,

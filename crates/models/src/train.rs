@@ -26,9 +26,9 @@
 //! below verify is the true adjoint.
 
 use gnnadvisor_core::compute::{aggregate_gcn_block, Aggregation};
-use gnnadvisor_core::frameworks::{aggregate_with, Framework};
+use gnnadvisor_core::frameworks::add_dgl_launch_surcharge;
 use gnnadvisor_core::{CoreError, Result};
-use gnnadvisor_gpu::{Engine, RunMetrics, Workload};
+use gnnadvisor_gpu::{Engine, GpuSpec, KernelMetrics, RunMetrics};
 use gnnadvisor_graph::sample::SampledBlock;
 use gnnadvisor_graph::Csr;
 use gnnadvisor_tensor::init::xavier_uniform;
@@ -36,6 +36,7 @@ use gnnadvisor_tensor::ops::{relu_inplace, softmax_row_inplace};
 use gnnadvisor_tensor::{gemm_nt, gemm_par, gemm_tn, Matrix};
 
 use crate::exec::ModelExec;
+use crate::minibatch::price_batch;
 
 /// Checks one label per expected row, each below `classes`, returning a
 /// typed error instead of letting `Matrix::get` abort on a bad index.
@@ -53,20 +54,17 @@ fn validate_labels(labels: &[usize], expected: usize, classes: usize) -> Result<
     Ok(())
 }
 
-/// Charges the simulated cost of an `m x k -> m x n` GEMM; on an engine
-/// with a fault plan it can draw a fault, returned as [`CoreError::Gpu`].
-fn charge_gemm(
-    engine: &Engine,
-    m: usize,
-    n: usize,
-    k: usize,
-    metrics: &mut RunMetrics,
-) -> Result<()> {
-    let kernel = engine
-        .submit(&mut engine.lock_context(), Workload::Gemm { m, n, k })?
-        .into_kernel();
-    metrics.push_kernel(kernel);
-    Ok(())
+/// One DGL aggregation's metrics: its stacking kernel, then its SpMM with
+/// DGL's launch surcharge, summed on their own as [`aggregate_with`] sums
+/// them.
+///
+/// [`aggregate_with`]: gnnadvisor_core::frameworks::aggregate_with
+fn dgl_aggregation(spec: &GpuSpec, stacking: KernelMetrics, mut spmm: KernelMetrics) -> RunMetrics {
+    add_dgl_launch_surcharge(spec, &mut spmm);
+    let mut run = RunMetrics::default();
+    run.push_kernel(stacking);
+    run.push_kernel(spmm);
+    run
 }
 
 /// Softmax cross-entropy over the first `labels.len()` rows of `logits`,
@@ -297,8 +295,11 @@ impl GcnTrainer {
     ///
     /// Simulated cost is charged per phase: one GEMM per update, one
     /// DGL-style aggregation per forward layer on the block and per
-    /// backward layer on its transpose. The step charges, then runs the
-    /// numerics of [`GcnTrainer::train_block`] on the engine's
+    /// backward layer on its transpose. The step prices the mini-batch
+    /// pipeline's op list for the block, submits every op after its H2D
+    /// copy in issue order with [`Engine::submit_price`], adding DGL's
+    /// launch surcharge to each SpMM ([`add_dgl_launch_surcharge`]), then
+    /// runs the numerics of [`GcnTrainer::train_block`] on the engine's
     /// [`Engine::host_workers`].
     pub fn step_block(
         &mut self,
@@ -309,7 +310,27 @@ impl GcnTrainer {
     ) -> Result<StepResult> {
         self.check_block(block, features, labels)?;
         let transposed = block.block.transpose();
-        let metrics = self.charge_block(engine, block, &transposed)?;
+        let mut dims = vec![self.weights[0].rows()];
+        dims.extend(self.weights.iter().map(Matrix::cols));
+        let prices = price_batch(engine, &mut Vec::new(), block, &transposed, &dims)?;
+        // `prices[0]` is the batch's H2D copy, which a step does not charge.
+        let mut ops = prices[1..].iter();
+        let mut next = || -> Result<KernelMetrics> {
+            let price = ops.next().expect("price_batch prices every op of the step");
+            Ok(engine.submit_price(price)?.into_kernel())
+        };
+        let mut metrics = RunMetrics::default();
+        for _ in &self.weights {
+            metrics.push_kernel(next()?);
+            metrics.merge(dgl_aggregation(engine.spec(), next()?, next()?));
+        }
+        for l in (0..self.weights.len()).rev() {
+            metrics.merge(dgl_aggregation(engine.spec(), next()?, next()?));
+            metrics.push_kernel(next()?);
+            if l > 0 {
+                metrics.push_kernel(next()?);
+            }
+        }
         let step = self.train_block(block, &transposed, features, labels, engine.host_workers())?;
         Ok(StepResult { metrics, ..step })
     }
@@ -373,40 +394,6 @@ impl GcnTrainer {
             });
         }
         validate_labels(labels, block.num_seeds.min(n), self.num_classes())
-    }
-
-    /// The simulated cost of one block step, in [`GcnTrainer::step_block`]'s
-    /// order: per forward layer the update GEMM and a DGL aggregation
-    /// over the block, then per backward layer (last first) a DGL
-    /// aggregation over the transpose and the `dW` / `dH` GEMMs.
-    fn charge_block(
-        &self,
-        engine: &Engine,
-        block: &SampledBlock,
-        transposed: &Csr,
-    ) -> Result<RunMetrics> {
-        let g = &block.block;
-        let n = g.num_nodes();
-        let mut metrics = RunMetrics::default();
-        for w in &self.weights {
-            charge_gemm(engine, n, w.cols(), w.rows(), &mut metrics)?;
-            metrics.merge(aggregate_with(Framework::Dgl, engine, g, w.cols(), None)?);
-        }
-        for (l, w) in self.weights.iter().enumerate().rev() {
-            let (rows, cols) = w.shape();
-            metrics.merge(aggregate_with(
-                Framework::Dgl,
-                engine,
-                transposed,
-                cols,
-                None,
-            )?);
-            charge_gemm(engine, rows, cols, n, &mut metrics)?;
-            if l > 0 {
-                charge_gemm(engine, n, rows, cols, &mut metrics)?;
-            }
-        }
-        Ok(metrics)
     }
 }
 
