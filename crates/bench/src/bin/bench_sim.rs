@@ -62,7 +62,7 @@ use gnnadvisor_tensor::init::random_features;
 use gnnadvisor_tensor::ops::relu_inplace;
 use gnnadvisor_tensor::simd::Body;
 use gnnadvisor_tensor::{gemm_par, Matrix};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Fixed workload: 512 blocks of 8 warps each, mixing a sliding coalesced
 /// window (cross-block temporal locality), per-lane scattered rows, and a
@@ -114,7 +114,7 @@ impl Kernel for SimWorkload {
 }
 
 /// One worker-count measurement of the current engine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct ThreadRow {
     /// Simulation worker threads.
     threads: usize,
@@ -126,7 +126,7 @@ struct ThreadRow {
 }
 
 /// Everything `BENCH_sim.json` records.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct BenchSim {
     /// Workload shape, for reproducibility.
     workload: String,
@@ -159,7 +159,7 @@ struct BenchSim {
 }
 
 /// The host aggregation table of `BENCH_sim.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct HostAggregation {
     /// The aggregated graph.
     graph: String,
@@ -174,7 +174,7 @@ struct HostAggregation {
 }
 
 /// One host aggregation measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct HostAggRow {
     /// `original` (the generated graph) or `renumbered` (renamed by the
     /// community-aware renumbering, each row's order kept).
@@ -188,7 +188,7 @@ struct HostAggRow {
 }
 
 /// The host GEMM table of `BENCH_sim.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct HostGemm {
     /// The timed products.
     shapes: String,
@@ -202,7 +202,7 @@ struct HostGemm {
 }
 
 /// One host GEMM measurement of `m x k . k x n`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct HostGemmRow {
     m: usize,
     k: usize,
@@ -215,7 +215,7 @@ struct HostGemmRow {
 
 /// The set-up table of `BENCH_sim.json`: best-of-runs wall-clock of each
 /// stage of `Advisor::new` on its own, and of the advisor itself.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct AdvisorSetup {
     /// The graph and the tuning strategy.
     graph: String,

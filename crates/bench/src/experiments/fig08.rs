@@ -9,13 +9,13 @@
 
 use gnnadvisor_core::Framework;
 use gnnadvisor_datasets::all_table1;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::report::{geomean, Table};
 use crate::runner::{build_advisor, run_forward, ExperimentConfig, ModelKind};
 
 /// One dataset × model measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Row {
     /// Dataset name.
     pub dataset: String,
@@ -32,7 +32,7 @@ pub struct Row {
 }
 
 /// Full Figure 8 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig8Result {
     /// Dataset scale used.
     pub scale: f64,

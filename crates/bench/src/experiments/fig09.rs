@@ -8,14 +8,14 @@
 
 use gnnadvisor_core::Framework;
 use gnnadvisor_datasets::all_table1;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::report::{mean, Table};
 use crate::runner::{build_advisor, run_forward, ExperimentConfig, ModelKind};
 
 /// One dataset × model metric comparison (aggregation kernels only — the
 /// paper profiles the aggregation phase, not the shared cuBLAS updates).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Row {
     /// Dataset name.
     pub dataset: String,
@@ -32,7 +32,7 @@ pub struct Row {
 }
 
 /// Full Figure 9 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig9Result {
     /// Dataset scale used.
     pub scale: f64,

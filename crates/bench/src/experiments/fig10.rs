@@ -7,13 +7,13 @@
 
 use gnnadvisor_core::Framework;
 use gnnadvisor_datasets::{TYPE_II, TYPE_III};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::report::{geomean, Table};
 use crate::runner::{build_advisor, run_forward, ExperimentConfig, ModelKind};
 
 /// One comparison row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Row {
     /// Dataset name.
     pub dataset: String,
@@ -30,7 +30,7 @@ pub struct Row {
 }
 
 /// Full Figure 10 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig10Result {
     /// Dataset scale used.
     pub scale: f64,

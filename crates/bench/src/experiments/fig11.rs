@@ -10,13 +10,13 @@
 
 use gnnadvisor_core::{Framework, RuntimeParams};
 use gnnadvisor_datasets::TYPE_III;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::report::Table;
 use crate::runner::{build_advisor_manual, run_forward, ExperimentConfig, ModelKind};
 
 /// One sweep series for one dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Series {
     /// Dataset name.
     pub dataset: String,
@@ -29,7 +29,7 @@ pub struct Series {
 }
 
 /// Full Figure 11 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig11Result {
     /// Dataset scale used.
     pub scale: f64,

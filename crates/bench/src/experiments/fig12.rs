@@ -7,14 +7,14 @@
 
 use gnnadvisor_core::Framework;
 use gnnadvisor_datasets::TYPE_III;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::report::{mean, Table};
 use crate::runner::{build_advisor_manual, run_forward, ExperimentConfig, ModelKind};
 use gnnadvisor_core::RuntimeParams;
 
 /// Renumbering effect on one dataset × model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RenumberRow {
     /// Dataset name.
     pub dataset: String,
@@ -35,7 +35,7 @@ pub struct RenumberRow {
 }
 
 /// Block-level-optimization effect on one dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct BlockOptRow {
     /// Dataset name.
     pub dataset: String,
@@ -54,7 +54,7 @@ pub struct BlockOptRow {
 }
 
 /// Full Figure 12 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig12Result {
     /// Dataset scale used.
     pub scale: f64,

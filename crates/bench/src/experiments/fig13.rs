@@ -11,13 +11,13 @@ use gnnadvisor_datasets::table1_by_name;
 use gnnadvisor_gpu::{Engine, GpuSpec};
 use gnnadvisor_models::{Gcn, Gin, ModelExec};
 use gnnadvisor_tensor::init::random_features;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::report::{mean, Table};
 use crate::runner::{build_advisor, run_forward, ExperimentConfig, ModelKind};
 
 /// One hidden-dimension sweep point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DimPoint {
     /// Hidden dimension.
     pub hidden: usize,
@@ -28,7 +28,7 @@ pub struct DimPoint {
 }
 
 /// One V100-vs-P6000 comparison row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DeviceRow {
     /// Dataset name.
     pub dataset: String,
@@ -43,7 +43,7 @@ pub struct DeviceRow {
 }
 
 /// Full Figure 13 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig13Result {
     /// Dataset scale used.
     pub scale: f64,

@@ -3,13 +3,13 @@
 
 use gnnadvisor_datasets::{all_table1, DatasetSpec};
 use gnnadvisor_graph::stats::DegreeStats;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::report::Table;
 use crate::runner::ExperimentConfig;
 
 /// One dataset row: the spec plus generated-graph statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Row {
     /// Dataset name.
     pub name: String,
@@ -34,7 +34,7 @@ pub struct Row {
 }
 
 /// Full Table 1 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Table1Result {
     /// Scale the graphs were generated at.
     pub scale: f64,

@@ -9,13 +9,13 @@
 use gnnadvisor_core::Framework;
 use gnnadvisor_datasets::neugraph::table2_datasets;
 use gnnadvisor_gpu::{Engine, Workload};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::report::Table;
 use crate::runner::{build_advisor, run_forward, ExperimentConfig, ModelKind};
 
 /// One Table 2 row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Row {
     /// Dataset name.
     pub dataset: String,
@@ -32,7 +32,7 @@ pub struct Row {
 }
 
 /// Full Table 2 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Table2Result {
     /// Dataset scale used (these graphs are huge; default far below 1).
     pub scale: f64,

@@ -12,7 +12,7 @@ use gnnadvisor_models::{Gcn, Gin, GraphSage, ModelExec};
 use gnnadvisor_tensor::init::random_features;
 
 /// The GNN architectures benchmarked in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub enum ModelKind {
     /// 2-layer GCN, hidden 16 (Section 8.1.1).
     Gcn,

@@ -2,7 +2,7 @@
 
 use gnnadvisor_graph::stats::DegreeStats;
 use gnnadvisor_graph::Csr;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Where the dense update sits relative to aggregation (Section 4.2).
 ///
@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// aggregation runs at the small hidden dimension; GIN-class models must
 /// aggregate at full dimension first because the edge/self weighting needs
 /// the raw embeddings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum AggOrder {
     /// Update (dimension reduction) first, then aggregate — GCN.
     UpdateThenAggregate,
@@ -19,7 +19,7 @@ pub enum AggOrder {
 }
 
 /// The input-level information GNNAdvisor's extractor collects (Section 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct InputInfo {
     /// Number of nodes `N`.
     pub num_nodes: usize,

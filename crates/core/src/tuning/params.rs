@@ -1,11 +1,11 @@
 //! The runtime's performance-related parameters (Section 7.1).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{CoreError, Result};
 
 /// The tunable knobs GNNAdvisor exposes to users and to its auto-tuner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct RuntimeParams {
     /// Group size `gs`: neighbors per group (Section 5.1).
     pub group_size: usize,

@@ -344,7 +344,7 @@ mod tests {
 
     #[test]
     fn winner_latency_sits_within_the_error_band_of_the_full_sim_winner() {
-        // The acceptance-criterion property: exhaustively engine-score the
+        // The acceptance property: exhaustively engine-score the
         // same candidate pool the fast path explored and check the
         // two-tier winner's latency lands within the calibrated band of
         // the true (full-sim) winner's latency.

@@ -4,12 +4,12 @@ use gnnadvisor_graph::generators::{
     batched_graph, community_graph, BatchedParams, CommunityParams,
 };
 use gnnadvisor_graph::{Csr, Result};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::scale::scaled_counts;
 
 /// The paper's three dataset classes (Section 8.1.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum DatasetType {
     /// Small graphs with high-dimensional features (GNN algorithm papers).
     TypeI,
@@ -31,7 +31,7 @@ impl DatasetType {
 }
 
 /// Published statistics of one dataset (a Table 1 row).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DatasetSpec {
     /// Dataset name as printed in Table 1.
     pub name: &'static str,

@@ -1,6 +1,6 @@
 //! Kernel and run metrics — the simulator's NVProf.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Phase-attributed cycle breakdown of a launch (or a whole run): where
 /// the elapsed simulated cycles went. Attribution is hierarchical and
@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// are attributed first (they bound the body from below), the atomic
 /// serial chain claims what bandwidth cannot explain, and per-SM work
 /// (issue, latency, imbalance tails) absorbs the rest.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct PhaseBreakdown {
     /// Cycles attributed to per-SM work: compute issue, exposed memory
     /// latency, and cross-SM tail imbalance.
@@ -70,7 +70,7 @@ impl PhaseBreakdown {
 
 /// Metrics of a single kernel launch, mirroring the NVProf counters the
 /// paper reports (Section 8.1.4, Figure 9, Figure 12).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct KernelMetrics {
     /// Kernel name for reports.
     pub name: String,
@@ -111,7 +111,7 @@ pub struct KernelMetrics {
 }
 
 /// The resource that determined a kernel's elapsed time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub enum Limiter {
     /// Per-SM work (compute issue, memory latency, imbalance tails).
     #[default]
@@ -172,7 +172,7 @@ impl KernelMetrics {
 /// Aggregated metrics of a multi-kernel run (e.g. a full GNN forward pass):
 /// kernel compute plus host↔device transfer time, split the way Table 2
 /// reports NeuGraph ("Mem.IO" vs "Comp.").
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct RunMetrics {
     /// Sum of kernel elapsed times, ms ("Comp." in Table 2).
     pub compute_ms: f64,

@@ -8,7 +8,7 @@
 //! architecture genuinely differs, so cross-device comparisons reflect the
 //! Table 3 resources (SMs, bandwidth, cache) rather than tuning.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::kernel::WARP_SIZE;
 
@@ -26,7 +26,7 @@ pub const DEFAULT_REGS_PER_THREAD: u32 = 32;
 /// the device core's command processor admits blocks against. Replaces
 /// ad-hoc reads of `shared_mem_per_block` / `max_threads_per_sm` in the
 /// advisor, kernels, and tuning layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct BlockResources {
     /// Architectural registers per thread.
     pub regs_per_thread: u32,
@@ -67,7 +67,7 @@ impl BlocksPerSm {
 }
 
 /// Static description of a simulated GPU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GpuSpec {
     /// Marketing name, e.g. `"Quadro P6000"`.
     pub name: String,

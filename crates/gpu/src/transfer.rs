@@ -4,12 +4,12 @@
 //! paper reports its "Mem.IO" column separately from compute. The model is
 //! the standard latency + bandwidth line: `t = latency + bytes / bw`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::spec::GpuSpec;
 
 /// Cost of one host↔device copy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct TransferMetrics {
     /// Payload size in bytes.
     pub bytes: u64,
