@@ -112,9 +112,12 @@ pub fn run_multi_gpu_aggregation(
         });
     }
     params.validate()?;
-    // Honor `params.renumber` the same way the single-device runtime does:
-    // permute the graph *before* partitioning, so communities land whole
-    // inside contiguous partitions and the halo shrinks.
+    // Honor `params.renumber` as the single-device runtime does, by
+    // renumbering *before* partitioning, so communities land whole inside
+    // contiguous partitions and the halo shrinks. Unlike `Advisor::new`,
+    // which renames rows with `Csr::relabel` and keeps each row's order,
+    // this applies the permutation with `Csr::permute`, which also sorts
+    // every row.
     let renumbered;
     let graph = if params.renumber {
         let r = renumber(graph, &RenumberConfig::default())?;

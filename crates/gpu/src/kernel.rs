@@ -356,29 +356,15 @@ impl<'a> BlockSink<'a> {
         self.note_reads(LineReads::one(hits, misses), hits + misses, 1);
     }
 
-    /// Strided / team-width read: the warp reads `[offset, offset + bytes)`
-    /// of `array` in `transactions` memory transactions, each of which keeps
-    /// `useful_lanes` lanes busy. This models dimension-based workload
-    /// sharing (Section 5.4): a team of `dw` adjacent lanes covering
-    /// adjacent dimensions needs `ceil(D / dw)` transactions per embedding
-    /// row and utilizes `dw` lanes per transaction — `dw = 32` is fully
-    /// coalesced, `dw = 1` wastes 31/32 of each transaction.
-    #[inline(always)]
-    pub fn global_read_strided(
-        &mut self,
-        array: ArrayId,
-        offset: u64,
-        bytes: u64,
-        transactions: u64,
-        useful_lanes: u32,
-    ) {
-        self.read_rows(array, [offset], bytes, transactions, useful_lanes);
-    }
-
     /// Reads the `row_bytes`-wide rows `rows` of `array` (row `r` starts
-    /// at byte `r * row_bytes`), one [`BlockSink::global_read_strided`] per
-    /// row in a single call: a neighbour list's feature rows. Every row is
-    /// priced exactly as its own strided read would be.
+    /// at byte `r * row_bytes`) in a single call: a neighbour list's
+    /// feature rows. Each row is read in `transactions` memory
+    /// transactions, each of which keeps `useful_lanes` lanes busy. This
+    /// models dimension-based workload sharing (Section 5.4): a team of
+    /// `dw` adjacent lanes covering adjacent dimensions needs
+    /// `ceil(D / dw)` transactions per embedding row and utilizes `dw`
+    /// lanes per transaction — `dw = 32` is fully coalesced, `dw = 1`
+    /// wastes 31/32 of each transaction.
     #[inline(always)]
     pub fn global_read_rows(
         &mut self,
@@ -582,8 +568,8 @@ mod tests {
         assert_eq!(sink.acc.warp_stall[0], spec.dram_latency_cycles);
     }
 
-    /// A strided read as priced before rows could be read as a slice:
-    /// the reference the slice form and the one-row form are held to.
+    /// One row's read, priced by the plain per-row formula: the reference
+    /// the slice form is held to.
     fn strided_reference(
         sink: &mut BlockSink<'_>,
         offset: u64,
@@ -618,12 +604,11 @@ mod tests {
         // miss), row widths from zero bytes to several lines, lane counts
         // past the warp width, lists read before any warp is open, and
         // empty lists: one slice call per list must leave the sink and
-        // the cache exactly where the per-row loop leaves them, and so
-        // must the per-row loop of the reference formula.
+        // the cache exactly where the per-row loop of the reference
+        // formula leaves them.
         #[derive(Clone, Copy)]
         enum Form {
             Reference,
-            Strided,
             Slice,
         }
         let mut state = 0x5EED_u64;
@@ -665,17 +650,6 @@ mod tests {
                                 );
                             }
                         }
-                        Form::Strided => {
-                            for &r in rows {
-                                sink.global_read_strided(
-                                    ArrayId(3),
-                                    offset(r),
-                                    row_bytes,
-                                    transactions,
-                                    lanes,
-                                );
-                            }
-                        }
                         Form::Slice => {
                             sink.global_read_rows(ArrayId(3), rows, row_bytes, transactions, lanes)
                         }
@@ -685,7 +659,6 @@ mod tests {
                 (acc, cache.hits(), cache.misses())
             };
             let reference = run(Form::Reference);
-            assert_eq!(run(Form::Strided), reference, "row width {row_bytes} B");
             assert_eq!(run(Form::Slice), reference, "row width {row_bytes} B");
             if row_bytes > 0 {
                 assert!(reference.1 > 0 && reference.2 > 0, "rows both hit and miss");

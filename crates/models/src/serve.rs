@@ -77,13 +77,30 @@ impl GcnBatchExecutor {
     pub fn num_components(&self) -> usize {
         self.components.len()
     }
+}
 
-    /// The layer dimensionalities, outermost first.
-    fn layer_dims(&self) -> [(usize, usize); 2] {
-        [
-            (self.in_dim, self.hidden_dim),
-            (self.hidden_dim, self.num_classes),
-        ]
+/// Appends a GCN forward's per-layer device work over `nodes` rows for the
+/// layer widths `dims` (input first): update-then-aggregate per layer, the
+/// paper's GCN ordering (dimension reduction first makes aggregation
+/// cheaper). Each layer is a GEMM, a DGL-style stacking pass, then the
+/// kernel `aggregation(layer, out_dim)` returns.
+pub(crate) fn push_gcn_layers(
+    ops: &mut Vec<DeviceWork>,
+    nodes: usize,
+    dims: &[usize],
+    mut aggregation: impl FnMut(usize, usize) -> Box<dyn Kernel>,
+) {
+    for (layer, w) in dims.windows(2).enumerate() {
+        let (in_dim, out_dim) = (w[0], w[1]);
+        ops.push(DeviceWork::Gemm {
+            m: nodes,
+            n: out_dim,
+            k: in_dim,
+        });
+        ops.push(DeviceWork::Kernel(Box::new(StackingKernel::new(
+            nodes, out_dim,
+        ))));
+        ops.push(DeviceWork::Kernel(aggregation(layer, out_dim)));
     }
 }
 
@@ -114,22 +131,13 @@ impl BatchExecutor for GcnBatchExecutor {
         // Host -> device: input features plus the batch topology.
         let h2d = (nodes * self.in_dim * WORD + (nodes + 1 + edges) * WORD) as u64;
         let mut ops = vec![DeviceWork::Transfer { bytes: h2d }];
-        // Update-then-aggregate per layer (the paper's GCN ordering:
-        // dimension reduction first makes aggregation cheaper).
-        for (in_dim, out_dim) in self.layer_dims() {
-            ops.push(DeviceWork::Gemm {
-                m: nodes,
-                n: out_dim,
-                k: in_dim,
-            });
-            ops.push(DeviceWork::Kernel(Box::new(StackingKernel::new(
-                nodes, out_dim,
-            ))));
-            ops.push(DeviceWork::Kernel(Box::new(OwnedSpmm {
+        let dims = [self.in_dim, self.hidden_dim, self.num_classes];
+        push_gcn_layers(&mut ops, nodes, &dims, |_, dim| {
+            Box::new(OwnedSpmm {
                 graph: Arc::clone(&merged),
-                dim: out_dim,
-            })));
-        }
+                dim,
+            })
+        });
         // Device -> host: the logits.
         ops.push(DeviceWork::Transfer {
             bytes: (nodes * self.num_classes * WORD) as u64,
