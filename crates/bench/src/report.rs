@@ -128,6 +128,62 @@ mod tests {
         assert!(lines[3].starts_with("long-name"));
     }
 
+    /// A unit-only enum: the derive's second supported shape.
+    #[derive(serde::Serialize)]
+    enum Strategy {
+        Advisor,
+        Dgl,
+    }
+
+    /// A struct with named fields: the derive's first supported shape,
+    /// with field attributes, visibility and nested generic types.
+    #[derive(serde::Serialize)]
+    struct Row {
+        /// Skipped by the derive like any attribute.
+        pub name: String,
+        pub(crate) strategy: Strategy,
+        speedup: f64,
+        spans: Vec<(u64, u64)>,
+        peers: Vec<Strategy>,
+        missing: Option<u32>,
+    }
+
+    #[test]
+    fn serialize_derive_writes_structs_and_unit_enums() {
+        let row = Row {
+            name: "Cora \"x\"".into(),
+            strategy: Strategy::Advisor,
+            speedup: 1.5,
+            spans: vec![(0, 3), (4, 9)],
+            peers: vec![Strategy::Dgl, Strategy::Advisor],
+            missing: None,
+        };
+        // Byte for byte: `run_all`'s JSON reports are compared across
+        // commits.
+        let expected = r#"{
+  "name": "Cora \"x\"",
+  "strategy": "Advisor",
+  "speedup": 1.5,
+  "spans": [
+    [
+      0,
+      3
+    ],
+    [
+      4,
+      9
+    ]
+  ],
+  "peers": [
+    "Dgl",
+    "Advisor"
+  ],
+  "missing": null
+}"#;
+        let json = serde_json::to_string_pretty(&row).expect("serializes");
+        assert_eq!(json, expected);
+    }
+
     #[test]
     fn speedup_guards_zero() {
         assert_eq!(speedup(10.0, 0.0), 0.0);
