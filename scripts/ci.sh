@@ -10,8 +10,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings -D deprecated"
 # -D deprecated: the workspace keeps no deprecated API alive, so a
 # deprecation warning anywhere (a new shim, or a call into a deprecated
-# dependency item) fails the build instead of lingering.
-cargo clippy --offline --workspace --all-targets -- -D warnings -D deprecated
+# dependency item) fails the build instead of lingering. --locked: this is
+# the first command that resolves the workspace, so a manifest edit
+# committed without its Cargo.lock update fails here instead of silently
+# rewriting the lock.
+cargo clippy --offline --locked --workspace --all-targets -- -D warnings -D deprecated
 
 echo "==> cargo doc -D warnings"
 # A deleted or renamed item must not leave a dangling intra-doc link.
